@@ -30,7 +30,13 @@ from ..mf_model import model_from_config
 from ..paths import PathVec
 from ..rng import stream
 from .config import resolve_kernels, resolve_model
-from .report import CriterionResult, ExperimentReport, fit_loglog_slope, sample_stats
+from .report import (
+    CriterionResult,
+    ExperimentReport,
+    fit_loglog_slope,
+    sample_stats,
+    slope_criterion,
+)
 
 __all__ = [
     "run_experiment",
@@ -45,7 +51,10 @@ __all__ = [
 
 
 def n_workers() -> int:
-    return max(1, int(os.environ.get("DEVIA_WORKERS", "1")))
+    raw = os.environ.get("DEVIA_WORKERS", "1")
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ValueError(f"DEVIA_WORKERS must be a positive integer; got {raw!r}")
+    return int(raw)
 
 
 def _chunks(n: int, pieces: int) -> list[tuple[int, int]]:
@@ -118,13 +127,7 @@ def run_lln(spec: dict) -> ExperimentReport:
         samples[m] = _fan_out(_lln_chunk, (model_cfg, m, q0, T, p_steps, seed + k), replicas)
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
-    crit = CriterionResult(
-        "LLN log-log slope",
-        fit["slope"],
-        f"slope = {want} +/- {tol}",
-        abs(fit["slope"] - want) <= tol,
-        detail=fit,
-    )
+    crit = slope_criterion("LLN log-log slope", fit, want, tol, f"slope = {want} +/- {tol}")
     return ExperimentReport(
         kind="lln",
         config=spec,
@@ -263,12 +266,8 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
         samples[m] = (vals - vals.mean()) ** 2
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
-    crit = CriterionResult(
-        "pairing variance plateau",
-        fit["slope"],
-        f"log-log slope of the variance = 0 +/- {tol}",
-        abs(fit["slope"]) <= tol,
-        detail=fit,
+    crit = slope_criterion(
+        "pairing variance plateau", fit, 0.0, tol, f"log-log slope of the variance = 0 +/- {tol}"
     )
     return ExperimentReport(
         kind="clt-scaling", config=spec, seed=seed, stats=stats, criteria=[crit],
@@ -316,12 +315,8 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     want = -(1.0 - 2.0 * theta)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
-    crit = CriterionResult(
-        "coupling gap log-log slope",
-        fit["slope"],
-        f"slope = {want} +/- {tol}",
-        abs(fit["slope"] - want) <= tol,
-        detail=fit,
+    crit = slope_criterion(
+        "coupling gap log-log slope", fit, want, tol, f"slope = {want} +/- {tol}"
     )
     return ExperimentReport(
         kind="coupling-scaling", config=spec, seed=seed, stats=stats, criteria=[crit],
@@ -364,13 +359,7 @@ def run_initial_moments(spec: dict) -> ExperimentReport:
         CriterionResult(
             "first-moment identity", worst_z, "|mean - exact| <= 3 SE at every m", identity_ok
         ),
-        CriterionResult(
-            "second-moment slope",
-            fit["slope"],
-            f"slope = -2 +/- {tol_slope}",
-            abs(fit["slope"] + 2.0) <= tol_slope,
-            detail=fit,
-        ),
+        slope_criterion("second-moment slope", fit, -2.0, tol_slope, f"slope = -2 +/- {tol_slope}"),
     ]
     return ExperimentReport(
         kind="initial-moments", config=spec, seed=seed, stats=stats, criteria=criteria,

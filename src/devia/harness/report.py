@@ -22,6 +22,7 @@ __all__ = [
     "SampleStats",
     "sample_stats",
     "fit_loglog_slope",
+    "slope_criterion",
     "config_hash",
 ]
 
@@ -35,7 +36,7 @@ class CriterionResult:
     """One pass/fail entry; ``tolerance`` states the acceptance rule."""
 
     name: str
-    value: float
+    value: float | None  # None when the value is undefined; detail says why
     tolerance: str
     passed: bool
     detail: dict = field(default_factory=dict)
@@ -105,7 +106,8 @@ class ExperimentReport:
         out = [f"[{self.kind}] config {self.config_digest[:12]} seed {self.seed}"]
         for c in self.criteria:
             mark = "PASS" if c.passed else "FAIL"
-            out.append(f"  {mark}  {c.name}: value={c.value:.6g}  ({c.tolerance})")
+            value = "undefined" if c.value is None else f"{c.value:.6g}"
+            out.append(f"  {mark}  {c.name}: value={value}  ({c.tolerance})")
         return out
 
 
@@ -143,7 +145,9 @@ def fit_loglog_slope(
 
     ``samples[m]`` are the per-replica values at system size m; the bootstrap
     resamples replicas (the sup statistics are heavy-tailed, so a normal
-    stderr on the log-means would be optimistic).
+    stderr on the log-means would be optimistic).  A mean that is not
+    positive has no logarithm: the slope is then None and ``error`` names the
+    system sizes at fault.  The CI is None when some resample has such a mean.
     """
     ms = np.asarray(sorted(ms))
     logm = np.log(ms)
@@ -152,18 +156,40 @@ def fit_loglog_slope(
         return float(np.polyfit(logm, np.log(means), 1)[0])
 
     means = np.array([samples[m].mean() for m in ms])
-    slope = slope_of(means)
+    fit = {
+        "means": {int(m): float(v) for m, v in zip(ms, means)},
+        "slope": None,
+        "ci_low": None,
+        "ci_high": None,
+    }
+    bad = [int(m) for m, v in zip(ms, means) if not v > 0.0]
+    if bad:
+        fit["error"] = f"mean is not positive at m = {bad}, so log(mean) is undefined"
+        return fit
+    fit["slope"] = slope_of(means)
     rng = stream(seed, _BOOTSTRAP_STREAM)
     boot = np.empty(resamples)
     for b in range(resamples):
         bm = np.array(
             [samples[m][rng.integers(0, len(samples[m]), len(samples[m]))].mean() for m in ms]
         )
-        boot[b] = slope_of(bm)
-    lo, hi = np.percentile(boot, [2.5, 97.5])
-    return {
-        "slope": slope,
-        "ci_low": float(lo),
-        "ci_high": float(hi),
-        "means": {int(m): float(v) for m, v in zip(ms, means)},
-    }
+        boot[b] = slope_of(bm) if np.all(bm > 0.0) else np.nan
+    undefined = int(np.isnan(boot).sum())
+    if undefined:
+        fit["error"] = (
+            f"{undefined} of {resamples} bootstrap resamples have a mean that is not positive"
+        )
+    else:
+        lo, hi = np.percentile(boot, [2.5, 97.5])
+        fit["ci_low"], fit["ci_high"] = float(lo), float(hi)
+    return fit
+
+
+def slope_criterion(
+    name: str, fit: dict, want: float, tol: float, tolerance: str
+) -> CriterionResult:
+    """Pass iff the fitted slope lies within ``tol`` of ``want``; a fit
+    without a slope fails, and its detail carries the reason."""
+    slope = fit["slope"]
+    passed = slope is not None and abs(slope - want) <= tol
+    return CriterionResult(name, slope, tolerance, passed, detail=fit)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .mf_model import RateModel, ell_cost
 from .paths import PathVec
-from .rng import stream
+from .rng import counter_uniforms, stream
 
 __all__ = [
     "JumpPath",
@@ -280,28 +280,42 @@ def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
 
 
 class _ReplicaRandoms:
-    """Per-replica uniform streams consumed in lockstep.
+    """Uniform draws of the live replicas, consumed in lockstep.
 
-    Each replica owns a Philox stream keyed by (seed, replica id) and
-    consumes from it only on its own events, so results are identical no
-    matter how replicas are grouped into batches or workers.
+    Draw k of replica r is a pure function of (seed, r, k) (see
+    :func:`devia.rng.counter_uniforms`).  Each row caches the next ``CACHE``
+    draws of its replica and refills them when they run out, so results are
+    identical no matter how replicas are grouped, and rows can be dropped
+    without touching the draws of the others.
     """
 
-    def __init__(self, seed: int, replica_ids: np.ndarray, block: int = 2048):
-        self.gens = [stream(seed, int(r)) for r in replica_ids]
-        self.block = block
-        self.buf = np.stack([g.random(block) for g in self.gens])
-        self.ptr = np.zeros(len(self.gens), dtype=np.int64)
+    CACHE = 32
 
-    def draw(self, mask: np.ndarray) -> np.ndarray:
-        """One uniform per masked replica; unmasked rows return junk."""
-        need = np.nonzero(self.ptr >= self.block)[0]
-        for r in need:
-            self.buf[r] = self.gens[r].random(self.block)
-            self.ptr[r] = 0
-        out = self.buf[np.arange(len(self.gens)), self.ptr]
-        self.ptr += mask.astype(np.int64)
+    def __init__(self, seed: int, replica_ids: np.ndarray):
+        self.seed = seed
+        self.ids = replica_ids
+        self.base = np.zeros(len(replica_ids), dtype=np.int64)  # draw index of buf[:, 0]
+        self.ptr = np.zeros(len(replica_ids), dtype=np.int64)
+        self.buf = counter_uniforms(seed, replica_ids, self.base, self.CACHE)
+
+    def draw(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """The next uniform of every row; rows outside ``mask`` keep theirs."""
+        need = np.nonzero(self.ptr == self.CACHE)[0]
+        if len(need):
+            self.base[need] += self.CACHE
+            self.ptr[need] = 0
+            self.buf[need] = counter_uniforms(
+                self.seed, self.ids[need], self.base[need], self.CACHE
+            )
+        out = self.buf[np.arange(len(self.ptr)), self.ptr]
+        self.ptr += 1 if mask is None else mask
         return out
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row not selected by ``rows``."""
+        self.ids, self.base, self.ptr, self.buf = (
+            a[rows] for a in (self.ids, self.base, self.ptr, self.buf)
+        )
 
 
 def batch_paths(
@@ -324,6 +338,9 @@ def batch_paths(
     bin boundaries and at T.  When ``ref`` is None the deviation is reported
     as 0 and only the final counts matter.  Tilted dynamics are enabled by
     passing (control, a_m, p_path) together.
+
+    Only live replicas are advanced: a replica that reaches T writes its
+    results back and leaves the working arrays.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     R = len(replicas)
@@ -337,22 +354,25 @@ def batch_paths(
         _check_phi_nonnegative(control, a_scale)
         edges = control.edges
 
-    rnd = _ReplicaRandoms(seed, replicas)
-    t = np.zeros(R)
-    counts = np.tile(counts0, (R, 1)).astype(np.int64)
     sup_dev = np.zeros(R)
-    alive = np.ones(R, dtype=bool)
+    final_counts = np.empty((R, K), dtype=np.int64)
+    # working arrays of the live replicas; rows[i] is row i's output index
+    rnd = _ReplicaRandoms(seed, replicas)
+    rows = np.arange(R)
+    t = np.zeros(R)
+    counts = np.tile(counts0, (R, 1))
+    sup = np.zeros(R)
 
-    def observe(mask, at):
-        if ref is None or not mask.any():
-            return
-        dev = np.linalg.norm(counts[mask] / m - ref(at[mask]), axis=1)
-        np.maximum.at(sup_dev, np.nonzero(mask)[0], dev)
+    def observe(ref_t, sel=slice(None)):
+        """Fold the deviation of rows ``sel`` from ``ref_t = ref(t)`` into sup."""
+        if ref_t is not None:
+            dev = np.linalg.norm(counts[sel] / m - ref_t[sel], axis=1)
+            sup[sel] = np.maximum(sup[sel], dev)
 
-    observe(alive, t)
-    while alive.any():
-        q = counts / m
-        rates = counts[:, :, None] * model.rates_batch(q)  # (R, K, K)
+    observe(None if ref is None else ref(t))
+    while len(rows):
+        n = len(rows)
+        rates = counts[:, :, None] * model.rates_batch(counts / m)  # (n, K, K)
         if tilted:
             k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
             psi = control.psi[k]
@@ -360,44 +380,47 @@ def batch_paths(
             cap = np.minimum(edges[k + 1], T)
         else:
             bound = rates
-            cap = np.full(R, T)
+            cap = T
         total = bound.sum(axis=(1, 2))
-        u_wait = rnd.draw(alive)
         with np.errstate(divide="ignore"):
-            dt = -np.log1p(-u_wait) / total
+            dt = -np.log1p(-rnd.draw()) / total
         t_prop = np.where(total > 0.0, t + dt, np.inf)
 
-        crossed = alive & (t_prop > cap)
-        fired = alive & ~crossed
-
-        # replicas that hit a bin boundary (or the horizon) just move there
-        t = np.where(crossed, cap, t)
-        observe(crossed, t)
+        # replicas that would pass a bin boundary (or the horizon) move
+        # there; the others move to their proposed event time
+        fired = t_prop <= cap
+        t = np.where(fired, t_prop, cap)
+        ref_t = None if ref is None else ref(t)
+        observe(ref_t)  # state before any jump, at the new time
 
         if fired.any():
-            t = np.where(fired, t_prop, t)
-            observe(fired, t)  # state before the jump, at the new time
-            flat = bound.reshape(R, K * K).cumsum(axis=1)
+            flat = bound.reshape(n, K * K).cumsum(axis=1)
             u_pick = rnd.draw(fired) * total
             # ties at cumsum boundaries must resolve past zero-weight cells
             cell = (flat <= u_pick[:, None]).sum(axis=1).clip(0, K * K - 1)
             ci, cj = np.divmod(cell, K)
-            rows = np.arange(R)
-            b_cell = bound[rows, ci, cj]
+            idx = np.arange(n)
+            b_cell = bound[idx, ci, cj]
             accept = fired & (b_cell > 0.0)
             if tilted:
-                r_cell = rates[rows, ci, cj]
+                r_cell = rates[idx, ci, cj]
                 p_t = p_path(t)
-                w_p = m * p_t[rows, ci] * model.rates_batch(p_t)[rows, ci, cj]
-                actual = r_cell + (psi[rows, ci, cj] / a_scale) * np.minimum(r_cell, w_p)
+                w_p = m * p_t[idx, ci] * model.rates_batch(p_t)[idx, ci, cj]
+                actual = r_cell + (psi[idx, ci, cj] / a_scale) * np.minimum(r_cell, w_p)
                 u_acc = rnd.draw(fired)
                 with np.errstate(invalid="ignore"):
                     accept &= u_acc * b_cell <= actual
             if accept.any():
-                rows = np.nonzero(accept)[0]
-                np.subtract.at(counts, (rows, ci[rows]), 1)
-                np.add.at(counts, (rows, cj[rows]), 1)
-                observe(accept, t)
+                a = np.nonzero(accept)[0]
+                counts[a, ci[a]] -= 1
+                counts[a, cj[a]] += 1
+                observe(ref_t, accept)
 
-        alive &= t < T
-    return sup_dev, counts
+        done = t >= T
+        if done.any():
+            sup_dev[rows[done]] = sup[done]
+            final_counts[rows[done]] = counts[done]
+            live = ~done
+            rows, t, counts, sup = rows[live], t[live], counts[live], sup[live]
+            rnd.keep(live)
+    return sup_dev, final_counts

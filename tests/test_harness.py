@@ -45,6 +45,18 @@ def test_worker_count_does_not_change_results():
     assert base == fanned
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_bad_worker_count_is_diagnosed(monkeypatch, tmp_path, value):
+    from devia.harness.cli import main
+
+    monkeypatch.setenv("DEVIA_WORKERS", value)
+    with pytest.raises(ValueError, match=f"DEVIA_WORKERS must be a positive integer; got '{value}'"):
+        run_lln(MINI_LLN)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(MINI_LLN))
+    assert main(["run", str(spec), "--out", str(tmp_path / "report.json")]) == 2
+
+
 def test_replica_floor_enforced():
     spec = dict(MINI_LLN, replicas=5)
     with pytest.raises(ValueError, match="at least 30 replicas"):
@@ -90,6 +102,28 @@ def test_fit_loglog_slope_recovers_power_law():
     fit = fit_loglog_slope(ms, samples, seed=3)
     assert abs(fit["slope"] + 1.0) < 0.05
     assert fit["ci_low"] <= fit["slope"] <= fit["ci_high"]
+
+
+def test_zero_mean_slope_is_a_failed_criterion():
+    # rates are zero and the start is the limit point, so every sup
+    # deviation is 0 and log(mean) does not exist
+    spec = dict(MINI_LLN, model={"family": "constant", "matrix": [[0.0, 0.0], [0.0, 0.0]]})
+    rep = run_lln(spec)
+    (crit,) = rep.criteria
+    assert not crit.passed and not rep.passed
+    assert crit.value is None
+    assert crit.detail["error"] == "mean is not positive at m = [40, 160], so log(mean) is undefined"
+    assert json.loads(rep.to_json())["criteria"][0]["value"] is None
+    assert "value=undefined" in rep.summary_lines()[1]
+
+
+def test_zero_mean_bootstrap_resample_leaves_the_ci_undefined():
+    samples = {10: np.array([0.0] * 29 + [1.0]), 20: np.full(30, 0.5)}
+    fit = fit_loglog_slope(np.array([10, 20]), samples, seed=1)
+    assert fit["slope"] == pytest.approx(np.log(0.5 / (1 / 30)) / np.log(2))
+    assert fit["ci_low"] is None and fit["ci_high"] is None
+    assert "bootstrap resamples have a mean that is not positive" in fit["error"]
+    json.dumps(fit, allow_nan=False)
 
 
 def test_sample_stats_basics():

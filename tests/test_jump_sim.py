@@ -228,3 +228,52 @@ class TestBatchKernel:
             [simulate_jump(flip_model, m, q0, 1.0, seed=52, replica=r).counts[-1][0] for r in range(reps)]
         )
         assert kstest(finals[:, 0], scalar).pvalue > 0.01
+
+    @pytest.mark.parametrize("mode", ["plain", "ref", "tilted"])
+    def test_replica_alone_equals_its_row_of_a_wide_batch(self, flip_model, monkeypatch, mode):
+        # draws are keyed by (seed, replica, draw index), so no replica's
+        # result may depend on its batch mates or on when they finish
+        from devia import jump_sim
+
+        q0 = np.array([0.5, 0.5])
+        p = solve_p(flip_model, q0, 1.0, 256)
+        kw = {"plain": {}, "ref": {"ref": p}}.get(mode) or {
+            "control": JumpControl.constant(2, 1.0, {(1, 2): 0.5, (2, 1): -0.3}, n_bins=4),
+            "a_m": 12 ** (-0.25),
+            "p_path": p,
+            "ref": p,
+        }
+        drops = []
+        keep = jump_sim._ReplicaRandoms.keep
+        monkeypatch.setattr(
+            jump_sim._ReplicaRandoms, "keep",
+            lambda self, rows: (drops.append(int((~rows).sum())), keep(self, rows))[1],
+        )
+        R = 1000
+        sup, finals = batch_paths(flip_model, 12, q0, 1.0, 5, np.arange(R), **kw)
+        assert len(drops) > 3 and sum(drops) == R  # replicas left the batch at many steps
+        for r in (0, 1, 499, 998, 999):
+            s1, f1 = batch_paths(flip_model, 12, q0, 1.0, 5, np.array([r]), **kw)
+            assert s1.tobytes() == sup[r:r + 1].tobytes()
+            assert f1.tobytes() == finals[r:r + 1].tobytes()
+        bounds = [0, 3, 10, 137, 600, R]
+        parts = [
+            batch_paths(flip_model, 12, q0, 1.0, 5, np.arange(lo, hi), **kw)
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        assert np.concatenate([s for s, _ in parts]).tobytes() == sup.tobytes()
+        assert np.concatenate([f for _, f in parts]).tobytes() == finals.tobytes()
+
+    def test_memory_is_bounded_in_replicas(self, flip_model):
+        # no per-replica generator state: a 2e4-replica batch of the
+        # criterion-11 chain stays far below one 2048-draw buffer per replica
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            _, finals = batch_paths(flip_model, 6, np.array([1.0, 0.0]), 1.0, 1, np.arange(20_000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert finals.shape == (20_000, 2)
+        assert peak < 64 * 2**20
