@@ -62,15 +62,16 @@ def _chunks(n: int, pieces: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _fan_out(worker, args: tuple, n_replicas: int) -> np.ndarray:
-    """Run worker(*args, lo, hi) over replica ranges, in order."""
+def _fan_out(worker, arg_sets: list[tuple], n_replicas: int) -> list[np.ndarray]:
+    """Run worker(*args, lo, hi) over replica ranges for every args tuple;
+    one result per tuple, in order.  All chunks share one process pool."""
     w = n_workers()
     if w <= 1:
-        return np.asarray(worker(*args, 0, n_replicas))
+        return [np.asarray(worker(*args, 0, n_replicas)) for args in arg_sets]
     parts = _chunks(n_replicas, 4 * w)
     with ProcessPoolExecutor(max_workers=w) as ex:
-        futs = [ex.submit(worker, *args, lo, hi) for lo, hi in parts]
-        return np.concatenate([f.result() for f in futs])
+        futs = [[ex.submit(worker, *args, lo, hi) for lo, hi in parts] for args in arg_sets]
+        return [np.concatenate([f.result() for f in fs]) for fs in futs]
 
 
 def _timed(fn):
@@ -122,9 +123,8 @@ def run_lln(spec: dict) -> ExperimentReport:
     want = float(spec.get("criteria", {}).get("slope", -1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.2))
 
-    samples = {}
-    for k, m in enumerate(m_grid):
-        samples[m] = _fan_out(_lln_chunk, (model_cfg, m, q0, T, p_steps, seed + k), replicas)
+    arg_sets = [(model_cfg, m, q0, T, p_steps, seed + k) for k, m in enumerate(m_grid)]
+    samples = dict(zip(m_grid, _fan_out(_lln_chunk, arg_sets, replicas)))
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
     crit = slope_criterion("LLN log-log slope", fit, want, tol, f"slope = {want} +/- {tol}")
@@ -185,10 +185,10 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
 
     stats = {}
     means, ses = [], []
-    for k, m in enumerate(m_grid):
-        vals = _fan_out(
-            _tilt_chunk, (model_cfg, m, q0, T, theta, control_cfg, p_steps, seed + k), replicas
-        )
+    arg_sets = [
+        (model_cfg, m, q0, T, theta, control_cfg, p_steps, seed + k) for k, m in enumerate(m_grid)
+    ]
+    for m, vals in zip(m_grid, _fan_out(_tilt_chunk, arg_sets, replicas)):
         st = sample_stats(vals)
         stats[str(m)] = st.to_dict()
         means.append(st.mean)
@@ -259,10 +259,10 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
     samples = {}
-    for k, m in enumerate(m_grid):
-        vals = _fan_out(
-            _clt_chunk, (kernel_cfg, m, M_ref, x0, T, dt, phi_coeffs, seed + k), replicas
-        )
+    arg_sets = [
+        (kernel_cfg, m, M_ref, x0, T, dt, phi_coeffs, seed + k) for k, m in enumerate(m_grid)
+    ]
+    for m, vals in zip(m_grid, _fan_out(_clt_chunk, arg_sets, replicas)):
         samples[m] = (vals - vals.mean()) ** 2
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
@@ -307,10 +307,11 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     u_const = float(spec.get("control", {}).get("constant", 1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
-    raw = _fan_out(
-        _coupling_chunk, (kernel_cfg, tuple(m_grid), M_ref, x0, T, dt, theta, u_const, seed),
+    (raw,) = _fan_out(
+        _coupling_chunk, [(kernel_cfg, tuple(m_grid), M_ref, x0, T, dt, theta, u_const, seed)],
         replicas,
-    ).reshape(replicas, len(m_grid))
+    )
+    raw = raw.reshape(replicas, len(m_grid))
     samples = {m: raw[:, k] for k, m in enumerate(m_grid)}
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     want = -(1.0 - 2.0 * theta)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jump_sim import JumpControl
-from .mf_model import RateModel, db_apply
+from .mf_model import RateModel, cell_weights, db_apply
 from .paths import PathVec
 
 __all__ = [
@@ -93,22 +93,11 @@ def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> 
 # skeleton map
 
 
-def _cell_weights_at(model: RateModel, p_t: np.ndarray) -> np.ndarray:
-    """Support-cell measures w_ij = p_i Gamma_ij(p) at one state, (K, K)."""
-    return p_t[:, None] * model.rate_matrix(p_t)
-
-
 def _forcing(model: RateModel, p_t: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
     """Exact per-cell integral of the jump map against psi: sum over cells of
     (e_j - e_i) psi_ij w_ij."""
-    M = psi_t * _cell_weights_at(model, p_t)
+    M = psi_t * cell_weights(model, p_t)
     return M.sum(axis=0) - M.sum(axis=1)
-
-
-def _db_matvec(model: RateModel, p_t: np.ndarray, h: np.ndarray) -> np.ndarray:
-    if model.db is not None:
-        return model.db(p_t) @ h
-    return db_apply(model, p_t, h)
 
 
 def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
@@ -123,7 +112,7 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
 
     def rhs(s: float, y: np.ndarray) -> np.ndarray:
         p_s = p_path(s)
-        return _db_matvec(model, p_s, y) + _forcing(model, p_s, psi.value(s))
+        return db_apply(model, p_s, y) + _forcing(model, p_s, psi.value(s))
 
     y = np.zeros(model.K)
     for k in range(len(ts) - 1):
@@ -156,7 +145,7 @@ def skeleton_picard(
     cur = np.zeros((len(ts), model.K)) if eta_init is None else eta_init(ts)
     for _ in range(max_iter):
         integrand = np.stack(
-            [_db_matvec(model, P[k], cur[k]) + F[k] for k in range(len(ts))]
+            [db_apply(model, P[k], cur[k]) + F[k] for k in range(len(ts))]
         )
         nxt = np.zeros_like(cur)
         dt = np.diff(ts)
@@ -197,16 +186,11 @@ class ControlMatrixU:
         return 0.5 * float(np.trapezoid(dens, self.grid))
 
 
-def _weights_on_grid(model: RateModel, p_path: PathVec, ts: np.ndarray) -> np.ndarray:
-    P = p_path(ts)
-    return P[:, :, None] * model.rates_batch(P)
-
-
 def u_from_psi(model: RateModel, p_path: PathVec, psi: JumpControl) -> ControlMatrixU:
     """Pointwise map psi -> u: u_ij(s) = psi_ij(s) sqrt(p_i(s) Gamma_ij(p(s))),
     zero on cells with vanishing support measure."""
     ts = p_path.grid
-    W = _weights_on_grid(model, p_path, ts)
+    W = cell_weights(model, p_path(ts))
     return ControlMatrixU(ts, psi.value(ts) * np.sqrt(W))
 
 
@@ -222,7 +206,7 @@ def psi_from_u(
     if edges is None:
         edges = u.grid
     lefts = np.asarray(edges[:-1], dtype=float)
-    W = _weights_on_grid(model, p_path, lefts)
+    W = cell_weights(model, p_path(lefts))
     idx = np.clip(np.searchsorted(u.grid, lefts, side="right") - 1, 0, len(u.grid) - 1)
     uv = u.values[idx]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +218,7 @@ def psi_l2sq(model: RateModel, p_path: PathVec, psi: JumpControl) -> float:
     """Squared L2(lambda) norm of the control field: integral over time of
     sum_ij psi_ij(t)^2 p_i(t) Gamma_ij(p(t)) (trapezoid on the grid of p)."""
     ts = p_path.grid
-    W = _weights_on_grid(model, p_path, ts)
+    W = cell_weights(model, p_path(ts))
     dens = (psi.value(ts) ** 2 * W).sum(axis=(1, 2))
     return float(np.trapezoid(dens, ts))
 
@@ -285,12 +269,12 @@ def _least_norm_pass(
     vals = eta.values
     etadot = _eta_derivative(ts, vals)
     P = p_path(ts)
-    W = P[:, :, None] * model.rates_batch(P)
+    W = cell_weights(model, P)
     off = ~np.eye(K, dtype=bool)
     U = np.zeros((len(ts), K, K))
     ratio = np.zeros(len(ts))
     for k in range(len(ts)):
-        r = etadot[k] - _db_matvec(model, P[k], vals[k])
+        r = etadot[k] - db_apply(model, P[k], vals[k])
         w = W[k][off]
         active = np.nonzero(w > 0.0)[0]
         pairs = np.argwhere(off)[active]

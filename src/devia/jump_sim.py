@@ -5,6 +5,12 @@ jump fires at rate m * q_i * Gamma_ij(q).  Simulation is Gillespie-style
 (exponential waiting time at the current total rate, then a categorical cell
 draw), which is distributionally exact; no time discretization enters.
 
+There is one event loop, :func:`batch_paths`, which advances many replicas
+in lockstep on counter-based random draws keyed by (seed, replica, draw).
+The single-path simulators :func:`simulate_jump` and :func:`simulate_tilted`
+run one replica of it and record its events, so a single path is bit for
+bit the same replica of any Monte Carlo batch.
+
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
 cell (i, j) and the support cell (i, j) are intervals anchored at the same
@@ -16,7 +22,7 @@ p_i(s) Gamma_ij(p(s))), and the tilted (i, j) rate is
 The time dependence through p(s) is handled by exact rejection: candidate
 events are proposed at a per-cell upper bound that is constant between events
 and control-bin boundaries, then accepted with the ratio of the true rate to
-the bound.
+the bound (thinning, Lewis & Shedler 1979).
 """
 
 from __future__ import annotations
@@ -25,9 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mf_model import RateModel, ell_cost
+from .mf_model import RateModel, cell_weights, ell_cost
 from .paths import PathVec
-from .rng import counter_uniforms, stream
+from .rng import counter_uniforms
+# not used here, but perfbench/layers.py wraps jump_sim.stream by name
+from .rng import stream  # noqa: F401
 
 __all__ = [
     "JumpPath",
@@ -143,29 +151,10 @@ def simulate_jump(
 
     Waiting times are exponential at the total rate m * sum q_i Gamma_ij(q);
     the jumping cell is drawn proportionally to q_i Gamma_ij(q).  A state with
-    zero total rate is absorbing and the path stays constant to T.
+    zero total rate is absorbing and the path stays constant to T.  The path
+    is replica ``replica`` of :func:`batch_paths` with its events recorded.
     """
-    counts = _counts_from_q0(q0, m)
-    rng = stream(seed, replica)
-    t = 0.0
-    times = [0.0]
-    hist = [counts.copy()]
-    while True:
-        rates = counts[:, None] * model.rate_matrix(counts / m)  # events per unit time
-        total = float(rates.sum())
-        if total <= 0.0:
-            break
-        t += rng.exponential(1.0 / total)
-        if t >= T:
-            break
-        flat = np.cumsum(rates.ravel())
-        cell = int(np.searchsorted(flat, rng.random() * total, side="right"))
-        i, j = divmod(cell, model.K)
-        counts[i] -= 1
-        counts[j] += 1
-        times.append(t)
-        hist.append(counts.copy())
-    return JumpPath(np.array(times), np.array(hist), m=m, T=float(T))
+    return _recorded_path(model, m, q0, T, seed, replica)
 
 
 def _check_phi_nonnegative(control: JumpControl, a_scale: float) -> None:
@@ -196,44 +185,24 @@ def simulate_tilted(
     exact.  The returned cost is the deterministic thinning cost of the
     control field (see :func:`tilt_cost`).
     """
-    counts = _counts_from_q0(q0, m)
-    a_scale = a_m * np.sqrt(m)
-    _check_phi_nonnegative(control, a_scale)
-    rng = stream(seed, replica)
-    edges = control.edges
-    t = 0.0
-    times = [0.0]
-    hist = [counts.copy()]
-    while t < T:
-        k = int(np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2))
-        bin_end = min(float(edges[k + 1]), T)
-        psi = control.psi[k]
-        rates = counts[:, None] * model.rate_matrix(counts / m)
-        bound = rates * (1.0 + np.maximum(psi, 0.0) / a_scale)
-        total = float(bound.sum())
-        if total <= 0.0:
-            t = bin_end
-            continue
-        t_prop = t + rng.exponential(1.0 / total)
-        if t_prop > bin_end:
-            t = bin_end
-            continue
-        t = t_prop
-        flat = np.cumsum(bound.ravel())
-        cell = int(np.searchsorted(flat, rng.random() * total, side="right"))
-        i, j = divmod(cell, model.K)
-        # exact rate at the proposed time: overlap with the support cell of p
-        p_t = p_path(t)
-        w_p = m * p_t[i] * model.rate_matrix(p_t)[i, j]
-        actual = rates[i, j] + (psi[i, j] / a_scale) * min(rates[i, j], w_p)
-        if rng.random() * bound[i, j] <= actual:
-            counts[i] -= 1
-            counts[j] += 1
-            times.append(t)
-            hist.append(counts.copy())
-    return JumpPath(np.array(times), np.array(hist), m=m, T=float(T)), tilt_cost(
-        model, control, a_m, m, p_path
+    path = _recorded_path(
+        model, m, q0, T, seed, replica, control=control, a_m=a_m, p_path=p_path
     )
+    return path, tilt_cost(model, control, a_m, m, p_path)
+
+
+def _check_horizon(name: str, end: float, T: float) -> None:
+    """Raise unless ``name``, which ends at ``end``, covers the horizon T."""
+    if end < T - 1e-12 * max(1.0, abs(T)):
+        raise ValueError(f"{name} ends at t={end:.6g}, before the horizon T={T:.6g}")
+
+
+def _recorded_path(model, m, q0, T, seed, replica, **tilt) -> JumpPath:
+    """Replica ``replica`` of :func:`batch_paths`, every accepted event kept."""
+    events = [(0.0, _counts_from_q0(q0, m))]
+    batch_paths(model, m, q0, T, seed, np.array([replica]), _events=events, **tilt)
+    times, counts = zip(*events)
+    return JumpPath(np.array(times), np.array(counts), m=m, T=float(T))
 
 
 def tilt_cost(
@@ -249,18 +218,12 @@ def tilt_cost(
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
+    _check_horizon("p_path", p_path.T, control.T)
     ts = p_path.grid
-    W = _cell_weights(model, p_path)  # (N, K, K)
+    W = cell_weights(model, p_path.values)  # (N, K, K)
     phi = 1.0 + control.value(ts) / a_scale  # (N, K, K), right-continuous
     dens = (ell_cost(phi.ravel()).reshape(phi.shape) * W).sum(axis=(1, 2))
     return float(np.trapezoid(dens, ts))
-
-
-def _cell_weights(model: RateModel, p_path: PathVec) -> np.ndarray:
-    """Support-cell measures p_i(t) Gamma_ij(p(t)) on the grid of p."""
-    P = p_path.values
-    G = model.rates_batch(P)
-    return P[:, :, None] * G
 
 
 def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
@@ -330,6 +293,7 @@ def batch_paths(
     a_m: float | None = None,
     p_path: PathVec | None = None,
     ref: PathVec | None = None,
+    _events: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run many replicas at once; returns (sup_dev, final_counts).
 
@@ -340,18 +304,26 @@ def batch_paths(
     passing (control, a_m, p_path) together.
 
     Only live replicas are advanced: a replica that reaches T writes its
-    results back and leaves the working arrays.
+    results back and leaves the working arrays.  ``p_path``, ``ref`` and
+    the control must each reach T.  ``_events``, for a single replica only,
+    receives (t, counts) after every accepted event.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     R = len(replicas)
     K = model.K
     counts0 = _counts_from_q0(q0, m)
+    if _events is not None and R != 1:
+        raise ValueError(f"event recording needs exactly one replica; got {R}")
+    if ref is not None:
+        _check_horizon("ref", ref.T, T)
     tilted = control is not None
     if tilted:
         if a_m is None or p_path is None:
             raise ValueError("tilted runs need a_m and p_path")
         a_scale = a_m * np.sqrt(m)
         _check_phi_nonnegative(control, a_scale)
+        _check_horizon("p_path", p_path.T, T)
+        _check_horizon("control", control.T, T)
         edges = control.edges
 
     sup_dev = np.zeros(R)
@@ -374,7 +346,8 @@ def batch_paths(
         n = len(rows)
         rates = counts[:, :, None] * model.rates_batch(counts / m)  # (n, K, K)
         if tilted:
-            k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, len(edges) - 2)
+            k = np.searchsorted(edges, t, side="right") - 1
+            k = np.minimum(np.maximum(k, 0), len(edges) - 2)
             psi = control.psi[k]
             bound = rates * (1.0 + np.maximum(psi, 0.0) / a_scale)
             cap = np.minimum(edges[k + 1], T)
@@ -397,7 +370,7 @@ def batch_paths(
             flat = bound.reshape(n, K * K).cumsum(axis=1)
             u_pick = rnd.draw(fired) * total
             # ties at cumsum boundaries must resolve past zero-weight cells
-            cell = (flat <= u_pick[:, None]).sum(axis=1).clip(0, K * K - 1)
+            cell = np.minimum((flat <= u_pick[:, None]).sum(axis=1), K * K - 1)
             ci, cj = np.divmod(cell, K)
             idx = np.arange(n)
             b_cell = bound[idx, ci, cj]
@@ -415,6 +388,8 @@ def batch_paths(
                 counts[a, ci[a]] -= 1
                 counts[a, cj[a]] += 1
                 observe(ref_t, accept)
+                if _events is not None:
+                    _events.append((float(t[0]), counts[0].copy()))
 
         done = t >= T
         if done.any():

@@ -29,6 +29,7 @@ __all__ = [
     "check_simplex",
     "random_simplex",
     "cell_measure",
+    "cell_weights",
     "jump_cell",
     "jump_map_G",
     "drift_b",
@@ -93,10 +94,11 @@ class RateModel:
         return float(self.rate_matrix(np.asarray(q, dtype=float))[i - 1, j - 1])
 
     def rates_batch(self, Q: np.ndarray) -> np.ndarray:
-        """Rate matrices for a batch of states, shape (R, K) -> (R, K, K)."""
+        """Rate matrices for a batch of states, shape (..., K) -> (..., K, K)."""
         if self.rate_matrix_batch is not None:
             return self.rate_matrix_batch(Q)
-        return np.stack([self.rate_matrix(q) for q in Q])
+        flat = [self.rate_matrix(q) for q in np.reshape(Q, (-1, self.K))]
+        return np.reshape(flat, np.shape(Q) + (self.K,))
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,12 @@ def cell_measure(model: RateModel, q: np.ndarray, i: int, j: int) -> float:
     _check_pair(model.K, i, j)
     q = check_simplex(q)
     return float(q[i - 1] * model.rate_matrix(q)[i - 1, j - 1])
+
+
+def cell_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
+    """Support-cell measures w_ij = p_i Gamma_ij(p) of the states P,
+    shape (..., K) -> (..., K, K)."""
+    return P[..., :, None] * model.rates_batch(P)
 
 
 def jump_cell(model: RateModel, q: np.ndarray, i: int, j: int) -> JumpCell:

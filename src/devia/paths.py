@@ -42,8 +42,9 @@ class PathVec:
     def __call__(self, t) -> np.ndarray:
         """Linear interpolation; clamps to the horizon endpoints."""
         t = np.asarray(t, dtype=float)
-        tt = np.clip(t, self.grid[0], self.grid[-1])
-        idx = np.clip(np.searchsorted(self.grid, tt, side="right") - 1, 0, len(self.grid) - 2)
+        # np.minimum/np.maximum: np.clip's Python-level wrapper is slow here
+        tt = np.minimum(np.maximum(t, self.grid[0]), self.grid[-1])
+        idx = np.minimum(np.searchsorted(self.grid, tt, side="right") - 1, len(self.grid) - 2)
         t0 = self.grid[idx]
         w = (tt - t0) / (self.grid[idx + 1] - t0)
         if t.ndim == 0:

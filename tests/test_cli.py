@@ -57,6 +57,29 @@ def test_tilted_jump_sim_cost_sidecar(tmp_path, model_cfg):
     assert sidecar["theta"] == 0.25
 
 
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_jump_sim_is_replica_zero_of_a_batch(tmp_path, model_cfg, tilted):
+    # the CLI path is replica 0 of the batch kernel, bit for bit
+    from devia.jump_analysis import solve_p
+    from devia.jump_sim import JumpControl, batch_paths
+    from devia.mf_model import two_state_model
+
+    out = tmp_path / "path.csv"
+    argv = ["jump-sim", "--model", model_cfg, "--m", "50", "--T", "1.0", "--seed", "3"]
+    argv += ["--out", str(out)]
+    model, q0 = two_state_model(1.0), np.array([0.5, 0.5])
+    tilt = {}
+    if tilted:
+        ctl = tmp_path / "control.json"
+        dump_config({"n_bins": 2, "entries": {"1,2": 0.4}, "theta": 0.25}, ctl)
+        argv += ["--control", str(ctl)]
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.4}, n_bins=2)
+        tilt = {"control": control, "a_m": 50 ** (-0.25), "p_path": solve_p(model, q0, 1.0, 1024)}
+    assert main(argv) == 0
+    _, finals = batch_paths(model, 50, q0, 1.0, 3, np.arange(40), **tilt)
+    assert read_path_vec(out).values[-1].tobytes() == (finals[0] / 50).tobytes()
+
+
 def test_jump_rate_report(tmp_path, model_cfg):
     # eta = 0 on a uniform grid: rate value 0, feasible
     from devia.harness.io import write_path_vec

@@ -45,6 +45,27 @@ def test_worker_count_does_not_change_results():
     assert base == fanned
 
 
+def test_one_process_pool_per_run(monkeypatch):
+    # every m of a spec shares one pool; a pool per m made small runs slower
+    # with workers than without
+    from concurrent.futures import ThreadPoolExecutor
+
+    from devia.harness import experiments
+
+    pools = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    base = run_lln(MINI_LLN).to_json()
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("DEVIA_WORKERS", "2")
+    assert run_lln(MINI_LLN).to_json() == base
+    assert len(MINI_LLN["m_grid"]) == 2 and pools == [2]
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_bad_worker_count_is_diagnosed(monkeypatch, tmp_path, value):
     from devia.harness.cli import main

@@ -67,16 +67,12 @@ class TestTilted:
     def test_zero_control_matches_plain_law(self):
         control = JumpControl.zero(2, 1.0)
         a_m = 200 ** (-0.25)
-        tilted = np.array(
-            [
-                simulate_tilted(self.model, 200, self.q0, 1.0, control, a_m, self.p, seed=11, replica=r)[0].states[-1][0]
-                for r in range(150)
-            ]
+        _, tilted = batch_paths(
+            self.model, 200, self.q0, 1.0, 11, np.arange(150),
+            control=control, a_m=a_m, p_path=self.p,
         )
-        plain = np.array(
-            [simulate_jump(self.model, 200, self.q0, 1.0, seed=12, replica=r).states[-1][0] for r in range(150)]
-        )
-        assert kstest(tilted, plain).pvalue > 0.01
+        _, plain = batch_paths(self.model, 200, self.q0, 1.0, 12, np.arange(150))
+        assert kstest(tilted[:, 0] / 200, plain[:, 0] / 200).pvalue > 0.01
 
     def test_negative_thinning_factor_rejected(self):
         control = JumpControl.constant(2, 1.0, {(1, 2): -50.0}, n_bins=3)
@@ -146,16 +142,33 @@ class TestTilted:
         # positive control on cell (1,2) pushes mass toward state 2
         control = JumpControl.constant(2, 1.0, {(1, 2): 0.8}, n_bins=1)
         m, a_m = 400, 400 ** (-0.25)
-        tilted = np.mean(
-            [
-                simulate_tilted(self.model, m, self.q0, 1.0, control, a_m, self.p, seed=21, replica=r)[0].states[-1][1]
-                for r in range(80)
-            ]
+        _, tilted = batch_paths(
+            self.model, m, self.q0, 1.0, 21, np.arange(80), control=control, a_m=a_m, p_path=self.p
         )
-        plain = np.mean(
-            [simulate_jump(self.model, m, self.q0, 1.0, seed=22, replica=r).states[-1][1] for r in range(80)]
-        )
-        assert tilted > plain
+        _, plain = batch_paths(self.model, m, self.q0, 1.0, 22, np.arange(80))
+        assert np.mean(tilted[:, 1] / m) > np.mean(plain[:, 1] / m)
+
+    @pytest.mark.parametrize("short", ["p_path", "ref", "control"])
+    def test_short_horizon_rejected(self, short):
+        # a path or control that ends before T would be clamped (or, for the
+        # control, stall the kernel at its last bin edge) without a word
+        half = solve_p(self.model, self.q0, 0.5, 256)
+        kw = {
+            "control": JumpControl.constant(2, 0.5 if short == "control" else 1.0, {(1, 2): 0.5}),
+            "a_m": 100 ** (-0.25),
+            "p_path": half if short == "p_path" else self.p,
+            "ref": half if short == "ref" else self.p,
+        }
+        with pytest.raises(ValueError, match=rf"{short} ends at t=0\.5, before the horizon T=1"):
+            batch_paths(self.model, 100, self.q0, 1.0, 3, np.arange(4), **kw)
+
+    def test_tilt_cost_rejects_short_limit_path(self):
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.5})
+        half = solve_p(self.model, self.q0, 0.5, 256)
+        with pytest.raises(ValueError, match=r"p_path ends at t=0\.5, before the horizon T=1"):
+            tilt_cost(self.model, control, 100 ** (-0.25), 100, half)
+        with pytest.raises(ValueError, match=r"p_path ends at t=0\.5"):
+            simulate_tilted(self.model, 100, self.q0, 1.0, control, 100 ** (-0.25), half, seed=1)
 
 
 class TestFluctuation:
@@ -219,15 +232,38 @@ class TestBatchKernel:
         ]
         assert np.allclose(full[0], np.concatenate([p_[0] for p_ in parts]))
 
-    def test_matches_scalar_distribution(self, flip_model):
-        # batched and scalar simulators implement the same law
-        q0 = np.array([0.5, 0.5])
-        m, reps = 80, 300
-        _, finals = batch_paths(flip_model, m, q0, 1.0, 51, np.arange(reps))
-        scalar = np.array(
-            [simulate_jump(flip_model, m, q0, 1.0, seed=52, replica=r).counts[-1][0] for r in range(reps)]
-        )
-        assert kstest(finals[:, 0], scalar).pvalue > 0.01
+    @pytest.mark.parametrize("mode", ["plain", "tilted"])
+    def test_recorded_path_is_its_batch_replica(self, default_model, mode):
+        # a single path is replica r of the batch kernel with its events
+        # recorded; the kernel observes a plain run at t = 0, before and
+        # after every event and at T, so the recorded path gives sup_dev[r]
+        m, T, q0 = 50, 1.0, np.full(5, 0.2)
+        p = solve_p(default_model, q0, T, 512)
+        tilt = {}
+        if mode == "tilted":
+            entries = {(1, 2): 0.6, (3, 2): -0.4, (4, 5): 0.8}
+            control = JumpControl.constant(5, T, entries, n_bins=4)
+            tilt = {"control": control, "a_m": m ** (-0.25), "p_path": p}
+        sup, finals = batch_paths(default_model, m, q0, T, 17, np.arange(20), ref=p, **tilt)
+        for r in (0, 7, 19):
+            if mode == "tilted":
+                path, _ = simulate_tilted(default_model, m, q0, T, seed=17, replica=r, **tilt)
+            else:
+                path = simulate_jump(default_model, m, q0, T, seed=17, replica=r)
+            assert path.n_events > 10
+            assert path.counts[-1].tobytes() == finals[r].tobytes()
+            after = np.linalg.norm(path.counts / m - p(path.times), axis=1)
+            before = np.linalg.norm(path.counts[:-1] / m - p(path.times[1:]), axis=1)
+            at_T = np.linalg.norm(path.counts[-1:] / m - p(np.array([T])), axis=1)
+            seen = max(after.max(), before.max(initial=0.0), at_T[0])
+            if mode == "plain":
+                assert seen == sup[r]
+            else:  # tilted runs are also observed at rejections and bin edges
+                assert seen <= sup[r]
+
+    def test_recording_needs_one_replica(self, flip_model):
+        with pytest.raises(ValueError, match="exactly one replica; got 2"):
+            batch_paths(flip_model, 10, np.array([0.5, 0.5]), 1.0, 1, np.arange(2), _events=[])
 
     @pytest.mark.parametrize("mode", ["plain", "ref", "tilted"])
     def test_replica_alone_equals_its_row_of_a_wide_batch(self, flip_model, monkeypatch, mode):
