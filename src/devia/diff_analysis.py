@@ -33,6 +33,7 @@ import numpy as np
 
 from .jump_analysis import RateResult
 from .kernels import KernelPair, MeasureHook
+from .paths import time_derivative
 
 __all__ = [
     "GridField",
@@ -257,7 +258,7 @@ def rate_diffusion(
     PDE residual and returns 1/2 * integral g^2 rho, or infeasible when the
     recovered flux leaks at the boundary, lives on degenerate cells, or eta
     fails the mass-zero / zero-start contract."""
-    xs, ts, dx, dt = eta.xs, eta.ts, eta.dx, eta.dt
+    xs, ts, dx = eta.xs, eta.ts, eta.dx
     if not (np.array_equal(xs, rho.xs) and np.array_equal(ts, rho.ts)):
         raise ValueError("eta and rho must share the grid")
     vals = eta.values
@@ -269,10 +270,7 @@ def rate_diffusion(
         return RateResult(math.inf, False, mass, "path is not mass-zero")
 
     n_t = len(ts)
-    etadot = np.empty_like(vals)
-    etadot[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * dt)
-    etadot[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * dt)
-    etadot[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * dt)
+    etadot = time_derivative(ts, vals)
 
     dens_t = np.zeros(n_t)
     leak = np.zeros(n_t)

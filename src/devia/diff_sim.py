@@ -7,6 +7,11 @@ sigma * u / (a(m) sqrt(m)) and account its quadratic cost.  The reference
 (McKean-Vlasov) ensemble is the same dynamics run at a large particle count,
 exposing measure pairings and a kernel density.
 
+Every simulator here (the interacting and controlled systems, the reference
+ensemble, the Richardson guard and the lockstep coupling) advances through
+one Euler-Maruyama step, which also stops the run with a FloatingPointError
+as soon as a position leaves the finite range.
+
 Noise is drawn per step from the replica's own counter-based stream, one
 standard normal per particle, so a controlled system of size m and a
 reference ensemble driven by the same stream share Brownian increments by
@@ -65,6 +70,35 @@ class DiffusionPath:
         return MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
 
 
+def _n_steps(T: float, dt: float) -> int:
+    """Number of steps of size dt that cover [0, T] exactly."""
+    if not (0.0 < dt < math.inf and 0.0 <= T < math.inf):
+        raise ValueError(f"need a finite dt > 0 and T >= 0; got dt={dt!r}, T={T!r}")
+    n_steps = int(round(T / dt))
+    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"horizon T={T!r} is not a multiple of the step size dt={dt!r}")
+    return n_steps
+
+
+def _em_step(
+    kernels: KernelPair, x: np.ndarray, z: np.ndarray, dt: float, u=None, a_scale: float = 1.0
+) -> np.ndarray:
+    """One Euler-Maruyama step under the empirical measure of x:
+    x + b dt + sigma sqrt(dt) z, plus sigma u dt / a_scale when u is given."""
+    mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
+    sig = kernels.sigma(x, mu)
+    step = kernels.drift(x, mu) * dt + sig * math.sqrt(dt) * z
+    if u is not None:
+        step = step + sig * u * (dt / a_scale)
+    x = x + step
+    if not np.all(np.isfinite(x)):
+        bad = int(np.nonzero(~np.isfinite(x))[0][0])
+        raise FloatingPointError(
+            f"particle {bad} left the finite range in a step of size dt={dt:.6g}"
+        )
+    return x
+
+
 def _em_run(
     kernels: KernelPair,
     m: int,
@@ -76,11 +110,9 @@ def _em_run(
     a_scale: float,
     record_stride: int,
 ) -> tuple[DiffusionPath, float]:
-    if dt <= 0 or m < 1:
-        raise ValueError("need dt > 0 and m >= 1")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("horizon must be a multiple of the step size")
+    if m < 1:
+        raise ValueError(f"need m >= 1; got m={m}")
+    n_steps = _n_steps(T, dt)
     x = np.full(m, float(x0))
     rec_idx = list(range(0, n_steps + 1, record_stride))
     if rec_idx[-1] != n_steps:
@@ -88,25 +120,15 @@ def _em_run(
     rec = np.empty((len(rec_idx), m))
     rec_times = np.array([k * dt for k in rec_idx])
     rec[0] = x
-    weights = np.full(m, 1.0 / m)
-    sqdt = math.sqrt(dt)
     cost = 0.0
     pos = 1
     for k in range(n_steps):
-        mu = MeasureHook(points=x, weights=weights)
-        sig = kernels.sigma(x, mu)
-        drift = kernels.drift(x, mu)
-        step = drift * dt + sig * sqdt * rng.standard_normal(m)
+        z = rng.standard_normal(m)
+        u = None
         if control is not None:
             u = np.broadcast_to(np.asarray(control(k * dt, x), dtype=float), x.shape)
             cost += float(np.dot(u, u)) * dt / (2.0 * m)
-            step = step + sig * u * (dt / a_scale)
-        x = x + step
-        if not np.all(np.isfinite(x)):
-            bad = int(np.nonzero(~np.isfinite(x))[0][0])
-            raise FloatingPointError(
-                f"particle {bad} left the finite range at step {k + 1} (t={k * dt + dt:.6g})"
-            )
+        x = _em_step(kernels, x, z, dt, u, a_scale)
         if pos < len(rec_idx) and k + 1 == rec_idx[pos]:
             rec[pos] = x
             pos += 1
@@ -179,24 +201,17 @@ def richardson_gap(
     """
     if dt is None:
         dt = T / 2048
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError("horizon must be a multiple of the step size")
+    if m < 1:
+        raise ValueError(f"need m >= 1; got m={m}")
+    n_steps = _n_steps(T, dt)
     rng = stream(seed, replica)
-    weights = np.full(m, 1.0 / m)
     xc = np.full(m, float(x0))
     xf = np.full(m, float(x0))
-    sq_c = math.sqrt(dt)
-    sq_f = math.sqrt(dt / 2.0)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     for _ in range(n_steps):
         z1 = rng.standard_normal(m)
         z2 = rng.standard_normal(m)
-        for z in (z1, z2):
-            mu = MeasureHook(points=xf, weights=weights)
-            xf = xf + kernels.drift(xf, mu) * (dt / 2.0) + kernels.sigma(xf, mu) * sq_f * z
-        mu = MeasureHook(points=xc, weights=weights)
-        xc = xc + kernels.drift(xc, mu) * dt + kernels.sigma(xc, mu) * sq_c * (z1 + z2) * inv_sqrt2
+        xf = _em_step(kernels, _em_step(kernels, xf, z1, dt / 2.0), z2, dt / 2.0)
+        xc = _em_step(kernels, xc, (z1 + z2) / math.sqrt(2.0), dt)
     return float(np.mean((xc - xf) ** 2))
 
 
@@ -346,29 +361,24 @@ def run_coupled(
     see the same Brownian motion.  Returns m -> (1/m) sum_i sup-step squared
     gap, with the sup taken over every step.
     """
+    if min(ms) < 1:
+        raise ValueError(f"system sizes must be >= 1; got ms={list(ms)}")
     if max(ms) > M_ref:
-        raise ValueError("M_ref must dominate every system size")
-    n_steps = int(round(T / dt))
+        raise ValueError(f"M_ref={M_ref} must dominate every system size; got ms={list(ms)}")
+    n_steps = _n_steps(T, dt)
     rng = stream(seed, replica)
     x_ref = np.full(M_ref, float(x0))
-    w_ref = np.full(M_ref, 1.0 / M_ref)
     sys = {m: np.full(m, float(x0)) for m in ms}
     gap = {m: np.zeros(m) for m in ms}
     a_scale = {m: m ** (-theta) * math.sqrt(m) for m in ms}
-    sqdt = math.sqrt(dt)
     for k in range(n_steps):
         t = k * dt
         z = rng.standard_normal(M_ref)
-        mu_ref = MeasureHook(points=x_ref, weights=w_ref)
-        ref_step = kernels.drift(x_ref, mu_ref) * dt + kernels.sigma(x_ref, mu_ref) * sqdt * z
         for m in ms:
             x = sys[m]
-            mu = MeasureHook(points=x, weights=np.full(m, 1.0 / m))
-            sig = kernels.sigma(x, mu)
             u = np.broadcast_to(np.asarray(control(t, x), dtype=float), x.shape)
-            x = x + kernels.drift(x, mu) * dt + sig * sqdt * z[:m] + sig * u * (dt / a_scale[m])
-            sys[m] = x
-        x_ref = x_ref + ref_step
+            sys[m] = _em_step(kernels, x, z[:m], dt, u, a_scale[m])
+        x_ref = _em_step(kernels, x_ref, z, dt)
         for m in ms:
             np.maximum(gap[m], (sys[m] - x_ref[:m]) ** 2, out=gap[m])
     return {m: float(gap[m].mean()) for m in ms}

@@ -9,9 +9,9 @@ Subcommands:
 - ``devia diff-sim``: simulate the interacting diffusion, summary CSV.
 - ``devia diff-rate``: evaluate the diffusion rate function of a grid CSV.
 
-Exit status is nonzero iff a declared criterion fails (or an input is
-invalid).  Outputs are byte-identical for identical (config, seed)
-regardless of the worker count.
+Exit status is 1 iff a declared criterion fails, and 2 when an input is
+invalid or a simulation leaves the finite range.  Outputs are byte-identical
+for identical (config, seed) regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, RuntimeError, FileNotFoundError) as exc:
+    except (ValueError, RuntimeError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

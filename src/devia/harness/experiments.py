@@ -23,12 +23,13 @@ from ..diff_analysis import (
     solve_fokker_planck,
     solve_linearized,
 )
-from ..diff_sim import run_coupled
+from ..diff_sim import mckean_ensemble, run_coupled, simulate_interacting
 from ..jump_analysis import psi_l2sq, rate_I, rate_Ibar, skeleton_G0, solve_p
 from ..jump_sim import JumpControl, batch_paths
 from ..mf_model import model_from_config
 from ..paths import PathVec
 from ..rng import stream
+from ..schwartz import HermiteFunction
 from .config import resolve_kernels, resolve_model
 from .report import (
     CriterionResult,
@@ -101,10 +102,9 @@ def _min_replicas(spec: dict, floor: int = 30) -> int:
 # jump LLN
 
 
-def _lln_chunk(model_cfg, m, q0, T, p_steps, seed, lo, hi):
+def _lln_chunk(model_cfg, m, q0, T, p, seed, lo, hi):
+    # models are rebuilt here because their closures do not pickle
     model = model_from_config(model_cfg)
-    q0 = np.asarray(q0, dtype=float)
-    p = solve_p(model, q0, T, p_steps)
     sup, _ = batch_paths(model, m, q0, T, seed, np.arange(lo, hi), ref=p)
     return sup**2
 
@@ -114,7 +114,7 @@ def run_lln(spec: dict) -> ExperimentReport:
     """Mean squared sup-deviation of the empirical measure from its limit,
     fitted against 1/m on a log-log scale."""
     model_cfg = spec["model"]
-    q0 = list(spec["q0"])
+    q0 = np.asarray(spec["q0"], dtype=float)
     T = float(spec.get("T", 1.0))
     seed = int(spec.get("seed", 0))
     replicas = _min_replicas(spec)
@@ -123,7 +123,8 @@ def run_lln(spec: dict) -> ExperimentReport:
     want = float(spec.get("criteria", {}).get("slope", -1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.2))
 
-    arg_sets = [(model_cfg, m, q0, T, p_steps, seed + k) for k, m in enumerate(m_grid)]
+    p = solve_p(model_from_config(model_cfg), q0, T, p_steps)
+    arg_sets = [(model_cfg, m, q0, T, p, seed + k) for k, m in enumerate(m_grid)]
     samples = dict(zip(m_grid, _fan_out(_lln_chunk, arg_sets, replicas)))
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
@@ -151,12 +152,8 @@ def _control_from_spec(block: dict, K: int, T: float) -> JumpControl:
     return JumpControl.constant(K, T, entries, n_bins=n_bins)
 
 
-def _tilt_chunk(model_cfg, m, q0, T, theta, control_cfg, p_steps, seed, lo, hi):
+def _tilt_chunk(model_cfg, m, q0, T, theta, control, p, eta, seed, lo, hi):
     model = model_from_config(model_cfg)
-    q0 = np.asarray(q0, dtype=float)
-    p = solve_p(model, q0, T, p_steps)
-    control = _control_from_spec(control_cfg, model.K, T)
-    eta = skeleton_G0(model, p, control)
     a_m = m ** (-theta)
     scale = a_m * math.sqrt(m)
     ref = PathVec(p.grid, p.values + eta.values / scale)
@@ -172,7 +169,7 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
     distance must be nonincreasing in m (within two standard errors) and at
     least halve from the smallest to the largest system."""
     model_cfg = spec["model"]
-    q0 = list(spec["q0"])
+    q0 = np.asarray(spec["q0"], dtype=float)
     T = float(spec.get("T", 1.0))
     theta = float(spec.get("theta", 0.25))
     seed = int(spec.get("seed", 0))
@@ -185,8 +182,13 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
 
     stats = {}
     means, ses = [], []
+    # p, the control and the skeleton depend on neither m nor the replicas
+    model = model_from_config(model_cfg)
+    p = solve_p(model, q0, T, p_steps)
+    control = _control_from_spec(control_cfg, model.K, T)
+    eta = skeleton_G0(model, p, control)
     arg_sets = [
-        (model_cfg, m, q0, T, theta, control_cfg, p_steps, seed + k) for k, m in enumerate(m_grid)
+        (model_cfg, m, q0, T, theta, control, p, eta, seed + k) for k, m in enumerate(m_grid)
     ]
     for m, vals in zip(m_grid, _fan_out(_tilt_chunk, arg_sets, replicas)):
         st = sample_stats(vals)
@@ -226,14 +228,9 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
 # CLT-scale pairing variance
 
 
-def _clt_chunk(kernel_cfg, m, M_ref, x0, T, dt, phi_coeffs, seed, lo, hi):
-    from ..diff_sim import mckean_ensemble, simulate_interacting
-    from ..schwartz import HermiteFunction
-
+def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
     kernels = resolve_kernels({"kernels": kernel_cfg})
     phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
-    ref = mckean_ensemble(kernels, M_ref, x0, T, dt, seed, replica=10_000_000)
-    ref_pair = ref.pairing(T, phi)
     out = np.empty(hi - lo)
     for r in range(lo, hi):
         path = simulate_interacting(
@@ -258,10 +255,13 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
     phi_coeffs = list(spec.get("phi", [0.0, 1.0]))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
+    kernels = resolve_kernels({"kernels": kernel_cfg})
+    phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
     samples = {}
-    arg_sets = [
-        (kernel_cfg, m, M_ref, x0, T, dt, phi_coeffs, seed + k) for k, m in enumerate(m_grid)
-    ]
+    arg_sets = []
+    for k, m in enumerate(m_grid):
+        ref = mckean_ensemble(kernels, M_ref, x0, T, dt, seed + k, replica=10_000_000)
+        arg_sets.append((kernel_cfg, m, ref.pairing(T, phi), x0, T, dt, phi_coeffs, seed + k))
     for m, vals in zip(m_grid, _fan_out(_clt_chunk, arg_sets, replicas)):
         samples[m] = (vals - vals.mean()) ** 2
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jump_sim import JumpControl
-from .mf_model import RateModel, cell_weights, db_apply
-from .paths import PathVec
+from .mf_model import RateModel, _drift, cell_weights, db_apply
+from .paths import PathVec, time_derivative
 
 __all__ = [
     "ControlMatrixU",
@@ -65,11 +65,6 @@ def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> 
         p = _rk4_step_simplex(model, p, h, depth=0)
         vals[k + 1] = p
     return PathVec(grid, vals)
-
-
-def _drift(model: RateModel, p: np.ndarray) -> np.ndarray:
-    R = model.rate_matrix(p)
-    return R.T @ p - R.sum(axis=1) * p
 
 
 def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> np.ndarray:
@@ -245,18 +240,6 @@ DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_ABS = 1.0
 
 
-def _eta_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Second-order finite differences on a uniform grid (one-sided ends)."""
-    h = ts[1] - ts[0]
-    if not np.allclose(np.diff(ts), h, rtol=1e-8, atol=1e-14 * max(1.0, ts[-1])):
-        raise ValueError("rate evaluation expects a uniform time grid")
-    d = np.empty_like(vals)
-    d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
-    d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
-    return d
-
-
 def _least_norm_pass(
     model: RateModel,
     p_path: PathVec,
@@ -267,7 +250,7 @@ def _least_norm_pass(
     ts = eta.grid
     K = model.K
     vals = eta.values
-    etadot = _eta_derivative(ts, vals)
+    etadot = time_derivative(ts, vals)
     P = p_path(ts)
     W = cell_weights(model, P)
     off = ~np.eye(K, dtype=bool)

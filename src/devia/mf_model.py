@@ -173,11 +173,16 @@ def jump_map_G(model: RateModel, q: np.ndarray, y: tuple[float, float]) -> np.nd
     return out
 
 
-def drift_b(model: RateModel, q: np.ndarray) -> np.ndarray:
-    """Drift b(q): b_i = sum_j q_j Gamma_ji(q), diagonal = minus row sum."""
-    q = check_simplex(q)
+def _drift(model: RateModel, q: np.ndarray) -> np.ndarray:
+    """b(q) = R(q)^T q - (R(q) 1) * q at any q; the ODE stages and the
+    finite-difference Jacobian evaluate it off the simplex."""
     R = model.rate_matrix(q)
     return R.T @ q - R.sum(axis=1) * q
+
+
+def drift_b(model: RateModel, q: np.ndarray) -> np.ndarray:
+    """Drift b(q): b_i = sum_j q_j Gamma_ji(q), diagonal = minus row sum."""
+    return _drift(model, check_simplex(q))
 
 
 def drift_b_cellsum(model: RateModel, q: np.ndarray) -> np.ndarray:
@@ -216,9 +221,7 @@ def db_apply(model: RateModel, q: np.ndarray, h: np.ndarray) -> np.ndarray:
     eps = 1e-5 / max(1.0, hn)
 
     def _b_affine(p: np.ndarray) -> np.ndarray:
-        p = p - (p.sum() - 1.0) / len(p)
-        R = model.rate_matrix(p)
-        return R.T @ p - R.sum(axis=1) * p
+        return _drift(model, p - (p.sum() - 1.0) / len(p))
 
     return (_b_affine(q + eps * h) - _b_affine(q - eps * h)) / (2.0 * eps)
 

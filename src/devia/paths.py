@@ -2,7 +2,8 @@
 
 PathVec holds one truncated-l2 vector per grid time and interpolates
 linearly in between.  It is the common carrier for the deterministic limit
-path p, fluctuation paths and skeleton solutions eta.
+path p, fluctuation paths and skeleton solutions eta.  time_derivative is
+the finite-difference d/dt that the jump and diffusion rate inversions share.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PathVec"]
+__all__ = ["PathVec", "time_derivative"]
 
 
 @dataclass(frozen=True)
@@ -76,3 +77,16 @@ class PathVec:
         return PathVec(self.grid, a * self.values)
 
     __rmul__ = __mul__
+
+
+def time_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """d/dt of vals[k, ...] sampled at ts[k]: second-order central differences
+    on a uniform grid, one-sided at the ends."""
+    h = ts[1] - ts[0]
+    if not np.allclose(np.diff(ts), h, rtol=1e-8, atol=1e-14 * max(1.0, ts[-1])):
+        raise ValueError("rate evaluation expects a uniform time grid")
+    d = np.empty_like(vals)
+    d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
+    d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
+    d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
+    return d

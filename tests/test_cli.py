@@ -152,3 +152,14 @@ def test_run_spec_and_exit_codes(tmp_path, model_cfg):
 
 def test_invalid_input_is_an_error(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
+    # a strongly repulsive linear drift overflows within a few hundred steps
+    cfg = tmp_path / "k.json"
+    dump_config({"kernels": {"family": "additive-noise", "level": 1.0, "rate": -60.0}}, cfg)
+    argv = ["diff-sim", "--kernels", str(cfg), "--m", "4", "--T", "400", "--dt", "0.5"]
+    with np.errstate(all="ignore"):
+        rc = main(argv + ["--x0", "1", "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "left the finite range" in capsys.readouterr().err

@@ -160,6 +160,17 @@ class TestRateDiffusion:
         assert not res.feasible
 
 
+    def test_nonuniform_time_grid_rejected(self):
+        # the time derivative of eta assumes a uniform grid
+        kp = default_kernels()
+        rho = solve_fokker_planck(kp, 0.0, 0.25, -5.0, 5.0, 101)
+        eta = solve_linearized(kp, rho, lambda x, t: np.sin(x))
+        ts = rho.ts.copy()
+        ts[1:-1] += 0.3 * (ts[1] - ts[0]) * np.sin(np.arange(1, len(ts) - 1))
+        with pytest.raises(ValueError, match="uniform time grid"):
+            rate_diffusion(kp, GridField(rho.xs, ts, rho.values), GridField(eta.xs, ts, eta.values))
+
+
 class TestWeakDuality:
     def test_residual_shrinks_under_refinement(self):
         kp = default_kernels()

@@ -183,6 +183,13 @@ class TestCoupling:
         b = run_coupled(*args, lambda s, x: 1.0, seed=17)
         assert a == b
 
+    def test_system_at_reference_size_takes_the_reference_step(self):
+        # with zero control the m = M_ref system is the reference itself
+        gaps = run_coupled(
+            default_kernels(), [64, 256], 256, 0.3, 0.5, 1 / 64, 0.25, lambda s, x: 0.0, seed=3
+        )
+        assert gaps[256] == 0.0
+
 
 class TestOccupation:
     def test_total_weight_is_horizon(self):
@@ -229,6 +236,27 @@ class TestOccupation:
         assert errs[512] < errs[16] + 5e-3
 
 
+
+@pytest.mark.parametrize(
+    "m, T, dt, match",
+    [
+        (4, 0.3, 0.25, "T=0.3 is not a multiple of the step size dt=0.25"),
+        (4, 0.5, 0.0, "dt=0.0"),
+        (4, 0.5, -0.25, "dt=-0.25"),
+        (0, 0.5, 0.25, r"m=0\b|ms=\[0, 8\]"),
+    ],
+    ids=["not-a-multiple", "zero-dt", "negative-dt", "no-particles"],
+)
+@pytest.mark.parametrize("sim", ["run_coupled", "richardson_gap"])
+def test_bad_step_arguments_are_diagnosed(sim, m, T, dt, match):
+    kp = default_kernels()
+    with pytest.raises(ValueError, match=match):
+        if sim == "run_coupled":
+            run_coupled(kp, [m, 8], 16, 0.0, T, dt, 0.25, lambda s, x: 1.0, seed=1)
+        else:
+            richardson_gap(kp, m, 0.0, T, dt, seed=1)
+
+
 def test_nonfinite_positions_abort():
     from devia.kernels import Kernel
 
@@ -238,8 +266,14 @@ def test_nonfinite_positions_abort():
         name="cubic",
     )
     blowup = KernelPair(alpha=zero_kernel(), beta=cubic)
-    with pytest.raises(FloatingPointError, match="step"), np.errstate(over="ignore"):
-        simulate_interacting(blowup, 4, 3.0, 4.0, 0.5, seed=1)
+    runs = [
+        lambda: simulate_interacting(blowup, 4, 3.0, 4.0, 0.5, seed=1),
+        lambda: run_coupled(blowup, [4], 8, 3.0, 4.0, 0.5, 0.25, lambda s, x: 0.0, seed=1),
+        lambda: richardson_gap(blowup, 4, 3.0, 4.0, 0.5, seed=1),
+    ]
+    for run in runs:
+        with pytest.raises(FloatingPointError, match="step"), np.errstate(over="ignore"):
+            run()
 
 
 def test_occupation_requires_full_recording():

@@ -66,6 +66,47 @@ def test_one_process_pool_per_run(monkeypatch):
     assert len(MINI_LLN["m_grid"]) == 2 and pools == [2]
 
 
+MINI_TILT = {
+    "kind": "tilt-limit",
+    "model": {"family": "two-state", "rate": 1.0},
+    "q0": [0.5, 0.5],
+    "T": 0.5,
+    "theta": 0.25,
+    "m_grid": [40, 160],
+    "replicas": 30,
+    "control": {"n_bins": 2, "entries": {"1,2": 0.4}},
+    "seed": 9,
+    "p_steps": 128,
+}
+
+
+def test_tilt_limit_set_up_runs_once_per_run(monkeypatch):
+    # p, the control and the skeleton depend on neither m nor the replica
+    # chunk, so a run with 2 workers (8 chunks per m) solves them once
+    from concurrent.futures import ThreadPoolExecutor
+
+    from devia.harness import experiments
+
+    calls = {"solve_p": 0, "skeleton_G0": 0}
+
+    def counted(name):
+        fn = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    base = run_experiment(MINI_TILT).to_json()
+    for name in calls:
+        monkeypatch.setattr(experiments, name, counted(name))
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setenv("DEVIA_WORKERS", "2")
+    assert run_experiment(MINI_TILT).to_json() == base
+    assert calls == {"solve_p": 1, "skeleton_G0": 1}
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
 def test_bad_worker_count_is_diagnosed(monkeypatch, tmp_path, value):
     from devia.harness.cli import main
