@@ -8,14 +8,14 @@ sigma * u / (a(m) sqrt(m)) and account its quadratic cost.  The reference
 exposing measure pairings and a kernel density.
 
 Every simulator here (the interacting and controlled systems, the reference
-ensemble, the Richardson guard and the lockstep coupling) advances through
-one Euler-Maruyama step, which also stops the run with a FloatingPointError
-as soon as a position leaves the finite range.
+ensemble, the limit path, the Richardson guard and the lockstep coupling)
+advances through one Euler-Maruyama step, which also stops the run with a
+FloatingPointError as soon as a position leaves the finite range.
 
 Noise is drawn per step from the replica's own counter-based stream, one
-standard normal per particle, so a controlled system of size m and a
-reference ensemble driven by the same stream share Brownian increments by
-particle index (the coupling construction; see :func:`run_coupled`).
+standard normal per particle, so a controlled system of size m and reference
+particles driven by the same stream share Brownian increments by particle
+index (the coupling construction; see :func:`run_coupled`).
 """
 
 from __future__ import annotations
@@ -31,19 +31,24 @@ from .rng import stream
 
 __all__ = [
     "DiffusionPath",
+    "LimitPath",
     "McKeanEnsemble",
     "OccupationMeasure",
     "simulate_interacting",
     "simulate_controlled",
     "mckean_ensemble",
     "fluctuation_pairing",
-    "coupling_gap",
+    "limit_path",
     "occupation_accumulate",
     "richardson_gap",
     "run_coupled",
 ]
 
 Control = Callable[[float, np.ndarray], np.ndarray]
+
+# replica id of the once-per-run reference ensembles' streams; Monte Carlo
+# replicas are numbered from 0 and never reach it
+REFERENCE_REPLICA = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -81,17 +86,30 @@ def _n_steps(T: float, dt: float) -> int:
 
 
 def _em_step(
-    kernels: KernelPair, x: np.ndarray, z: np.ndarray, dt: float, u=None, a_scale: float = 1.0
+    kernels: KernelPair,
+    x: np.ndarray,
+    z: np.ndarray,
+    dt: float,
+    u=None,
+    a_scale: float = 1.0,
+    pairings=None,
+    record: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama step under the empirical measure of x:
-    x + b dt + sigma sqrt(dt) z, plus sigma u dt / a_scale when u is given."""
-    mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
-    sig = kernels.sigma(x, mu)
-    step = kernels.drift(x, mu) * dt + sig * math.sqrt(dt) * z
+    """One Euler-Maruyama step x + b dt + sigma sqrt(dt) z, plus
+    sigma u dt / a_scale when u is given.
+
+    The coefficients are taken under the empirical measure of x, or under
+    the measure whose pairings (<mu, g_alpha>, <mu, g_beta>) are given;
+    ``record`` receives the pairings used.
+    """
+    sig, drift, used = kernels.coefficients(x, pairings)
+    if record is not None:
+        record[:] = used
+    step = drift * dt + sig * math.sqrt(dt) * z
     if u is not None:
         step = step + sig * u * (dt / a_scale)
     x = x + step
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         bad = int(np.nonzero(~np.isfinite(x))[0][0])
         raise FloatingPointError(
             f"particle {bad} left the finite range in a step of size dt={dt:.6g}"
@@ -279,22 +297,6 @@ def fluctuation_pairing(
     return path.times.copy(), vals
 
 
-def coupling_gap(path: DiffusionPath, ref: McKeanEnsemble | DiffusionPath) -> float:
-    """Mean over particles of the squared sup-distance to the reference
-    particle with the same index: (1/m) sum_i sup_t |X_i(t) - Xbar_i(t)|^2.
-
-    Both trajectories must be recorded on the same grid and driven by the
-    same per-index Brownian increments for the value to be meaningful.
-    """
-    ref_path = ref.path if isinstance(ref, McKeanEnsemble) else ref
-    if ref_path.positions.shape[1] < path.m:
-        raise ValueError("reference ensemble smaller than the controlled system")
-    if not np.allclose(path.times, ref_path.times, rtol=0, atol=1e-12):
-        raise ValueError("paths must share the recorded time grid")
-    diff = path.positions - ref_path.positions[:, : path.m]
-    return float(np.mean(np.max(diff**2, axis=0)))
-
-
 @dataclass(frozen=True)
 class OccupationMeasure:
     """Samples (control value, position, time) with weights dt/m."""
@@ -342,6 +344,42 @@ def occupation_accumulate(path: DiffusionPath, control: Control) -> OccupationMe
     return OccupationMeasure(y=ys.ravel(), x=xs.ravel(), s=ss.ravel().copy(), w=w)
 
 
+@dataclass(frozen=True)
+class LimitPath:
+    """The limit law seen by separable kernels: values[k] holds
+    (<mu(t_k), g_alpha>, <mu(t_k), g_beta>) at t_k = k dt, k = 0..n_steps,
+    from a reference ensemble of M_ref particles started at x0."""
+
+    values: np.ndarray  # (n_steps + 1, 2)
+    dt: float
+    M_ref: int
+    x0: float
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.values) - 1
+
+
+def limit_path(
+    kernels: KernelPair, M_ref: int, x0: float, T: float, dt: float, seed: int
+) -> LimitPath:
+    """Run the reference ensemble of M_ref particles once, on the stream
+    (seed, REFERENCE_REPLICA), and keep only its kernel pairings: with
+    separable kernels these are all the limit law contributes to the
+    coefficients.  Positions are not kept."""
+    kernels.require_separable()
+    if M_ref < 1:
+        raise ValueError(f"need M_ref >= 1; got M_ref={M_ref}")
+    n_steps = _n_steps(T, dt)
+    rng = stream(seed, REFERENCE_REPLICA)
+    x = np.full(M_ref, float(x0))
+    values = np.empty((n_steps + 1, 2))
+    for k in range(n_steps):
+        x = _em_step(kernels, x, rng.standard_normal(M_ref), dt, record=values[k])
+    values[n_steps] = kernels.coefficients(x)[2]
+    return LimitPath(values=values, dt=dt, M_ref=M_ref, x0=float(x0))
+
+
 def run_coupled(
     kernels: KernelPair,
     ms: list[int],
@@ -353,32 +391,45 @@ def run_coupled(
     control: Control,
     seed: int,
     replica: int = 0,
+    *,
+    limit: LimitPath | None = None,
 ) -> dict[int, float]:
     """One replica of the coupling experiment, all system sizes in lockstep.
 
-    A single per-step increment array drives the reference ensemble and every
-    controlled system (which uses its first m columns), so X_i^m and Xbar_i
-    see the same Brownian motion.  Returns m -> (1/m) sum_i sup-step squared
-    gap, with the sup taken over every step.
+    Each controlled particle X_i^m is coupled to Xbar_i, an i.i.d. copy of
+    the McKean-Vlasov limit: max(ms) reference particles move under the
+    pairings of ``limit`` (computed here by :func:`limit_path` when not
+    given; pass it to share one across replicas), and one per-step increment
+    array drives them and every controlled system, which uses its first m
+    columns.  Returns m -> (1/m) sum_i sup-step squared gap, with the sup
+    taken over every step.
     """
+    kernels.require_separable()
     if min(ms) < 1:
         raise ValueError(f"system sizes must be >= 1; got ms={list(ms)}")
     if max(ms) > M_ref:
         raise ValueError(f"M_ref={M_ref} must dominate every system size; got ms={list(ms)}")
     n_steps = _n_steps(T, dt)
+    if limit is None:
+        limit = limit_path(kernels, M_ref, x0, T, dt, seed)
+    have = (limit.n_steps, limit.dt, limit.M_ref, limit.x0)
+    need = (n_steps, dt, M_ref, float(x0))
+    if have != need:
+        raise ValueError(f"limit path has (n_steps, dt, M_ref, x0) = {have}; the run needs {need}")
     rng = stream(seed, replica)
-    x_ref = np.full(M_ref, float(x0))
+    n_ref = max(ms)
+    x_ref = np.full(n_ref, float(x0))
     sys = {m: np.full(m, float(x0)) for m in ms}
     gap = {m: np.zeros(m) for m in ms}
     a_scale = {m: m ** (-theta) * math.sqrt(m) for m in ms}
     for k in range(n_steps):
         t = k * dt
-        z = rng.standard_normal(M_ref)
+        z = rng.standard_normal(n_ref)
         for m in ms:
             x = sys[m]
             u = np.broadcast_to(np.asarray(control(t, x), dtype=float), x.shape)
             sys[m] = _em_step(kernels, x, z[:m], dt, u, a_scale[m])
-        x_ref = _em_step(kernels, x_ref, z, dt)
+        x_ref = _em_step(kernels, x_ref, z, dt, pairings=limit.values[k])
         for m in ms:
             np.maximum(gap[m], (sys[m] - x_ref[:m]) ** 2, out=gap[m])
     return {m: float(gap[m].mean()) for m in ms}

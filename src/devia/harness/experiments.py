@@ -23,7 +23,13 @@ from ..diff_analysis import (
     solve_fokker_planck,
     solve_linearized,
 )
-from ..diff_sim import mckean_ensemble, run_coupled, simulate_interacting
+from ..diff_sim import (
+    REFERENCE_REPLICA,
+    limit_path,
+    mckean_ensemble,
+    run_coupled,
+    simulate_interacting,
+)
 from ..jump_analysis import psi_l2sq, rate_I, rate_Ibar, skeleton_G0, solve_p
 from ..jump_sim import JumpControl, batch_paths
 from ..mf_model import model_from_config
@@ -65,11 +71,13 @@ def _chunks(n: int, pieces: int) -> list[tuple[int, int]]:
 
 def _fan_out(worker, arg_sets: list[tuple], n_replicas: int) -> list[np.ndarray]:
     """Run worker(*args, lo, hi) over replica ranges for every args tuple;
-    one result per tuple, in order.  All chunks share one process pool."""
+    one result per tuple, in order.  All chunks share one process pool, and
+    each args tuple is cut into one chunk per worker, since every worker
+    call pays the kernels' fixed per-call cost."""
     w = n_workers()
     if w <= 1:
         return [np.asarray(worker(*args, 0, n_replicas)) for args in arg_sets]
-    parts = _chunks(n_replicas, 4 * w)
+    parts = _chunks(n_replicas, w)
     with ProcessPoolExecutor(max_workers=w) as ex:
         futs = [[ex.submit(worker, *args, lo, hi) for lo, hi in parts] for args in arg_sets]
         return [np.concatenate([f.result() for f in fs]) for fs in futs]
@@ -260,7 +268,7 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
     samples = {}
     arg_sets = []
     for k, m in enumerate(m_grid):
-        ref = mckean_ensemble(kernels, M_ref, x0, T, dt, seed + k, replica=10_000_000)
+        ref = mckean_ensemble(kernels, M_ref, x0, T, dt, seed + k, replica=REFERENCE_REPLICA)
         arg_sets.append((kernel_cfg, m, ref.pairing(T, phi), x0, T, dt, phi_coeffs, seed + k))
     for m, vals in zip(m_grid, _fan_out(_clt_chunk, arg_sets, replicas)):
         samples[m] = (vals - vals.mean()) ** 2
@@ -279,13 +287,13 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
 # coupling scaling
 
 
-def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, lo, hi):
+def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, limit, lo, hi):
     kernels = resolve_kernels({"kernels": kernel_cfg})
     out = np.empty((hi - lo, len(ms)))
     for r in range(lo, hi):
         gaps = run_coupled(
             kernels, list(ms), M_ref, x0, T, dt, theta,
-            lambda s, x: u_const, seed, replica=r,
+            lambda s, x: u_const, seed, replica=r, limit=limit,
         )
         out[r - lo] = [gaps[m] for m in ms]
     return out
@@ -294,7 +302,9 @@ def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, lo, 
 @_timed
 def run_coupling_scaling(spec: dict) -> ExperimentReport:
     """Mean squared sup-gap between controlled particles and their coupled
-    reference particles; the log-log slope must match -(1 - 2 theta)."""
+    reference particles, i.i.d. copies of the limit law whose pairings come
+    from one M_ref-particle ensemble per run; the log-log slope must match
+    -(1 - 2 theta)."""
     kernel_cfg = spec["kernels"]
     x0 = float(spec.get("x0", 0.0))
     T = float(spec.get("T", 0.5))
@@ -307,8 +317,10 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     u_const = float(spec.get("control", {}).get("constant", 1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
+    limit = limit_path(resolve_kernels({"kernels": kernel_cfg}), M_ref, x0, T, dt, seed)
     (raw,) = _fan_out(
-        _coupling_chunk, [(kernel_cfg, tuple(m_grid), M_ref, x0, T, dt, theta, u_const, seed)],
+        _coupling_chunk,
+        [(kernel_cfg, tuple(m_grid), M_ref, x0, T, dt, theta, u_const, seed, limit)],
         replicas,
     )
     raw = raw.reshape(replicas, len(m_grid))
@@ -321,7 +333,11 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     )
     return ExperimentReport(
         kind="coupling-scaling", config=spec, seed=seed, stats=stats, criteria=[crit],
-        work={"replicas": replicas, "M_ref": M_ref},
+        work={
+            "replicas": replicas,
+            "M_ref": M_ref,
+            "em_particle_steps": limit.n_steps * (replicas * (max(m_grid) + sum(m_grid)) + M_ref),
+        },
     )
 
 

@@ -391,14 +391,18 @@ def check_lln_mini() -> CriterionResult:
 
 
 def check_coupling_mini() -> CriterionResult:
-    from ..diff_sim import run_coupled
+    from ..diff_sim import limit_path, run_coupled
     from ..kernels import default_kernels
 
     kp = default_kernels()
     gaps = {128: 0.0, 1024: 0.0}
     reps = 10
+    limit = limit_path(kp, 4096, 0.0, 0.5, 1 / 128, SEED + 15)
     for r in range(reps):
-        g = run_coupled(kp, [128, 1024], 4096, 0.0, 0.5, 1 / 128, 0.25, lambda s, x: 1.0, SEED + 15, r)
+        g = run_coupled(
+            kp, [128, 1024], 4096, 0.0, 0.5, 1 / 128, 0.25, lambda s, x: 1.0, SEED + 15, r,
+            limit=limit,
+        )
         for m in gaps:
             gaps[m] += g[m] / reps
     ratio = gaps[1024] / gaps[128]

@@ -4,7 +4,8 @@ The diffusion and drift coefficients are mean-field averages of two-argument
 kernels: sigma(x, mu) = integral of alpha(x, y) mu(dy) and b(x, mu) likewise
 with beta.  A kernel may declare a rank-one separable form k(x, y) =
 f(x) g(y), in which case mean-field evaluation over an ensemble costs O(m)
-instead of O(m^2).
+instead of O(m^2).  Factors may share an envelope (:class:`Enveloped`), which
+:meth:`KernelPair.coefficients` evaluates once per particle for both kernels.
 
 Measures enter through :class:`MeasureHook`, a plain (points, weights)
 quadrature view that both particle ensembles and grid densities provide.
@@ -18,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "Enveloped",
     "Kernel",
     "KernelPair",
     "MeasureHook",
@@ -35,6 +37,27 @@ def _dot(w: np.ndarray, g) -> float:
     """sum_i w_i g_i in numpy's own single-threaded loop; a BLAS dot spreads
     over every core and buys no wall time at these sizes."""
     return float(np.einsum("i,i->", w, np.asarray(g, dtype=float)))
+
+
+@dataclass(frozen=True)
+class Enveloped:
+    """Separable factor x |-> scale(x) * env(x) whose envelope env other
+    factors may share."""
+
+    scale: Callable
+    env: Callable
+
+    def __call__(self, x):
+        return self.scale(x) * self.env(x)
+
+
+def _factor(fn, x: np.ndarray, memo: dict) -> np.ndarray:
+    """fn(x) with every envelope and plain factor evaluated once per memo."""
+    if isinstance(fn, Enveloped):
+        return fn.scale(x) * _factor(fn.env, x, memo)
+    if id(fn) not in memo:
+        memo[id(fn)] = np.asarray(fn(x), dtype=float)
+    return memo[id(fn)]
 
 
 @dataclass(frozen=True)
@@ -108,6 +131,44 @@ class KernelPair:
     def drift(self, x, mu: MeasureHook) -> np.ndarray:
         return self.beta.mean_y(x, mu)
 
+    def require_separable(self) -> None:
+        for k in (self.alpha, self.beta):
+            if k.sep is None:
+                raise ValueError(
+                    f"kernel {k.name or k.fn!r} is not rank-one separable; the limit law "
+                    "then does not enter through the pairings <mu, g>"
+                )
+
+    def coefficients(self, x, pairings=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(sigma(x, mu), b(x, mu), pairings) at the particles x.
+
+        mu is the empirical measure of x itself unless ``pairings`` gives
+        (<mu, g_alpha>, <mu, g_beta>) of the separable kernels.  Equals
+        ``sigma``/``drift`` bit for bit; shared factors are evaluated once.
+        The returned pairings are those used (nan for a dense kernel).
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if pairings is not None:
+            self.require_separable()
+        memo: dict = {}
+        w = np.full(len(x), 1.0 / len(x)) if pairings is None else None
+        coeffs, used = [], []
+        for k, kern in enumerate((self.alpha, self.beta)):
+            if kern.sep is None:
+                coeffs.append(kern.mean_y(x, MeasureHook(points=x, weights=w)))
+                used.append(np.nan)
+                continue
+            f, g = kern.sep
+            if pairings is not None:
+                s = float(pairings[k])
+            else:  # kernels sharing g share the pairing
+                if ("pair", id(g)) not in memo:
+                    memo["pair", id(g)] = _dot(w, _factor(g, x, memo))
+                s = memo["pair", id(g)]
+            coeffs.append(_factor(f, x, memo) * s)
+            used.append(s)
+        return coeffs[0], coeffs[1], np.array(used)
+
 
 def zero_kernel() -> Kernel:
     return Kernel(
@@ -155,14 +216,14 @@ def default_kernels(c_alpha: float = 0.5, c_beta: float = 0.5) -> KernelPair:
     g = lambda u: np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
     alpha = Kernel(
         fn=lambda x, y: c_alpha * np.exp(-(x**2 + y**2) / 2.0),
-        sep=(lambda x: c_alpha * g(x), g),
+        sep=(Enveloped(lambda x: c_alpha, g), g),
         sup=c_alpha,
         lip=c_alpha * np.exp(-0.5),  # max of |u| e^{-u^2/2} is e^{-1/2}
         name="gaussian",
     )
     beta = Kernel(
         fn=lambda x, y: -c_beta * x * np.exp(-(x**2 + y**2) / 2.0),
-        sep=(lambda x: -c_beta * np.asarray(x, dtype=float) * g(x), g),
+        sep=(Enveloped(lambda x: -c_beta * np.asarray(x, dtype=float), g), g),
         sup=c_beta * np.exp(-0.5),
         lip=c_beta,  # sup |1 - x^2| e^{-x^2/2} = 1 at the origin
         name="gaussian-reversion",

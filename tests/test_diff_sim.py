@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from devia.diff_analysis import solve_fokker_planck
 from devia.diff_sim import (
-    coupling_gap,
+    REFERENCE_REPLICA,
     fluctuation_pairing,
+    limit_path,
     mckean_ensemble,
     occupation_accumulate,
     richardson_gap,
@@ -14,7 +16,10 @@ from devia.diff_sim import (
     simulate_interacting,
 )
 from devia.kernels import (
+    Enveloped,
+    Kernel,
     KernelPair,
+    MeasureHook,
     constant_alpha,
     default_kernels,
     linear_reversion_beta,
@@ -24,6 +29,8 @@ from devia.kernels import (
 ZERO = KernelPair(alpha=zero_kernel(), beta=zero_kernel())
 ADDITIVE = KernelPair(alpha=constant_alpha(1.0), beta=zero_kernel())
 REVERSION = KernelPair(alpha=zero_kernel(), beta=linear_reversion_beta(1.0))
+# mu-free coefficients: sigma = 1, b(x) = -x whatever the measure
+ADDITIVE_REVERSION = KernelPair(alpha=constant_alpha(1.0), beta=linear_reversion_beta(1.0))
 
 
 class TestInteracting:
@@ -156,14 +163,6 @@ class TestFluctuationPairing:
 
 
 class TestCoupling:
-    def test_zero_kernels_zero_gap(self):
-        ref = mckean_ensemble(ZERO, 64, 0.0, 0.5, 1 / 32, seed=14)
-        path, _ = simulate_controlled(
-            ZERO, 32, 0.0, 0.5, 1 / 32, a_m=0.5, control=lambda s, x: 1.0, seed=14
-        )
-        # sigma = 0 kills both noise and control: identical trajectories
-        assert coupling_gap(path, ref) == 0.0
-
     def test_gap_nonnegative_and_decreasing(self):
         gaps = run_coupled(
             default_kernels(), [64, 1024], 4096, 0.0, 0.5, 1 / 128, 0.25,
@@ -171,24 +170,110 @@ class TestCoupling:
         )
         assert gaps[64] > gaps[1024] >= 0.0
 
-    def test_grid_mismatch_rejected(self):
-        ref = mckean_ensemble(ZERO, 64, 0.0, 0.5, 1 / 32, seed=16)
-        path = simulate_interacting(ZERO, 16, 0.0, 0.5, 1 / 64, seed=16)
-        with pytest.raises(ValueError):
-            coupling_gap(path, ref)
-
     def test_run_coupled_deterministic(self):
         args = (default_kernels(), [32, 64], 128, 0.0, 0.25, 1 / 64, 0.25)
         a = run_coupled(*args, lambda s, x: 1.0, seed=17)
         b = run_coupled(*args, lambda s, x: 1.0, seed=17)
         assert a == b
 
-    def test_system_at_reference_size_takes_the_reference_step(self):
-        # with zero control the m = M_ref system is the reference itself
+    def test_shared_limit_path_equals_the_one_computed_inside(self):
+        kp = default_kernels()
+        limit = limit_path(kp, 128, 0.0, 0.25, 1 / 64, seed=17)
+        args = (kp, [32, 64], 128, 0.0, 0.25, 1 / 64, 0.25, lambda s, x: 1.0, 17, 3)
+        assert run_coupled(*args, limit=limit) == run_coupled(*args)
+
+    def test_mu_free_coefficients_give_exactly_zero_gap(self):
+        # sigma and b do not depend on mu, and at power-of-two sizes the
+        # pairings <mu, 1> are exactly 1, so with zero control every system
+        # particle moves exactly as its reference particle
         gaps = run_coupled(
-            default_kernels(), [64, 256], 256, 0.3, 0.5, 1 / 64, 0.25, lambda s, x: 0.0, seed=3
+            ADDITIVE_REVERSION, [64, 256], 1024, 0.3, 0.5, 1 / 64, 0.25,
+            lambda s, x: 0.0, seed=3,
         )
-        assert gaps[256] == 0.0
+        assert gaps == {64: 0.0, 256: 0.0}
+
+    def test_non_separable_kernel_is_diagnosed(self):
+        kp = default_kernels()
+        dense = KernelPair(alpha=kp.alpha, beta=Kernel(fn=kp.beta.fn, name="dense-reversion"))
+        with pytest.raises(ValueError, match="'dense-reversion' is not rank-one separable"):
+            run_coupled(dense, [8], 16, 0.0, 0.25, 1 / 16, 0.25, lambda s, x: 1.0, seed=1)
+        with pytest.raises(ValueError, match="not rank-one separable"):
+            limit_path(dense, 16, 0.0, 0.25, 1 / 16, seed=1)
+
+    @pytest.mark.parametrize(
+        "T, dt", [(0.5, 1 / 32), (0.25, 1 / 64)], ids=["step-count", "dt"]
+    )
+    def test_mismatched_limit_path_is_diagnosed(self, T, dt):
+        kp = default_kernels()
+        limit = limit_path(kp, 32, 0.0, 0.25, 1 / 32, seed=1)
+        match = rf"= \(8, 0.03125, 32, 0.0\); the run needs \(16, {dt}, 32, 0.0\)"
+        with pytest.raises(ValueError, match=match):
+            run_coupled(kp, [8], 32, 0.0, T, dt, 0.25, lambda s, x: 1.0, seed=1, limit=limit)
+
+
+class TestLimitPath:
+    def test_pairings_of_the_reference_ensemble(self):
+        # the limit path is the reference ensemble's own pairing path
+        kp = default_kernels()
+        g = kp.alpha.sep[1]
+        limit = limit_path(kp, 1000, 0.2, 0.5, 1 / 64, seed=5)
+        ref = mckean_ensemble(kp, 1000, 0.2, 0.5, 1 / 64, seed=5, replica=REFERENCE_REPLICA)
+        want = [ref.pairing(t, g) for t in ref.path.times]
+        assert limit.values.shape == (33, 2) and limit.n_steps == 32
+        assert np.allclose(limit.values, np.array([want, want]).T, rtol=0, atol=1e-13)
+
+    def test_particle_limit_agrees_with_fokker_planck(self):
+        # independent cross-check of the particle and PDE sides of the limit
+        # law, with the bound fixed before the result was seen:
+        # |S_ens - S_FP| <= 3 SE + 2 grid_err + 1e-3 for S = <mu_t, g>
+        kp = default_kernels()
+        g = kp.alpha.sep[1]
+        M_ref, dt, T, seed = 32768, 1 / 512, 0.5, 77
+        limit = limit_path(kp, M_ref, 0.0, T, dt, seed)
+        ens = mckean_ensemble(
+            kp, M_ref, 0.0, T, dt, seed, replica=REFERENCE_REPLICA, record_stride=64
+        )
+
+        def fp_pairing(nx):
+            rho = solve_fokker_planck(kp, 0.0, T, -5.0, 5.0, nx)
+            return lambda t: np.interp(t, rho.ts, rho.values @ g(rho.xs) * rho.dx)
+
+        fine, coarse = fp_pairing(401), fp_pairing(201)
+        for t in (0.125, 0.25, 0.5):
+            gx = g(ens.path.positions[ens.path.index_of(t)])
+            assert limit.values[round(t / dt), 0] == pytest.approx(gx.mean(), abs=1e-12)
+            se = float(np.std(gx)) / math.sqrt(M_ref)
+            grid_err = abs(fine(t) - coarse(t)) / 3.0
+            err = abs(limit.values[round(t / dt), 0] - fine(t))
+            assert err <= 3 * se + 2 * grid_err + 1e-3, (t, err, se, grid_err)
+
+
+def test_fused_coefficients_match_the_kernel_means():
+    # one envelope evaluation per particle gives the four kernel factors of
+    # the Gaussian pair, bit for bit equal to the separate mean-field sums
+    calls = []
+
+    def env(u):
+        calls.append(len(u))
+        return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+
+    ref = default_kernels(0.4, 0.7)
+    counted = KernelPair(
+        alpha=Kernel(fn=ref.alpha.fn, sep=(Enveloped(lambda x: 0.4, env), env)),
+        beta=Kernel(
+            fn=ref.beta.fn, sep=(Enveloped(lambda x: -0.7 * np.asarray(x, dtype=float), env), env)
+        ),
+    )
+    x = np.random.default_rng(3).normal(size=257)
+    mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
+    sig, drift, pairings = counted.coefficients(x)
+    assert calls == [257]
+    assert np.array_equal(sig, ref.sigma(x, mu)) and np.array_equal(drift, ref.drift(x, mu))
+    assert pairings[0] == pairings[1] == pytest.approx(mu.pair(env), rel=1e-14)
+    sig2, drift2, used = counted.coefficients(x[:5], pairings=(0.25, 0.5))
+    assert np.array_equal(sig2, ref.alpha.sep[0](x[:5]) * 0.25)
+    assert np.array_equal(drift2, ref.beta.sep[0](x[:5]) * 0.5)
+    assert list(used) == [0.25, 0.5]
 
 
 class TestOccupation:

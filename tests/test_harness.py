@@ -46,24 +46,32 @@ def test_worker_count_does_not_change_results():
 
 
 def test_one_process_pool_per_run(monkeypatch):
-    # every m of a spec shares one pool; a pool per m made small runs slower
-    # with workers than without
+    # every m of a spec shares one pool, and each m is cut into one chunk per
+    # worker, since every kernel call pays a fixed cost; a pool per m made
+    # small runs slower with workers than without
     from concurrent.futures import ThreadPoolExecutor
 
     from devia.harness import experiments
 
-    pools = []
+    pools, calls = [], []
+    batch_paths = experiments.batch_paths
 
     class CountingPool(ThreadPoolExecutor):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
+    def counted(model, m, *args, **kwargs):
+        calls.append(m)
+        return batch_paths(model, m, *args, **kwargs)
+
     base = run_lln(MINI_LLN).to_json()
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiments, "batch_paths", counted)
     monkeypatch.setenv("DEVIA_WORKERS", "2")
     assert run_lln(MINI_LLN).to_json() == base
-    assert len(MINI_LLN["m_grid"]) == 2 and pools == [2]
+    assert MINI_LLN["m_grid"] == [40, 160] and pools == [2]
+    assert sorted(calls) == [40, 40, 160, 160]
 
 
 MINI_TILT = {
@@ -82,7 +90,8 @@ MINI_TILT = {
 
 def test_tilt_limit_set_up_runs_once_per_run(monkeypatch):
     # p, the control and the skeleton depend on neither m nor the replica
-    # chunk, so a run with 2 workers (8 chunks per m) solves them once
+    # chunk, so a run with 2 workers (one chunk per worker and m) solves
+    # them once
     from concurrent.futures import ThreadPoolExecutor
 
     from devia.harness import experiments
@@ -105,6 +114,32 @@ def test_tilt_limit_set_up_runs_once_per_run(monkeypatch):
     monkeypatch.setenv("DEVIA_WORKERS", "2")
     assert run_experiment(MINI_TILT).to_json() == base
     assert calls == {"solve_p": 1, "skeleton_G0": 1}
+
+
+MINI_COUPLING = {
+    "kind": "coupling-scaling",
+    "kernels": {"family": "default", "c_alpha": 0.5, "c_beta": 0.5},
+    "x0": 0.0,
+    "T": 0.25,
+    "dt": 1.0 / 32.0,
+    "theta": 0.25,
+    "m_grid": [16, 48],
+    "M_ref": 256,
+    "replicas": 30,
+    "control": {"constant": 1.0},
+    "seed": 5,
+}
+
+
+def test_coupling_work_counter(monkeypatch):
+    # EM particle-steps: every replica advances max(m) reference particles
+    # and each system, the one limit run advances M_ref particles
+    base = run_experiment(MINI_COUPLING)
+    n_steps = 8
+    want = 30 * n_steps * (48 + 16 + 48) + n_steps * 256
+    assert base.work["em_particle_steps"] == want
+    monkeypatch.setenv("DEVIA_WORKERS", "2")
+    assert run_experiment(MINI_COUPLING).to_json() == base.to_json()
 
 
 @pytest.mark.parametrize("value", ["0", "-3", "two"])
