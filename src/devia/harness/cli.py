@@ -120,6 +120,7 @@ def _cmd_jump_rate(args) -> int:
         "feasible": res.feasible,
         "message": res.message,
         "residual_ratio": [float(v) for v in res.residual_ratio],
+        "refine_check": res.detail["refine_check"],
         "grid_points": len(eta.grid),
         "resampled": eta is not raw,
         "config_hash": config_hash(cfg),

@@ -440,7 +440,7 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
             )
         )
 
-        # multi-bin field: the two parametrizations still agree identically
+        # multi-bin field: the primal and dual forms still agree
         psi_m = _potential_control(model, T, n_bins=4, scale=0.4, seed=seed + 1)
         eta_m = skeleton_G0(model, p, psi_m)
         eq_m = abs(rate_I(model, p, eta_m).value - rate_Ibar(model, p, eta_m).value)

@@ -5,18 +5,24 @@ taking a per-cell control field psi to the fluctuation limit eta, and the
 rate-function evaluators that invert a given path eta back to a least-norm
 control.
 
-Both rate functions measure the same quantity through two parametrizations:
-the field psi on the point-space cells (cost = 1/2 * L2(lambda) norm squared)
-and the per-pair coefficients u_ij(s) = psi_ij(s) sqrt(p_i Gamma_ij(p))
-(cost = 1/2 * integral of sum u_ij^2).  The forcing a path eta requires is
+The rate function has two parametrizations: the field psi on the
+point-space cells (cost = 1/2 * L2(lambda) norm squared) and the per-pair
+coefficients u_ij(s) = psi_ij(s) sqrt(p_i Gamma_ij(p)) (cost = 1/2 *
+integral of sum u_ij^2).  The forcing a path eta requires is
 
     r(t) = eta'(t) - Db(p(t))[eta(t)]
 
-and must lie in the span of the columns (e_j - e_i) sqrt(p_i Gamma_ij(p));
-the least-norm coefficient vector is obtained by SVD pseudoinversion per
-grid time.  Paths whose residual leaves the column space beyond tolerance,
-or whose cost diverges under grid coarsening (the numerical signature of a
-discontinuity), are reported infeasible, i.e. rate value infinity.
+and must lie in the span of the columns (e_j - e_i) sqrt(w_ij) of B(t),
+w_ij = p_i Gamma_ij(p).  :func:`rate_I` takes the primal route, the
+least-norm u = B^+ r by SVD; :func:`rate_Ibar` the dual, r^T L_w^+ r with
+the graph Laplacian L_w = B B^T = diag((W + W^T) 1) - (W + W^T), never
+forming u.  Paths whose residual leaves the span beyond tolerance, or whose
+cost diverges under grid coarsening (the numerical signature of a
+discontinuity), are reported infeasible, i.e. rate value infinity;
+``detail["refine_check"]`` says whether the coarsening check ran.
+
+The passes over time slices evaluate BLOCK (256) slices or skeleton steps
+per batched call; only the RK4 and Picard recurrences loop in Python.
 """
 
 from __future__ import annotations
@@ -87,12 +93,21 @@ def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> 
 # ---------------------------------------------------------------------------
 # skeleton map
 
+# The batched passes below evaluate this many time slices (or steps) per
+# call, which bounds their temporaries independently of the grid length.
+BLOCK = 256
 
-def _forcing(model: RateModel, p_t: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
+
+def _blocks(n: int):
+    """Consecutive slices of range(n) of length at most BLOCK."""
+    return (slice(k, min(k + BLOCK, n)) for k in range(0, n, BLOCK))
+
+
+def _forcing(model: RateModel, P: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Exact per-cell integral of the jump map against psi: sum over cells of
-    (e_j - e_i) psi_ij w_ij."""
-    M = psi_t * cell_weights(model, p_t)
-    return M.sum(axis=0) - M.sum(axis=1)
+    (e_j - e_i) psi_ij w_ij, for states P of shape (..., K)."""
+    M = psi * cell_weights(model, P)
+    return M.sum(axis=-2) - M.sum(axis=-1)
 
 
 def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
@@ -100,25 +115,29 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     equation eta' = Db(p(t)) eta + f(t), eta(0) = 0, with per-cell forcing
     f(t) = sum (e_j - e_i) psi_ij(t) p_i(t) Gamma_ij(p(t)).
 
-    Solved by RK4 on the grid of p; linear in psi.
+    Solved by RK4 on the grid of p; linear in psi.  The Jacobian and forcing
+    at the stage times of a block of steps come from one batched call.
     """
     ts = p_path.grid
     eta = np.zeros((len(ts), model.K))
-
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        p_s = p_path(s)
-        return db_apply(model, p_s, y) + _forcing(model, p_s, psi.value(s))
-
-    y = np.zeros(model.K)
-    for k in range(len(ts) - 1):
-        h = ts[k + 1] - ts[k]
-        s = ts[k]
-        k1 = rhs(s, y)
-        k2 = rhs(s + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(s + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(s + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        eta[k + 1] = y
+    y = eta[0]
+    for b in _blocks(len(ts) - 1):
+        h = ts[b.start + 1 : b.stop + 1] - ts[b]
+        # stage times of step k at 2k (start), 2k + 1 (midpoint), 2k + 2 (end)
+        s = np.empty(2 * len(h) + 1)
+        s[0::2] = ts[b.start : b.stop + 1]
+        s[1::2] = ts[b] + 0.5 * h
+        P = p_path(s)
+        A = model.db(P)
+        F = _forcing(model, P, psi.value(s))
+        for k, hk in enumerate(h):
+            j = 2 * k
+            k1 = A[j] @ y + F[j]
+            k2 = A[j + 1] @ (y + 0.5 * hk * k1) + F[j + 1]
+            k3 = A[j + 1] @ (y + 0.5 * hk * k2) + F[j + 1]
+            k4 = A[j + 2] @ (y + hk * k3) + F[j + 2]
+            y = y + (hk / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            eta[b.start + k + 1] = y
     return PathVec(ts, eta)
 
 
@@ -135,15 +154,13 @@ def skeleton_picard(
     contracts to the same solution."""
     ts = p_path.grid
     P = p_path.values
-    psi_ts = psi.value(ts)
-    F = np.stack([_forcing(model, P[k], psi_ts[k]) for k in range(len(ts))])
+    A = model.db(P)
+    F = _forcing(model, P, psi.value(ts))
     cur = np.zeros((len(ts), model.K)) if eta_init is None else eta_init(ts)
+    dt = np.diff(ts)
     for _ in range(max_iter):
-        integrand = np.stack(
-            [db_apply(model, P[k], cur[k]) + F[k] for k in range(len(ts))]
-        )
+        integrand = (A @ cur[..., None])[..., 0] + F
         nxt = np.zeros_like(cur)
-        dt = np.diff(ts)
         nxt[1:] = np.cumsum(0.5 * dt[:, None] * (integrand[1:] + integrand[:-1]), axis=0)
         if np.abs(nxt - cur).max() <= tol:
             cur = nxt
@@ -240,62 +257,103 @@ DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_ABS = 1.0
 
 
-def _least_norm_pass(
-    model: RateModel,
-    p_path: PathVec,
-    eta: PathVec,
-    svd_rtol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-time least-norm solve; returns (U values, residual ratios, weights)."""
+def _slice_blocks(model: RateModel, p_path: PathVec, eta: PathVec):
+    """Yield (slices, W, r) per block of grid times: the cell weights
+    w_ij = p_i Gamma_ij(p) and the forcing r = eta' - Db(p)[eta] that a
+    control must produce there."""
     ts = eta.grid
+    etadot = time_derivative(ts, eta.values)
+    for b in _blocks(len(ts)):
+        P = p_path(ts[b])
+        yield b, cell_weights(model, P), etadot[b] - db_apply(model, P, eta.values[b])
+
+
+def _residual_ratio(r: np.ndarray, reached: np.ndarray) -> np.ndarray:
+    """Orthogonal residual of r per slice, relative to max(1, ||r||)."""
+    nr = np.linalg.norm(r, axis=-1)
+    return np.linalg.norm(r - reached, axis=-1) / np.maximum(1.0, nr)
+
+
+def _least_norm_pass(
+    model: RateModel, p_path: PathVec, eta: PathVec, svd_rtol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-norm coefficients u with B u = r per slice, by SVD
+    pseudoinversion of the column stack B = [(e_j - e_i) sqrt(w_ij)];
+    returns (U values (N, K, K), residual ratios (N,))."""
     K = model.K
-    vals = eta.values
-    etadot = time_derivative(ts, vals)
-    P = p_path(ts)
-    W = cell_weights(model, P)
-    off = ~np.eye(K, dtype=bool)
-    U = np.zeros((len(ts), K, K))
-    ratio = np.zeros(len(ts))
-    for k in range(len(ts)):
-        r = etadot[k] - db_apply(model, P[k], vals[k])
-        w = W[k][off]
-        active = np.nonzero(w > 0.0)[0]
-        pairs = np.argwhere(off)[active]
-        cols = np.zeros((K, len(active)))
-        sq = np.sqrt(w[active])
-        for c, (i, j) in enumerate(pairs):
-            cols[j, c] += sq[c]
-            cols[i, c] -= sq[c]
-        if len(active):
-            sol, _, _, _ = np.linalg.lstsq(cols, r, rcond=svd_rtol)
-            resid = r - cols @ sol
-        else:
-            sol = np.zeros(0)
-            resid = r
-        ratio[k] = np.linalg.norm(resid) / max(1.0, np.linalg.norm(r))
-        U[k][pairs[:, 0], pairs[:, 1]] = sol
-    return U, ratio, W
+    U = np.zeros((len(eta.grid), K, K))
+    ratio = np.empty(len(eta.grid))
+    for b, W, r in _slice_blocks(model, p_path, eta):
+        # only cells with weight somewhere in the block give columns
+        I, J = np.nonzero((W > 0.0).any(axis=0))
+        pair = np.arange(len(I))
+        sq = np.sqrt(W[:, I, J])
+        B = np.zeros((len(sq), K, len(I)))
+        B[:, J, pair] = sq
+        B[:, I, pair] = -sq
+        u = np.linalg.pinv(B, rcond=svd_rtol) @ r[..., None]
+        ratio[b] = _residual_ratio(r, (B @ u)[..., 0])
+        # a cell with zero weight at a slice carries no control there
+        U[b, I, J] = np.where(sq > 0.0, u[..., 0], 0.0)
+    return U, ratio
+
+
+def _svd_density(model, p_path, eta, svd_rtol):
+    """Cost density sum_ij u_ij^2 of the least-norm coefficients."""
+    U, ratio = _least_norm_pass(model, p_path, eta, svd_rtol)
+    return (U**2).sum(axis=(1, 2)), ratio
+
+
+def _laplacian_density(model, p_path, eta, svd_rtol):
+    """Cost density r^T theta, theta = L_w^+ r, with the graph Laplacian
+    L_w = diag((W + W^T) 1) - (W + W^T) = B B^T.  svd_rtol cuts the
+    eigenvalues of L_w (squared singular values of B): svd_rtol**2 would lie
+    below their round-off and keep null directions."""
+    diag = np.arange(model.K)
+    dens = np.empty(len(eta.grid))
+    ratio = np.empty(len(eta.grid))
+    for b, W, r in _slice_blocks(model, p_path, eta):
+        S = W + np.swapaxes(W, -1, -2)
+        L = -S
+        L[:, diag, diag] += S.sum(axis=-1)
+        theta = np.linalg.pinv(L, rcond=svd_rtol, hermitian=True) @ r[..., None]
+        dens[b] = (r * theta[..., 0]).sum(axis=-1)
+        ratio[b] = _residual_ratio(r, (L @ theta)[..., 0])
+    return dens, ratio
 
 
 def _rate_common(
     model: RateModel,
     p_path: PathVec,
     eta: PathVec,
-    through_psi: bool,
+    density,
     svd_rtol: float,
     residual_rtol: float,
-    _refine_check: bool = True,
 ) -> RateResult:
+    """Gate a path, integrate ``density(model, p_path, eta, svd_rtol)`` ->
+    (cost density, residual ratios) over its grid, and check refinement."""
     if eta.grid[-1] > p_path.T + 1e-9 * max(1.0, p_path.T):
         raise ValueError("fluctuation path extends beyond the limit path's horizon")
+    n = len(eta.grid)
+    if n < 9:
+        refine = f"skipped: {n} grid points, fewer than 9"
+    elif (n - 1) % 2:
+        refine = f"skipped: {n - 1} grid intervals, an odd number"
+    else:
+        refine = "ran"
+    early = {"refine_check": "skipped: path infeasible before the check"}
     vals = eta.values
     scale = max(1.0, float(np.linalg.norm(vals, axis=1).max()))
     if np.linalg.norm(vals[0]) > MASS_TOL * scale:
-        return RateResult(math.inf, False, np.zeros(0), "path does not start at zero")
+        return RateResult(math.inf, False, np.zeros(0), "path does not start at zero", early)
     if np.abs(vals.sum(axis=1)).max() > MASS_TOL * scale:
-        return RateResult(math.inf, False, np.zeros(0), "path is not mass-zero")
+        return RateResult(math.inf, False, np.zeros(0), "path is not mass-zero", early)
 
-    U, ratio, W = _least_norm_pass(model, p_path, eta, svd_rtol)
+    def cost(path: PathVec) -> tuple[float, np.ndarray]:
+        dens, ratio = density(model, p_path, path, svd_rtol)
+        return 0.5 * float(np.trapezoid(dens, path.grid)), ratio
+
+    value, ratio = cost(eta)
     if ratio.max() > residual_rtol:
         k = int(ratio.argmax())
         return RateResult(
@@ -304,40 +362,23 @@ def _rate_common(
             ratio,
             f"forcing leaves the attainable span at t={eta.grid[k]:.6g} "
             f"(orthogonal residual ratio {ratio[k]:.3e})",
-            detail={"worst_time": float(eta.grid[k])},
+            detail={"worst_time": float(eta.grid[k]), **early},
         )
-    if through_psi:
-        # cost through the field parametrization: integrate psi^2 against the
-        # cell measures; identical integrand as sum u^2 on active cells
-        with np.errstate(divide="ignore", invalid="ignore"):
-            psi_sq = np.where(W > 0.0, U**2 / W, 0.0)
-        dens = (psi_sq * W).sum(axis=(1, 2))
-        value = 0.5 * float(np.trapezoid(dens, eta.grid))
-    else:
-        value = ControlMatrixU(eta.grid, U).cost()
 
     # a genuine discontinuity shows up as cost that grows as the grid
     # resolves it; compare against the half-resolution evaluation (only
     # possible when subsampling keeps the grid uniform)
-    if _refine_check and len(eta.grid) >= 9 and (len(eta.grid) - 1) % 2 == 0:
-        coarse = _rate_common(
-            model,
-            p_path,
-            eta.restrict_every(2),
-            through_psi,
-            svd_rtol,
-            residual_rtol,
-            _refine_check=False,
-        )
-        if coarse.feasible and value > DIVERGENCE_FACTOR * coarse.value + DIVERGENCE_ABS:
+    if refine == "ran":
+        value_h, ratio_h = cost(eta.restrict_every(2))
+        if ratio_h.max() <= residual_rtol and value > DIVERGENCE_FACTOR * value_h + DIVERGENCE_ABS:
             return RateResult(
                 math.inf,
                 False,
                 ratio,
                 "cost diverges under grid refinement (discontinuous path?)",
-                detail={"value_full": value, "value_half": coarse.value},
+                detail={"value_full": value, "value_half": value_h, "refine_check": refine},
             )
-    return RateResult(value, True, ratio)
+    return RateResult(value, True, ratio, detail={"refine_check": refine})
 
 
 def rate_I(
@@ -347,10 +388,10 @@ def rate_I(
     svd_rtol: float = SVD_RTOL,
     residual_rtol: float = RESIDUAL_RTOL,
 ) -> RateResult:
-    """Rate of a fluctuation path in the per-pair parametrization:
+    """Rate of a fluctuation path through the primal problem:
     1/2 * integral sum_ij u_ij(t)^2 dt for the least-norm u with
-    B(t) u(t) = eta'(t) - Db(p(t)) eta(t)."""
-    return _rate_common(model, p_path, eta, False, svd_rtol, residual_rtol)
+    B(t) u(t) = eta'(t) - Db(p(t)) eta(t), by SVD of B(t)."""
+    return _rate_common(model, p_path, eta, _svd_density, svd_rtol, residual_rtol)
 
 
 def rate_Ibar(
@@ -360,13 +401,14 @@ def rate_Ibar(
     svd_rtol: float = SVD_RTOL,
     residual_rtol: float = RESIDUAL_RTOL,
 ) -> RateResult:
-    """Rate in the field parametrization, 1/2 ||psi*||^2 in L2 of the
-    intensity measure, evaluated through the least-norm coefficients and the
-    pointwise correspondence psi_ij = u_ij / sqrt(p_i Gamma_ij(p))."""
-    return _rate_common(model, p_path, eta, True, svd_rtol, residual_rtol)
+    """Rate of a fluctuation path through the dual problem: 1/2 * integral
+    of r^T L_w^+ r dt, r = eta' - Db(p) eta, with L_w = B B^T the weighted
+    graph Laplacian of the cells.  It never forms the least-norm u, so it
+    checks :func:`rate_I` independently."""
+    return _rate_common(model, p_path, eta, _laplacian_density, svd_rtol, residual_rtol)
 
 
 def min_norm_u(model: RateModel, p_path: PathVec, eta: PathVec) -> ControlMatrixU:
     """Least-norm per-pair control reproducing eta (no feasibility gating)."""
-    U, _, _ = _least_norm_pass(model, p_path, eta, SVD_RTOL)
+    U, _ = _least_norm_pass(model, p_path, eta, SVD_RTOL)
     return ControlMatrixU(eta.grid, U)

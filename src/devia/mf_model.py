@@ -2,9 +2,9 @@
 
 States live on {1..K} and the empirical measure is a point of the truncated
 probability simplex in R^K.  A :class:`RateModel` supplies the state-dependent
-rate matrix Gamma(q) together with the constants that the bound checks need
-(sup row sum, sup column sum, Lipschitz constant) and, optionally, an analytic
-derivative of the drift.
+rate matrix Gamma(q) and the Jacobian of the drift, both batched over any
+leading axes of q, together with the constants that the bound checks need
+(sup row sum, sup column sum, Lipschitz constant).
 
 The point-space geometry maps each ordered pair (i, j), i != j, to a
 rectangular cell in the positive quadrant: first coordinate in (i-1, i],
@@ -68,13 +68,14 @@ def random_simplex(K: int, rng: np.random.Generator) -> np.ndarray:
 class RateModel:
     """State-dependent rate matrix on {1..K} with its certified constants.
 
-    ``rate_matrix(q)`` returns the (K, K) array of off-diagonal rates
-    Gamma_ij(q) (zero diagonal); the diagonal is implied, Gamma_ii = -row sum.
-    ``gamma_norm``, ``c_gamma`` and ``l_gamma`` must be valid upper bounds for
-    the sup row sum, sup column l1-norm (diagonal included) and the row-wise
-    Lipschitz constant of Gamma; the bound-check suite treats them as exact
-    contract values.  ``db``, when given, returns the (K, K) Jacobian matrix
-    of the drift at q.
+    ``rate_matrix(q)`` maps states of shape (..., K) to the (..., K, K)
+    arrays of off-diagonal rates Gamma_ij(q) (zero diagonal); the diagonal is
+    implied, Gamma_ii = -row sum.  ``db(q)`` maps the same states to the
+    (..., K, K) Jacobians of the drift.  Both are batched over the leading
+    axes, and a family defines each once.  ``gamma_norm``, ``c_gamma`` and
+    ``l_gamma`` must be valid upper bounds for the sup row sum, sup column
+    l1-norm (diagonal included) and the row-wise Lipschitz constant of Gamma;
+    the bound-check suite treats them as exact contract values.
     """
 
     K: int
@@ -83,22 +84,13 @@ class RateModel:
     c_gamma: float
     l_gamma: float
     band: int
-    db: Callable[[np.ndarray], np.ndarray] | None = None
-    rate_matrix_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    db: Callable[[np.ndarray], np.ndarray]
     name: str = ""
     params: dict = field(default_factory=dict)
 
-    def gamma(self, q: np.ndarray, i: int, j: int) -> float:
-        """Gamma_ij(q) for 1-based states i != j."""
-        _check_pair(self.K, i, j)
-        return float(self.rate_matrix(np.asarray(q, dtype=float))[i - 1, j - 1])
-
     def rates_batch(self, Q: np.ndarray) -> np.ndarray:
         """Rate matrices for a batch of states, shape (..., K) -> (..., K, K)."""
-        if self.rate_matrix_batch is not None:
-            return self.rate_matrix_batch(Q)
-        flat = [self.rate_matrix(q) for q in np.reshape(Q, (-1, self.K))]
-        return np.reshape(flat, np.shape(Q) + (self.K,))
+        return self.rate_matrix(np.asarray(Q, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -174,8 +166,8 @@ def jump_map_G(model: RateModel, q: np.ndarray, y: tuple[float, float]) -> np.nd
 
 
 def _drift(model: RateModel, q: np.ndarray) -> np.ndarray:
-    """b(q) = R(q)^T q - (R(q) 1) * q at any q; the ODE stages and the
-    finite-difference Jacobian evaluate it off the simplex."""
+    """b(q) = R(q)^T q - (R(q) 1) * q at any q; the ODE stages evaluate it
+    off the simplex."""
     R = model.rate_matrix(q)
     return R.T @ q - R.sum(axis=1) * q
 
@@ -202,28 +194,13 @@ def drift_b_cellsum(model: RateModel, q: np.ndarray) -> np.ndarray:
 
 
 def db_apply(model: RateModel, q: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Apply the drift derivative: Db(q)[h].
-
-    Uses the model's analytic Jacobian when present, otherwise a centered
-    finite difference with the perturbed points projected back onto the
-    affine hull {sum = 1} (the derivative is used on mass-zero directions,
-    so the positive cone is not enforced).
-    """
+    """Apply the drift derivative, Db(q)[h], broadcast over the leading axes
+    of q and h (both of shape (..., K))."""
     q = np.asarray(q, dtype=float)
     h = np.asarray(h, dtype=float)
     if h.shape != q.shape:
         raise ValueError("direction must match state dimension")
-    if model.db is not None:
-        return model.db(q) @ h
-    hn = float(np.linalg.norm(h))
-    if hn == 0.0:
-        return np.zeros_like(q)
-    eps = 1e-5 / max(1.0, hn)
-
-    def _b_affine(p: np.ndarray) -> np.ndarray:
-        return _drift(model, p - (p.sum() - 1.0) / len(p))
-
-    return (_b_affine(q + eps * h) - _b_affine(q - eps * h)) / (2.0 * eps)
+    return (model.db(q) @ h[..., None])[..., 0]
 
 
 def ell_cost(r):
@@ -261,41 +238,26 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
     if a < 0 or b < 0 or c < 0 or a + b + c <= 0:
         raise ValueError("rates must be nonnegative with a positive total")
 
-    def rate_matrix(q: np.ndarray) -> np.ndarray:
-        R = np.zeros((K, K))
-        idx = np.arange(K - 1)
-        R[idx, idx + 1] = a + b * q[:-1]
-        R[idx + 1, idx] = c
-        return R
+    idx = np.arange(K - 1)
 
-    def rate_matrix_batch(Q: np.ndarray) -> np.ndarray:
+    def rate_matrix(Q: np.ndarray) -> np.ndarray:
         R = np.zeros(Q.shape[:-1] + (K, K))
-        idx = np.arange(K - 1)
         R[..., idx, idx + 1] = a + b * Q[..., :-1]
         R[..., idx + 1, idx] = c
         return R
 
-    def db(q: np.ndarray) -> np.ndarray:
+    def db(Q: np.ndarray) -> np.ndarray:
         # tridiagonal Jacobian of the drift
-        J = np.zeros((K, K))
-        for i in range(K):
-            if i >= 1:
-                J[i, i - 1] += a + 2.0 * b * q[i - 1]
-            if i <= K - 2:
-                J[i, i + 1] += c
-            diag = 0.0
-            if i <= K - 2:
-                diag -= a + 2.0 * b * q[i]
-            if i >= 1:
-                diag -= c
-            J[i, i] = diag
+        up = a + 2.0 * b * Q[..., :-1]
+        J = np.zeros(Q.shape[:-1] + (K, K))
+        J[..., idx + 1, idx] = up
+        J[..., idx, idx + 1] = c
+        J[..., idx, idx] -= up
+        J[..., idx + 1, idx + 1] -= c
         return J
 
     gamma_norm = a + b + c if K >= 3 else max(a + b, c)
     c_gamma = 2 * a + b + 2 * c if K >= 3 else a + b + c
-    db_norm = _operator_norm_bound(
-        lambda q: db(q), K, samples=32, rng=np.random.default_rng(12345)
-    )
     return RateModel(
         K=K,
         rate_matrix=rate_matrix,
@@ -304,9 +266,8 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
         l_gamma=b,
         band=1,
         db=db,
-        rate_matrix_batch=rate_matrix_batch,
         name="birth-death",
-        params={"a": a, "b": b, "c": c, "db_norm_est": db_norm},
+        params={"a": a, "b": b, "c": c},
     )
 
 
@@ -328,13 +289,12 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
 
     return RateModel(
         K=K,
-        rate_matrix=lambda q: R0,
+        rate_matrix=lambda Q: np.broadcast_to(R0, np.shape(Q)[:-1] + (K, K)),
         gamma_norm=gamma_norm,
         c_gamma=c_gamma,
         l_gamma=0.0,
         band=band,
-        db=lambda q: J,
-        rate_matrix_batch=lambda Q: np.broadcast_to(R0, Q.shape[:-1] + (K, K)),
+        db=lambda Q: np.broadcast_to(J, np.shape(Q)[:-1] + (K, K)),
         name="constant",
         params={"matrix": R0.tolist()},
     )
@@ -343,14 +303,6 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
 def two_state_model(rate: float = 1.0) -> RateModel:
     """Symmetric two-state flip model, Gamma_12 = Gamma_21 = rate."""
     return constant_rate_model([[0.0, rate], [rate, 0.0]])
-
-
-def _operator_norm_bound(dbfn, K: int, samples: int, rng: np.random.Generator) -> float:
-    worst = 0.0
-    for _ in range(samples):
-        q = random_simplex(K, rng)
-        worst = max(worst, float(np.linalg.norm(dbfn(q), ord=2)))
-    return worst
 
 
 def model_from_config(cfg: dict) -> RateModel:

@@ -95,6 +95,7 @@ def test_jump_rate_report(tmp_path, model_cfg):
     rep = json.loads(out.read_text())
     assert rep["feasible"] is True
     assert rep["value"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["refine_check"] == "ran"
 
 
 def test_diff_sim_summary(tmp_path, kernel_cfg):

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from devia.jump_analysis import (
     min_norm_u,
@@ -15,7 +18,7 @@ from devia.jump_analysis import (
     u_from_psi,
 )
 from devia.jump_sim import JumpControl
-from devia.mf_model import constant_rate_model
+from devia.mf_model import birth_death_model, constant_rate_model
 from devia.paths import PathVec
 from devia.rng import stream
 
@@ -179,6 +182,77 @@ class TestRateFunctions:
         vals[:, 2] = 0.1 * ts
         res = rate_I(model, p, PathVec(ts, vals))
         assert not res.feasible and "span" in res.message
+        assert res.detail["refine_check"] == "skipped: path infeasible before the check"
+
+
+    @pytest.mark.parametrize(
+        "n_points, want",
+        [
+            (9, "ran"),
+            (5, "skipped: 5 grid points, fewer than 9"),
+            (10, "skipped: 9 grid intervals, an odd number"),
+        ],
+        ids=["ran", "few-points", "odd-intervals"],
+    )
+    def test_refine_check_is_reported(self, flip_model, n_points, want):
+        p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 256)
+        ts = np.linspace(0.0, 1.0, n_points)
+        eta = PathVec(ts, np.outer(ts, [-0.1, 0.1]))
+        for rate in (rate_I, rate_Ibar):
+            res = rate(flip_model, p, eta)
+            assert res.feasible and res.detail["refine_check"] == want
+
+    def test_passes_keep_memory_bounded(self, default_model):
+        # the batched passes work in blocks of slices, so their peak
+        # allocation does not grow with the grid (unblocked, N = 4097 peaks
+        # at about 8 MB)
+        p = solve_p(default_model, np.full(5, 0.2), 1.0, 4096)
+        psi = _potential_control(5, 1.0, n_bins=4, scale=0.4, seed=6)
+        eta = skeleton_G0(default_model, p, psi)
+        for run in (lambda: rate_I(default_model, p, eta), lambda: skeleton_G0(default_model, p, psi)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
+
+
+@st.composite
+def _constant_rate_problems(draw):
+    """A constant-rate model with empty cells (zero rates) and, whenever the
+    states get two labels, no rates between the labels (a disconnected cell
+    graph); a start p0 that may leave states empty; and a mass-zero path."""
+    K = draw(st.integers(2, 5))
+    rates = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+    R = np.array(draw(st.lists(rates, min_size=K * K, max_size=K * K))).reshape(K, K)
+    label = np.array(draw(st.lists(st.integers(0, 1), min_size=K, max_size=K)))
+    R[label[:, None] != label[None, :]] = 0.0
+    p0 = np.array(draw(st.lists(st.integers(0, 3), min_size=K, max_size=K)), dtype=float)
+    p0[0] += 1.0
+    v, w = (
+        np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=K, max_size=K)))
+        for _ in range(2)
+    )
+    return constant_rate_model(R), p0 / p0.sum(), v - v.mean(), w - w.mean()
+
+
+@given(_constant_rate_problems())
+@settings(max_examples=60, deadline=None)
+def test_primal_and_dual_rates_agree(problem):
+    # the SVD least-norm route and the Laplacian dual route share only the
+    # forcing r; they must reach the same verdict and, when feasible, the
+    # same value
+    model, p0, v, w = problem
+    p = solve_p(model, p0, 1.0, 64)
+    ts = p.grid
+    eta = PathVec(ts, np.outer(ts, v) + np.outer(ts**2, w))
+    a = rate_I(model, p, eta)
+    b = rate_Ibar(model, p, eta)
+    assert a.feasible == b.feasible, (a.message, b.message)
+    if a.feasible:
+        assert abs(a.value - b.value) <= 1e-8 * max(1.0, a.value)
 
 
 class TestControlMaps:
@@ -222,7 +296,7 @@ def test_solve_p_halves_stiff_steps():
     # a fast-decaying component at a coarse grid overshoots the simplex; the
     # solver must substep to stay in it (accuracy is the grid's job, and an
     # adequate grid recovers the exact decay)
-    from devia.mf_model import constant_rate_model
+    from devia.mf_model import birth_death_model, constant_rate_model
 
     model = constant_rate_model([[0.0, 0.0], [50.0, 0.0]])
     coarse = solve_p(model, np.array([0.0, 1.0]), 1.0, 16)

@@ -130,22 +130,30 @@ class TestDbApply:
 
     def test_matches_finite_difference(self, default_model, rng):
         # analytic Jacobian against an independent centered difference
-        q = random_simplex(5, rng)
-        h = rng.normal(size=5)
-        h -= h.mean()
-        eps = 1e-6
-        fd = (drift_b(default_model, q + eps * h) - drift_b(default_model, q - eps * h)) / (2 * eps)
-        assert np.abs(db_apply(default_model, q, h) - fd).max() < 1e-6
+        for model in (default_model, birth_death_model(4, 0.4, 0.3, 0.6)):
+            q = random_simplex(model.K, rng)
+            h = rng.normal(size=model.K)
+            h -= h.mean()
+            eps = 1e-6
+            fd = (drift_b(model, q + eps * h) - drift_b(model, q - eps * h)) / (2 * eps)
+            assert np.abs(db_apply(model, q, h) - fd).max() < 1e-6
 
-    def test_fallback_matches_analytic(self, rng):
-        from dataclasses import replace
-
-        analytic = birth_death_model(4, 0.4, 0.3, 0.6)
-        plain = replace(analytic, db=None)
-        q = random_simplex(4, rng)
-        h = rng.normal(size=4)
-        h -= h.mean()
-        assert np.abs(db_apply(plain, q, h) - db_apply(analytic, q, h)).max() < 1e-6
+    @pytest.mark.parametrize(
+        "model",
+        [birth_death_model(5, 0.5, 0.5, 0.5), constant_rate_model([[0, 1, 0.5], [0.2, 0, 0.3], [0, 0.7, 0]])],
+        ids=["birth-death", "constant"],
+    )
+    def test_batched_over_leading_axes(self, model, rng):
+        # rate matrices, Jacobians and db_apply of a (2, 3, K) stack of
+        # states equal those of each state on its own
+        Q = np.stack([[random_simplex(model.K, rng) for _ in range(3)] for _ in range(2)])
+        H = rng.normal(size=Q.shape)
+        R, J, D = model.rate_matrix(Q), model.db(Q), db_apply(model, Q, H)
+        assert R.shape == J.shape == (2, 3, model.K, model.K)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(R[idx], model.rate_matrix(Q[idx]))
+            assert np.array_equal(J[idx], model.db(Q[idx]))
+            assert np.allclose(D[idx], model.db(Q[idx]) @ H[idx], rtol=1e-15, atol=1e-15)
 
 
 class TestEll:
