@@ -21,6 +21,11 @@ non-forcing tendency, the leftover residual is integrated in x to recover
 the forcing flux sigma*g*rho at the cell interfaces (it must vanish at both
 ends, otherwise the path leaks mass), and the cost is 1/2 * integral g^2 rho
 evaluated as flux^2 / (sigma^2 rho) away from the degeneracy floor.
+
+The flux helpers act on fields of shape (..., Nx).  The two marches step
+one time slice at a time; ``rate_diffusion`` and ``weak_form_residual``
+treat a block of up to BLOCK_CELLS grid cells (time slices x Nx) per
+batched call.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .jump_analysis import RateResult
 from .kernels import KernelPair, MeasureHook
-from .paths import time_derivative
+from .paths import blocks, time_derivative
 
 __all__ = [
     "GridField",
@@ -47,6 +52,9 @@ __all__ = [
 
 EPS_DEG_FACTOR = 1e-8
 LEAK_RTOL = 1e-6
+# The blocked passes evaluate at most this many grid cells per call, which
+# bounds their temporaries independently of the number of time slices.
+BLOCK_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,9 @@ class GridField:
             raise ValueError(f"time {t} is not on the grid")
         return k
 
-    def hook(self, t: float) -> MeasureHook:
-        return MeasureHook(points=self.xs, weights=self.values[self.index_of(t)] * self.dx)
-
     def pair(self, t: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return self.hook(t).pair(f)
+        """<rho(t), f> for a grid time t."""
+        return MeasureHook(points=self.xs, weights=self.values[self.index_of(t)] * self.dx).pair(f)
 
 
 def _coeff_fields(kernels: KernelPair, xs: np.ndarray, rho: np.ndarray, dx: float):
@@ -93,17 +99,17 @@ def _vanleer(r: np.ndarray) -> np.ndarray:
 
 def _advective_flux(v: np.ndarray, f: np.ndarray, dx: float) -> np.ndarray:
     """Flux-limited upwind flux of the field f with cell-center velocity v,
-    at the interior interfaces (length Nx-1)."""
-    vf = 0.5 * (v[:-1] + v[1:])
-    df = np.diff(f)  # f_{i+1} - f_i, length Nx-1
+    at the interior interfaces (..., Nx-1)."""
+    vf = _central_face(v)
+    df = np.diff(f)  # f_{i+1} - f_i
     # limited slope ratios on the donor side; guard zero denominators
     eps = 1e-300
     r_up = np.ones_like(df)
     r_dn = np.ones_like(df)
-    r_up[1:] = df[:-1] / (df[1:] + np.where(df[1:] >= 0, eps, -eps))
-    r_dn[:-1] = df[1:] / (df[:-1] + np.where(df[:-1] >= 0, eps, -eps))
-    face_up = f[:-1] + 0.5 * _vanleer(r_up) * df  # donor cell on the left
-    face_dn = f[1:] - 0.5 * _vanleer(r_dn) * df  # donor cell on the right
+    r_up[..., 1:] = df[..., :-1] / (df[..., 1:] + np.where(df[..., 1:] >= 0, eps, -eps))
+    r_dn[..., :-1] = df[..., 1:] / (df[..., :-1] + np.where(df[..., :-1] >= 0, eps, -eps))
+    face_up = f[..., :-1] + 0.5 * _vanleer(r_up) * df  # donor cell on the left
+    face_dn = f[..., 1:] - 0.5 * _vanleer(r_dn) * df  # donor cell on the right
     face = np.where(vf >= 0.0, face_up, face_dn)
     return vf * face
 
@@ -114,15 +120,15 @@ def _gradient_flux(p: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _central_face(p: np.ndarray) -> np.ndarray:
-    return 0.5 * (p[:-1] + p[1:])
+    return 0.5 * (p[..., :-1] + p[..., 1:])
 
 
 def _divergence(flux: np.ndarray, dx: float) -> np.ndarray:
     """Cell tendency -d_x F from interior interface fluxes, zero-flux walls."""
-    out = np.empty(len(flux) + 1)
-    out[0] = -flux[0] / dx
-    out[-1] = flux[-1] / dx
-    out[1:-1] = -(flux[1:] - flux[:-1]) / dx
+    out = np.empty(flux.shape[:-1] + (flux.shape[-1] + 1,))
+    out[..., 0] = -flux[..., 0] / dx
+    out[..., -1] = flux[..., -1] / dx
+    out[..., 1:-1] = -(flux[..., 1:] - flux[..., :-1]) / dx
     return out
 
 
@@ -247,6 +253,11 @@ def control_cost_on_grid(rho: GridField, g) -> float:
     return 0.5 * float(np.trapezoid(dens, rho.ts))
 
 
+def _time_blocks(field: GridField):
+    """Blocks of time slices of at most BLOCK_CELLS grid cells each."""
+    return blocks(len(field.ts), max(1, BLOCK_CELLS // len(field.xs)))
+
+
 def rate_diffusion(
     kernels: KernelPair,
     rho: GridField,
@@ -269,54 +280,45 @@ def rate_diffusion(
     if mass.max() > 1e-8 * scale:
         return RateResult(math.inf, False, mass, "path is not mass-zero")
 
-    n_t = len(ts)
     etadot = time_derivative(ts, vals)
-
-    dens_t = np.zeros(n_t)
-    leak = np.zeros(n_t)
-    degenerate_flux = 0.0
-    max_flux = 0.0
-    fluxes = []
-    faces_deg = []
-    for k in range(n_t):
-        sigma, b = _coeff_fields(kernels, xs, rho.values[k], dx)
-        nonforcing = _linearized_tendency(
-            kernels, xs, dx, rho.values[k], vals[k], None, sigma, b
-        )
-        resid = etadot[k] - nonforcing
+    phi = np.empty((len(ts), len(xs) - 1))  # recovered forcing flux at the interfaces
+    s2r = np.empty_like(phi)  # sigma^2 rho at the interfaces
+    leak = np.empty(len(ts))
+    for b in _time_blocks(eta):
+        r = rho.values[b]
+        sigma, drift = _coeff_fields(kernels, xs, r, dx)
+        resid = etadot[b] - _linearized_tendency(kernels, xs, dx, r, vals[b], None, sigma, drift)
         # resid = -d_x Phi with zero-flux walls: integrate from the left
-        phi = -np.cumsum(resid[:-1]) * dx
-        leak[k] = abs(dx * resid.sum())
-        s2r_face = _central_face(sigma**2 * rho.values[k])
-        fluxes.append(phi)
-        faces_deg.append(s2r_face)
-        max_flux = max(max_flux, float(np.abs(phi).max(initial=0.0)))
+        phi[b] = -np.cumsum(resid[:, :-1], axis=1) * dx
+        leak[b] = np.abs(dx * resid.sum(axis=1))
+        s2r[b] = _central_face(sigma**2 * r)
+    del etadot, resid  # free before the whole-path expressions below
 
-    floor = eps_deg_factor * max(
-        float(np.max([f.max(initial=0.0) for f in faces_deg])), 1e-300
-    )
-    flux_tol = leak_rtol * max(1.0, max_flux)
+    flux_scale = max(1.0, float(np.abs(phi).max(initial=0.0)))
+    flux_tol = leak_rtol * flux_scale
+    ratio = leak / flux_scale
     if leak.max() > flux_tol:
         k = int(leak.argmax())
         return RateResult(
             math.inf,
             False,
-            leak / max(1.0, max_flux),
+            ratio,
             f"forcing flux does not vanish at the boundary at t={ts[k]:.6g} "
             f"(leak {leak[k]:.3e})",
         )
-    for k in range(n_t):
-        ok = faces_deg[k] > floor
-        if np.any(~ok & (np.abs(fluxes[k]) > flux_tol)):
-            return RateResult(
-                math.inf,
-                False,
-                leak / max(1.0, max_flux),
-                f"recovered flux lives where sigma^2 rho is degenerate at t={ts[k]:.6g}",
-            )
-        dens_t[k] = float((fluxes[k][ok] ** 2 / faces_deg[k][ok]).sum()) * dx
+    ok = s2r > eps_deg_factor * max(float(s2r.max(initial=0.0)), 1e-300)
+    bad = np.flatnonzero((~ok & (np.abs(phi) > flux_tol)).any(axis=1))
+    if len(bad):
+        return RateResult(
+            math.inf,
+            False,
+            ratio,
+            f"recovered flux lives where sigma^2 rho is degenerate at t={ts[bad[0]]:.6g}",
+        )
+    s2r[~ok] = np.inf  # degenerate interfaces carry neither flux nor cost
+    dens_t = np.einsum("ki,ki->k", phi, phi / s2r) * dx
     value = 0.5 * float(np.trapezoid(dens_t, ts))
-    return RateResult(value, True, leak / max(1.0, max_flux))
+    return RateResult(value, True, ratio)
 
 
 def weak_form_residual(
@@ -332,18 +334,13 @@ def weak_form_residual(
     """
     from .schwartz import apply_L
 
-    xs, ts, dx, dt = eta.xs, eta.ts, eta.dx, eta.dt
+    xs, ts, dx = eta.xs, eta.ts, eta.dx
     garr = _as_control_array(g, xs, ts)
-    phi_x = phi(xs)
     dphi_x = phi.derivative()(xs)
-    pair_eta = eta.values @ phi_x * dx
-    dpair = np.gradient(pair_eta, dt)
-    out = np.empty(len(ts))
-    for k in range(len(ts)):
-        mu = rho.hook(ts[k])
-        L_phi = apply_L(kernels, mu, phi)
-        sigma = kernels.sigma(xs, mu)
-        bracket = float(eta.values[k] @ L_phi(xs) * dx)
-        forcing = float((sigma * garr[k] * rho.values[k]) @ dphi_x * dx)
-        out[k] = dpair[k] - bracket - forcing
+    out = time_derivative(ts, eta.values @ phi(xs) * dx)
+    for b in _time_blocks(eta):
+        mu = MeasureHook(points=xs, weights=rho.values[b] * dx)
+        bracket = np.einsum("ki,ki->k", eta.values[b], apply_L(kernels, mu, phi)(xs)) * dx
+        forcing = (kernels.sigma(xs, mu) * garr[b] * rho.values[b]) @ dphi_x * dx
+        out[b] = out[b] - bracket - forcing
     return out

@@ -16,17 +16,7 @@ import yaml
 from ..kernels import KernelPair, kernels_from_config
 from ..mf_model import RateModel, model_from_config
 
-__all__ = ["load_config", "dump_config", "resolve_model", "resolve_kernels", "EXPERIMENT_KINDS"]
-
-EXPERIMENT_KINDS = (
-    "lln",
-    "clt-scaling",
-    "tilt-limit",
-    "coupling-scaling",
-    "rate-roundtrip",
-    "lemma-suite",
-    "initial-moments",
-)
+__all__ = ["load_config", "dump_config", "resolve_model", "resolve_kernels"]
 
 
 def load_config(path) -> dict:

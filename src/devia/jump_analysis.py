@@ -34,7 +34,7 @@ import numpy as np
 
 from .jump_sim import JumpControl
 from .mf_model import RateModel, _drift, cell_weights, db_apply
-from .paths import PathVec, time_derivative
+from .paths import PathVec, blocks, time_derivative
 
 __all__ = [
     "ControlMatrixU",
@@ -98,11 +98,6 @@ def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> 
 BLOCK = 256
 
 
-def _blocks(n: int):
-    """Consecutive slices of range(n) of length at most BLOCK."""
-    return (slice(k, min(k + BLOCK, n)) for k in range(0, n, BLOCK))
-
-
 def _forcing(model: RateModel, P: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Exact per-cell integral of the jump map against psi: sum over cells of
     (e_j - e_i) psi_ij w_ij, for states P of shape (..., K)."""
@@ -121,7 +116,7 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     ts = p_path.grid
     eta = np.zeros((len(ts), model.K))
     y = eta[0]
-    for b in _blocks(len(ts) - 1):
+    for b in blocks(len(ts) - 1, BLOCK):
         h = ts[b.start + 1 : b.stop + 1] - ts[b]
         # stage times of step k at 2k (start), 2k + 1 (midpoint), 2k + 2 (end)
         s = np.empty(2 * len(h) + 1)
@@ -263,7 +258,7 @@ def _slice_blocks(model: RateModel, p_path: PathVec, eta: PathVec):
     control must produce there."""
     ts = eta.grid
     etadot = time_derivative(ts, eta.values)
-    for b in _blocks(len(ts)):
+    for b in blocks(len(ts), BLOCK):
         P = p_path(ts[b])
         yield b, cell_weights(model, P), etadot[b] - db_apply(model, P, eta.values[b])
 

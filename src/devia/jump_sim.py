@@ -113,9 +113,9 @@ class JumpControl:
         return float(self.edges[-1])
 
     def bin_index(self, t) -> np.ndarray:
-        return np.clip(
-            np.searchsorted(self.edges, t, side="right") - 1, 0, len(self.edges) - 2
-        )
+        k = np.searchsorted(self.edges, t, side="right") - 1
+        # np.minimum/np.maximum: np.clip's Python-level wrapper is slow here
+        return np.minimum(np.maximum(k, 0), len(self.edges) - 2)
 
     def value(self, t) -> np.ndarray:
         """psi(t), shape (K, K) for scalar t, (n, K, K) for array t."""
@@ -346,8 +346,7 @@ def batch_paths(
         n = len(rows)
         rates = counts[:, :, None] * model.rates_batch(counts / m)  # (n, K, K)
         if tilted:
-            k = np.searchsorted(edges, t, side="right") - 1
-            k = np.minimum(np.maximum(k, 0), len(edges) - 2)
+            k = control.bin_index(t)
             psi = control.psi[k]
             bound = rates * (1.0 + np.maximum(psi, 0.0) / a_scale)
             cap = np.minimum(edges[k + 1], T)

@@ -9,6 +9,9 @@ instead of O(m^2).  Factors may share an envelope (:class:`Enveloped`), which
 
 Measures enter through :class:`MeasureHook`, a plain (points, weights)
 quadrature view that both particle ensembles and grid densities provide.
+The weights may carry leading axes, (..., N): a path of measures on one
+set of points, such as a grid density over a block of times, is then
+averaged in one call, and each row equals the call on that row alone.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ __all__ = [
 _CHUNK = 512
 
 
-def _dot(w: np.ndarray, g) -> float:
-    """sum_i w_i g_i in numpy's own single-threaded loop; a BLAS dot spreads
-    over every core and buys no wall time at these sizes."""
-    return float(np.einsum("i,i->", w, np.asarray(g, dtype=float)))
+def _dot(w: np.ndarray, g):
+    """sum_i w[..., i] g_i in numpy's own single-threaded loop; a BLAS dot
+    spreads over every core and buys no wall time at these sizes."""
+    return np.einsum("...i,i->...", w, np.asarray(g, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -95,28 +98,32 @@ class Kernel:
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def mean_y(self, x: np.ndarray, mu: MeasureHook) -> np.ndarray:
-        """x |-> integral k(x, y) mu(dy), vectorized over x."""
+        """x |-> integral k(x, y) mu(dy), vectorized over x; weights
+        (..., N) give (..., len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.sep is not None:
             f, g = self.sep
-            return np.asarray(f(x), dtype=float) * _dot(mu.weights, g(mu.points))
-        out = np.empty_like(x)
+            return np.asarray(f(x), dtype=float) * _dot(mu.weights, g(mu.points))[..., None]
+        out = np.empty(mu.weights.shape[:-1] + x.shape)
+        w = mu.weights[..., None]
         for lo in range(0, len(x), _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            out[sl] = self.fn(x[sl, None], mu.points[None, :]) @ mu.weights
+            out[..., sl] = (self.fn(x[sl, None], mu.points[None, :]) @ w)[..., 0]
         return out
 
     def mean_x(self, fvals: np.ndarray, mu: MeasureHook, x: np.ndarray) -> np.ndarray:
-        """x |-> integral f(y) k(y, x) mu(dy) for sample values f(points)."""
+        """x |-> integral f(y) k(y, x) mu(dy) for sample values f(points);
+        weights or values (..., N) give (..., len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         wf = mu.weights * fvals
         if self.sep is not None:
             f, g = self.sep
-            return _dot(wf, f(mu.points)) * np.asarray(g(x), dtype=float)
-        out = np.empty_like(x)
+            return _dot(wf, f(mu.points))[..., None] * np.asarray(g(x), dtype=float)
+        out = np.empty(wf.shape[:-1] + x.shape)
+        wf = wf[..., None, :]
         for lo in range(0, len(x), _CHUNK):
             sl = slice(lo, lo + _CHUNK)
-            out[sl] = wf @ self.fn(mu.points[:, None], x[None, sl])
+            out[..., sl] = (wf @ self.fn(mu.points[:, None], x[None, sl]))[..., 0, :]
         return out
 
 

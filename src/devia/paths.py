@@ -3,7 +3,8 @@
 PathVec holds one truncated-l2 vector per grid time and interpolates
 linearly in between.  It is the common carrier for the deterministic limit
 path p, fluctuation paths and skeleton solutions eta.  time_derivative is
-the finite-difference d/dt that the jump and diffusion rate inversions share.
+the finite-difference d/dt, and blocks the split of a time grid into
+batched passes, that the jump and diffusion analysis layers share.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PathVec", "time_derivative"]
+__all__ = ["PathVec", "blocks", "time_derivative"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,8 @@ class PathVec:
 def time_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """d/dt of vals[k, ...] sampled at ts[k]: second-order central differences
     on a uniform grid, one-sided at the ends."""
+    if len(ts) < 3:
+        raise ValueError(f"the time derivative needs at least 3 grid times, got {len(ts)}")
     h = ts[1] - ts[0]
     if not np.allclose(np.diff(ts), h, rtol=1e-8, atol=1e-14 * max(1.0, ts[-1])):
         raise ValueError("rate evaluation expects a uniform time grid")
@@ -90,3 +93,8 @@ def time_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)
     d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * h)
     return d
+
+
+def blocks(n: int, size: int):
+    """Consecutive slices of range(n) of length at most size."""
+    return (slice(k, min(k + size, n)) for k in range(0, n, size))

@@ -98,6 +98,20 @@ def test_jump_rate_report(tmp_path, model_cfg):
     assert rep["refine_check"] == "ran"
 
 
+def test_jump_rate_two_point_path_is_diagnosed(tmp_path, model_cfg, capsys):
+    # d/dt needs three grid times: a two-row path is an input error (exit 2)
+    from devia.harness.io import write_path_vec
+    from devia.paths import PathVec
+
+    eta_csv = tmp_path / "eta.csv"
+    write_path_vec(PathVec(np.array([0.0, 1.0]), np.zeros((2, 2))), eta_csv)
+    out = tmp_path / "report.json"
+    rc = main(["jump-rate", "--model", model_cfg, "--eta", str(eta_csv), "--out", str(out)])
+    assert rc == 2
+    assert "at least 3 grid times, got 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diff_sim_summary(tmp_path, kernel_cfg):
     rc = main(
         ["diff-sim", "--kernels", kernel_cfg, "--m", "32", "--T", "0.25", "--dt", "0.015625",
@@ -164,3 +178,16 @@ def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
         rc = main(argv + ["--x0", "1", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "left the finite range" in capsys.readouterr().err
+
+
+def test_diff_rate_two_point_field_is_diagnosed(tmp_path, kernel_cfg, capsys):
+    from devia.diff_analysis import GridField
+
+    xs = np.linspace(-5.0, 5.0, 161)
+    eta_csv = tmp_path / "eta.csv"
+    write_grid_field(GridField(xs, np.array([0.0, 1e-3]), np.zeros((2, 161))), eta_csv)
+    out = tmp_path / "rate.json"
+    rc = main(["diff-rate", "--kernels", kernel_cfg, "--eta", str(eta_csv), "--out", str(out)])
+    assert rc == 2
+    assert "at least 3 grid times, got 2" in capsys.readouterr().err
+    assert not out.exists()
