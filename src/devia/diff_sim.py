@@ -9,8 +9,17 @@ exposing measure pairings and a kernel density.
 
 Every simulator here (the interacting and controlled systems, the reference
 ensemble, the limit path, the Richardson guard and the lockstep coupling)
-advances through one Euler-Maruyama step, which also stops the run with a
-FloatingPointError as soon as a position leaves the finite range.
+advances through one Euler-Maruyama step, :meth:`_FlatEM.step`, which also
+stops the run with a FloatingPointError naming the segment and particle as
+soon as a position leaves the finite range.  The step works on one flat
+particle array cut into segments, each with its own measure: the coupling
+lays out its systems of sizes m_1 .. m_k and its max(m) reference particles
+as k + 1 segments of one array and advances them all in one step, the other
+simulators use a single segment.  Kernel factors are evaluated once per
+particle over blocks of consecutive segments; every other pass of the update
+writes into work buffers allocated once per run, so the step allocates no
+particle-sized arrays of its own.  Each segment's floating-point operations
+are those of stepping it alone, so the layout changes no output bit.
 
 Noise is drawn per step from the replica's own counter-based stream, one
 standard normal per particle, so a controlled system of size m and reference
@@ -26,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelPair, MeasureHook
+from .kernels import KernelPair, MeasureHook, _dot, _factor
 from .rng import stream
 
 __all__ = [
@@ -49,6 +58,11 @@ Control = Callable[[float, np.ndarray], np.ndarray]
 # replica id of the once-per-run reference ensembles' streams; Monte Carlo
 # replicas are numbered from 0 and never reach it
 REFERENCE_REPLICA = 10_000_000
+
+# particles per kernel-factor evaluation: keeps the temporaries that the
+# factor functions allocate at 64 KB, or at one segment when that is larger;
+# larger temporaries are returned to the OS and faulted back every step
+BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -85,36 +99,95 @@ def _n_steps(T: float, dt: float) -> int:
     return n_steps
 
 
-def _em_step(
-    kernels: KernelPair,
-    x: np.ndarray,
-    z: np.ndarray,
-    dt: float,
-    u=None,
-    a_scale: float = 1.0,
-    pairings=None,
-    record: np.ndarray | None = None,
-) -> np.ndarray:
-    """One Euler-Maruyama step x + b dt + sigma sqrt(dt) z, plus
-    sigma u dt / a_scale when u is given.
+class _FlatEM:
+    """Euler-Maruyama on one flat particle array cut into segments.
 
-    The coefficients are taken under the empirical measure of x, or under
-    the measure whose pairings (<mu, g_alpha>, <mu, g_beta>) are given;
-    ``record`` receives the pairings used.
+    Segment j holds the particles ``x[segs[j]]``.  Its coefficients are
+    taken under its own empirical measure (weights 1/n_j) or under given
+    pairings (<mu, g_alpha>, <mu, g_beta>).  Consecutive segments are
+    grouped into blocks of at most BLOCK particles (a larger segment is a
+    block of its own), and the kernel factors are evaluated once per block,
+    so every envelope is computed once per particle.  Every pass of the
+    update writes into work buffers allocated here once.  ``used[j]`` holds
+    the pairings the last step used on segment j (nan for a dense kernel).
     """
-    sig, drift, used = kernels.coefficients(x, pairings)
-    if record is not None:
-        record[:] = used
-    step = drift * dt + sig * math.sqrt(dt) * z
-    if u is not None:
-        step = step + sig * u * (dt / a_scale)
-    x = x + step
-    if not np.isfinite(x).all():
-        bad = int(np.nonzero(~np.isfinite(x))[0][0])
-        raise FloatingPointError(
-            f"particle {bad} left the finite range in a step of size dt={dt:.6g}"
-        )
-    return x
+
+    def __init__(self, kernels: KernelPair, sizes, x0: float, dt: float, names=None):
+        self.kernels = kernels
+        self.edges = np.cumsum([0, *sizes])
+        self.segs = [slice(int(lo), int(hi)) for lo, hi in zip(self.edges[:-1], self.edges[1:])]
+        self.names = names
+        self.dt = dt
+        self.weights = [np.full(n, 1.0 / n) for n in sizes]
+        self.x = np.full(int(self.edges[-1]), float(x0))
+        self.used = np.empty((len(sizes), 2))
+        self._sig, self._step, self._tmp = (np.empty_like(self.x) for _ in range(3))
+        self._finite = np.empty(len(self.x), dtype=bool)
+        self.xs = [self.x[seg] for seg in self.segs]
+        self._views = [(self._sig[seg], self._step[seg], self._tmp[seg]) for seg in self.segs]
+        groups: list = []  # (block start, [(segment index, its slice in the block)])
+        for j, seg in enumerate(self.segs):
+            if not groups or seg.stop - groups[-1][0] > BLOCK:
+                groups.append((seg.start, []))
+            lo, members = groups[-1]
+            members.append((j, slice(seg.start - lo, seg.stop - lo)))
+        self._blocks = [(slice(lo, lo + members[-1][1].stop), members) for lo, members in groups]
+
+    def _coefficients(self, pairings) -> None:
+        """sigma into _sig and b into _step."""
+        x = self.x
+        kerns = ((self.kernels.alpha, self._sig), (self.kernels.beta, self._step))
+        for k, (kern, out) in enumerate(kerns):
+            if kern.sep is None:  # dense: the mean over the segment's own particles
+                for seg, w in zip(self.segs, self.weights):
+                    out[seg] = kern.mean_y(x[seg], MeasureHook(points=x[seg], weights=w))
+                self.used[:, k] = np.nan
+        for blk, members in self._blocks:
+            xb, memo = x[blk], {}
+            for k, (kern, out) in enumerate(kerns):
+                if kern.sep is None:
+                    continue
+                f, g = kern.sep
+                fx = _factor(f, xb, memo)
+                for j, local in members:
+                    if pairings[j] is not None:
+                        s = float(pairings[j][k])
+                    else:  # kernels sharing g share the pairing
+                        key = ("pair", id(g), j)
+                        if key not in memo:
+                            memo[key] = _dot(self.weights[j], _factor(g, xb, memo)[local])
+                        s = memo[key]
+                    np.multiply(fx[local], s, out=self._views[j][k])
+                    self.used[j, k] = s
+
+    def step(self, z: np.ndarray, pairings=None, controls=None) -> None:
+        """x += b dt + sigma sqrt(dt) z, plus sigma u dt / a on each segment j
+        with controls[j] = (u, a).  pairings[j] is None for the segment's
+        own empirical measure.  Raises FloatingPointError, naming the
+        segment and particle, as soon as a position leaves the finite range.
+        """
+        n_seg = len(self.segs)
+        self._coefficients(pairings or [None] * n_seg)
+        sig, step, tmp = self._sig, self._step, self._tmp
+        np.multiply(step, self.dt, out=step)
+        np.multiply(sig, math.sqrt(self.dt), out=tmp)
+        np.multiply(tmp, z, out=tmp)
+        np.add(step, tmp, out=step)
+        for (sig_j, step_j, tmp_j), ctrl in zip(self._views, controls or [None] * n_seg):
+            if ctrl is not None:
+                u, a_scale = ctrl
+                np.multiply(sig_j, u, out=tmp_j)
+                np.multiply(tmp_j, self.dt / a_scale, out=tmp_j)
+                np.add(step_j, tmp_j, out=step_j)
+        np.add(self.x, step, out=self.x)
+        if not np.isfinite(self.x, out=self._finite).all():
+            bad = int(np.argmin(self._finite))
+            j = int(np.searchsorted(self.edges, bad, side="right")) - 1
+            where = "" if self.names is None else f" of {self.names[j]}"
+            raise FloatingPointError(
+                f"particle {bad - self.edges[j]}{where} left the finite range "
+                f"in a step of size dt={self.dt:.6g}"
+            )
 
 
 def _em_run(
@@ -131,24 +204,26 @@ def _em_run(
     if m < 1:
         raise ValueError(f"need m >= 1; got m={m}")
     n_steps = _n_steps(T, dt)
-    x = np.full(m, float(x0))
+    sim = _FlatEM(kernels, [m], x0, dt)
+    z = np.empty(m)
     rec_idx = list(range(0, n_steps + 1, record_stride))
     if rec_idx[-1] != n_steps:
         rec_idx.append(n_steps)
     rec = np.empty((len(rec_idx), m))
     rec_times = np.array([k * dt for k in rec_idx])
-    rec[0] = x
+    rec[0] = sim.x
     cost = 0.0
     pos = 1
     for k in range(n_steps):
-        z = rng.standard_normal(m)
-        u = None
+        rng.standard_normal(out=z)
+        controls = None
         if control is not None:
-            u = np.broadcast_to(np.asarray(control(k * dt, x), dtype=float), x.shape)
+            u = np.broadcast_to(np.asarray(control(k * dt, sim.x), dtype=float), (m,))
             cost += float(np.dot(u, u)) * dt / (2.0 * m)
-        x = _em_step(kernels, x, z, dt, u, a_scale)
+            controls = [(u, a_scale)]
+        sim.step(z, controls=controls)
         if pos < len(rec_idx) and k + 1 == rec_idx[pos]:
-            rec[pos] = x
+            rec[pos] = sim.x
             pos += 1
     return DiffusionPath(times=rec_times, positions=rec, dt=dt), cost
 
@@ -223,14 +298,17 @@ def richardson_gap(
         raise ValueError(f"need m >= 1; got m={m}")
     n_steps = _n_steps(T, dt)
     rng = stream(seed, replica)
-    xc = np.full(m, float(x0))
-    xf = np.full(m, float(x0))
+    coarse = _FlatEM(kernels, [m], x0, dt)
+    fine = _FlatEM(kernels, [m], x0, dt / 2.0)
+    z1, z2, zc = np.empty(m), np.empty(m), np.empty(m)
     for _ in range(n_steps):
-        z1 = rng.standard_normal(m)
-        z2 = rng.standard_normal(m)
-        xf = _em_step(kernels, _em_step(kernels, xf, z1, dt / 2.0), z2, dt / 2.0)
-        xc = _em_step(kernels, xc, (z1 + z2) / math.sqrt(2.0), dt)
-    return float(np.mean((xc - xf) ** 2))
+        rng.standard_normal(out=z1)
+        rng.standard_normal(out=z2)
+        fine.step(z1)
+        fine.step(z2)
+        np.divide(np.add(z1, z2, out=zc), math.sqrt(2.0), out=zc)
+        coarse.step(zc)
+    return float(np.mean((coarse.x - fine.x) ** 2))
 
 
 @dataclass(frozen=True)
@@ -372,11 +450,13 @@ def limit_path(
         raise ValueError(f"need M_ref >= 1; got M_ref={M_ref}")
     n_steps = _n_steps(T, dt)
     rng = stream(seed, REFERENCE_REPLICA)
-    x = np.full(M_ref, float(x0))
+    sim = _FlatEM(kernels, [M_ref], x0, dt)
+    z = np.empty(M_ref)
     values = np.empty((n_steps + 1, 2))
     for k in range(n_steps):
-        x = _em_step(kernels, x, rng.standard_normal(M_ref), dt, record=values[k])
-    values[n_steps] = kernels.coefficients(x)[2]
+        sim.step(rng.standard_normal(out=z))
+        values[k] = sim.used[0]
+    values[n_steps] = kernels.coefficients(sim.x)[2]
     return LimitPath(values=values, dt=dt, M_ref=M_ref, x0=float(x0))
 
 
@@ -417,19 +497,25 @@ def run_coupled(
     if have != need:
         raise ValueError(f"limit path has (n_steps, dt, M_ref, x0) = {have}; the run needs {need}")
     rng = stream(seed, replica)
-    n_ref = max(ms)
-    x_ref = np.full(n_ref, float(x0))
-    sys = {m: np.full(m, float(x0)) for m in ms}
-    gap = {m: np.zeros(m) for m in ms}
-    a_scale = {m: m ** (-theta) * math.sqrt(m) for m in ms}
+    names = [f"the system of size m={m}" for m in ms] + ["the reference block"]
+    sim = _FlatEM(kernels, [*ms, max(ms)], x0, dt, names)
+    z = np.empty_like(sim.x)
+    *zs, z_ref = (z[seg] for seg in sim.segs)
+    *xs, x_ref = sim.xs
+    gap = np.zeros(sum(ms))
+    diff = np.empty_like(gap)
+    diffs = [diff[seg] for seg in sim.segs[:-1]]
+    a_scale = [m ** (-theta) * math.sqrt(m) for m in ms]
+    pairings = [None] * (len(ms) + 1)
     for k in range(n_steps):
         t = k * dt
-        z = rng.standard_normal(n_ref)
-        for m in ms:
-            x = sys[m]
-            u = np.broadcast_to(np.asarray(control(t, x), dtype=float), x.shape)
-            sys[m] = _em_step(kernels, x, z[:m], dt, u, a_scale[m])
-        x_ref = _em_step(kernels, x_ref, z, dt, pairings=limit.values[k])
-        for m in ms:
-            np.maximum(gap[m], (sys[m] - x_ref[:m]) ** 2, out=gap[m])
-    return {m: float(gap[m].mean()) for m in ms}
+        rng.standard_normal(out=z_ref)
+        for zj, m in zip(zs, ms):
+            zj[...] = z_ref[:m]
+        controls = [(np.asarray(control(t, x), dtype=float), a) for x, a in zip(xs, a_scale)]
+        pairings[-1] = limit.values[k]
+        sim.step(z, pairings, controls + [None])
+        for d, x, m in zip(diffs, xs, ms):
+            np.subtract(x, x_ref[:m], out=d)
+        np.maximum(gap, np.square(diff, out=diff), out=gap)
+    return {m: float(gap[seg].mean()) for seg, m in zip(sim.segs, ms)}

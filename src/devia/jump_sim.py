@@ -249,7 +249,9 @@ class _ReplicaRandoms:
     :func:`devia.rng.counter_uniforms`).  Each row caches the next ``CACHE``
     draws of its replica and refills them when they run out, so results are
     identical no matter how replicas are grouped, and rows can be dropped
-    without touching the draws of the others.
+    without touching the draws of the others.  A draw advances a row's
+    pointer by at most one, so ``safe``, the number of draws no row can run
+    out in, counts down to the next look for rows to refill.
     """
 
     CACHE = 32
@@ -257,21 +259,26 @@ class _ReplicaRandoms:
     def __init__(self, seed: int, replica_ids: np.ndarray):
         self.seed = seed
         self.ids = replica_ids
+        self.rows = np.arange(len(replica_ids))
         self.base = np.zeros(len(replica_ids), dtype=np.int64)  # draw index of buf[:, 0]
         self.ptr = np.zeros(len(replica_ids), dtype=np.int64)
         self.buf = counter_uniforms(seed, replica_ids, self.base, self.CACHE)
+        self.safe = self.CACHE
 
     def draw(self, mask: np.ndarray | None = None) -> np.ndarray:
         """The next uniform of every row; rows outside ``mask`` keep theirs."""
-        need = np.nonzero(self.ptr == self.CACHE)[0]
-        if len(need):
-            self.base[need] += self.CACHE
-            self.ptr[need] = 0
-            self.buf[need] = counter_uniforms(
-                self.seed, self.ids[need], self.base[need], self.CACHE
-            )
-        out = self.buf[np.arange(len(self.ptr)), self.ptr]
+        if not self.safe:
+            need = np.flatnonzero(self.ptr == self.CACHE)
+            if len(need):
+                self.base[need] += self.CACHE
+                self.ptr[need] = 0
+                self.buf[need] = counter_uniforms(
+                    self.seed, self.ids[need], self.base[need], self.CACHE
+                )
+            self.safe = self.CACHE - int(self.ptr.max())
+        out = self.buf[self.rows, self.ptr]
         self.ptr += 1 if mask is None else mask
+        self.safe -= 1
         return out
 
     def keep(self, rows: np.ndarray) -> None:
@@ -279,6 +286,7 @@ class _ReplicaRandoms:
         self.ids, self.base, self.ptr, self.buf = (
             a[rows] for a in (self.ids, self.base, self.ptr, self.buf)
         )
+        self.rows = np.arange(len(self.ids))
 
 
 def batch_paths(

@@ -190,9 +190,7 @@ class TestRateDiffusion:
     def test_degenerate_region_blocks_flux(self):
         # sigma = 0 everywhere: any moving eta needs flux on degenerate cells
         rho = solve_fokker_planck(TRANSPORT, 1.0, 0.25, -1.0, 3.0, 301)
-        g = lambda x, t: np.ones_like(x)
-        eta_src = solve_linearized(HEAT, solve_fokker_planck(HEAT, 0.0, 0.25, -6, 6, 151), g)
-        # transplant a foreign mass-zero path onto the degenerate problem
+        # a hand-made mass-zero path on the degenerate problem
         vals = np.zeros((len(rho.ts), len(rho.xs)))
         bump = np.exp(-((rho.xs - 1.0) ** 2) * 4)
         bump -= bump.mean()

@@ -6,6 +6,7 @@ import pytest
 from devia.diff_analysis import solve_fokker_planck
 from devia.diff_sim import (
     REFERENCE_REPLICA,
+    LimitPath,
     fluctuation_pairing,
     limit_path,
     mckean_ensemble,
@@ -22,9 +23,11 @@ from devia.kernels import (
     MeasureHook,
     constant_alpha,
     default_kernels,
+    kernels_from_config,
     linear_reversion_beta,
     zero_kernel,
 )
+from devia.rng import stream
 
 ZERO = KernelPair(alpha=zero_kernel(), beta=zero_kernel())
 ADDITIVE = KernelPair(alpha=constant_alpha(1.0), beta=zero_kernel())
@@ -182,6 +185,13 @@ class TestCoupling:
         args = (kp, [32, 64], 128, 0.0, 0.25, 1 / 64, 0.25, lambda s, x: 1.0, 17, 3)
         assert run_coupled(*args, limit=limit) == run_coupled(*args)
 
+    def test_repeated_size_is_one_system(self):
+        # a size listed twice is two identical segments, not one system
+        # stepped twice per step
+        kp = default_kernels()
+        run = lambda ms: run_coupled(kp, ms, 16, 0.0, 0.25, 1 / 64, 0.25, lambda s, x: 1.0, 3)
+        assert run([8, 8]) == run([8])
+
     def test_mu_free_coefficients_give_exactly_zero_gap(self):
         # sigma and b do not depend on mu, and at power-of-two sizes the
         # pairings <mu, 1> are exactly 1, so with zero control every system
@@ -209,6 +219,45 @@ class TestCoupling:
         match = rf"= \(8, 0.03125, 32, 0.0\); the run needs \(16, {dt}, 32, 0.0\)"
         with pytest.raises(ValueError, match=match):
             run_coupled(kp, [8], 32, 0.0, T, dt, 0.25, lambda s, x: 1.0, seed=1, limit=limit)
+
+
+def _coupled_by_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replica):
+    """run_coupled written out plainly: one allocating EM update per system
+    under its own empirical measure, then the reference block under the
+    limit path's pairings, all on one draw of max(ms) normals per step."""
+    limit = limit_path(kernels, M_ref, x0, T, dt, seed)
+    rng = stream(seed, replica)
+    xs = {m: np.full(m, float(x0)) for m in ms}
+    ref = np.full(max(ms), float(x0))
+    gap = {m: np.zeros(m) for m in ms}
+    for k in range(round(T / dt)):
+        z = rng.standard_normal(max(ms))
+        for m in ms:
+            x = xs[m]
+            sig, drift, _ = kernels.coefficients(x)
+            a = m ** (-theta) * math.sqrt(m)
+            u = control(k * dt, x)
+            xs[m] = x + (drift * dt + sig * math.sqrt(dt) * z[:m] + sig * u * (dt / a))
+        sig, drift, _ = kernels.coefficients(ref, pairings=limit.values[k])
+        ref = ref + (drift * dt + sig * math.sqrt(dt) * z)
+        for m in ms:
+            gap[m] = np.maximum(gap[m], (xs[m] - ref[:m]) ** 2)
+    return {m: float(gap[m].mean()) for m in ms}
+
+
+@pytest.mark.parametrize(
+    "ms, M_ref", [([64, 128, 512], 1024), ([300], 1024), ([100, 777], 777)],
+    ids=["three-sizes", "one-size", "max-is-M_ref"],
+)
+@pytest.mark.parametrize("family", ["default", "additive-noise"])
+def test_fused_coupling_equals_the_per_system_loop(family, ms, M_ref):
+    # the flat segmented step advances every system and the reference block
+    # in one pass; it must reproduce the plain loop bit for bit
+    kp = kernels_from_config({"family": family})
+    args = (kp, ms, M_ref, 0.1, 0.25, 1 / 64, 0.25, lambda s, x: 1.0 + 0.1 * x, 5, 2)
+    got = run_coupled(*args)
+    assert got == _coupled_by_loop(*args)
+    assert all(v > 0 for v in got.values())
 
 
 class TestLimitPath:
@@ -343,21 +392,39 @@ def test_bad_step_arguments_are_diagnosed(sim, m, T, dt, match):
 
 
 def test_nonfinite_positions_abort():
-    from devia.kernels import Kernel
-
     cubic = Kernel(
         fn=lambda x, y: x**3 * np.ones(np.broadcast(x, y).shape),
         sep=(lambda x: np.asarray(x, dtype=float) ** 3, np.ones_like),
         name="cubic",
     )
     blowup = KernelPair(alpha=zero_kernel(), beta=cubic)
+    still = lambda s, x: 0.0
+    # the coupling names the block that left the finite range: with the true
+    # pairings <mu, 1> = 1 systems and reference move alike and the systems
+    # come first; a 100-fold drift pairing sends the reference off first
+    true, fast = (LimitPath(np.full((9, 2), v), dt=0.5, M_ref=8, x0=3.0) for v in (1.0, 100.0))
+    # an infinite control on particle 2 of the second system
+    inf_at_2 = lambda s, x: np.where(np.arange(len(x)) == 2, np.inf, 0.0) if len(x) == 8 else 0.0
     runs = [
-        lambda: simulate_interacting(blowup, 4, 3.0, 4.0, 0.5, seed=1),
-        lambda: run_coupled(blowup, [4], 8, 3.0, 4.0, 0.5, 0.25, lambda s, x: 0.0, seed=1),
-        lambda: richardson_gap(blowup, 4, 3.0, 4.0, 0.5, seed=1),
+        (lambda: simulate_interacting(blowup, 4, 3.0, 4.0, 0.5, seed=1), "particle 0"),
+        (lambda: limit_path(blowup, 8, 3.0, 4.0, 0.5, seed=1), "particle 0"),
+        (
+            lambda: run_coupled(blowup, [4], 8, 3.0, 4.0, 0.5, 0.25, still, seed=1, limit=true),
+            "particle 0 of the system of size m=4",
+        ),
+        (
+            lambda: run_coupled(blowup, [4], 8, 3.0, 4.0, 0.5, 0.25, still, seed=1, limit=fast),
+            "particle 0 of the reference block",
+        ),
+        (
+            lambda: run_coupled(ADDITIVE, [4, 8], 8, 0.0, 0.5, 0.25, 0.25, inf_at_2, seed=1),
+            "particle 2 of the system of size m=8",
+        ),
+        (lambda: richardson_gap(blowup, 4, 3.0, 4.0, 0.5, seed=1), "particle 0"),
     ]
-    for run in runs:
-        with pytest.raises(FloatingPointError, match="step"), np.errstate(over="ignore"):
+    for run, where in runs:
+        match = where + r" left the finite range in a step of size dt=0\.(25|5)$"
+        with pytest.raises(FloatingPointError, match=match), np.errstate(over="ignore"):
             run()
 
 
