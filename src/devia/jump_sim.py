@@ -11,6 +11,17 @@ The single-path simulators :func:`simulate_jump` and :func:`simulate_tilted`
 run one replica of it and record its events, so a single path is bit for
 bit the same replica of any Monte Carlo batch.
 
+A lockstep iteration fetches three consecutive draws of every replica in
+one gather: draw ptr sets the waiting time, ptr + 1 picks the cell and
+ptr + 2 is the thinning test (plain runs fetch two).  A replica whose event
+fires consumes all of them; one that stops at a control-bin edge or at T
+consumes the first only, so ptr advances by 1 + 2 * fired (plain:
+1 + fired).  The draws come from a per-row cache holding ``DRAW_BUDGET``
+draws per batch (at least 32 and at most 4096 per row).  The per-bin
+control tables and the bin caps are built once per call, and the limit and
+reference paths are stacked into one path when they share a grid, so an
+iteration costs a fixed few dozen array operations on the live rows.
+
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
 cell (i, j) and the support cell (i, j) are intervals anchored at the same
@@ -137,6 +148,8 @@ class JumpControl:
 
 
 def _counts_from_q0(q0: np.ndarray, m: int) -> np.ndarray:
+    if m < 1:
+        raise ValueError(f"need at least one particle; got m={m}")
     q0 = np.asarray(q0, dtype=float)
     counts = np.rint(q0 * m)
     if np.any(np.abs(counts - q0 * m) > 1e-9) or int(counts.sum()) != m or np.any(counts < 0):
@@ -241,52 +254,90 @@ def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
 # ---------------------------------------------------------------------------
 # batched kernel for Monte Carlo experiments
 
+# uniforms cached per batch; sets each row's cache width (see _ReplicaRandoms)
+DRAW_BUDGET = 1 << 15
+
 
 class _ReplicaRandoms:
     """Uniform draws of the live replicas, consumed in lockstep.
 
     Draw k of replica r is a pure function of (seed, r, k) (see
-    :func:`devia.rng.counter_uniforms`).  Each row caches the next ``CACHE``
-    draws of its replica and refills them when they run out, so results are
+    :func:`devia.rng.counter_uniforms`).  Each row caches the next ``cache``
+    draws of its replica, where ``cache`` is ``DRAW_BUDGET`` split over the
+    batch's rows, clamped to [32, 4096] and even: 4096 for a single path,
+    326 for 100 replicas, 32 from 1024 replicas up.  Results are therefore
     identical no matter how replicas are grouped, and rows can be dropped
-    without touching the draws of the others.  A draw advances a row's
-    pointer by at most one, so ``safe``, the number of draws no row can run
-    out in, counts down to the next look for rows to refill.
+    without touching the draws of the others.
+
+    An iteration of the kernel reads ``width`` consecutive draws of every row
+    in one gather (:meth:`fetch`) and then moves each row's pointer past the
+    draws it used (:meth:`advance`): all ``width`` of them if the row's event
+    fired, its first draw otherwise.  A move is at most ``width``, so
+    ``safe``, the number of fetches no row can run out in, counts down to the
+    next look for rows to refill; a row is refilled from the even index at or
+    below its pointer, since ``counter_uniforms`` starts on whole blocks.
     """
 
-    CACHE = 32
-
-    def __init__(self, seed: int, replica_ids: np.ndarray):
+    def __init__(self, seed: int, replica_ids: np.ndarray, width: int):
+        n = len(replica_ids)
+        self.cache = min(4096, max(32, DRAW_BUDGET // max(n, 1))) & ~1
         self.seed = seed
+        self.width = width
+        self.cols = np.arange(width)
+        self.moves = np.array([1, width])  # pointer moves of a stop and of a fired row
         self.ids = replica_ids
-        self.rows = np.arange(len(replica_ids))
-        self.base = np.zeros(len(replica_ids), dtype=np.int64)  # draw index of buf[:, 0]
-        self.ptr = np.zeros(len(replica_ids), dtype=np.int64)
-        self.buf = counter_uniforms(seed, replica_ids, self.base, self.CACHE)
-        self.safe = self.CACHE
+        self.base = np.zeros(n, dtype=np.int64)  # draw index of each row's cache start
+        self.buf = counter_uniforms(seed, replica_ids, self.base, self.cache)
+        # a row keeps its buffer row when others leave: off is the flat index
+        # of its cache start, pos that of its next draw
+        self.off = np.arange(n) * self.cache
+        self.pos = self.off.copy()
+        self.safe = self.cache // width
 
-    def draw(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """The next uniform of every row; rows outside ``mask`` keep theirs."""
+    def fetch(self) -> np.ndarray:
+        """The next ``width`` draws of every row, shape (rows, width)."""
         if not self.safe:
-            need = np.flatnonzero(self.ptr == self.CACHE)
-            if len(need):
-                self.base[need] += self.CACHE
-                self.ptr[need] = 0
-                self.buf[need] = counter_uniforms(
-                    self.seed, self.ids[need], self.base[need], self.CACHE
-                )
-            self.safe = self.CACHE - int(self.ptr.max())
-        out = self.buf[self.rows, self.ptr]
-        self.ptr += 1 if mask is None else mask
+            self._refill()
         self.safe -= 1
-        return out
+        return self.buf.take(self.pos[:, None] + self.cols)
+
+    def advance(self, fired: np.ndarray) -> None:
+        """Move each row past the draws of its last fetch that it used."""
+        self.pos += self.moves.take(fired.view(np.uint8))
+
+    def _refill(self) -> None:
+        ptr = self.pos - self.off
+        need = np.flatnonzero(ptr > self.cache - self.width)
+        if len(need):
+            start = self.base[need] + (ptr[need] & ~1)
+            self.buf[self.off[need] // self.cache] = counter_uniforms(
+                self.seed, self.ids[need], start, self.cache
+            )
+            self.base[need] = start
+            ptr[need] &= 1
+            self.pos[need] = self.off[need] + ptr[need]
+        self.safe = (self.cache - int(ptr.max())) // self.width
 
     def keep(self, rows: np.ndarray) -> None:
-        """Drop every row not selected by ``rows``."""
-        self.ids, self.base, self.ptr, self.buf = (
-            a[rows] for a in (self.ids, self.base, self.ptr, self.buf)
+        """Drop every row not selected by ``rows``; the buffer stays put."""
+        self.ids, self.base, self.off, self.pos = (
+            a[rows] for a in (self.ids, self.base, self.off, self.pos)
         )
-        self.rows = np.arange(len(self.ids))
+
+
+def _path_lookup(ref: PathVec | None, p_path: PathVec | None):
+    """t -> (ref(t), p_path(t)), None for a missing path; one interpolation
+    when the two paths share a grid."""
+    if ref is not None and p_path is not None and np.array_equal(ref.grid, p_path.grid):
+        both = PathVec(ref.grid, np.hstack([ref.values, p_path.values]))
+        K = ref.dim
+
+        def at(t):
+            v = both(t)
+            return v[:, :K], v[:, K:]
+
+        return at
+    return lambda t: tuple(None if x is None else x(t) for x in (ref, p_path))
 
 
 def batch_paths(
@@ -312,13 +363,18 @@ def batch_paths(
     passing (control, a_m, p_path) together.
 
     Only live replicas are advanced: a replica that reaches T writes its
-    results back and leaves the working arrays.  ``p_path``, ``ref`` and
-    the control must each reach T.  ``_events``, for a single replica only,
-    receives (t, counts) after every accepted event.
+    results back and leaves the working arrays.  T must be finite and
+    nonnegative; ``p_path``, ``ref`` and the control must each reach T.
+    ``_events``, for a single replica only, receives (t, counts) after every
+    accepted event.  The draws each iteration reads are laid out in the
+    module docstring.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     R = len(replicas)
     K = model.K
+    KK = K * K
+    if not (np.isfinite(T) and T >= 0):
+        raise ValueError(f"need a finite horizon T >= 0; got T={T}")
     counts0 = _counts_from_q0(q0, m)
     if _events is not None and R != 1:
         raise ValueError(f"event recording needs exactly one replica; got {R}")
@@ -332,77 +388,105 @@ def batch_paths(
         _check_phi_nonnegative(control, a_scale)
         _check_horizon("p_path", p_path.T, T)
         _check_horizon("control", control.T, T)
-        edges = control.edges
+        # per-bin tables: the bound factor on every cell, the control over
+        # a(m) sqrt(m), the time a row in the bin stops at, and the edge
+        # that moves it to the next bin
+        stop = np.minimum(control.edges[1:], T)
+        stop[-1] = T  # the last bin runs to T
+        edge = control.edges[1:].copy()
+        edge[-1] = np.inf
+        tables = (
+            (1.0 + np.maximum(control.psi, 0.0) / a_scale).reshape(-1, KK),
+            (control.psi / a_scale).reshape(-1, KK),
+            stop,
+            edge,
+        )
+    else:
+        p_path = None
+    at = _path_lookup(ref, p_path)
+    # count change of each cell's jump, e_j - e_i (zero on the diagonal)
+    eye, cells = np.eye(K, dtype=np.int64), np.arange(KK)
+    step = eye[cells % K] - eye[cells // K]
 
     sup_dev = np.zeros(R)
     final_counts = np.empty((R, K), dtype=np.int64)
     # working arrays of the live replicas; rows[i] is row i's output index
-    rnd = _ReplicaRandoms(seed, replicas)
+    rnd = _ReplicaRandoms(seed, replicas, 3 if tilted else 2)
     rows = np.arange(R)
     t = np.zeros(R)
     counts = np.tile(counts0, (R, 1))
+    q = counts / m
     sup = np.zeros(R)
+    row_KK = np.arange(R) * KK  # flat offset of each row's cells
+    k = np.zeros(R, dtype=np.intp)  # control bin of each row
+    # the rows' entries of the bin tables; regathered when a row moves bin
+    if tilted:
+        factor, psi_a, cap, next_edge = (a[k] for a in tables)
+    else:
+        cap = T
 
-    def observe(ref_t, sel=slice(None)):
-        """Fold the deviation of rows ``sel`` from ``ref_t = ref(t)`` into sup."""
+    def observe(ref_t):
+        """Fold the deviation of every row from ``ref_t = ref(t)`` into sup."""
         if ref_t is not None:
-            dev = np.linalg.norm(counts[sel] / m - ref_t[sel], axis=1)
-            sup[sel] = np.maximum(sup[sel], dev)
+            d = q - ref_t
+            d *= d
+            # np.linalg.norm(axis=1), without its Python wrapper
+            np.maximum(sup, np.sqrt(np.add.reduce(d, axis=1)), out=sup)
 
-    observe(None if ref is None else ref(t))
-    while len(rows):
-        n = len(rows)
-        rates = counts[:, :, None] * model.rates_batch(counts / m)  # (n, K, K)
-        if tilted:
-            k = control.bin_index(t)
-            psi = control.psi[k]
-            bound = rates * (1.0 + np.maximum(psi, 0.0) / a_scale)
-            cap = np.minimum(edges[k + 1], T)
-        else:
-            bound = rates
-            cap = T
-        total = bound.sum(axis=(1, 2))
-        with np.errstate(divide="ignore"):
-            dt = -np.log1p(-rnd.draw()) / total
-        t_prop = np.where(total > 0.0, t + dt, np.inf)
+    observe(at(t)[0])
+    # a zero total rate makes the waiting time inf (or nan for a zero draw);
+    # the comparisons below treat either as "not fired"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while len(rows):
+            n = len(rows)
+            rates = counts[:, :, None] * model.rates_batch(q)  # (n, K, K)
+            bound = (rates.reshape(n, KK) * factor) if tilted else rates.reshape(n, KK)
+            total = bound.sum(axis=1)
+            u = rnd.fetch()  # waiting time, cell, thinning test
+            t_prop = t - np.log1p(-u[:, 0]) / total
 
-        # replicas that would pass a bin boundary (or the horizon) move
-        # there; the others move to their proposed event time
-        fired = t_prop <= cap
-        t = np.where(fired, t_prop, cap)
-        ref_t = None if ref is None else ref(t)
-        observe(ref_t)  # state before any jump, at the new time
+            # replicas that would pass a bin boundary (or the horizon) move
+            # there; the others move to their proposed event time
+            fired = t_prop <= cap
+            t = np.fmin(t_prop, cap)
+            ref_t, p_t = at(t)
+            observe(ref_t)  # state before any jump, at the new time
+            rnd.advance(fired)
 
-        if fired.any():
-            flat = bound.reshape(n, K * K).cumsum(axis=1)
-            u_pick = rnd.draw(fired) * total
-            # ties at cumsum boundaries must resolve past zero-weight cells
-            cell = np.minimum((flat <= u_pick[:, None]).sum(axis=1), K * K - 1)
-            ci, cj = np.divmod(cell, K)
-            idx = np.arange(n)
-            b_cell = bound[idx, ci, cj]
-            accept = fired & (b_cell > 0.0)
+            if fired.any():
+                # ties at cumsum boundaries must resolve past zero-weight
+                # cells; the last cell takes what rounding leaves over
+                flat = bound.cumsum(axis=1)
+                flat[:, -1] = np.inf
+                cell = (flat > (u[:, 1] * total)[:, None]).argmax(axis=1)
+                lin = row_KK + cell
+                b_cell = bound.take(lin)
+                accept = fired & (b_cell > 0.0)
+                if tilted:
+                    r_cell = rates.take(lin)
+                    w_p = ((m * p_t)[:, :, None] * model.rates_batch(p_t)).take(lin)
+                    actual = r_cell + psi_a.take(lin) * np.minimum(r_cell, w_p)
+                    accept &= u[:, 2] * b_cell <= actual
+                if accept.any():
+                    counts += step.take(cell * accept, axis=0)
+                    q = counts / m
+                    observe(ref_t)
+                    if _events is not None:
+                        _events.append((float(t[0]), counts[0].copy()))
+
             if tilted:
-                r_cell = rates[idx, ci, cj]
-                p_t = p_path(t)
-                w_p = m * p_t[idx, ci] * model.rates_batch(p_t)[idx, ci, cj]
-                actual = r_cell + (psi[idx, ci, cj] / a_scale) * np.minimum(r_cell, w_p)
-                u_acc = rnd.draw(fired)
-                with np.errstate(invalid="ignore"):
-                    accept &= u_acc * b_cell <= actual
-            if accept.any():
-                a = np.nonzero(accept)[0]
-                counts[a, ci[a]] -= 1
-                counts[a, cj[a]] += 1
-                observe(ref_t, accept)
-                if _events is not None:
-                    _events.append((float(t[0]), counts[0].copy()))
-
-        done = t >= T
-        if done.any():
-            sup_dev[rows[done]] = sup[done]
-            final_counts[rows[done]] = counts[done]
-            live = ~done
-            rows, t, counts, sup = rows[live], t[live], counts[live], sup[live]
-            rnd.keep(live)
+                moved = t >= next_edge
+                if moved.any():
+                    k += moved
+                    factor, psi_a, cap, next_edge = (a[k] for a in tables)
+            done = t >= T
+            if done.any():
+                sup_dev[rows[done]] = sup[done]
+                final_counts[rows[done]] = counts[done]
+                live = ~done
+                rows, t, counts, q, sup, k = (a[live] for a in (rows, t, counts, q, sup, k))
+                rnd.keep(live)
+                row_KK = row_KK[: len(rows)]
+                if tilted:
+                    factor, psi_a, cap, next_edge = (a[k] for a in tables)
     return sup_dev, final_counts

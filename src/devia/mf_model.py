@@ -241,10 +241,11 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
     idx = np.arange(K - 1)
 
     def rate_matrix(Q: np.ndarray) -> np.ndarray:
-        R = np.zeros(Q.shape[:-1] + (K, K))
-        R[..., idx, idx + 1] = a + b * Q[..., :-1]
-        R[..., idx + 1, idx] = c
-        return R
+        # the flattened super- and subdiagonals are strided slices
+        R = np.zeros(Q.shape[:-1] + (K * K,))
+        R[..., 1 :: K + 1] = a + b * Q[..., :-1]
+        R[..., K :: K + 1] = c
+        return R.reshape(Q.shape + (K,))
 
     def db(Q: np.ndarray) -> np.ndarray:
         # tridiagonal Jacobian of the drift
@@ -271,6 +272,26 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
     )
 
 
+def _broadcaster(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Q -> A broadcast over the leading axes of Q, as a read-only view.
+
+    The view for the last leading shape is kept: the jump kernel asks for
+    the same shape at every event, and np.broadcast_to's Python wrapper
+    would cost more than the rest of the call.
+    """
+    last = [(None, None)]
+
+    def broadcast(Q):
+        shape = np.shape(Q)[:-1]
+        key, view = last[0]
+        if key != shape:
+            view = np.broadcast_to(A, shape + A.shape)
+            last[0] = (shape, view)
+        return view
+
+    return broadcast
+
+
 def constant_rate_model(matrix: np.ndarray) -> RateModel:
     """Rate matrix independent of the state (off-diagonal entries given)."""
     R0 = np.array(matrix, dtype=float)
@@ -289,12 +310,12 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
 
     return RateModel(
         K=K,
-        rate_matrix=lambda Q: np.broadcast_to(R0, np.shape(Q)[:-1] + (K, K)),
+        rate_matrix=_broadcaster(R0),
         gamma_norm=gamma_norm,
         c_gamma=c_gamma,
         l_gamma=0.0,
         band=band,
-        db=lambda Q: np.broadcast_to(J, np.shape(Q)[:-1] + (K, K)),
+        db=_broadcaster(J),
         name="constant",
         params={"matrix": R0.tolist()},
     )

@@ -10,6 +10,7 @@ batched passes, that the jump and diffusion analysis layers share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,17 +42,23 @@ class PathVec:
     def dim(self) -> int:
         return self.values.shape[1]
 
+    @cached_property
+    def _cells(self) -> np.ndarray:
+        """One row per grid cell: its start, its length and both end values.
+        Built on the first call, so a path never interpolated carries none."""
+        g, v = self.grid, self.values
+        return np.hstack([g[:-1, None], np.diff(g)[:, None], v[:-1], v[1:]])
+
     def __call__(self, t) -> np.ndarray:
         """Linear interpolation; clamps to the horizon endpoints."""
         t = np.asarray(t, dtype=float)
         # np.minimum/np.maximum: np.clip's Python-level wrapper is slow here
         tt = np.minimum(np.maximum(t, self.grid[0]), self.grid[-1])
-        idx = np.minimum(np.searchsorted(self.grid, tt, side="right") - 1, len(self.grid) - 2)
-        t0 = self.grid[idx]
-        w = (tt - t0) / (self.grid[idx + 1] - t0)
-        if t.ndim == 0:
-            return (1 - w) * self.values[idx] + w * self.values[idx + 1]
-        return (1 - w[:, None]) * self.values[idx] + w[:, None] * self.values[idx + 1]
+        # searchsorted on the inner grid times is the clamped cell index
+        c = self._cells.take(self.grid[1:-1].searchsorted(tt, "right"), axis=0)
+        K = self.values.shape[1]
+        w = ((tt - c[..., 0]) / c[..., 1])[..., None]
+        return (1 - w) * c[..., 2 : 2 + K] + w * c[..., 2 + K :]
 
     def sup_norm(self) -> float:
         """Max over grid times of the euclidean norm."""

@@ -23,10 +23,10 @@ import numpy as np
 __all__ = ["stream", "philox4x32", "counter_uniforms"]
 
 _MASK32 = np.uint64(0xFFFFFFFF)
-_MUL = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_SHIFT32 = np.uint64(32)
+_MUL = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # for words c0, c2
 _WEYL = (0x9E3779B9, 0xBB67AE85)
 _ROUNDS = 10
-_SHIFT32 = np.uint64(32)
 _CHUNK_BLOCKS = 1 << 16  # output blocks per vectorized pass; bounds temporaries
 
 
@@ -36,31 +36,36 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _rounds(x: np.ndarray, y: np.ndarray, key) -> None:
+    """The Philox4x32-10 rounds, in place, on n counters held as x = (c0, c2)
+    and y = (c1, c3): two (2, n) uint64 arrays of 32-bit words, which end
+    holding the output words in the same layout.
+
+    A round is five array operations on the stacked words:
+    (c0, c2) <- (hi(c2 M1) ^ c1 ^ k0, hi(c0 M0) ^ c3 ^ k1) and
+    (c1, c3) <- (lo(c2 M1), lo(c0 M0)).
+    """
+    prod = np.empty_like(x)
+    k0, k1 = (int(w) & 0xFFFFFFFF for w in key)
+    for _ in range(_ROUNDS):
+        np.multiply(x, _MUL, out=prod)
+        np.right_shift(prod[::-1], _SHIFT32, out=x)
+        x ^= y
+        x ^= np.array([[k0], [k1]], dtype=np.uint64)
+        np.bitwise_and(prod[::-1], _MASK32, out=y)
+        k0 = (k0 + _WEYL[0]) & 0xFFFFFFFF
+        k1 = (k1 + _WEYL[1]) & 0xFFFFFFFF
+
+
 def philox4x32(counter: np.ndarray, key) -> np.ndarray:
     """Philox4x32-10 blocks: ``counter`` (..., 4) and ``key`` (2,) hold 32-bit
     words (any integer dtype); returns (..., 4) uint32 output words."""
     c = np.asarray(counter, dtype=np.uint64)
     if c.shape[-1:] != (4,):
         raise ValueError("counter must have 4 words in its last axis")
-    k0, k1 = (int(w) for w in key)
-    c0, c1, c2, c3 = (c[..., i] & _MASK32 for i in range(4))
-    for _ in range(_ROUNDS):
-        p0 = c0 * _MUL[0]
-        p1 = c2 * _MUL[1]
-        c0, c1, c2, c3 = (
-            (p1 >> _SHIFT32) ^ c1 ^ np.uint64(k0),
-            p1 & _MASK32,
-            (p0 >> _SHIFT32) ^ c3 ^ np.uint64(k1),
-            p0 & _MASK32,
-        )
-        k0 = (k0 + _WEYL[0]) & 0xFFFFFFFF
-        k1 = (k1 + _WEYL[1]) & 0xFFFFFFFF
-    return np.stack([c0, c1, c2, c3], axis=-1).astype(np.uint32)
-
-
-def _split64(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = x.astype(np.uint64)
-    return x & _MASK32, x >> _SHIFT32
+    words = c.reshape(-1, 4).T & _MASK32  # (4, n): the low 32 bits of each
+    _rounds(words[0::2], words[1::2], key)
+    return words.T.astype(np.uint32).reshape(c.shape)
 
 
 def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int) -> np.ndarray:
@@ -83,11 +88,17 @@ def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int)
     step = max(1, _CHUNK_BLOCKS // max(half, 1))
     for lo in range(0, len(replicas), step):
         rows = slice(lo, lo + step)
-        block = start[rows, None] // 2 + np.arange(half)
-        ctr = np.empty(block.shape + (4,), dtype=np.uint64)
-        ctr[..., 0], ctr[..., 1] = _split64(block)
-        ctr[..., 2], ctr[..., 3] = _split64(replicas[rows, None])
-        words = philox4x32(ctr, key).astype(np.uint64)
-        bits = (words[..., 0::2] << _SHIFT32 | words[..., 1::2]) >> np.uint64(11)
-        out[rows] = (bits * 2.0**-53).reshape(-1, n)
+        # counter (c0, c1, c2, c3) = (block lo, block hi, replica lo, replica hi)
+        x = np.empty((2, min(step, len(replicas) - lo) * half), dtype=np.uint64)
+        x[0] = (start[rows, None] // 2 + np.arange(half)).ravel()
+        x[1] = np.repeat(replicas[rows], half)
+        y = x >> _SHIFT32
+        x &= _MASK32
+        _rounds(x, y, key)
+        # draw 2j of a block is the top 53 bits of (c0 << 32 | c1), draw
+        # 2j + 1 those of (c2 << 32 | c3)
+        x <<= _SHIFT32
+        x |= y
+        x >>= np.uint64(11)
+        np.multiply(x.T, 2.0**-53, out=out[rows].reshape(-1, 2))
     return out

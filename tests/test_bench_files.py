@@ -1,0 +1,43 @@
+"""The checked-in BENCH_*.json files follow the schema that
+tools/bench_pairs.py writes.  Nothing here runs the benchmark."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_there_are_bench_files():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_follows_the_schema(path):
+    doc = json.loads(path.read_text())
+    assert _bench_pairs().problems(doc) == []
+    assert len(doc["parent_commit"]) == 40
+    names = {w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]}
+    assert set(doc["workloads"]) <= names
+
+
+@pytest.mark.parametrize("breakage, found", [
+    (lambda d, w: w.update(pairs=w["pairs"] + 1), "pairs must equal the number of seeds"),
+    (lambda d, w: w["change"]["wall_s"].update(median=-1.0), "median is not the runs' median"),
+    (lambda d, w: w["pairs_change_lower"].update(wall_s=-1), "must count pairs"),
+    (lambda d, w: d.pop("claim"), "missing key 'claim'"),
+])
+def test_schema_check_finds_a_broken_file(breakage, found):
+    doc = json.loads(BENCH_FILES[0].read_text())
+    breakage(doc, next(iter(doc["workloads"].values())))
+    assert any(found in p for p in _bench_pairs().problems(doc))

@@ -169,6 +169,20 @@ def test_invalid_input_is_an_error(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("m, T, message", [
+    ("6", "nan", "need a finite horizon T >= 0"),
+    ("6", "-1", "need a finite horizon T >= 0"),
+    ("6", "inf", "need a finite horizon T >= 0"),
+    ("0", "1", "need at least one particle; got m=0"),  # used to write NaN states
+])
+def test_jump_sim_rejects_invalid_sizes(tmp_path, model_cfg, capsys, m, T, message):
+    out = tmp_path / "path.csv"
+    rc = main(["jump-sim", "--model", model_cfg, "--m", m, "--T", T, "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
     # a strongly repulsive linear drift overflows within a few hundred steps
     cfg = tmp_path / "k.json"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -14,7 +16,7 @@ from devia.jump_sim import (
     simulate_tilted,
     tilt_cost,
 )
-from devia.mf_model import constant_rate_model, ell_cost, two_state_model
+from devia.mf_model import birth_death_model, constant_rate_model, ell_cost, two_state_model
 
 
 def test_zero_rates_freeze_the_path():
@@ -217,8 +219,8 @@ class TestBatchKernel:
         full = batch_paths(flip_model, 60, q0, 1.0, 31, np.arange(10), ref=p)
         lo = batch_paths(flip_model, 60, q0, 1.0, 31, np.arange(0, 4), ref=p)
         hi = batch_paths(flip_model, 60, q0, 1.0, 31, np.arange(4, 10), ref=p)
-        assert np.allclose(full[0], np.concatenate([lo[0], hi[0]]))
-        assert np.array_equal(full[1], np.vstack([lo[1], hi[1]]))
+        assert full[0].tobytes() == np.concatenate([lo[0], hi[0]]).tobytes()
+        assert full[1].tobytes() == np.vstack([lo[1], hi[1]]).tobytes()
 
     def test_tilted_split_invariance(self, flip_model):
         q0 = np.array([0.5, 0.5])
@@ -230,7 +232,8 @@ class TestBatchKernel:
             batch_paths(flip_model, 100, q0, 1.0, 77, np.arange(lo, hi), **kw)
             for lo, hi in [(0, 3), (3, 9)]
         ]
-        assert np.allclose(full[0], np.concatenate([p_[0] for p_ in parts]))
+        assert full[0].tobytes() == np.concatenate([p_[0] for p_ in parts]).tobytes()
+        assert full[1].tobytes() == np.vstack([p_[1] for p_ in parts]).tobytes()
 
     @pytest.mark.parametrize("mode", ["plain", "tilted"])
     def test_recorded_path_is_its_batch_replica(self, default_model, mode):
@@ -300,6 +303,60 @@ class TestBatchKernel:
         assert np.concatenate([s for s, _ in parts]).tobytes() == sup.tobytes()
         assert np.concatenate([f for _, f in parts]).tobytes() == finals.tobytes()
 
+    def test_single_path_equals_its_row_across_cache_refills(self, flip_model, monkeypatch):
+        # a lone replica caches 4096 draws and a 64-replica batch 512 per
+        # row, so the two runs refill at different draws; the lone replica
+        # must refill at least twice and still match its row of the batch
+        from devia import jump_sim
+
+        assert jump_sim._ReplicaRandoms(0, np.arange(1), 3).cache == 4096
+        assert jump_sim._ReplicaRandoms(0, np.arange(64), 3).cache == 512
+        q0 = np.array([0.5, 0.5])
+        p = solve_p(flip_model, q0, 1.0, 256)
+        m = 5000
+        kw = {
+            "control": JumpControl.constant(2, 1.0, {(1, 2): 0.5, (2, 1): -0.3}, n_bins=4),
+            "a_m": m ** (-0.25),
+            "p_path": p,
+            "ref": p,
+        }
+        sup, finals = batch_paths(flip_model, m, q0, 1.0, 8, np.arange(64), **kw)
+        fills = []
+        fill = jump_sim.counter_uniforms
+        monkeypatch.setattr(
+            jump_sim, "counter_uniforms", lambda *a: (fills.append(a[3]), fill(*a))[1]
+        )
+        r = 37
+        s1, f1 = batch_paths(flip_model, m, q0, 1.0, 8, np.array([r]), **kw)
+        assert len(fills) >= 3 and set(fills) == {4096}  # the first fill and two refills
+        assert s1.tobytes() == sup[r:r + 1].tobytes()
+        assert f1.tobytes() == finals[r:r + 1].tobytes()
+
+    @pytest.mark.parametrize("T", [math.nan, -1.0, math.inf])
+    def test_horizon_must_be_finite_and_nonnegative(self, flip_model, T):
+        # T = nan never ends the loop (t >= nan is false), T = inf runs while
+        # the rates are positive and T < 0 would return the initial state
+        with pytest.raises(ValueError, match="need a finite horizon T >= 0"):
+            batch_paths(flip_model, 6, np.array([1.0, 0.0]), T, 1, np.arange(3))
+        with pytest.raises(ValueError, match="need a finite horizon T >= 0"):
+            simulate_jump(flip_model, 6, np.array([1.0, 0.0]), T, seed=1)
+
+    def test_control_ending_within_the_horizon_tolerance_runs_to_T(self, flip_model):
+        # the horizon check accepts a control that ends 1e-13 before T; its
+        # last bin must carry the rows to T instead of stopping them at its
+        # edge for ever
+        q0 = np.array([0.5, 0.5])
+        p = solve_p(flip_model, q0, 1.0, 64)
+        control = JumpControl.constant(2, 1.0 - 1e-13, {(1, 2): 0.5}, n_bins=2)
+        _, finals = batch_paths(flip_model, 20, q0, 1.0, 4, np.arange(5),
+                                control=control, a_m=20 ** (-0.25), p_path=p)
+        assert np.all(finals.sum(axis=1) == 20)
+
+    def test_zero_horizon_returns_the_initial_state(self, flip_model):
+        q0 = np.array([0.5, 0.5])
+        sup, finals = batch_paths(flip_model, 6, q0, 0.0, 1, np.arange(3))
+        assert np.array_equal(finals, np.tile([3, 3], (3, 1)))
+
     def test_memory_is_bounded_in_replicas(self, flip_model):
         # no per-replica generator state: a 2e4-replica batch of the
         # criterion-11 chain stays far below one 2048-draw buffer per replica
@@ -313,3 +370,103 @@ class TestBatchKernel:
             tracemalloc.stop()
         assert finals.shape == (20_000, 2)
         assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# properties of the kernel on random models, states and batch sizes
+
+
+@st.composite
+def _kernel_problems(draw):
+    """A constant-rate model (K in 2..5, some rates zero) or a birth-death
+    chain, a lattice start, m in 1..200 and 1..40 replicas."""
+    K = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        rates = st.sampled_from([0.0, 0.0, 0.5, 1.0, 3.0])
+        model = constant_rate_model(
+            np.array(draw(st.lists(rates, min_size=K * K, max_size=K * K))).reshape(K, K)
+        )
+    else:
+        a, b, c = (draw(st.sampled_from([0.0, 0.5, 1.0])) for _ in range(3))
+        model = birth_death_model(K, a, b, c + (a + b + c == 0))
+    m = draw(st.integers(1, 200))
+    cuts = sorted(draw(st.lists(st.integers(0, m), min_size=K - 1, max_size=K - 1)))
+    counts = np.diff([0, *cuts, m])
+    return model, m, counts / m, draw(st.integers(1, 40)), draw(st.integers(0, 2**32))
+
+
+@given(_kernel_problems(), st.sampled_from(["plain", "ref", "tilted"]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_batch_finals_are_counts_of_m_particles(problem, mode, data):
+    model, m, q0, R, seed = problem
+    T = 0.5
+    kw = {}
+    if mode != "plain":
+        p = solve_p(model, q0, T, 32)
+        kw["ref"] = p
+    if mode == "tilted":
+        # |psi| <= 1 <= a(m) sqrt(m) = m**(1/4) keeps every thinning factor >= 0
+        n_bins = data.draw(st.integers(1, 3))
+        psi = data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=n_bins * model.K**2,
+                     max_size=n_bins * model.K**2)
+        )
+        control = JumpControl(np.linspace(0.0, T, n_bins + 1),
+                              np.reshape(psi, (n_bins, model.K, model.K)))
+        kw.update(control=control, a_m=m ** (-0.25), p_path=p)
+    sup, finals = batch_paths(model, m, q0, T, seed, np.arange(R), **kw)
+    assert np.issubdtype(finals.dtype, np.integer)
+    assert finals.min() >= 0
+    assert np.all(finals.sum(axis=1) == m)
+    assert np.all(np.isfinite(sup)) and sup.min() >= 0.0
+    # a single path is its batch row, and every recorded event moves one
+    # particle from a state i to a state j != i
+    r = data.draw(st.integers(0, R - 1))
+    if mode == "tilted":
+        path, _ = simulate_tilted(model, m, q0, T, seed=seed, replica=r, **{
+            k: kw[k] for k in ("control", "a_m", "p_path")})
+    else:
+        path = simulate_jump(model, m, q0, T, seed=seed, replica=r)
+    assert path.counts[-1].tobytes() == finals[r].tobytes()
+    steps = np.diff(path.counts, axis=0)
+    assert np.all(np.sort(steps, axis=1)[:, [0, -1]] == [-1, 1])
+    assert np.all(np.abs(steps).sum(axis=1) == 2)
+    assert np.all(np.diff(path.times) >= 0.0) and path.times[-1] <= T
+
+
+def _lerp_reference(grid, values, t):
+    """Linear interpolation as PathVec computed it with a full-grid searchsorted."""
+    tt = np.minimum(np.maximum(t, grid[0]), grid[-1])
+    idx = np.minimum(np.searchsorted(grid, tt, side="right") - 1, len(grid) - 2)
+    w = (tt - grid[idx]) / (grid[idx + 1] - grid[idx])
+    if np.ndim(t) == 0:
+        return (1 - w) * values[idx] + w * values[idx + 1]
+    return (1 - w[:, None]) * values[idx] + w[:, None] * values[idx + 1]
+
+
+@given(st.integers(2, 40), st.integers(1, 4), st.sampled_from([0.0, 0.3]),
+       st.sampled_from([0.0, 1e-13]), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_stacked_interpolation_is_bit_for_bit(N, d, start, short, seed):
+    # the kernel interpolates ref and p as one stacked PathVec: each block
+    # of columns must give the bytes of its own path, and PathVec's cell
+    # table the bytes of the full-grid formula, on any grid, including grids
+    # that start after 0 or end (within the horizon check) before T, where
+    # the clamps act
+    from devia.paths import PathVec
+
+    rng = np.random.default_rng(seed)
+    T = 1.0
+    grid = np.sort(rng.uniform(start, T - short, N))
+    grid[0], grid[-1] = start, T - short
+    if np.any(np.diff(grid) <= 0):
+        return
+    a, b = (PathVec(grid, rng.normal(size=(N, d))) for _ in range(2))
+    t = np.concatenate([[0.0, T], grid, rng.uniform(0.0, T, 50)])
+    for x in (a, b):
+        assert x(t).tobytes() == _lerp_reference(grid, x.values, t).tobytes()
+        for s in (0.0, T, t[-1]):
+            assert x(s).tobytes() == _lerp_reference(grid, x.values, s).tobytes()
+    got = PathVec(grid, np.hstack([a.values, b.values]))(t)
+    assert got[:, :d].tobytes() == a(t).tobytes()
+    assert got[:, d:].tobytes() == b(t).tobytes()

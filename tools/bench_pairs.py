@@ -1,0 +1,292 @@
+"""Benchmark a parent commit against the working tree in alternating pairs.
+
+    python3 tools/bench_pairs.py --pr N --parent HEAD \\
+        --pairs jump-long=7 --pairs jump-wide=2 --layers --claim "..."
+
+Run it from anywhere inside the repository.  The parent commit is unpacked
+with ``git archive`` into a scratch directory (``--scratch``, default a new
+temporary directory); the change is the working tree.  Each pair runs
+``perfbench/run.py --trace 0`` on both trees with one seed and
+``BENCHMARK.json``'s ``run_seconds``, back to back;
+even-numbered pairs run the parent first, odd-numbered ones the change.
+Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
+one.
+
+``--layers`` adds two layer timings, alternating the trees: the lockstep
+iterations per second of ``batch_paths`` at the jump-long shape (m = 10^4,
+100 tilted replicas) and the best-of-3 wall time of CLI ``jump-sim``
+(birth-death K = 5, m = 10^4).  The result goes to ``BENCH_<pr>.json`` at
+the repository root; :func:`problems` is the file's schema check.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
+TOP_KEYS = ("what", "parent_commit", "hardware", "commands", "order", "claim", "workloads")
+SIDES = ("parent", "change")
+
+# one timed kernel call at the jump-long shape; prints iterations, seconds
+# and a hash of the outputs (which the two trees must share)
+KERNEL_PROBE = r"""
+import hashlib, json, time
+import numpy as np
+from devia import jump_sim
+from devia.jump_analysis import solve_p, skeleton_G0
+from devia.mf_model import two_state_model
+from devia.paths import PathVec
+
+model = two_state_model(1.0)
+q0 = np.array([0.5, 0.5])
+p = solve_p(model, q0, 1.0, 2048)
+control = jump_sim.JumpControl.constant(2, 1.0, {(1, 2): 0.4, (2, 1): -0.2}, n_bins=4)
+eta = skeleton_G0(model, p, control)
+m = 10_000
+a = m ** -0.25
+ref = PathVec(p.grid, p.values + eta.values / (a * np.sqrt(m)))
+
+def run():
+    return jump_sim.batch_paths(
+        model, m, q0, 1.0, 3, np.arange(100), control=control, a_m=a, p_path=p, ref=ref
+    )
+
+# one iteration = one fetch of draws, or (older kernels) one unmasked draw
+cls = jump_sim._ReplicaRandoms
+name = "fetch" if hasattr(cls, "fetch") else "draw"
+orig, calls = getattr(cls, name), [0]
+
+def counted(self, *args):
+    calls[0] += not args or args[0] is None
+    return orig(self, *args)
+
+setattr(cls, name, counted)
+sup, finals = run()
+setattr(cls, name, orig)
+t0 = time.perf_counter()
+run()
+seconds = time.perf_counter() - t0
+digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
+print(json.dumps({"iterations": calls[0], "seconds": seconds, "hash": digest}))
+"""
+
+BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
+CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+
+
+def unpack(rev: str, dest: Path) -> str:
+    """Extract commit ``rev`` into ``dest``; returns its full hash."""
+    commit = git("rev-parse", rev).decode().strip()
+    dest.mkdir(parents=True)
+    with tarfile.open(fileobj=io.BytesIO(git("archive", commit))) as tar:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(dest, filter="data")
+        else:
+            tar.extractall(dest)
+    return commit
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
+    doc = json.loads(out.strip().splitlines()[-1])
+    return {"correct": doc["correct"], **{k: doc["metrics"][k]["value"] for k in METRICS}}
+
+
+def summary(runs: list[float]) -> dict:
+    quartiles = statistics.quantiles(runs, n=4) if len(runs) > 1 else None
+    return {
+        "median": round(statistics.median(runs), 4),
+        "runs": [round(r, 4) for r in runs],
+        "quartiles": None if quartiles is None else [round(q, 4) for q in quartiles],
+    }
+
+
+def compare(seeds: list[int], results: dict) -> dict:
+    """The workload block of the BENCH file from each side's per-seed results."""
+    block = {"seeds": seeds, "pairs": len(seeds)}
+    for side in SIDES:
+        block[side] = {"correct": all(r["correct"] for r in results[side])}
+        for k in METRICS:
+            block[side][k] = summary([r[k] for r in results[side]])
+    block["pairs_change_lower"] = {
+        k: sum(c[k] < p[k] for p, c in zip(results["parent"], results["change"]))
+        for k in METRICS
+    }
+    block["change_over_parent_median"] = {
+        k: round(block["change"][k]["median"] / block["parent"][k]["median"] - 1.0, 4)
+        for k in METRICS
+    }
+    return block
+
+
+def layers(trees: dict, scratch: Path) -> dict:
+    model = scratch / "birth-death-k5.json"
+    model.write_text(json.dumps(BIRTH_DEATH_K5))
+    kernel = {s: [] for s in SIDES}
+    cli = {s: [] for s in SIDES}
+    for i in range(3):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            tree = trees[side]
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            env.pop("DEVIA_WORKERS", None)
+            out = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=env, cwd=tree,
+                                 check=True, capture_output=True, text=True).stdout
+            kernel[side].append(json.loads(out.strip().splitlines()[-1]))
+            cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
+                   "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
+            t0 = time.perf_counter()
+            subprocess.run(cmd, env=env, cwd=tree, check=True, capture_output=True)
+            cli[side].append(time.perf_counter() - t0)
+    hashes = {r["hash"] for s in SIDES for r in kernel[s]}
+    iterations = {r["iterations"] for s in SIDES for r in kernel[s]}
+    if len(hashes) != 1 or len(iterations) != 1:
+        raise SystemExit(f"bench_pairs: the trees' kernels differ: {hashes}, {iterations}")
+    (n,) = iterations
+    same_csv = (scratch / "jump-sim-parent.csv").read_bytes() == (
+        scratch / "jump-sim-change.csv").read_bytes()
+    return {
+        "batch_paths_iterations_per_s": {
+            "shape": "jump-long at m = 10^4: two-state, 4-bin control, skeleton ref, "
+                     "100 replicas, seed 3; one call per process after a counting call",
+            "iterations": n,
+            "outputs_hash": hashes.pop(),
+            **{s: summary([n / r["seconds"] for r in kernel[s]]) for s in SIDES},
+        },
+        "cli_jump_sim_s": {
+            "command": "python -m devia.harness.cli " + " ".join(CLI_ARGS)
+                       + " --model <birth-death K = 5, a = b = c = 1/2>",
+            "same_output": same_csv,
+            **{s: {"best": round(min(cli[s]), 4), "runs": [round(x, 4) for x in cli[s]]}
+               for s in SIDES},
+        },
+    }
+
+
+def problems(doc: dict) -> list[str]:
+    """What is wrong with a BENCH file's structure; empty when it is sound."""
+    bad = [f"missing key {k!r}" for k in TOP_KEYS if k not in doc]
+    if not isinstance(doc.get("commands"), dict) or set(doc["commands"]) != set(SIDES):
+        bad.append("commands must name the parent and change commands")
+    for name, w in (doc.get("workloads") or {}).items():
+        n = w.get("pairs")
+        if n != len(w.get("seeds", ())) or not n:
+            bad.append(f"{name}: pairs must equal the number of seeds")
+            continue
+        for side in SIDES:
+            if not isinstance(w.get(side, {}).get("correct"), bool):
+                bad.append(f"{name}.{side}: correct must be true or false")
+            for k in METRICS:
+                s = w.get(side, {}).get(k)
+                if not isinstance(s, dict) or len(s.get("runs", ())) != n:
+                    bad.append(f"{name}.{side}.{k}: needs one run per pair")
+                    continue
+                if abs(s["median"] - statistics.median(s["runs"])) > 1e-3:
+                    bad.append(f"{name}.{side}.{k}: median is not the runs' median")
+                if (s["quartiles"] is None) != (n == 1) or (
+                    s["quartiles"] is not None and len(s["quartiles"]) != 3
+                ):
+                    bad.append(f"{name}.{side}.{k}: quartiles must be 3 values (None for 1 run)")
+        for k in METRICS:
+            lower = w.get("pairs_change_lower", {}).get(k)
+            if not isinstance(lower, int) or not 0 <= lower <= n:
+                bad.append(f"{name}.pairs_change_lower.{k}: must count pairs")
+            ratio = w.get("change_over_parent_median", {}).get(k)
+            try:
+                want = w["change"][k]["median"] / w["parent"][k]["median"] - 1.0
+                if abs(ratio - want) > 1e-3:
+                    bad.append(f"{name}.change_over_parent_median.{k}: {ratio} != {want:.4f}")
+            except (KeyError, TypeError, ZeroDivisionError):
+                bad.append(f"{name}.change_over_parent_median.{k}: cannot be checked")
+    if not doc.get("workloads"):
+        bad.append("no workloads")
+    return bad
+
+
+def main() -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    ap.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
+    ap.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD=N")
+    ap.add_argument("--first-seed", type=int, default=1)
+    ap.add_argument("--scratch", type=Path, default=None)
+    ap.add_argument("--layers", action="store_true")
+    ap.add_argument("--claim", default="")
+    ap.add_argument("--hardware-note", default="")
+    args = ap.parse_args()
+
+    counts = {w["name"]: 2 for w in spec["workloads"]}
+    for item in args.pairs:
+        name, _, n = item.partition("=")
+        if name not in counts or not n.isdigit():
+            ap.error(f"--pairs {item!r}: expected WORKLOAD=N with a workload of BENCHMARK.json")
+        counts[name] = int(n)
+    scratch = args.scratch or Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    trees = {"parent": scratch / "parent", "change": ROOT}
+    commit = unpack(args.parent, trees["parent"])
+
+    workloads = {}
+    for name, n in counts.items():
+        if not n:
+            continue
+        seeds = list(range(args.first_seed, args.first_seed + n))
+        results = {s: [] for s in SIDES}
+        for i, seed in enumerate(seeds):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                results[side].append(bench(trees[side], name, seed, spec["run_seconds"]))
+                print(f"bench_pairs: {name} seed {seed} {side}: "
+                      f"{results[side][-1]['wall_s']:.3f} s", file=sys.stderr)
+        workloads[name] = compare(seeds, results)
+
+    hardware = (f"{os.cpu_count()}-core {platform.machine()} {platform.system()}; "
+                f"numpy {np.__version__}, Python {platform.python_version()}")
+    run_cmd = f"python3 perfbench/run.py --workload <workload> --seed <seed> " \
+              f"--seconds {spec['run_seconds']:g} --trace 0"
+    doc = {
+        "what": "end-to-end metrics of perfbench/run.py, parent commit against this change, "
+                "in alternating parent/change pairs",
+        "parent_commit": commit,
+        "hardware": f"{hardware}; {args.hardware_note}" if args.hardware_note else hardware,
+        "commands": {
+            "parent": f"{run_cmd}  # run from a checkout of the parent commit (git archive)",
+            "change": f"{run_cmd}  # run from the repository root",
+        },
+        "order": "each pair runs both trees on one seed, back to back; even-numbered pairs "
+                 "(from 0) run the parent first, odd-numbered pairs the change",
+        "claim": args.claim,
+        "workloads": workloads,
+    }
+    if args.layers:
+        doc["layers"] = layers(trees, scratch)
+    bad = problems(doc)
+    if bad:
+        print("bench_pairs: " + "; ".join(bad), file=sys.stderr)
+        return 1
+    out = ROOT / f"BENCH_{args.pr}.json"
+    out.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"bench_pairs: wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
