@@ -15,7 +15,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..diff_analysis import (
     control_cost_on_grid,
@@ -30,7 +29,14 @@ from ..diff_sim import (
     run_coupled,
     simulate_interacting,
 )
-from ..jump_analysis import psi_l2sq, rate_I, rate_Ibar, skeleton_G0, solve_p
+from ..jump_analysis import (
+    birth_death_law,
+    psi_l2sq,
+    rate_I,
+    rate_Ibar,
+    skeleton_G0,
+    solve_p,
+)
 from ..jump_sim import JumpControl, batch_paths
 from ..mf_model import model_from_config
 from ..paths import PathVec
@@ -502,8 +508,8 @@ def exactness_tv(
     rate: float, m: int, T: float, replicas: int, seed: int, k0: int | None = None
 ) -> dict:
     """Total-variation distance between the simulated time-T law of the
-    two-state occupation count and the matrix-exponential law of the
-    (m+1)-state birth-death generator."""
+    two-state occupation count and its exact law, the uniformized law of the
+    (m+1)-state birth-death count chain."""
     from ..mf_model import two_state_model
 
     model = two_state_model(rate)
@@ -513,14 +519,10 @@ def exactness_tv(
     _, finals = batch_paths(model, m, q0, T, seed, np.arange(replicas))
     emp = np.bincount(finals[:, 0], minlength=m + 1) / replicas
 
-    Q = np.zeros((m + 1, m + 1))
-    for k in range(m + 1):
-        if k > 0:  # one of the k particles in state 1 flips to state 2
-            Q[k, k - 1] = k * rate
-        if k < m:
-            Q[k, k + 1] = (m - k) * rate
-        Q[k, k] = -Q[k].sum()
-    law = expm(Q.T * T) @ np.eye(m + 1)[k0]
+    # from k particles in state 1, one of the m - k in state 2 flips up or
+    # one of the k flips down
+    k = np.arange(m + 1)
+    law = birth_death_law((m - k) * rate, k * rate, T, k0)
     tv = 0.5 * float(np.abs(emp - law).sum())
     return {"tv": tv, "empirical": emp.tolist(), "exact": law.tolist()}
 

@@ -23,26 +23,26 @@ __all__ = [
 ]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _write_table(out, header: str, first, rest) -> None:
+    """Write the header, then one row per entry of ``first`` followed by the
+    matching row of ``rest``.  ``tolist`` hands over Python floats, whose
+    ``repr`` is the shortest round-tripping form."""
+    table = np.column_stack([np.asarray(first, dtype=float), np.asarray(rest, dtype=float)])
+    lines = [header, *(",".join(map(repr, row)) for row in table.tolist())]
+    Path(out).write_text("\n".join(lines) + "\n")
+
+
+def _state_header(K: int) -> str:
+    return "time," + ",".join(f"state_{k + 1}" for k in range(K))
 
 
 def write_jump_path(path: JumpPath, out) -> None:
     """Event-time CSV: time, state_1..state_K (states after the event)."""
-    K = path.counts.shape[1]
-    lines = ["time," + ",".join(f"state_{k + 1}" for k in range(K))]
-    states = path.states
-    for t, row in zip(path.times, states):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    Path(out).write_text("\n".join(lines) + "\n")
+    _write_table(out, _state_header(path.counts.shape[1]), path.times, path.states)
 
 
 def write_path_vec(path: PathVec, out) -> None:
-    K = path.dim
-    lines = ["time," + ",".join(f"state_{k + 1}" for k in range(K))]
-    for t, row in zip(path.grid, path.values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    Path(out).write_text("\n".join(lines) + "\n")
+    _write_table(out, _state_header(path.dim), path.grid, path.values)
 
 
 def read_path_vec(src) -> PathVec:
@@ -54,11 +54,8 @@ def read_path_vec(src) -> PathVec:
 
 def write_grid_field(field: GridField, out) -> None:
     """Grid CSV: header 't' followed by the spatial nodes, one row per step."""
-    header = "t," + ",".join(_fmt(x) for x in field.xs)
-    lines = [header]
-    for t, row in zip(field.ts, field.values):
-        lines.append(",".join([_fmt(t)] + [_fmt(v) for v in row]))
-    Path(out).write_text("\n".join(lines) + "\n")
+    header = "t," + ",".join(map(repr, np.asarray(field.xs, dtype=float).tolist()))
+    _write_table(out, header, field.ts, field.values)
 
 
 def read_grid_field(src) -> GridField:

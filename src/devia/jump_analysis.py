@@ -3,7 +3,8 @@
 Contains the law-of-large-numbers ODE p' = b(p), the linear skeleton map
 taking a per-cell control field psi to the fluctuation limit eta, and the
 rate-function evaluators that invert a given path eta back to a least-norm
-control.
+control.  :func:`birth_death_law` gives the exact finite-m law of a count
+process that is a birth-death chain, such as the two-state chain's.
 
 The rate function has two parametrizations: the field psi on the
 point-space cells (cost = 1/2 * L2(lambda) norm squared) and the per-pair
@@ -47,6 +48,7 @@ __all__ = [
     "u_from_psi",
     "psi_from_u",
     "psi_l2sq",
+    "birth_death_law",
 ]
 
 
@@ -407,3 +409,60 @@ def min_norm_u(model: RateModel, p_path: PathVec, eta: PathVec) -> ControlMatrix
     """Least-norm per-pair control reproducing eta (no feasibility gating)."""
     U, _ = _least_norm_pass(model, p_path, eta, SVD_RTOL)
     return ControlMatrixU(eta.grid, U)
+
+
+# ---------------------------------------------------------------------------
+# exact finite-m law
+
+UNIFORMIZATION_STEP = 30.0  # Lambda * dt per piece; e^{-30} ~ 1e-13 is far from underflow
+SERIES_RTOL = 1e-17  # a piece's series stops once every term is this small against its sum
+
+
+def birth_death_law(up, down, T: float, k0: int) -> np.ndarray:
+    """Exact time-T law of a birth-death chain on {0..m} started at k0;
+    ``up[k]`` is the rate of k -> k+1 and ``down[k]`` that of k -> k-1.
+
+    Uniformization: with Lambda = max(up + down) and the tridiagonal
+    stochastic matrix P = I + Q/Lambda, the law after time dt is
+    sum_n Poisson(Lambda dt; n) v P^n.  [0, T] is cut into pieces with
+    Lambda dt <= UNIFORMIZATION_STEP, so the Poisson weights never underflow
+    (at m = 10^3 and rate 1 a single step would).  Every term is
+    nonnegative, and a piece's series runs until each term is negligible
+    against its entry's sum, so even tiny tail probabilities keep their
+    relative precision.  The cost is O(m * Lambda T) for all m + 1 entries.
+    """
+    up = np.asarray(up, dtype=float)
+    down = np.asarray(down, dtype=float)
+    if up.ndim != 1 or up.shape != down.shape or len(up) < 1:
+        raise ValueError("up and down must be rate vectors of one length m + 1")
+    if not (np.all(np.isfinite(up)) and np.all(np.isfinite(down))):
+        raise ValueError("rates must be finite")
+    if up.min() < 0 or down.min() < 0 or up[-1] != 0 or down[0] != 0:
+        raise ValueError("rates must be nonnegative, with no birth at m and no death at 0")
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError("need a finite horizon T >= 0")
+    if not 0 <= k0 < len(up):
+        raise ValueError("the start k0 must lie in {0..m}")
+    v = np.zeros(len(up))
+    v[k0] = 1.0
+    lam = float((up + down).max())
+    if lam == 0.0 or T == 0.0:
+        return v
+    pieces = math.ceil(lam * T / UNIFORMIZATION_STEP)
+    x = lam * T / pieces
+    stay = 1.0 - (up + down) / lam
+    births, deaths = up[:-1] / lam, down[1:] / lam
+    for _ in range(pieces):
+        term = v * math.exp(-x)  # Poisson(x; n) v P^n, from n = 0
+        v = term.copy()
+        n = 0
+        while True:
+            n += 1
+            nxt = stay * term
+            nxt[1:] += births * term[:-1]
+            nxt[:-1] += deaths * term[1:]
+            term = nxt * (x / n)
+            v += term
+            if n > x and np.all(term <= SERIES_RTOL * v):
+                break
+    return v

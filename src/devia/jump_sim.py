@@ -80,10 +80,6 @@ class JumpPath:
     def n_events(self) -> int:
         return len(self.times) - 1
 
-    def state_at(self, t: float) -> np.ndarray:
-        idx = int(np.searchsorted(self.times, t, side="right") - 1)
-        return self.counts[max(idx, 0)] / self.m
-
     def sample(self, grid: np.ndarray) -> np.ndarray:
         """States on an arbitrary time grid (piecewise-constant, cadlag)."""
         idx = np.clip(np.searchsorted(self.times, grid, side="right") - 1, 0, None)

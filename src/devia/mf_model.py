@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "RateModel",
@@ -208,7 +207,12 @@ def ell_cost(r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("cost argument must be nonnegative")
-    out = xlogy(r, r) - r + 1.0
+    # libm's log, unlike numpy's SIMD one, gives the bytes of
+    # scipy.special.xlogy(r, r); phi is piecewise constant, so taking the
+    # logs over the distinct values keeps the Python loop short
+    vals, where = np.unique(r, return_inverse=True)
+    rlogr = np.array([v * math.log(v) if v else 0.0 for v in vals.tolist()])
+    out = rlogr[where].reshape(r.shape) - r + 1.0
     # clip the tiny negative round-off near the minimum at r = 1
     out = np.maximum(out, 0.0)
     return float(out) if out.ndim == 0 else out

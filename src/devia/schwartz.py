@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.hermite import herm2poly
-from scipy.special import gammaincc, gammaln
 
 from .kernels import KernelPair, MeasureHook
 
@@ -91,7 +90,7 @@ class HermiteFunction:
         coeffs = np.asarray(coeffs, dtype=float)
         scaled = np.array(
             [
-                c * math.exp(-0.5 * (n * math.log(2.0) + gammaln(n + 1) + 0.5 * math.log(math.pi)))
+                c * math.exp(-0.5 * (n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi)))
                 for n, c in enumerate(coeffs)
             ]
         )
@@ -120,9 +119,20 @@ def _leggauss(n: int):
 
 
 def _gaussian_moment_tail(d: int, R: float) -> float:
-    """integral_R^inf x^d e^{-x^2} dx = Gamma((d+1)/2) * Q((d+1)/2, R^2) / 2."""
-    a = 0.5 * (d + 1)
-    return 0.5 * math.exp(gammaln(a)) * float(gammaincc(a, R * R))
+    """integral_R^inf x^d e^{-x^2} dx = Gamma((d+1)/2, R^2) / 2 for R >= 0,
+    by the upward recurrence Gamma(b+1, x) = b Gamma(b, x) + x^b e^{-x}
+    from Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) (d even) or
+    Gamma(1, x) = e^{-x} (d odd); all its terms are nonnegative."""
+    x = R * R
+    ex = math.exp(-x)
+    if d % 2:
+        b, g = 1.0, ex
+    else:
+        b, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
+    while b < 0.5 * (d + 1):
+        g = b * g + x**b * ex
+        b += 1.0
+    return 0.5 * g
 
 
 def _integration_radius(abs_coeffs: np.ndarray, tol: float = 1e-14) -> float:

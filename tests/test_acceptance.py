@@ -236,6 +236,6 @@ def test_criterion_11_exactness_oracle():
     rt = time.perf_counter() - t0
     ok = res["tv"] <= 0.02
     _emit(
-        11, "two-state chain matches the matrix-exponential law", ok, res["tv"],
+        11, "two-state chain matches the uniformized birth-death law", ok, res["tv"],
         "total variation <= 0.02 with 1e5 replicas at m = 6", rt,
     )

@@ -41,3 +41,25 @@ def test_schema_check_finds_a_broken_file(breakage, found):
     doc = json.loads(BENCH_FILES[0].read_text())
     breakage(doc, next(iter(doc["workloads"].values())))
     assert any(found in p for p in _bench_pairs().problems(doc))
+
+
+def _with_layers():
+    # a file with layer timings, given a CLI import timing if it predates them
+    doc = next(d for d in (json.loads(p.read_text()) for p in BENCH_FILES) if "layers" in d)
+    doc["layers"].setdefault("cli_import_s", {
+        "command": 'python -c "import devia.harness.cli"',
+        "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
+        "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
+    })
+    return doc
+
+
+@pytest.mark.parametrize("key", ["cli_jump_sim_s", "cli_import_s"])
+def test_schema_check_reads_the_best_of_timings(key):
+    doc = _with_layers()
+    assert _bench_pairs().problems(doc) == []
+    doc["layers"][key]["change"]["best"] += 1.0
+    assert any(f"layers.{key}.change: best is not the runs' minimum" in p
+               for p in _bench_pairs().problems(doc))
+    doc["layers"][key]["parent"]["runs"] = []
+    assert any(f"layers.{key}.parent: needs its runs" in p for p in _bench_pairs().problems(doc))

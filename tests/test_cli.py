@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,50 @@ def test_jump_sim_deterministic(tmp_path, model_cfg):
     for out in (a, b):
         main(["jump-sim", "--model", model_cfg, "--m", "40", "--T", "0.5", "--seed", "9", "--out", str(out)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _per_value_csv(header: str, first, rest) -> str:
+    # the writers' former formatting, one repr(float(v)) per value
+    lines = [header]
+    for t, row in zip(first, rest):
+        lines.append(",".join([repr(float(t))] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writers_keep_the_per_value_bytes(tmp_path):
+    from devia.diff_analysis import GridField
+    from devia.harness.io import write_jump_path, write_path_vec
+    from devia.jump_sim import simulate_jump
+    from devia.mf_model import birth_death_model
+    from devia.paths import PathVec
+
+    path = simulate_jump(birth_death_model(5, 0.5, 0.5, 0.5), 7, np.array([1, 2, 2, 1, 1]) / 7, 1.0, 3)
+    write_jump_path(path, tmp_path / "jump.csv")
+    header = "time," + ",".join(f"state_{k}" for k in range(1, 6))
+    assert (tmp_path / "jump.csv").read_text() == _per_value_csv(header, path.times, path.states)
+
+    awkward = np.array([[1 / 3, -0.0], [5e-324, 1e300], [-1e-300, np.pi]])
+    vec = PathVec(np.array([0.0, 0.1, 1 / 3]), awkward)
+    write_path_vec(vec, tmp_path / "vec.csv")
+    assert (tmp_path / "vec.csv").read_text() == _per_value_csv(
+        "time,state_1,state_2", vec.grid, vec.values)
+
+    field = GridField(np.array([-0.5, 0.25]), np.array([0.0, 0.1, 1 / 3]), awkward)
+    write_grid_field(field, tmp_path / "grid.csv")
+    assert (tmp_path / "grid.csv").read_text() == _per_value_csv(
+        "t,-0.5,0.25", field.ts, field.values)
+
+
+def test_library_imports_no_scipy():
+    import devia
+
+    code = ("import sys, devia.harness, devia.harness.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(devia.__file__).resolve().parents[1])
+    env = {"PATH": "", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_tilted_jump_sim_cost_sidecar(tmp_path, model_cfg):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devia.jump_analysis import (
+    birth_death_law,
     min_norm_u,
     psi_from_u,
     psi_l2sq,
@@ -305,3 +306,57 @@ def test_solve_p_halves_stiff_steps():
     fine = solve_p(model, np.array([0.0, 1.0]), 1.0, 1024)
     exact = np.exp(-50.0 * fine.grid)
     assert np.abs(fine.values[:, 1] - exact).max() < 1e-6
+
+
+class TestBirthDeathLaw:
+    @staticmethod
+    def _flip_law(up_rate, down_rate, T, m, k0):
+        """m independent two-state particles, k0 of them in state 1, flip
+        2 -> 1 at up_rate and 1 -> 2 at down_rate: the count in state 1 is
+        Binomial(k0, stay) + Binomial(m - k0, settle)."""
+        from scipy.stats import binom
+
+        total = up_rate + down_rate
+        settle = up_rate / total * (1.0 - math.exp(-total * T))
+        stay = settle + math.exp(-total * T)
+        return np.convolve(
+            binom.pmf(np.arange(k0 + 1), k0, stay), binom.pmf(np.arange(m - k0 + 1), m - k0, settle)
+        )
+
+    @pytest.mark.parametrize("up_rate, down_rate, T, m, k0", [
+        (1.0, 1.0, 1.0, 6, 6),
+        (1.0, 1.0, 1.0, 2000, 2000),  # Lambda T = 2000: many pieces
+        (0.3, 1.7, 2.5, 300, 100),
+        (2.0, 0.5, 0.4, 50, 0),
+        (1.0, 1.0, 1e-3, 40, 17),
+    ])
+    def test_matches_the_binomial_convolution(self, up_rate, down_rate, T, m, k0):
+        k = np.arange(m + 1)
+        law = birth_death_law((m - k) * up_rate, k * down_rate, T, k0)
+        want = self._flip_law(up_rate, down_rate, T, m, k0)
+        assert np.abs(law - want).max() <= 1e-13
+        # the series keeps tiny tail probabilities to relative precision
+        seen = want > 1e-250
+        assert np.abs(law[seen] / want[seen] - 1.0).max() <= 1e-9
+        assert law.min() >= 0.0
+
+    @pytest.mark.parametrize("up, down, T", [
+        ([3.0, 2.0, 1.0, 0.0], [0.0, 1.0, 2.0, 3.0], 0.0),  # T = 0
+        ([0.0] * 4, [0.0] * 4, 5.0),  # rate 0
+    ])
+    def test_no_time_or_no_rate_is_the_point_mass(self, up, down, T):
+        assert birth_death_law(up, down, T, 2).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("up, down, T, k0", [
+        ([1.0, 1.0], [0.0, 1.0], 1.0, 0),  # a birth out of the top state
+        ([1.0, 0.0], [1.0, 1.0], 1.0, 0),  # a death out of 0
+        ([-1.0, 0.0], [0.0, 1.0], 1.0, 0),
+        ([math.nan, 0.0], [0.0, 1.0], 1.0, 0),
+        ([1.0, 0.0], [0.0, 1.0], math.nan, 0),
+        ([1.0, 0.0], [0.0, 1.0], -1.0, 0),
+        ([1.0, 0.0], [0.0, 1.0], 1.0, 2),
+        ([1.0, 0.0], [0.0, 1.0, 2.0], 1.0, 0),
+    ])
+    def test_invalid_input_is_rejected(self, up, down, T, k0):
+        with pytest.raises(ValueError):
+            birth_death_law(up, down, T, k0)

@@ -166,6 +166,17 @@ class TestEll:
         with pytest.raises(ValueError):
             ell_cost(-0.1)
 
+    def test_bytes_of_scipy_xlogy(self, rng):
+        from scipy.special import xlogy
+
+        r = rng.exponential(size=20_000) * rng.choice([1e-8, 1e-2, 1.0, 1e2, 1e8], 20_000)
+        r = np.concatenate([r, 1.0 + rng.normal(scale=1e-6, size=2_000),
+                            [0.0, 1.0, 1e-300, 5e-324, 1e300]]).reshape(-1, 5)
+        want = np.maximum(xlogy(r, r) - r + 1.0, 0.0)
+        assert ell_cost(r).tobytes() == want.tobytes()
+        for v in (0.0, 1.0, 1e-300, 5e-324, 1e300, 0.5, math.e):
+            assert ell_cost(v) == float(np.maximum(xlogy(v, v) - v + 1.0, 0.0))
+
     @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_with_min_at_one(self, r):

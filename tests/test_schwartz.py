@@ -165,3 +165,14 @@ def test_quadrature_nonconvergence_raises(monkeypatch):
     phi = HermiteFunction.from_poly_coeffs(coeffs)
     with pytest.raises(sz.QuadratureError):
         seminorm_hilbert(phi, 0)
+
+
+@pytest.mark.parametrize("R", [0.0, 1.0, 4.0, 8.0])
+def test_gaussian_moment_tail_matches_quadrature(R):
+    from scipy.integrate import quad
+
+    from devia.schwartz import _gaussian_moment_tail
+
+    for d in range(21):
+        want, _ = quad(lambda x: x**d * math.exp(-x * x), R, math.inf, epsabs=0.0, epsrel=1e-13)
+        assert _gaussian_moment_tail(d, R) == pytest.approx(want, rel=1e-11)

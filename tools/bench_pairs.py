@@ -12,10 +12,12 @@ even-numbered pairs run the parent first, odd-numbered ones the change.
 Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
-``--layers`` adds two layer timings, alternating the trees: the lockstep
+``--layers`` adds three layer timings, alternating the trees: the lockstep
 iterations per second of ``batch_paths`` at the jump-long shape (m = 10^4,
-100 tilted replicas) and the best-of-3 wall time of CLI ``jump-sim``
-(birth-death K = 5, m = 10^4).  The result goes to ``BENCH_<pr>.json`` at
+100 tilted replicas), the best-of-3 wall time of CLI ``jump-sim``
+(birth-death K = 5, m = 10^4) and the best-of-3 wall time of
+``python -c "import devia.harness.cli"``, the import that every CLI command
+pays.  The result goes to ``BENCH_<pr>.json`` at
 the repository root; :func:`problems` is the file's schema check.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -86,6 +89,8 @@ print(json.dumps({"iterations": calls[0], "seconds": seconds, "hash": digest}))
 
 BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
 CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
+CLI_IMPORT = "import devia.harness.cli"
+BEST_OF = ("cli_jump_sim_s", "cli_import_s")  # layer timings kept as best of their runs
 
 
 def git(*args: str) -> bytes:
@@ -139,11 +144,22 @@ def compare(seeds: list[int], results: dict) -> dict:
     return block
 
 
+def timed(cmd: list[str], env: dict, cwd: Path) -> float:
+    t0 = time.perf_counter()
+    subprocess.run(cmd, env=env, cwd=cwd, check=True, capture_output=True)
+    return time.perf_counter() - t0
+
+
+def best_of(runs: list[float]) -> dict:
+    return {"best": round(min(runs), 4), "runs": [round(x, 4) for x in runs]}
+
+
 def layers(trees: dict, scratch: Path) -> dict:
     model = scratch / "birth-death-k5.json"
     model.write_text(json.dumps(BIRTH_DEATH_K5))
     kernel = {s: [] for s in SIDES}
     cli = {s: [] for s in SIDES}
+    imports = {s: [] for s in SIDES}
     for i in range(3):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             tree = trees[side]
@@ -154,9 +170,8 @@ def layers(trees: dict, scratch: Path) -> dict:
             kernel[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
                    "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
-            t0 = time.perf_counter()
-            subprocess.run(cmd, env=env, cwd=tree, check=True, capture_output=True)
-            cli[side].append(time.perf_counter() - t0)
+            cli[side].append(timed(cmd, env, tree))
+            imports[side].append(timed([sys.executable, "-c", CLI_IMPORT], env, tree))
     hashes = {r["hash"] for s in SIDES for r in kernel[s]}
     iterations = {r["iterations"] for s in SIDES for r in kernel[s]}
     if len(hashes) != 1 or len(iterations) != 1:
@@ -176,8 +191,11 @@ def layers(trees: dict, scratch: Path) -> dict:
             "command": "python -m devia.harness.cli " + " ".join(CLI_ARGS)
                        + " --model <birth-death K = 5, a = b = c = 1/2>",
             "same_output": same_csv,
-            **{s: {"best": round(min(cli[s]), 4), "runs": [round(x, 4) for x in cli[s]]}
-               for s in SIDES},
+            **{s: best_of(cli[s]) for s in SIDES},
+        },
+        "cli_import_s": {
+            "command": f'python -c "{CLI_IMPORT}"',
+            **{s: best_of(imports[s]) for s in SIDES},
         },
     }
 
@@ -219,6 +237,16 @@ def problems(doc: dict) -> list[str]:
                 bad.append(f"{name}.change_over_parent_median.{k}: cannot be checked")
     if not doc.get("workloads"):
         bad.append("no workloads")
+    timings = doc.get("layers") or {}
+    for key in BEST_OF:
+        if key not in timings:
+            continue  # written before this timing existed
+        for side in SIDES:
+            s = timings[key].get(side)
+            if not isinstance(s, dict) or not s.get("runs"):
+                bad.append(f"layers.{key}.{side}: needs its runs")
+            elif abs(s.get("best", math.inf) - min(s["runs"])) > 1e-3:
+                bad.append(f"layers.{key}.{side}: best is not the runs' minimum")
     return bad
 
 
