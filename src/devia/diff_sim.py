@@ -4,8 +4,13 @@ All particles move by Euler-Maruyama with mean-field coefficients: the
 diffusion and drift at a particle are the empirical averages of the kernels
 over the whole ensemble.  Controlled runs add a scaled control drift
 sigma * u / (a(m) sqrt(m)) and account its quadratic cost.  The reference
-(McKean-Vlasov) ensemble is the same dynamics run at a large particle count,
-exposing measure pairings and a kernel density.
+(McKean-Vlasov) ensemble is the same dynamics run at a large particle count
+on the stream (seed, REFERENCE_REPLICA): :func:`simulate_interacting` keeps
+its positions in a :class:`DiffusionPath`, whose measure hooks give the
+pairings <mu(t), f> and whose :meth:`DiffusionPath.density` is a kernel
+density estimate, and :func:`limit_path` keeps only its kernel pairings.
+Its own mean-field error is O(1/M_ref), so M_ref should sit well above every
+system size it is compared against.
 
 Every simulator here (the interacting and controlled systems, the reference
 ensemble, the limit path, the Richardson guard and the lockstep coupling)
@@ -41,11 +46,9 @@ from .rng import stream
 __all__ = [
     "DiffusionPath",
     "LimitPath",
-    "McKeanEnsemble",
     "OccupationMeasure",
     "simulate_interacting",
     "simulate_controlled",
-    "mckean_ensemble",
     "fluctuation_pairing",
     "limit_path",
     "occupation_accumulate",
@@ -87,6 +90,18 @@ class DiffusionPath:
         """Empirical measure at a recorded time."""
         x = self.positions[self.index_of(t)]
         return MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
+
+    def density(self, t: float, xs: np.ndarray) -> np.ndarray:
+        """Gaussian KDE of the empirical measure at a recorded time, with
+        the normal-reference bandwidth."""
+        x = self.positions[self.index_of(t)]
+        h = 1.06 * max(float(np.std(x)), 1e-12) * len(x) ** (-0.2)
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros_like(xs)
+        for lo in range(0, len(x), 4096):
+            blk = x[lo : lo + 4096]
+            out += np.exp(-((xs[:, None] - blk[None, :]) ** 2) / (2 * h * h)).sum(axis=1)
+        return out / (len(x) * h * math.sqrt(2 * math.pi))
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -311,67 +326,19 @@ def richardson_gap(
     return float(np.mean((coarse.x - fine.x) ** 2))
 
 
-@dataclass(frozen=True)
-class McKeanEnsemble:
-    """Large-ensemble stand-in for the limit law mu(t)."""
-
-    path: DiffusionPath
-
-    def pairing(self, t: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        """<mu(t), f> as the ensemble average at a recorded time."""
-        return self.path.hook(t).pair(f)
-
-    def hook(self, t: float) -> MeasureHook:
-        return self.path.hook(t)
-
-    def density(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Gaussian KDE of mu(t) with the normal-reference bandwidth."""
-        x = self.path.positions[self.path.index_of(t)]
-        h = 1.06 * max(float(np.std(x)), 1e-12) * len(x) ** (-0.2)
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        for lo in range(0, len(x), 4096):
-            blk = x[lo : lo + 4096]
-            out += np.exp(-((xs[:, None] - blk[None, :]) ** 2) / (2 * h * h)).sum(axis=1)
-        return out / (len(x) * h * math.sqrt(2 * math.pi))
-
-
-def mckean_ensemble(
-    kernels: KernelPair,
-    M_ref: int,
-    x0: float,
-    T: float,
-    dt: float,
-    seed: int,
-    replica: int = 0,
-    record_stride: int = 1,
-) -> McKeanEnsemble:
-    """Reference ensemble approximating the limit law; its own mean-field
-    feedback error is O(1/M_ref) and should dominate nothing it is compared
-    against, so pick M_ref well above every m of interest."""
-    return McKeanEnsemble(
-        simulate_interacting(kernels, M_ref, x0, T, dt, seed, replica, record_stride)
-    )
-
-
 def fluctuation_pairing(
     path: DiffusionPath,
-    ref: McKeanEnsemble,
+    ref: DiffusionPath,
     a_m: float,
     phi: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Centered, scaled pairing t -> a(m) sqrt(m) (<mu^m(t), phi> - <mu(t), phi>)
-    on the common recorded grid."""
-    if not np.allclose(path.times, ref.path.times, rtol=0, atol=1e-12):
+    on the common recorded grid, with mu(t) the empirical measure of the
+    reference ensemble ``ref``."""
+    if not np.allclose(path.times, ref.times, rtol=0, atol=1e-12):
         raise ValueError("paths must share the recorded time grid")
     scale = a_m * math.sqrt(path.m)
-    vals = np.array(
-        [
-            scale
-            * (float(np.mean(phi(path.positions[k]))) - float(np.mean(phi(ref.path.positions[k]))))
-            for k in range(len(path.times))
-        ]
-    )
+    vals = scale * (phi(path.positions).mean(axis=1) - phi(ref.positions).mean(axis=1))
     return path.times.copy(), vals
 
 
@@ -456,7 +423,8 @@ def limit_path(
     for k in range(n_steps):
         sim.step(rng.standard_normal(out=z))
         values[k] = sim.used[0]
-    values[n_steps] = kernels.coefficients(sim.x)[2]
+    sim._coefficients([None])
+    values[n_steps] = sim.used[0]
     return LimitPath(values=values, dt=dt, M_ref=M_ref, x0=float(x0))
 
 

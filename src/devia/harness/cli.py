@@ -38,27 +38,24 @@ from .report import config_hash
 __all__ = ["main"]
 
 
-def _cmd_run(args) -> int:
-    spec = load_config(args.spec)
-    report = run_experiment(spec)
-    if args.out:
-        report.save(args.out)
+def _finish(report, out) -> int:
+    """Save the report if asked, print its summary; exit 1 iff a criterion failed."""
+    if out:
+        report.save(out)
     for line in report.summary_lines():
         print(line)
     print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
     return 0 if report.passed else 1
+
+
+def _cmd_run(args) -> int:
+    return _finish(run_experiment(load_config(args.spec)), args.out)
 
 
 def _cmd_lemma_suite(args) -> int:
     from .lemmas import run_lemma_suite
 
-    report = run_lemma_suite()
-    if args.out:
-        report.save(args.out)
-    for line in report.summary_lines():
-        print(line)
-    print(f"runtime: {report.runtime_seconds:.2f}s", file=sys.stderr)
-    return 0 if report.passed else 1
+    return _finish(run_lemma_suite(), args.out)
 
 
 def _cmd_jump_sim(args) -> int:

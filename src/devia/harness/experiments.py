@@ -25,7 +25,6 @@ from ..diff_analysis import (
 from ..diff_sim import (
     REFERENCE_REPLICA,
     limit_path,
-    mckean_ensemble,
     run_coupled,
     simulate_interacting,
 )
@@ -38,7 +37,7 @@ from ..jump_analysis import (
     solve_p,
 )
 from ..jump_sim import JumpControl, batch_paths
-from ..mf_model import model_from_config
+from ..mf_model import check_simplex, model_from_config
 from ..paths import PathVec
 from ..rng import stream
 from ..schwartz import HermiteFunction
@@ -99,17 +98,28 @@ def _timed(fn):
     return wrapper
 
 
-def _min_replicas(spec: dict, floor: int = 30) -> int:
+def _require(spec: dict, kind: str, *keys: str) -> None:
+    """A required key missing from a spec is an invalid input, not a KeyError."""
+    for key in keys:
+        if key not in spec:
+            raise ValueError(f"the {kind} spec needs the key {key!r}")
+
+
+def _replicas_and_grid(spec: dict, kind: str, floor: int = 30) -> tuple[int, list[int]]:
+    """The Monte Carlo layout of a slope fit: enough replicas for a usable
+    bootstrap and a strictly increasing grid of at least two sizes."""
     replicas = int(spec.get("replicas", 0))
     if replicas < floor:
         raise ValueError(
             f"slope fits need at least {floor} replicas for a usable bootstrap; got {replicas}"
         )
-    if "m_grid" in spec:
-        grid = [int(m) for m in spec["m_grid"]]
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
-            raise ValueError("m_grid must be strictly increasing")
-    return replicas
+    _require(spec, kind, "m_grid")
+    grid = [int(m) for m in spec["m_grid"]]
+    if len(grid) < 2:
+        raise ValueError(f"a slope fit needs an m_grid of at least 2 sizes; got {grid}")
+    if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        raise ValueError("m_grid must be strictly increasing")
+    return replicas, grid
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +137,12 @@ def _lln_chunk(model_cfg, m, q0, T, p, seed, lo, hi):
 def run_lln(spec: dict) -> ExperimentReport:
     """Mean squared sup-deviation of the empirical measure from its limit,
     fitted against 1/m on a log-log scale."""
+    _require(spec, "lln", "model", "q0")
+    replicas, m_grid = _replicas_and_grid(spec, "lln")
     model_cfg = spec["model"]
     q0 = np.asarray(spec["q0"], dtype=float)
     T = float(spec.get("T", 1.0))
     seed = int(spec.get("seed", 0))
-    replicas = _min_replicas(spec)
-    m_grid = [int(m) for m in spec["m_grid"]]
     p_steps = int(spec.get("p_steps", 1024))
     want = float(spec.get("criteria", {}).get("slope", -1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.2))
@@ -182,13 +192,13 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
     """Controlled fluctuations against the skeleton limit: the mean sup
     distance must be nonincreasing in m (within two standard errors) and at
     least halve from the smallest to the largest system."""
+    _require(spec, "tilt-limit", "model", "q0", "control")
+    replicas, m_grid = _replicas_and_grid(spec, "tilt-limit")
     model_cfg = spec["model"]
     q0 = np.asarray(spec["q0"], dtype=float)
     T = float(spec.get("T", 1.0))
     theta = float(spec.get("theta", 0.25))
     seed = int(spec.get("seed", 0))
-    replicas = _min_replicas(spec)
-    m_grid = [int(m) for m in spec["m_grid"]]
     p_steps = int(spec.get("p_steps", 2048))
     control_cfg = spec["control"]
     se_factor = float(spec.get("criteria", {}).get("se_factor", 2.0))
@@ -242,13 +252,18 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
 # CLT-scale pairing variance
 
 
+def _final_stride(T: float, dt: float) -> int:
+    """Record stride that keeps only times 0 and T."""
+    return max(1, int(round(T / dt)))
+
+
 def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
     kernels = resolve_kernels({"kernels": kernel_cfg})
     phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
     out = np.empty(hi - lo)
     for r in range(lo, hi):
         path = simulate_interacting(
-            kernels, m, x0, T, dt, seed, replica=r, record_stride=max(1, int(round(T / dt)))
+            kernels, m, x0, T, dt, seed, replica=r, record_stride=_final_stride(T, dt)
         )
         out[r - lo] = math.sqrt(m) * (float(np.mean(phi(path.positions[-1]))) - ref_pair)
     return out
@@ -258,14 +273,14 @@ def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
 def run_clt_scaling(spec: dict) -> ExperimentReport:
     """At the central-limit scale a(m) = m^(-1/2) the pairing fluctuations
     have m-independent variance; the fitted log-log slope must be flat."""
+    _require(spec, "clt-scaling", "kernels")
+    replicas, m_grid = _replicas_and_grid(spec, "clt-scaling")
     kernel_cfg = spec["kernels"]
     x0 = float(spec.get("x0", 0.0))
     T = float(spec.get("T", 0.5))
     dt = float(spec.get("dt", T / 256))
     M_ref = int(spec.get("M_ref", 8192))
     seed = int(spec.get("seed", 0))
-    replicas = _min_replicas(spec)
-    m_grid = [int(m) for m in spec["m_grid"]]
     phi_coeffs = list(spec.get("phi", [0.0, 1.0]))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
@@ -274,8 +289,10 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
     samples = {}
     arg_sets = []
     for k, m in enumerate(m_grid):
-        ref = mckean_ensemble(kernels, M_ref, x0, T, dt, seed + k, replica=REFERENCE_REPLICA)
-        arg_sets.append((kernel_cfg, m, ref.pairing(T, phi), x0, T, dt, phi_coeffs, seed + k))
+        ref = simulate_interacting(
+            kernels, M_ref, x0, T, dt, seed + k, REFERENCE_REPLICA, _final_stride(T, dt)
+        )
+        arg_sets.append((kernel_cfg, m, ref.hook(T).pair(phi), x0, T, dt, phi_coeffs, seed + k))
     for m, vals in zip(m_grid, _fan_out(_clt_chunk, arg_sets, replicas)):
         samples[m] = (vals - vals.mean()) ** 2
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
@@ -311,15 +328,15 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     reference particles, i.i.d. copies of the limit law whose pairings come
     from one M_ref-particle ensemble per run; the log-log slope must match
     -(1 - 2 theta)."""
+    _require(spec, "coupling-scaling", "kernels")
+    replicas, m_grid = _replicas_and_grid(spec, "coupling-scaling")
     kernel_cfg = spec["kernels"]
     x0 = float(spec.get("x0", 0.0))
     T = float(spec.get("T", 0.5))
     dt = float(spec.get("dt", T / 256))
     theta = float(spec.get("theta", 0.25))
-    M_ref = int(spec.get("M_ref", 4 * max(spec["m_grid"])))
+    M_ref = int(spec.get("M_ref", 4 * max(m_grid)))
     seed = int(spec.get("seed", 0))
-    replicas = _min_replicas(spec)
-    m_grid = [int(m) for m in spec["m_grid"]]
     u_const = float(spec.get("control", {}).get("constant", 1.0))
     tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
@@ -356,10 +373,10 @@ def run_initial_moments(spec: dict) -> ExperimentReport:
     """Empirical-measure moments under iid initial sampling: the n=1 identity
     E ||mu0 - p0||^2 = sum p_i (1 - p_i) / m holds within Monte Carlo error,
     and the second moment of ||mu0 - p0||^2 decays like m^-2."""
-    p0 = np.asarray(spec["p0"], dtype=float)
+    _require(spec, "initial-moments", "p0")
+    replicas, m_grid = _replicas_and_grid(spec, "initial-moments")
+    p0 = check_simplex(spec["p0"])
     seed = int(spec.get("seed", 0))
-    replicas = _min_replicas(spec)
-    m_grid = [int(m) for m in spec["m_grid"]]
     tol_slope = float(spec.get("criteria", {}).get("slope_tol", 0.3))
 
     stats = {}
@@ -410,10 +427,15 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
     least-norm control, compare costs; jump and diffusion sides."""
     seed = int(spec.get("seed", 0))
     target = spec.get("target", "both")
+    if target not in ("jump", "diffusion", "both"):
+        raise ValueError(
+            f"rate-roundtrip target must be 'jump', 'diffusion' or 'both'; got {target!r}"
+        )
     criteria: list[CriterionResult] = []
     stats: dict = {}
 
     if target in ("jump", "both"):
+        _require(spec, "rate-roundtrip", "model")
         model = resolve_model({"model": spec["model"]})
         q0 = np.asarray(spec.get("q0", [1.0 / model.K] * model.K), dtype=float)
         T = float(spec.get("T", 1.0))
@@ -457,6 +479,7 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
         )
 
     if target in ("diffusion", "both"):
+        _require(spec, "rate-roundtrip", "kernels")
         kernels = resolve_kernels({"kernels": spec["kernels"]})
         x0 = float(spec.get("x0", 0.0))
         Td = float(spec.get("T_diff", 0.5))

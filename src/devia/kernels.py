@@ -5,7 +5,7 @@ kernels: sigma(x, mu) = integral of alpha(x, y) mu(dy) and b(x, mu) likewise
 with beta.  A kernel may declare a rank-one separable form k(x, y) =
 f(x) g(y), in which case mean-field evaluation over an ensemble costs O(m)
 instead of O(m^2).  Factors may share an envelope (:class:`Enveloped`), which
-:meth:`KernelPair.coefficients` evaluates once per particle for both kernels.
+the particle simulators evaluate once per particle for both kernels.
 
 Measures enter through :class:`MeasureHook`, a plain (points, weights)
 quadrature view that both particle ensembles and grid densities provide.
@@ -145,36 +145,6 @@ class KernelPair:
                     f"kernel {k.name or k.fn!r} is not rank-one separable; the limit law "
                     "then does not enter through the pairings <mu, g>"
                 )
-
-    def coefficients(self, x, pairings=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sigma(x, mu), b(x, mu), pairings) at the particles x.
-
-        mu is the empirical measure of x itself unless ``pairings`` gives
-        (<mu, g_alpha>, <mu, g_beta>) of the separable kernels.  Equals
-        ``sigma``/``drift`` bit for bit; shared factors are evaluated once.
-        The returned pairings are those used (nan for a dense kernel).
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if pairings is not None:
-            self.require_separable()
-        memo: dict = {}
-        w = np.full(len(x), 1.0 / len(x)) if pairings is None else None
-        coeffs, used = [], []
-        for k, kern in enumerate((self.alpha, self.beta)):
-            if kern.sep is None:
-                coeffs.append(kern.mean_y(x, MeasureHook(points=x, weights=w)))
-                used.append(np.nan)
-                continue
-            f, g = kern.sep
-            if pairings is not None:
-                s = float(pairings[k])
-            else:  # kernels sharing g share the pairing
-                if ("pair", id(g)) not in memo:
-                    memo["pair", id(g)] = _dot(w, _factor(g, x, memo))
-                s = memo["pair", id(g)]
-            coeffs.append(_factor(f, x, memo) * s)
-            used.append(s)
-        return coeffs[0], coeffs[1], np.array(used)
 
 
 def zero_kernel() -> Kernel:

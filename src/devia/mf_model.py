@@ -54,7 +54,7 @@ def check_simplex(q: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
         raise ValueError(f"negative mass: min entry {q.min():.3e}")
     s = q.sum()
     if abs(s - 1.0) > max(tol, 1e-9 * len(q)):
-        raise ValueError(f"mass not normalized: sum = {s!r}")
+        raise ValueError(f"mass not normalized: sum = {float(s)!r}")
     return q
 
 

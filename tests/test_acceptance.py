@@ -172,7 +172,7 @@ def test_criterion_08_schwartz_calculus():
 
 def test_criterion_09_pde_conservation_and_duality():
     from devia.diff_analysis import solve_fokker_planck, solve_linearized, weak_form_residual
-    from devia.diff_sim import mckean_ensemble
+    from devia.diff_sim import simulate_interacting
     from devia.kernels import default_kernels
     from devia.schwartz import HermiteFunction
 
@@ -198,9 +198,9 @@ def test_criterion_09_pde_conservation_and_duality():
     coarse = solve_fokker_planck(kp, 0.0, 0.5, -5.0, 5.0, 201).pair(0.5, pair_phi)
     fine = solve_fokker_planck(kp, 0.0, 0.5, -5.0, 5.0, 401).pair(0.5, pair_phi)
     grid_err = abs(fine - coarse) / 3.0
-    ref = mckean_ensemble(kp, 16384, 0.0, 0.5, 1 / 256, seed=77, record_stride=128)
-    mc = ref.pairing(0.5, pair_phi)
-    samples = pair_phi(ref.path.positions[-1])
+    ref = simulate_interacting(kp, 16384, 0.0, 0.5, 1 / 256, seed=77, record_stride=128)
+    mc = ref.hook(0.5).pair(pair_phi)
+    samples = pair_phi(ref.positions[-1])
     se = float(samples.std() / math.sqrt(len(samples)))
     pairing_ok = abs(fine - mc) <= 3 * se + 2 * grid_err + 1e-3
 

@@ -252,3 +252,28 @@ def test_diff_rate_two_point_field_is_diagnosed(tmp_path, kernel_cfg, capsys):
     assert rc == 2
     assert "at least 3 grid times, got 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+MINI_MOMENTS = {"kind": "initial-moments", "p0": [0.5, 0.5], "m_grid": [50, 100], "replicas": 100}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "coupling-scaling", "kernels": {"family": "default"}, "replicas": 30},
+     "the coupling-scaling spec needs the key 'm_grid'"),
+    ({"kind": "lln", "q0": [0.5, 0.5], "m_grid": [40, 160], "replicas": 40},
+     "the lln spec needs the key 'model'"),
+    (dict(MINI_MOMENTS, m_grid=[]), "an m_grid of at least 2 sizes; got []"),
+    (dict(MINI_MOMENTS, m_grid=[50]), "an m_grid of at least 2 sizes; got [50]"),
+    ({"kind": "rate-roundtrip", "target": "jmp"},
+     "target must be 'jump', 'diffusion' or 'both'; got 'jmp'"),
+    # multinomial would sample (0.5, 0.5) while the exact moment used 0.6
+    (dict(MINI_MOMENTS, p0=[0.5, 0.6]), "mass not normalized: sum = 1.1"),
+], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
+        "p0-off-the-simplex"])
+def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
+    # exit 1 means a failed criterion, so an invalid spec must not reach a fit
+    path = tmp_path / "spec.json"
+    dump_config(spec, path)
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()

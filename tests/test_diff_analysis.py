@@ -94,7 +94,7 @@ class TestFokkerPlanck:
         # duality oracle: grid density against an independent particle run;
         # the grid side carries an O(dx^2) bias (mollified initial bump of
         # width 4 dx), estimated by Richardson between two resolutions
-        from devia.diff_sim import mckean_ensemble
+        from devia.diff_sim import simulate_interacting
 
         kp = default_kernels()
         phi = HermiteFunction.from_poly_coeffs([0.0, 1.0, 1.0])
@@ -102,9 +102,9 @@ class TestFokkerPlanck:
         fine_rho = solve_fokker_planck(kp, 0.0, 0.5, -5.0, 5.0, 401)
         fine = fine_rho.pair(0.5, phi)
         grid_err = abs(fine - coarse) / 3.0  # O(dx^2): remaining error ~ diff/3
-        ref = mckean_ensemble(kp, 16384, 0.0, 0.5, 1 / 256, seed=77, record_stride=128)
-        mc = ref.pairing(0.5, phi)
-        samples = phi(ref.path.positions[-1])
+        ref = simulate_interacting(kp, 16384, 0.0, 0.5, 1 / 256, seed=77, record_stride=128)
+        mc = ref.hook(0.5).pair(phi)
+        samples = phi(ref.positions[-1])
         se = samples.std() / math.sqrt(len(samples))
         assert abs(fine - mc) < 3 * se + 2.0 * grid_err + 1e-3
 

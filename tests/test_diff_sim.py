@@ -5,11 +5,12 @@ import pytest
 
 from devia.diff_analysis import solve_fokker_planck
 from devia.diff_sim import (
+    BLOCK,
     REFERENCE_REPLICA,
     LimitPath,
+    _FlatEM,
     fluctuation_pairing,
     limit_path,
-    mckean_ensemble,
     occupation_accumulate,
     richardson_gap,
     run_coupled,
@@ -127,23 +128,24 @@ class TestControlled:
 
 
 class TestMcKean:
+    # a reference ensemble is an interacting system at a large particle count
     def test_unit_pairing(self):
-        ref = mckean_ensemble(ADDITIVE, 512, 0.0, 0.5, 1 / 64, seed=8)
-        assert ref.pairing(0.5, lambda x: np.ones_like(x)) == pytest.approx(1.0)
+        ref = simulate_interacting(ADDITIVE, 512, 0.0, 0.5, 1 / 64, seed=8)
+        assert ref.hook(0.5).pair(lambda x: np.ones_like(x)) == pytest.approx(1.0)
 
     def test_second_moment_additive(self):
-        ref = mckean_ensemble(ADDITIVE, 20000, 0.5, 1.0, 1 / 128, seed=9, record_stride=128)
-        got = ref.pairing(1.0, lambda x: x**2)
+        ref = simulate_interacting(ADDITIVE, 20000, 0.5, 1.0, 1 / 128, seed=9, record_stride=128)
+        got = ref.hook(1.0).pair(lambda x: x**2)
         # X(T) ~ Normal(x0, T): E X^2 = x0^2 + T
         assert got == pytest.approx(1.25, abs=0.05)
 
     def test_deterministic_limit_pairing(self):
-        ref = mckean_ensemble(REVERSION, 64, 1.0, 1.0, 1 / 512, seed=10)
-        got = ref.pairing(1.0, lambda x: x)
+        ref = simulate_interacting(REVERSION, 64, 1.0, 1.0, 1 / 512, seed=10)
+        got = ref.hook(1.0).pair(lambda x: x)
         assert got == pytest.approx(math.exp(-1.0), abs=2e-3)
 
     def test_density_integrates_to_one(self):
-        ref = mckean_ensemble(ADDITIVE, 2048, 0.0, 0.5, 1 / 64, seed=11, record_stride=64)
+        ref = simulate_interacting(ADDITIVE, 2048, 0.0, 0.5, 1 / 64, seed=11, record_stride=64)
         xs = np.linspace(-6, 6, 2001)
         dens = ref.density(0.5, xs)
         assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-3)
@@ -151,13 +153,23 @@ class TestMcKean:
 
 class TestFluctuationPairing:
     def test_constant_function_vanishes(self):
-        ref = mckean_ensemble(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
+        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
         path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
         _, vals = fluctuation_pairing(path, ref, 0.3, lambda x: np.ones_like(x))
         assert np.abs(vals).max() == 0.0
 
+    def test_rows_are_the_per_time_pairings(self):
+        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
+        path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
+        times, vals = fluctuation_pairing(path, ref, 0.3, np.sin)
+        want = [
+            0.3 * math.sqrt(64) * (np.mean(np.sin(x)) - np.mean(np.sin(y)))
+            for x, y in zip(path.positions, ref.positions)
+        ]
+        assert np.array_equal(times, path.times) and vals.tolist() == want
+
     def test_linearity(self):
-        ref = mckean_ensemble(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
+        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
         path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
         _, a = fluctuation_pairing(path, ref, 0.3, lambda x: x)
         _, b = fluctuation_pairing(path, ref, 0.3, lambda x: x**2)
@@ -224,7 +236,10 @@ class TestCoupling:
 def _coupled_by_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replica):
     """run_coupled written out plainly: one allocating EM update per system
     under its own empirical measure, then the reference block under the
-    limit path's pairings, all on one draw of max(ms) normals per step."""
+    limit path's pairings, all on one draw of max(ms) normals per step.
+    Coefficients come from the kernels' own mean-field sums and factors,
+    not from the fused evaluator that run_coupled uses."""
+    f_alpha, f_beta = kernels.alpha.sep[0], kernels.beta.sep[0]
     limit = limit_path(kernels, M_ref, x0, T, dt, seed)
     rng = stream(seed, replica)
     xs = {m: np.full(m, float(x0)) for m in ms}
@@ -234,11 +249,13 @@ def _coupled_by_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replic
         z = rng.standard_normal(max(ms))
         for m in ms:
             x = xs[m]
-            sig, drift, _ = kernels.coefficients(x)
+            mu = MeasureHook(points=x, weights=np.full(m, 1.0 / m))
+            sig, drift = kernels.sigma(x, mu), kernels.drift(x, mu)
             a = m ** (-theta) * math.sqrt(m)
             u = control(k * dt, x)
             xs[m] = x + (drift * dt + sig * math.sqrt(dt) * z[:m] + sig * u * (dt / a))
-        sig, drift, _ = kernels.coefficients(ref, pairings=limit.values[k])
+        s_alpha, s_beta = limit.values[k]
+        sig, drift = f_alpha(ref) * s_alpha, f_beta(ref) * s_beta
         ref = ref + (drift * dt + sig * math.sqrt(dt) * z)
         for m in ms:
             gap[m] = np.maximum(gap[m], (xs[m] - ref[:m]) ** 2)
@@ -266,8 +283,8 @@ class TestLimitPath:
         kp = default_kernels()
         g = kp.alpha.sep[1]
         limit = limit_path(kp, 1000, 0.2, 0.5, 1 / 64, seed=5)
-        ref = mckean_ensemble(kp, 1000, 0.2, 0.5, 1 / 64, seed=5, replica=REFERENCE_REPLICA)
-        want = [ref.pairing(t, g) for t in ref.path.times]
+        ref = simulate_interacting(kp, 1000, 0.2, 0.5, 1 / 64, seed=5, replica=REFERENCE_REPLICA)
+        want = [ref.hook(t).pair(g) for t in ref.times]
         assert limit.values.shape == (33, 2) and limit.n_steps == 32
         assert np.allclose(limit.values, np.array([want, want]).T, rtol=0, atol=1e-13)
 
@@ -279,7 +296,7 @@ class TestLimitPath:
         g = kp.alpha.sep[1]
         M_ref, dt, T, seed = 32768, 1 / 512, 0.5, 77
         limit = limit_path(kp, M_ref, 0.0, T, dt, seed)
-        ens = mckean_ensemble(
+        ens = simulate_interacting(
             kp, M_ref, 0.0, T, dt, seed, replica=REFERENCE_REPLICA, record_stride=64
         )
 
@@ -289,7 +306,7 @@ class TestLimitPath:
 
         fine, coarse = fp_pairing(401), fp_pairing(201)
         for t in (0.125, 0.25, 0.5):
-            gx = g(ens.path.positions[ens.path.index_of(t)])
+            gx = g(ens.positions[ens.index_of(t)])
             assert limit.values[round(t / dt), 0] == pytest.approx(gx.mean(), abs=1e-12)
             se = float(np.std(gx)) / math.sqrt(M_ref)
             grid_err = abs(fine(t) - coarse(t)) / 3.0
@@ -298,8 +315,9 @@ class TestLimitPath:
 
 
 def test_fused_coefficients_match_the_kernel_means():
-    # one envelope evaluation per particle gives the four kernel factors of
-    # the Gaussian pair, bit for bit equal to the separate mean-field sums
+    # the flat stepper evaluates the shared envelope once per particle per
+    # step, one call per block of segments, and its factors equal the
+    # separate mean-field sums bit for bit
     calls = []
 
     def env(u):
@@ -313,16 +331,23 @@ def test_fused_coefficients_match_the_kernel_means():
             fn=ref.beta.fn, sep=(Enveloped(lambda x: -0.7 * np.asarray(x, dtype=float), env), env)
         ),
     )
-    x = np.random.default_rng(3).normal(size=257)
+    # the first two segments share a block, the third is a block of its own
+    sim = _FlatEM(counted, [257, 5, BLOCK], 0.0, 1 / 64)
+    sim.x[:] = np.random.default_rng(3).normal(size=len(sim.x))
+    x, y = sim.xs[0].copy(), sim.xs[1].copy()
     mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
-    sig, drift, pairings = counted.coefficients(x)
-    assert calls == [257]
-    assert np.array_equal(sig, ref.sigma(x, mu)) and np.array_equal(drift, ref.drift(x, mu))
-    assert pairings[0] == pairings[1] == pytest.approx(mu.pair(env), rel=1e-14)
-    sig2, drift2, used = counted.coefficients(x[:5], pairings=(0.25, 0.5))
-    assert np.array_equal(sig2, ref.alpha.sep[0](x[:5]) * 0.25)
-    assert np.array_equal(drift2, ref.beta.sep[0](x[:5]) * 0.5)
-    assert list(used) == [0.25, 0.5]
+    sim._coefficients([None, (0.25, 0.5), None])
+    assert calls == [262, BLOCK]
+    assert np.array_equal(sim._sig[sim.segs[0]], ref.sigma(x, mu))
+    assert np.array_equal(sim._step[sim.segs[0]], ref.drift(x, mu))
+    assert sim.used[0, 0] == sim.used[0, 1] == pytest.approx(mu.pair(env), rel=1e-14)
+    assert np.array_equal(sim._sig[sim.segs[1]], ref.alpha.sep[0](y) * 0.25)
+    assert np.array_equal(sim._step[sim.segs[1]], ref.beta.sep[0](y) * 0.5)
+    assert list(sim.used[1]) == [0.25, 0.5]
+    calls.clear()
+    for _ in range(3):
+        sim.step(np.zeros(len(sim.x)), [None, (0.25, 0.5), None])
+    assert calls == [262, BLOCK] * 3
 
 
 class TestOccupation:
@@ -352,10 +377,8 @@ class TestOccupation:
     def test_xs_marginal_converges_to_reference(self):
         # <nu_(2,3), f> for f = x*s against the reference-time integral
         f = lambda x, s: x * s
-        ref = mckean_ensemble(default_kernels(), 8192, 0.2, 0.5, 1 / 64, seed=21)
-        ref_val = np.trapezoid(
-            [ref.pairing(t, lambda x: x) * t for t in ref.path.times], ref.path.times
-        )
+        ref = simulate_interacting(default_kernels(), 8192, 0.2, 0.5, 1 / 64, seed=21)
+        ref_val = np.trapezoid([ref.hook(t).pair(lambda x: x) * t for t in ref.times], ref.times)
         errs = {}
         for m in (16, 512):
             vals = []
