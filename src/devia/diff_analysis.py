@@ -22,6 +22,10 @@ the forcing flux sigma*g*rho at the cell interfaces (it must vanish at both
 ends, otherwise the path leaks mass), and the cost is 1/2 * integral g^2 rho
 evaluated as flux^2 / (sigma^2 rho) away from the degeneracy floor.
 
+Controls are callables g(x, t), sampled on the density's grid.  The
+tolerances are module constants, not keyword arguments, so a rate verdict
+depends on the path and its grid alone.
+
 The flux helpers act on fields of shape (..., Nx).  The two marches step
 one time slice at a time; ``rate_diffusion`` and ``weak_form_residual``
 treat a block of up to BLOCK_CELLS grid cells (time slices x Nx) per
@@ -50,8 +54,15 @@ __all__ = [
     "stable_dt",
 ]
 
+# rate_diffusion: interfaces with sigma^2 rho below EPS_DEG_FACTOR times its
+# maximum are degenerate, and a recovered flux leaks when its boundary value
+# exceeds LEAK_RTOL times the largest flux (or 1)
 EPS_DEG_FACTOR = 1e-8
 LEAK_RTOL = 1e-6
+# solve_fokker_planck: the default step is CFL_SAFETY times the CFL limit,
+# and density above BOUNDARY_TOL in an end cell stops the march
+CFL_SAFETY = 0.45
+BOUNDARY_TOL = 1e-10
 # The blocked passes evaluate at most this many grid cells per call, which
 # bounds their temporaries independently of the number of time slices.
 BLOCK_CELLS = 1 << 12
@@ -138,9 +149,9 @@ def _fp_tendency(kernels, xs, rho, dx):
     return _divergence(flux, dx), sigma, b
 
 
-def stable_dt(kernels: KernelPair, xs: np.ndarray, safety: float = 0.45) -> float:
-    """Step size satisfying the diffusion and advection CFL limits for
-    coefficient bounds scanned over the grid box."""
+def stable_dt(kernels: KernelPair, xs: np.ndarray) -> float:
+    """CFL_SAFETY times the step size of the diffusion and advection CFL
+    limits, for coefficient bounds scanned over the grid box."""
     grid = np.asarray(xs, dtype=float)
     a_max = float(np.abs(kernels.alpha(grid[:, None], grid[None, :])).max())
     b_max = float(np.abs(kernels.beta(grid[:, None], grid[None, :])).max())
@@ -148,7 +159,7 @@ def stable_dt(kernels: KernelPair, xs: np.ndarray, safety: float = 0.45) -> floa
     lim = dx * dx / max(a_max**2, 1e-12)
     if b_max > 0:
         lim = min(lim, dx / b_max)
-    return safety * lim
+    return CFL_SAFETY * lim
 
 
 def solve_fokker_planck(
@@ -160,13 +171,13 @@ def solve_fokker_planck(
     nx: int,
     dt: float | None = None,
     w0: float | None = None,
-    boundary_tol: float = 1e-10,
 ) -> GridField:
     """Self-consistent density of the limit law, from a mollified point mass.
 
     The initial condition is a Gaussian bump of width ``w0`` (default 4 dx)
-    at x0, discretely normalized.  Raises if mass reaches the boundary cells
-    (the grid must cover the dynamic range) or the CFL condition fails.
+    at x0, discretely normalized.  Raises if the density in an end cell
+    exceeds BOUNDARY_TOL (the grid must cover the dynamic range) or the CFL
+    condition fails.
     """
     xs = np.linspace(x_lo, x_hi, nx)
     dx = float(xs[1] - xs[0])
@@ -184,7 +195,7 @@ def solve_fokker_planck(
         tendency, sigma, b = _fp_tendency(kernels, xs, rho, dx)
         _check_cfl(dt, dx, sigma, b)
         rho = rho + dt * tendency
-        if abs(rho[0]) > boundary_tol or abs(rho[-1]) > boundary_tol:
+        if abs(rho[0]) > BOUNDARY_TOL or abs(rho[-1]) > BOUNDARY_TOL:
             raise RuntimeError(
                 f"density reached the grid boundary at t={k * dt + dt:.6g}; widen [x_lo, x_hi]"
             )
@@ -202,15 +213,8 @@ def _check_cfl(dt: float, dx: float, sigma: np.ndarray, b: np.ndarray) -> None:
 
 
 def _as_control_array(g, xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Control g on the (time, space) grid from a callable or array."""
-    if callable(g):
-        return np.stack([np.broadcast_to(np.asarray(g(xs, t), dtype=float), xs.shape) for t in ts])
-    g = np.asarray(g, dtype=float)
-    if g.shape == (len(ts), len(xs)):
-        return g
-    if g.shape == (len(ts) - 1, len(xs)):  # per-step values; repeat the last
-        return np.vstack([g, g[-1:]])
-    raise ValueError("control grid must match the density grid")
+    """The control g(x, t) sampled on the (time, space) grid."""
+    return np.stack([np.broadcast_to(np.asarray(g(xs, t), dtype=float), xs.shape) for t in ts])
 
 
 def _linearized_tendency(kernels, xs, dx, rho_k, eta, g_k, sigma, b):
@@ -258,17 +262,12 @@ def _time_blocks(field: GridField):
     return blocks(len(field.ts), max(1, BLOCK_CELLS // len(field.xs)))
 
 
-def rate_diffusion(
-    kernels: KernelPair,
-    rho: GridField,
-    eta: GridField,
-    eps_deg_factor: float = EPS_DEG_FACTOR,
-    leak_rtol: float = LEAK_RTOL,
-) -> RateResult:
+def rate_diffusion(kernels: KernelPair, rho: GridField, eta: GridField) -> RateResult:
     """Least-cost control reproducing eta: recovers the forcing flux from the
     PDE residual and returns 1/2 * integral g^2 rho, or infeasible when the
-    recovered flux leaks at the boundary, lives on degenerate cells, or eta
-    fails the mass-zero / zero-start contract."""
+    recovered flux leaks at the boundary (beyond LEAK_RTOL), lives on
+    degenerate cells (below EPS_DEG_FACTOR), or eta fails the mass-zero /
+    zero-start contract."""
     xs, ts, dx = eta.xs, eta.ts, eta.dx
     if not (np.array_equal(xs, rho.xs) and np.array_equal(ts, rho.ts)):
         raise ValueError("eta and rho must share the grid")
@@ -295,7 +294,7 @@ def rate_diffusion(
     del etadot, resid  # free before the whole-path expressions below
 
     flux_scale = max(1.0, float(np.abs(phi).max(initial=0.0)))
-    flux_tol = leak_rtol * flux_scale
+    flux_tol = LEAK_RTOL * flux_scale
     ratio = leak / flux_scale
     if leak.max() > flux_tol:
         k = int(leak.argmax())
@@ -306,7 +305,7 @@ def rate_diffusion(
             f"forcing flux does not vanish at the boundary at t={ts[k]:.6g} "
             f"(leak {leak[k]:.3e})",
         )
-    ok = s2r > eps_deg_factor * max(float(s2r.max(initial=0.0)), 1e-300)
+    ok = s2r > EPS_DEG_FACTOR * max(float(s2r.max(initial=0.0)), 1e-300)
     bad = np.flatnonzero((~ok & (np.abs(phi) > flux_tol)).any(axis=1))
     if len(bad):
         return RateResult(

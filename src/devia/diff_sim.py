@@ -218,6 +218,8 @@ def _em_run(
 ) -> tuple[DiffusionPath, float]:
     if m < 1:
         raise ValueError(f"need m >= 1; got m={m}")
+    if record_stride < 1:
+        raise ValueError(f"need a record stride >= 1; got {record_stride}")
     n_steps = _n_steps(T, dt)
     sim = _FlatEM(kernels, [m], x0, dt)
     z = np.empty(m)
@@ -248,20 +250,18 @@ def simulate_interacting(
     m: int,
     x0: float,
     T: float,
-    dt: float | None = None,
+    dt: float,
     seed: int = 0,
     replica: int = 0,
     record_stride: int = 1,
 ) -> DiffusionPath:
     """Euler-Maruyama trajectory of the interacting system of m particles.
 
-    Default step T/2048.  The scheme is strong order 1/2 (weak order 1);
-    discretization error is checked by :func:`richardson_gap`, which couples
-    a run at dt against one at dt/2 on the same Brownian path.
+    The scheme is strong order 1/2 (weak order 1); discretization error is
+    checked by :func:`richardson_gap`, which couples a run at dt against one
+    at dt/2 on the same Brownian path.
     """
     rng = stream(seed, replica)
-    if dt is None:
-        dt = T / 2048
     path, _ = _em_run(kernels, m, x0, T, dt, rng, None, 1.0, record_stride)
     return path
 
@@ -271,7 +271,7 @@ def simulate_controlled(
     m: int,
     x0: float,
     T: float,
-    dt: float | None,
+    dt: float,
     a_m: float,
     control: Control,
     seed: int,
@@ -285,8 +285,6 @@ def simulate_controlled(
     the quadratic cost of the controlled representation exactly.
     """
     rng = stream(seed, replica)
-    if dt is None:
-        dt = T / 2048
     return _em_run(
         kernels, m, x0, T, dt, rng, control, a_m * math.sqrt(m), record_stride
     )
@@ -297,7 +295,7 @@ def richardson_gap(
     m: int,
     x0: float,
     T: float,
-    dt: float | None = None,
+    dt: float,
     seed: int = 0,
     replica: int = 0,
 ) -> float:
@@ -307,8 +305,6 @@ def richardson_gap(
     The half-step run consumes the two fine increments whose sum is the
     coarse increment, so the gap isolates the time-stepping error.
     """
-    if dt is None:
-        dt = T / 2048
     if m < 1:
         raise ValueError(f"need m >= 1; got m={m}")
     n_steps = _n_steps(T, dt)
@@ -354,9 +350,6 @@ class OccupationMeasure:
     @property
     def total_weight(self) -> float:
         return float(self.w.sum())
-
-    def pair(self, f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.w, f(self.y, self.x, self.s)))
 
     def pair_xs(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
         """Pairing of the (position, time) marginal against f(x, s)."""

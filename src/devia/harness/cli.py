@@ -48,6 +48,13 @@ def _finish(report, out) -> int:
     return 0 if report.passed else 1
 
 
+def _write_json(out, doc: dict) -> None:
+    """Write a report as strict JSON: a nan or inf in it is a ValueError,
+    raised before the file is opened."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    Path(out).write_text(text + "\n")
+
+
 def _cmd_run(args) -> int:
     return _finish(run_experiment(load_config(args.spec)), args.out)
 
@@ -72,20 +79,15 @@ def _cmd_jump_sim(args) -> int:
         p = solve_p(model, q0, args.T, args.p_steps)
         path, cost = simulate_tilted(model, args.m, q0, args.T, control, a_m, p, args.seed)
         write_jump_path(path, args.out)
-        sidecar = Path(args.out).with_suffix(".cost.json")
-        sidecar.write_text(
-            json.dumps(
-                {
-                    "cost": cost,
-                    "m": args.m,
-                    "theta": theta,
-                    "seed": args.seed,
-                    "config_hash": config_hash(control_cfg),
-                },
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
+        _write_json(
+            Path(args.out).with_suffix(".cost.json"),
+            {
+                "cost": cost,
+                "m": args.m,
+                "theta": theta,
+                "seed": args.seed,
+                "config_hash": config_hash(control_cfg),
+            },
         )
     else:
         path = simulate_jump(model, args.m, q0, args.T, args.seed)
@@ -122,7 +124,7 @@ def _cmd_jump_rate(args) -> int:
         "resampled": eta is not raw,
         "config_hash": config_hash(cfg),
     }
-    Path(args.out).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, out)
     print(f"rate value: {res.value} (feasible: {res.feasible})")
     return 0
 
@@ -130,9 +132,9 @@ def _cmd_jump_rate(args) -> int:
 def _cmd_diff_sim(args) -> int:
     cfg = load_config(args.kernels)
     kernels = resolve_kernels(cfg)
-    stride = max(1, int(args.stride))
+    dt = args.T / 2048 if args.dt is None else args.dt
     path = simulate_interacting(
-        kernels, args.m, args.x0, args.T, args.dt, args.seed, record_stride=stride
+        kernels, args.m, args.x0, args.T, dt, args.seed, record_stride=args.stride
     )
     phis = [
         HermiteFunction.from_hermite_coeffs(c) for c in cfg.get("test_functions", [[1.0]])
@@ -172,7 +174,7 @@ def _cmd_diff_rate(args) -> int:
         "boundary_leak_ratio": [float(v) for v in res.residual_ratio],
         "config_hash": config_hash(cfg),
     }
-    Path(args.out).write_text(json.dumps(out, sort_keys=True, indent=2) + "\n")
+    _write_json(args.out, out)
     print(f"rate value: {res.value} (feasible: {res.feasible})")
     return 0
 

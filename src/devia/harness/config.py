@@ -20,11 +20,20 @@ __all__ = ["load_config", "dump_config", "resolve_model", "resolve_kernels"]
 
 
 def load_config(path) -> dict:
+    """The mapping a config file holds; a file that does not parse or holds
+    anything else is a ValueError."""
     path = Path(path)
     text = path.read_text()
     if path.suffix in (".yaml", ".yml"):
-        return yaml.safe_load(text)
-    return json.loads(text)
+        try:
+            cfg = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: not valid YAML: {exc}") from exc
+    else:
+        cfg = json.loads(text)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: a config must be a mapping; got {type(cfg).__name__}")
+    return cfg
 
 
 def dump_config(cfg: dict, path) -> None:

@@ -105,13 +105,17 @@ def _require(spec: dict, kind: str, *keys: str) -> None:
             raise ValueError(f"the {kind} spec needs the key {key!r}")
 
 
-def _replicas_and_grid(spec: dict, kind: str, floor: int = 30) -> tuple[int, list[int]]:
+MIN_REPLICAS = 30
+
+
+def _replicas_and_grid(spec: dict, kind: str) -> tuple[int, list[int]]:
     """The Monte Carlo layout of a slope fit: enough replicas for a usable
     bootstrap and a strictly increasing grid of at least two sizes."""
     replicas = int(spec.get("replicas", 0))
-    if replicas < floor:
+    if replicas < MIN_REPLICAS:
         raise ValueError(
-            f"slope fits need at least {floor} replicas for a usable bootstrap; got {replicas}"
+            f"slope fits need at least {MIN_REPLICAS} replicas for a usable bootstrap; "
+            f"got {replicas}"
         )
     _require(spec, kind, "m_grid")
     grid = [int(m) for m in spec["m_grid"]]
@@ -527,25 +531,21 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
 # exactness oracle
 
 
-def exactness_tv(
-    rate: float, m: int, T: float, replicas: int, seed: int, k0: int | None = None
-) -> dict:
+def exactness_tv(rate: float, m: int, T: float, replicas: int, seed: int) -> dict:
     """Total-variation distance between the simulated time-T law of the
     two-state occupation count and its exact law, the uniformized law of the
-    (m+1)-state birth-death count chain."""
+    (m+1)-state birth-death count chain.  All m particles start in state 1."""
     from ..mf_model import two_state_model
 
     model = two_state_model(rate)
-    if k0 is None:
-        k0 = m  # all particles in state 1
-    q0 = np.array([k0 / m, 1.0 - k0 / m])
+    q0 = np.array([1.0, 0.0])
     _, finals = batch_paths(model, m, q0, T, seed, np.arange(replicas))
     emp = np.bincount(finals[:, 0], minlength=m + 1) / replicas
 
     # from k particles in state 1, one of the m - k in state 2 flips up or
     # one of the k flips down
     k = np.arange(m + 1)
-    law = birth_death_law((m - k) * rate, k * rate, T, k0)
+    law = birth_death_law((m - k) * rate, k * rate, T, m)
     tv = 0.5 * float(np.abs(emp - law).sum())
     return {"tv": tv, "empirical": emp.tolist(), "exact": law.tolist()}
 

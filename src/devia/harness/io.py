@@ -45,10 +45,19 @@ def write_path_vec(path: PathVec, out) -> None:
     _write_table(out, _state_header(path.dim), path.grid, path.values)
 
 
+def _finite_rows(raw: np.ndarray, src) -> np.ndarray:
+    """The data rows, or a ValueError naming the first one that holds a
+    non-finite value (``genfromtxt`` reads a non-numeric cell as nan)."""
+    raw = np.atleast_2d(raw)
+    bad = np.flatnonzero(~np.isfinite(raw).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{src}: data row {bad[0] + 1} holds a non-finite or non-numeric value")
+    return raw
+
+
 def read_path_vec(src) -> PathVec:
     """Read a time-indexed vector path from the jump-path CSV schema."""
-    raw = np.genfromtxt(src, delimiter=",", skip_header=1)
-    raw = np.atleast_2d(raw)
+    raw = _finite_rows(np.genfromtxt(src, delimiter=",", skip_header=1), src)
     return PathVec(raw[:, 0], raw[:, 1:])
 
 
@@ -62,5 +71,5 @@ def read_grid_field(src) -> GridField:
     with open(src) as fh:
         header = fh.readline().strip().split(",")
         xs = np.array([float(v) for v in header[1:]])
-        raw = np.atleast_2d(np.genfromtxt(fh, delimiter=","))
+        raw = _finite_rows(np.genfromtxt(fh, delimiter=","), src)
     return GridField(xs=xs, ts=raw[:, 0], values=raw[:, 1:])

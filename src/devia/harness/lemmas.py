@@ -430,7 +430,7 @@ def check_generator_bound_ratio() -> CriterionResult:
     worst = 0.0
     for _ in range(10):
         phi = random_hermite_function(rng, max_degree=6)
-        worst = max(worst, apply_L_seminorm_ratio(kp, mu, phi, n=0))
+        worst = max(worst, apply_L_seminorm_ratio(kp, mu, phi))
     return CriterionResult(
         "generator seminorm ratio bounded",
         worst,

@@ -139,7 +139,6 @@ def fit_loglog_slope(
     ms: np.ndarray,
     samples: dict[int, np.ndarray],
     seed: int,
-    resamples: int = BOOTSTRAP_RESAMPLES,
 ) -> dict:
     """OLS slope of log(mean) against log(m) with a bootstrap CI.
 
@@ -168,8 +167,8 @@ def fit_loglog_slope(
         return fit
     fit["slope"] = slope_of(means)
     rng = stream(seed, _BOOTSTRAP_STREAM)
-    boot = np.empty(resamples)
-    for b in range(resamples):
+    boot = np.empty(BOOTSTRAP_RESAMPLES)
+    for b in range(BOOTSTRAP_RESAMPLES):
         bm = np.array(
             [samples[m][rng.integers(0, len(samples[m]), len(samples[m]))].mean() for m in ms]
         )
@@ -177,7 +176,8 @@ def fit_loglog_slope(
     undefined = int(np.isnan(boot).sum())
     if undefined:
         fit["error"] = (
-            f"{undefined} of {resamples} bootstrap resamples have a mean that is not positive"
+            f"{undefined} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have a mean "
+            "that is not positive"
         )
     else:
         lo, hi = np.percentile(boot, [2.5, 97.5])

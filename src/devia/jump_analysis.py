@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jump_sim import JumpControl
-from .mf_model import RateModel, _drift, cell_weights, db_apply
+from .mf_model import RateModel, _drift, cell_weights, check_simplex, db_apply
 from .paths import PathVec, blocks, time_derivative
 
 __all__ = [
@@ -57,13 +57,14 @@ __all__ = [
 
 
 def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> PathVec:
-    """Classical RK4 solve of p' = b(p) on a uniform grid.
+    """Classical RK4 solve of p' = b(p) on a uniform grid from p0, which
+    must lie on the simplex (:func:`check_simplex`).
 
     The drift sums to zero analytically, so the mass defect is pure round-off;
     it is renormalized away whenever it exceeds 1e-12.  A step producing
     negative mass beyond tolerance is retried at half size.
     """
-    p0 = np.asarray(p0, dtype=float)
+    p0 = check_simplex(p0)
     grid = np.linspace(0.0, T, n_steps + 1)
     vals = np.empty((n_steps + 1, model.K))
     vals[0] = p0
@@ -138,28 +139,31 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     return PathVec(ts, eta)
 
 
+PICARD_MAX_ITER = 200
+PICARD_TOL = 1e-12
+
+
 def skeleton_picard(
     model: RateModel,
     p_path: PathVec,
     psi: JumpControl,
     eta_init: PathVec | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-12,
 ) -> PathVec:
     """Fixed-point solve of the skeleton equation from an arbitrary starting
     path.  Exists to demonstrate uniqueness numerically: any starting guess
-    contracts to the same solution."""
+    contracts to the same solution.  Stops after PICARD_MAX_ITER sweeps or
+    once a sweep moves the path by at most PICARD_TOL."""
     ts = p_path.grid
     P = p_path.values
     A = model.db(P)
     F = _forcing(model, P, psi.value(ts))
     cur = np.zeros((len(ts), model.K)) if eta_init is None else eta_init(ts)
     dt = np.diff(ts)
-    for _ in range(max_iter):
+    for _ in range(PICARD_MAX_ITER):
         integrand = (A @ cur[..., None])[..., 0] + F
         nxt = np.zeros_like(cur)
         nxt[1:] = np.cumsum(0.5 * dt[:, None] * (integrand[1:] + integrand[:-1]), axis=0)
-        if np.abs(nxt - cur).max() <= tol:
+        if np.abs(nxt - cur).max() <= PICARD_TOL:
             cur = nxt
             break
         cur = nxt
@@ -272,7 +276,7 @@ def _residual_ratio(r: np.ndarray, reached: np.ndarray) -> np.ndarray:
 
 
 def _least_norm_pass(
-    model: RateModel, p_path: PathVec, eta: PathVec, svd_rtol: float
+    model: RateModel, p_path: PathVec, eta: PathVec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least-norm coefficients u with B u = r per slice, by SVD
     pseudoinversion of the column stack B = [(e_j - e_i) sqrt(w_ij)];
@@ -288,23 +292,23 @@ def _least_norm_pass(
         B = np.zeros((len(sq), K, len(I)))
         B[:, J, pair] = sq
         B[:, I, pair] = -sq
-        u = np.linalg.pinv(B, rcond=svd_rtol) @ r[..., None]
+        u = np.linalg.pinv(B, rcond=SVD_RTOL) @ r[..., None]
         ratio[b] = _residual_ratio(r, (B @ u)[..., 0])
         # a cell with zero weight at a slice carries no control there
         U[b, I, J] = np.where(sq > 0.0, u[..., 0], 0.0)
     return U, ratio
 
 
-def _svd_density(model, p_path, eta, svd_rtol):
+def _svd_density(model, p_path, eta):
     """Cost density sum_ij u_ij^2 of the least-norm coefficients."""
-    U, ratio = _least_norm_pass(model, p_path, eta, svd_rtol)
+    U, ratio = _least_norm_pass(model, p_path, eta)
     return (U**2).sum(axis=(1, 2)), ratio
 
 
-def _laplacian_density(model, p_path, eta, svd_rtol):
+def _laplacian_density(model, p_path, eta):
     """Cost density r^T theta, theta = L_w^+ r, with the graph Laplacian
-    L_w = diag((W + W^T) 1) - (W + W^T) = B B^T.  svd_rtol cuts the
-    eigenvalues of L_w (squared singular values of B): svd_rtol**2 would lie
+    L_w = diag((W + W^T) 1) - (W + W^T) = B B^T.  SVD_RTOL cuts the
+    eigenvalues of L_w (squared singular values of B): SVD_RTOL**2 would lie
     below their round-off and keep null directions."""
     diag = np.arange(model.K)
     dens = np.empty(len(eta.grid))
@@ -313,22 +317,15 @@ def _laplacian_density(model, p_path, eta, svd_rtol):
         S = W + np.swapaxes(W, -1, -2)
         L = -S
         L[:, diag, diag] += S.sum(axis=-1)
-        theta = np.linalg.pinv(L, rcond=svd_rtol, hermitian=True) @ r[..., None]
+        theta = np.linalg.pinv(L, rcond=SVD_RTOL, hermitian=True) @ r[..., None]
         dens[b] = (r * theta[..., 0]).sum(axis=-1)
         ratio[b] = _residual_ratio(r, (L @ theta)[..., 0])
     return dens, ratio
 
 
-def _rate_common(
-    model: RateModel,
-    p_path: PathVec,
-    eta: PathVec,
-    density,
-    svd_rtol: float,
-    residual_rtol: float,
-) -> RateResult:
-    """Gate a path, integrate ``density(model, p_path, eta, svd_rtol)`` ->
-    (cost density, residual ratios) over its grid, and check refinement."""
+def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> RateResult:
+    """Gate a path, integrate ``density(model, p_path, eta)`` -> (cost
+    density, residual ratios) over its grid, and check refinement."""
     if eta.grid[-1] > p_path.T + 1e-9 * max(1.0, p_path.T):
         raise ValueError("fluctuation path extends beyond the limit path's horizon")
     n = len(eta.grid)
@@ -347,11 +344,11 @@ def _rate_common(
         return RateResult(math.inf, False, np.zeros(0), "path is not mass-zero", early)
 
     def cost(path: PathVec) -> tuple[float, np.ndarray]:
-        dens, ratio = density(model, p_path, path, svd_rtol)
+        dens, ratio = density(model, p_path, path)
         return 0.5 * float(np.trapezoid(dens, path.grid)), ratio
 
     value, ratio = cost(eta)
-    if ratio.max() > residual_rtol:
+    if ratio.max() > RESIDUAL_RTOL:
         k = int(ratio.argmax())
         return RateResult(
             math.inf,
@@ -367,7 +364,7 @@ def _rate_common(
     # possible when subsampling keeps the grid uniform)
     if refine == "ran":
         value_h, ratio_h = cost(eta.restrict_every(2))
-        if ratio_h.max() <= residual_rtol and value > DIVERGENCE_FACTOR * value_h + DIVERGENCE_ABS:
+        if ratio_h.max() <= RESIDUAL_RTOL and value > DIVERGENCE_FACTOR * value_h + DIVERGENCE_ABS:
             return RateResult(
                 math.inf,
                 False,
@@ -378,36 +375,24 @@ def _rate_common(
     return RateResult(value, True, ratio, detail={"refine_check": refine})
 
 
-def rate_I(
-    model: RateModel,
-    p_path: PathVec,
-    eta: PathVec,
-    svd_rtol: float = SVD_RTOL,
-    residual_rtol: float = RESIDUAL_RTOL,
-) -> RateResult:
+def rate_I(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
     """Rate of a fluctuation path through the primal problem:
     1/2 * integral sum_ij u_ij(t)^2 dt for the least-norm u with
     B(t) u(t) = eta'(t) - Db(p(t)) eta(t), by SVD of B(t)."""
-    return _rate_common(model, p_path, eta, _svd_density, svd_rtol, residual_rtol)
+    return _rate_common(model, p_path, eta, _svd_density)
 
 
-def rate_Ibar(
-    model: RateModel,
-    p_path: PathVec,
-    eta: PathVec,
-    svd_rtol: float = SVD_RTOL,
-    residual_rtol: float = RESIDUAL_RTOL,
-) -> RateResult:
+def rate_Ibar(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
     """Rate of a fluctuation path through the dual problem: 1/2 * integral
     of r^T L_w^+ r dt, r = eta' - Db(p) eta, with L_w = B B^T the weighted
     graph Laplacian of the cells.  It never forms the least-norm u, so it
     checks :func:`rate_I` independently."""
-    return _rate_common(model, p_path, eta, _laplacian_density, svd_rtol, residual_rtol)
+    return _rate_common(model, p_path, eta, _laplacian_density)
 
 
 def min_norm_u(model: RateModel, p_path: PathVec, eta: PathVec) -> ControlMatrixU:
     """Least-norm per-pair control reproducing eta (no feasibility gating)."""
-    U, _ = _least_norm_pass(model, p_path, eta, SVD_RTOL)
+    U, _ = _least_norm_pass(model, p_path, eta)
     return ControlMatrixU(eta.grid, U)
 
 

@@ -74,10 +74,6 @@ class MeasureHook:
         """<mu, f> for a vectorized function f."""
         return float(np.dot(self.weights, f(self.points)))
 
-    @property
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -215,6 +211,8 @@ def kernels_from_config(cfg: dict) -> KernelPair:
     "additive-noise" (constant alpha ``level``, reversion beta ``rate``)
     or "zero".
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a kernels config must be a mapping; got {type(cfg).__name__}")
     family = cfg.get("family", "default")
     if family == "default":
         return default_kernels(float(cfg.get("c_alpha", 0.5)), float(cfg.get("c_beta", 0.5)))

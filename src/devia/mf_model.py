@@ -45,15 +45,16 @@ __all__ = [
 SIMPLEX_TOL = 1e-12
 
 
-def check_simplex(q: np.ndarray, tol: float = SIMPLEX_TOL) -> np.ndarray:
-    """Validate a probability vector (entries >= 0, sum 1 within tol)."""
+def check_simplex(q: np.ndarray) -> np.ndarray:
+    """Validate a probability vector (entries >= -SIMPLEX_TOL, sum 1 within
+    max(SIMPLEX_TOL, 1e-9 K))."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1:
         raise ValueError("simplex vector must be one-dimensional")
-    if np.any(q < -tol):
+    if np.any(q < -SIMPLEX_TOL):
         raise ValueError(f"negative mass: min entry {q.min():.3e}")
     s = q.sum()
-    if abs(s - 1.0) > max(tol, 1e-9 * len(q)):
+    if abs(s - 1.0) > max(SIMPLEX_TOL, 1e-9 * len(q)):
         raise ValueError(f"mass not normalized: sum = {float(s)!r}")
     return q
 
@@ -338,17 +339,23 @@ def model_from_config(cfg: dict) -> RateModel:
     optionally explicit constants (``gamma_norm``, ``c_gamma``, ``l_gamma``)
     which are cross-checked against the recomputed values.
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"a model config must be a mapping; got {type(cfg).__name__}")
     family = cfg.get("family", "birth-death")
+    needs = {"birth-death": ("K", "a", "b", "c"), "constant": ("matrix",), "two-state": ()}
+    if family not in needs:
+        raise ValueError(f"unknown model family {family!r}")
+    for key in needs[family]:
+        if key not in cfg:
+            raise ValueError(f"the {family} model needs the key {key!r}")
     if family == "birth-death":
         model = birth_death_model(
             int(cfg["K"]), float(cfg["a"]), float(cfg["b"]), float(cfg["c"])
         )
     elif family == "constant":
         model = constant_rate_model(np.asarray(cfg["matrix"], dtype=float))
-    elif family == "two-state":
-        model = two_state_model(float(cfg.get("rate", 1.0)))
     else:
-        raise ValueError(f"unknown model family {family!r}")
+        model = two_state_model(float(cfg.get("rate", 1.0)))
 
     for key in ("gamma_norm", "c_gamma", "l_gamma"):
         if key in cfg:

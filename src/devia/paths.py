@@ -76,16 +76,6 @@ class PathVec:
             idx.append(len(self.grid) - 1)
         return PathVec(self.grid[idx], self.values[idx])
 
-    def __add__(self, other: "PathVec") -> "PathVec":
-        if not np.array_equal(self.grid, other.grid):
-            raise ValueError("paths must share a grid")
-        return PathVec(self.grid, self.values + other.values)
-
-    def __mul__(self, a: float) -> "PathVec":
-        return PathVec(self.grid, a * self.values)
-
-    __rmul__ = __mul__
-
 
 def time_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """d/dt of vals[k, ...] sampled at ts[k]: second-order central differences

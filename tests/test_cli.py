@@ -277,3 +277,183 @@ def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def _spoil_cell(csv, row: int, col: int, text: str = "abc") -> None:
+    # replace one cell of data row `row` (1-based, after the header)
+    lines = csv.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    csv.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["jump-rate", "diff-rate"])
+@pytest.mark.parametrize("text", ["abc", "nan", "inf"])
+def test_non_numeric_csv_cell_is_a_diagnosed_exit(tmp_path, model_cfg, kernel_cfg, capsys,
+                                                  command, text):
+    # genfromtxt reads such a cell as nan, which used to give "value": NaN, exit 0
+    from devia.diff_analysis import GridField
+    from devia.harness.io import write_path_vec
+    from devia.paths import PathVec
+
+    eta_csv = tmp_path / "eta.csv"
+    if command == "jump-rate":
+        write_path_vec(PathVec(np.linspace(0.0, 1.0, 65), np.zeros((65, 2))), eta_csv)
+        argv = [command, "--model", model_cfg]
+    else:
+        xs = np.linspace(-5.0, 5.0, 101)
+        write_grid_field(GridField(xs, np.linspace(0.0, 0.25, 65), np.zeros((65, 101))), eta_csv)
+        argv = [command, "--kernels", kernel_cfg]
+    _spoil_cell(eta_csv, 10, 1, text)
+    out = tmp_path / "report.json"
+    assert main(argv + ["--eta", str(eta_csv), "--out", str(out)]) == 2
+    assert "data row 10 holds a non-finite or non-numeric value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_json_is_strict(tmp_path):
+    from devia.harness.cli import _write_json
+
+    out = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        _write_json(out, {"value": float("nan")})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, text, command, message", [
+    ("model.json", '{"family": "birth-death", "K": 3, "a": 0.5, "b": 0.5}', "jump-sim",
+     "the birth-death model needs the key 'c'"),
+    ("model.json", '{"family": "constant", "K": 2}', "jump-sim",
+     "the constant model needs the key 'matrix'"),
+    ("model.yaml", "", "jump-sim", "a config must be a mapping; got NoneType"),
+    ("model.json", "[1, 2]", "jump-sim", "a config must be a mapping; got list"),
+    ("spec.yaml", "", "run", "a config must be a mapping; got NoneType"),
+    ("spec.json", '[{"kind": "lln"}]', "run", "a config must be a mapping; got list"),
+    ("spec.yaml", "kind: [lln\n", "run", "not valid YAML"),
+    ("model.json", '{"model": [1, 2]}', "jump-sim", "a model config must be a mapping; got list"),
+    ("k.json", '{"kernels": 0.5}', "diff-sim", "a kernels config must be a mapping; got float"),
+], ids=["no-c", "no-matrix", "empty-yaml-model", "list-model", "empty-yaml-spec", "list-spec",
+        "yaml-syntax", "inline-list-model", "inline-number-kernels"])
+def test_malformed_config_is_a_diagnosed_exit(tmp_path, capsys, name, text, command, message):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    if command == "run":
+        argv = ["run", str(cfg)]
+    elif command == "diff-sim":
+        argv = ["diff-sim", "--kernels", str(cfg), "--m", "4", "--T", "0.25",
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["jump-sim", "--model", str(cfg), "--m", "10", "--T", "1.0",
+                "--out", str(tmp_path / "path.csv")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diff_sim_zero_stride_is_a_diagnosed_exit(tmp_path, kernel_cfg, capsys):
+    # used to run silently with stride 1
+    argv = ["diff-sim", "--kernels", kernel_cfg, "--m", "4", "--T", "0.25", "--dt", "0.015625",
+            "--stride", "0", "--out", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert "need a record stride >= 1; got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run_summary.csv").exists()
+
+
+def test_jump_rate_rejects_an_off_simplex_p0(tmp_path, capsys):
+    # the first RK4 step used to renormalize p0 and report a rate for another law
+    from devia.harness.io import write_path_vec
+    from devia.paths import PathVec
+
+    model = tmp_path / "model.json"
+    dump_config({"family": "two-state", "rate": 1.0, "p0": [0.5, 0.6]}, model)
+    eta_csv = tmp_path / "eta.csv"
+    write_path_vec(PathVec(np.linspace(0.0, 1.0, 65), np.zeros((65, 2))), eta_csv)
+    out = tmp_path / "report.json"
+    assert main(["jump-rate", "--model", str(model), "--eta", str(eta_csv), "--out", str(out)]) == 2
+    assert "mass not normalized: sum = 1.1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_roundtrip_rejects_an_off_simplex_q0(tmp_path, capsys):
+    spec = {
+        "kind": "rate-roundtrip",
+        "target": "jump",
+        "model": {"family": "birth-death", "K": 3, "a": 0.5, "b": 0.5, "c": 0.5},
+        "q0": [0.5, 0.6, 0.1],
+        "p_steps": 64,
+    }
+    path = tmp_path / "spec.json"
+    dump_config(spec, path)
+    assert main(["run", str(path)]) == 2
+    assert "mass not normalized" in capsys.readouterr().err
+
+
+def test_jump_rate_resamples_a_non_uniform_grid(tmp_path, model_cfg):
+    from devia.harness.io import write_path_vec
+    from devia.jump_analysis import rate_I, solve_p
+    from devia.mf_model import two_state_model
+    from devia.paths import PathVec
+
+    grid = np.linspace(0.0, 1.0, 65) ** 2
+    vals = 0.05 * np.sin(np.pi * grid)[:, None] * np.array([1.0, -1.0])
+    eta_csv = tmp_path / "eta.csv"
+    write_path_vec(PathVec(grid, vals), eta_csv)
+    out = tmp_path / "report.json"
+    assert main(["jump-rate", "--model", model_cfg, "--eta", str(eta_csv), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["resampled"] is True
+    raw = read_path_vec(eta_csv)
+    uniform = np.linspace(0.0, 1.0, 65)
+    eta = PathVec(uniform, raw(uniform))
+    model = two_state_model(1.0)
+    want = rate_I(model, solve_p(model, np.array([0.5, 0.5]), 1.0, 256), eta)
+    assert want.feasible and want.value > 0.0
+    assert rep["value"] == want.value
+
+
+def test_diff_sim_default_step_is_T_over_2048(tmp_path, kernel_cfg):
+    rc = main(["diff-sim", "--kernels", kernel_cfg, "--m", "4", "--T", "0.25", "--stride", "512",
+               "--out", str(tmp_path / "run")])
+    assert rc == 0
+    lines = (tmp_path / "run_summary.csv").read_text().splitlines()
+    assert len(lines) == 6  # header, initial row, 2048 / 512 recorded rows
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.0, 0.0625, 0.125, 0.1875, 0.25]
+
+
+def test_diff_sim_kernel_families(tmp_path, capsys):
+    zero = tmp_path / "zero.json"
+    dump_config({"family": "zero"}, zero)
+    rc = main(["diff-sim", "--kernels", str(zero), "--m", "4", "--T", "0.25", "--dt", "0.0625",
+               "--x0", "0.5", "--out", str(tmp_path / "run")])
+    assert rc == 0
+    rows = (tmp_path / "run_summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["0.5", "0.0"]] * 5  # nothing moves
+
+    unknown = tmp_path / "unknown.json"
+    dump_config({"family": "gaussian"}, unknown)
+    rc = main(["diff-sim", "--kernels", str(unknown), "--m", "4", "--T", "0.25",
+               "--out", str(tmp_path / "other")])
+    assert rc == 2
+    assert "unknown kernel family 'gaussian'" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    # a flag renamed or removed in the parser must not outlive its README example
+    import re
+    import shlex
+
+    from devia.harness.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [
+        line
+        for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        for line in block.replace("\\\n", " ").splitlines()  # join backslash continuations
+        if line.startswith("devia ")
+    ]
+    assert len(lines) == 7
+    commands = set()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        commands.add(build_parser().parse_args(argv).command)
+    assert commands == {"run", "lemma-suite", "jump-sim", "jump-rate", "diff-sim", "diff-rate"}
