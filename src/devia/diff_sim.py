@@ -20,16 +20,27 @@ soon as a position leaves the finite range.  The step works on one flat
 particle array cut into segments, each with its own measure: the coupling
 lays out its systems of sizes m_1 .. m_k and its max(m) reference particles
 as k + 1 segments of one array and advances them all in one step, the other
-simulators use a single segment.  Kernel factors are evaluated once per
-particle over blocks of consecutive segments; every other pass of the update
-writes into work buffers allocated once per run, so the step allocates no
-particle-sized arrays of its own.  Each segment's floating-point operations
-are those of stepping it alone, so the layout changes no output bit.
+simulators use a single segment.  A step is one fused update per segment,
+
+    x += env * (s_beta * S_beta dt + s_alpha * S_alpha (sqrt(dt) z + dt/a u)),
+
+with env the envelope that both kernels' separable factors share (1 when
+they share none), s_alpha and s_beta the factors' scales and S_alpha,
+S_beta the segment's pairings <mu, g>; every per-segment constant is folded
+into one scalar.  The envelope is evaluated once per particle per step into
+a buffer, factors over blocks of at most BLOCK particles (a larger segment
+spans several), and every other pass writes into work buffers allocated
+once per run, so the step allocates no array larger than a block.  Each
+segment's floating-point operations are those of stepping it alone, so the
+layout changes no output bit; the fused form rounds differently from the
+unfused b dt + sigma sqrt(dt) z + sigma u dt / a, by about one unit in the
+last place.
 
 Noise is drawn per step from the replica's own counter-based stream, one
 standard normal per particle, so a controlled system of size m and reference
 particles driven by the same stream share Brownian increments by particle
-index (the coupling construction; see :func:`run_coupled`).
+index (the coupling construction; see :func:`run_coupled`): each system
+reads its normals as a view of the first m of the reference draw.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import KernelPair, MeasureHook, _dot, _factor
+from .kernels import Enveloped, KernelPair, MeasureHook
 from .rng import stream
 
 __all__ = [
@@ -62,9 +73,9 @@ Control = Callable[[float, np.ndarray], np.ndarray]
 # replicas are numbered from 0 and never reach it
 REFERENCE_REPLICA = 10_000_000
 
-# particles per kernel-factor evaluation: keeps the temporaries that the
-# factor functions allocate at 64 KB, or at one segment when that is larger;
-# larger temporaries are returned to the OS and faulted back every step
+# particles per envelope and kernel-factor evaluation: keeps the temporaries
+# that the factor functions allocate at 64 KB; larger temporaries are
+# returned to the OS and faulted back every step
 BLOCK = 8192
 
 
@@ -118,83 +129,151 @@ class _FlatEM:
     """Euler-Maruyama on one flat particle array cut into segments.
 
     Segment j holds the particles ``x[segs[j]]``.  Its coefficients are
-    taken under its own empirical measure (weights 1/n_j) or under given
-    pairings (<mu, g_alpha>, <mu, g_beta>).  Consecutive segments are
-    grouped into blocks of at most BLOCK particles (a larger segment is a
-    block of its own), and the kernel factors are evaluated once per block,
-    so every envelope is computed once per particle.  Every pass of the
-    update writes into work buffers allocated here once.  ``used[j]`` holds
-    the pairings the last step used on segment j (nan for a dense kernel).
+    sigma = env * s_alpha * S_alpha,j and b = env * s_beta * S_beta,j, with
+    S_.,j the pairings <mu_j, g> under its own empirical measure (weights
+    1/n_j) or given ones, and a step is the fused update
+
+        x += env * (s_beta * S_beta,j dt + s_alpha * S_alpha,j (sqrt(dt) z + dt/a u))
+
+    on segments with a control (u, a), without the u term on the others.
+    Every per-segment constant, and s_alpha or s_beta when the factor
+    returns a scalar, is folded into one Python scalar.  When both kernels'
+    factors are :class:`Enveloped` with one envelope, env is evaluated once
+    per particle per step into a buffer and s_. are their scales; otherwise
+    env is 1 and s_. are the factors, or for a dense kernel the mean over
+    the segment's own particles, with S = 1.  Factors are evaluated over
+    blocks of at most BLOCK consecutive particles (a larger segment spans
+    several blocks), and every pass of the update writes into work buffers
+    allocated here once.  ``used[j]`` holds the pairings the last step used
+    on segment j (nan for a dense kernel).
     """
 
     def __init__(self, kernels: KernelPair, sizes, x0: float, dt: float, names=None):
         self.kernels = kernels
-        self.edges = np.cumsum([0, *sizes])
+        self.sizes = [int(n) for n in sizes]
+        self._counts = np.array(self.sizes, dtype=float)
+        self.edges = np.cumsum([0, *self.sizes])
         self.segs = [slice(int(lo), int(hi)) for lo, hi in zip(self.edges[:-1], self.edges[1:])]
         self.names = names
         self.dt = dt
-        self.weights = [np.full(n, 1.0 / n) for n in sizes]
         self.x = np.full(int(self.edges[-1]), float(x0))
         self.used = np.empty((len(sizes), 2))
-        self._sig, self._step, self._tmp = (np.empty_like(self.x) for _ in range(3))
+        fa, fb = (k.sep and k.sep[0] for k in (kernels.alpha, kernels.beta))
+        shared = isinstance(fa, Enveloped) and isinstance(fb, Enveloped) and fa.env is fb.env
+        self.env = fa.env if shared else None
+        self._factors = (fa.scale, fb.scale) if shared else (fa, fb)  # None: dense
+        self._env = np.empty_like(self.x) if shared else None
+        self._step, self._tmp = np.empty_like(self.x), np.empty_like(self.x)
         self._finite = np.empty(len(self.x), dtype=bool)
         self.xs = [self.x[seg] for seg in self.segs]
-        self._views = [(self._sig[seg], self._step[seg], self._tmp[seg]) for seg in self.segs]
-        groups: list = []  # (block start, [(segment index, its slice in the block)])
+        # blocks of at most BLOCK particles: whole consecutive segments, or
+        # BLOCK-sized pieces of a larger one
+        groups, start = [[]], 0
         for j, seg in enumerate(self.segs):
-            if not groups or seg.stop - groups[-1][0] > BLOCK:
-                groups.append((seg.start, []))
-            lo, members = groups[-1]
-            members.append((j, slice(seg.start - lo, seg.stop - lo)))
-        self._blocks = [(slice(lo, lo + members[-1][1].stop), members) for lo, members in groups]
+            for lo in range(seg.start, seg.stop, BLOCK):
+                hi = min(lo + BLOCK, seg.stop)
+                if groups[-1] and hi - start > BLOCK:
+                    groups.append([])
+                    start = lo
+                groups[-1].append((j, slice(lo, hi)))
+        self._blocks = []
+        for members in groups:
+            blk = slice(members[0][1].start, members[-1][1].stop)
+            self._blocks.append((blk, [
+                (j, slice(fl.start - blk.start, fl.stop - blk.start),
+                 slice(fl.start - self.edges[j], fl.stop - self.edges[j]),
+                 self._tmp[fl], self._step[fl])
+                for j, fl in members
+            ]))
 
-    def _coefficients(self, pairings) -> None:
-        """sigma into _sig and b into _step."""
-        x = self.x
-        kerns = ((self.kernels.alpha, self._sig), (self.kernels.beta, self._step))
-        for k, (kern, out) in enumerate(kerns):
-            if kern.sep is None:  # dense: the mean over the segment's own particles
-                for seg, w in zip(self.segs, self.weights):
-                    out[seg] = kern.mean_y(x[seg], MeasureHook(points=x[seg], weights=w))
-                self.used[:, k] = np.nan
-        for blk, members in self._blocks:
-            xb, memo = x[blk], {}
-            for k, (kern, out) in enumerate(kerns):
+    def _pairings(self, pairings) -> list:
+        """The envelope into its buffer, and each segment's pairings, given
+        (pairings[j]) or under its own empirical measure (None), into used.
+        Returns used as lists, with 1.0 in place of a dense kernel's nan."""
+        x, kerns = self.x, (self.kernels.alpha, self.kernels.beta)
+        if self.env is not None:
+            for blk, _ in self._blocks:
+                self.env(x[blk], out=self._env[blk])
+        if any(p is None for p in pairings):
+            means = {}  # kernels sharing g share the pairing
+            for k, (kern, buf) in enumerate(zip(kerns, (self._tmp, self._step))):
                 if kern.sep is None:
                     continue
-                f, g = kern.sep
-                fx = _factor(f, xb, memo)
-                for j, local in members:
-                    if pairings[j] is not None:
-                        s = float(pairings[j][k])
-                    else:  # kernels sharing g share the pairing
-                        key = ("pair", id(g), j)
-                        if key not in memo:
-                            memo[key] = _dot(self.weights[j], _factor(g, xb, memo)[local])
-                        s = memo[key]
-                    np.multiply(fx[local], s, out=self._views[j][k])
-                    self.used[j, k] = s
+                g = kern.sep[1]
+                if id(g) not in means:
+                    if g is not self.env:
+                        for blk, _ in self._blocks:
+                            buf[blk] = g(x[blk])
+                    vals = self._env if g is self.env else buf
+                    means[id(g)] = np.add.reduceat(vals, self.edges[:-1]) / self._counts
+                self.used[:, k] = means[id(g)]
+        for j, p in enumerate(pairings):
+            if p is not None:
+                self.used[j] = p
+        used = self.used.tolist()
+        for k, kern in enumerate(kerns):
+            if kern.sep is None:
+                self.used[:, k] = np.nan
+                for row in used:
+                    row[k] = 1.0
+        return used
 
-    def step(self, z: np.ndarray, pairings=None, controls=None) -> None:
-        """x += b dt + sigma sqrt(dt) z, plus sigma u dt / a on each segment j
-        with controls[j] = (u, a).  pairings[j] is None for the segment's
-        own empirical measure.  Raises FloatingPointError, naming the
-        segment and particle, as soon as a position leaves the finite range.
+    def _advance(self, blk: slice, members, zs, controls, used) -> None:
+        """The block's increments into _step, under the pairings ``used``
+        that :meth:`_pairings` returned."""
+        dt = self.dt
+        fa, fb = self._block_factors(blk, members)
+        a_arr, b_arr = getattr(fa, "ndim", 0) > 0, getattr(fb, "ndim", 0) > 0
+        for j, bl, sl, tmp, step in members:
+            S_a, S_b = used[j]
+            c_a = S_a if a_arr else S_a * fa
+            np.multiply(zs[j][sl], c_a * math.sqrt(dt), out=tmp)
+            if controls[j] is not None:
+                u, a_scale = controls[j]
+                if u.ndim:
+                    u = np.broadcast_to(u, (self.sizes[j],))[sl]
+                    np.add(tmp, np.multiply(u, c_a * dt / a_scale), out=tmp)
+                else:
+                    np.add(tmp, c_a * dt / a_scale * float(u), out=tmp)
+            if a_arr:
+                np.multiply(tmp, fa[bl], out=tmp)
+            if b_arr:
+                np.multiply(fb[bl], S_b * dt, out=step)
+            else:
+                step.fill(S_b * fb * dt)
+            np.add(step, tmp, out=step)
+        if self.env is not None:
+            np.multiply(self._step[blk], self._env[blk], out=self._step[blk])
+
+    def _block_factors(self, blk: slice, members) -> list:
+        """s_alpha and s_beta over a block: arrays, or scalars for factors
+        that return one; a dense kernel's is its mean over each segment's
+        own particles."""
+        out = []
+        for kern, f in zip((self.kernels.alpha, self.kernels.beta), self._factors):
+            if f is not None:
+                out.append(f(self.x[blk]))
+                continue
+            vals = np.empty(blk.stop - blk.start)
+            for j, bl, sl, _, _ in members:
+                x, n = self.xs[j], self.sizes[j]
+                vals[bl] = kern.mean_y(x[sl], MeasureHook(points=x, weights=np.full(n, 1.0 / n)))
+            out.append(vals)
+        return out
+
+    def step(self, zs, pairings=None, controls=None) -> None:
+        """One fused update of every segment j, driven by the normals zs[j]
+        (one per particle of the segment), with controls[j] = (u, a) or None
+        and pairings[j] None for the segment's own empirical measure.
+        Raises FloatingPointError, naming the segment and particle, as soon
+        as a position leaves the finite range.
         """
         n_seg = len(self.segs)
-        self._coefficients(pairings or [None] * n_seg)
-        sig, step, tmp = self._sig, self._step, self._tmp
-        np.multiply(step, self.dt, out=step)
-        np.multiply(sig, math.sqrt(self.dt), out=tmp)
-        np.multiply(tmp, z, out=tmp)
-        np.add(step, tmp, out=step)
-        for (sig_j, step_j, tmp_j), ctrl in zip(self._views, controls or [None] * n_seg):
-            if ctrl is not None:
-                u, a_scale = ctrl
-                np.multiply(sig_j, u, out=tmp_j)
-                np.multiply(tmp_j, self.dt / a_scale, out=tmp_j)
-                np.add(step_j, tmp_j, out=step_j)
-        np.add(self.x, step, out=self.x)
+        used = self._pairings(pairings or [None] * n_seg)
+        controls = controls or [None] * n_seg
+        for blk, members in self._blocks:
+            self._advance(blk, members, zs, controls, used)
+        np.add(self.x, self._step, out=self.x)
         if not np.isfinite(self.x, out=self._finite).all():
             bad = int(np.argmin(self._finite))
             j = int(np.searchsorted(self.edges, bad, side="right")) - 1
@@ -235,10 +314,11 @@ def _em_run(
         rng.standard_normal(out=z)
         controls = None
         if control is not None:
-            u = np.broadcast_to(np.asarray(control(k * dt, sim.x), dtype=float), (m,))
-            cost += float(np.dot(u, u)) * dt / (2.0 * m)
+            u = np.asarray(control(k * dt, sim.x), dtype=float)
+            ub = np.broadcast_to(u, (m,))
+            cost += float(np.dot(ub, ub)) * dt / (2.0 * m)
             controls = [(u, a_scale)]
-        sim.step(z, controls=controls)
+        sim.step([z], controls=controls)
         if pos < len(rec_idx) and k + 1 == rec_idx[pos]:
             rec[pos] = sim.x
             pos += 1
@@ -315,10 +395,10 @@ def richardson_gap(
     for _ in range(n_steps):
         rng.standard_normal(out=z1)
         rng.standard_normal(out=z2)
-        fine.step(z1)
-        fine.step(z2)
+        fine.step([z1])
+        fine.step([z2])
         np.divide(np.add(z1, z2, out=zc), math.sqrt(2.0), out=zc)
-        coarse.step(zc)
+        coarse.step([zc])
     return float(np.mean((coarse.x - fine.x) ** 2))
 
 
@@ -414,9 +494,9 @@ def limit_path(
     z = np.empty(M_ref)
     values = np.empty((n_steps + 1, 2))
     for k in range(n_steps):
-        sim.step(rng.standard_normal(out=z))
+        sim.step([rng.standard_normal(out=z)])
         values[k] = sim.used[0]
-    sim._coefficients([None])
+    sim._pairings([None])
     values[n_steps] = sim.used[0]
     return LimitPath(values=values, dt=dt, M_ref=M_ref, x0=float(x0))
 
@@ -460,8 +540,8 @@ def run_coupled(
     rng = stream(seed, replica)
     names = [f"the system of size m={m}" for m in ms] + ["the reference block"]
     sim = _FlatEM(kernels, [*ms, max(ms)], x0, dt, names)
-    z = np.empty_like(sim.x)
-    *zs, z_ref = (z[seg] for seg in sim.segs)
+    z_ref = np.empty(max(ms))
+    zs = [z_ref[:m] for m in ms] + [z_ref]
     *xs, x_ref = sim.xs
     gap = np.zeros(sum(ms))
     diff = np.empty_like(gap)
@@ -471,11 +551,9 @@ def run_coupled(
     for k in range(n_steps):
         t = k * dt
         rng.standard_normal(out=z_ref)
-        for zj, m in zip(zs, ms):
-            zj[...] = z_ref[:m]
         controls = [(np.asarray(control(t, x), dtype=float), a) for x, a in zip(xs, a_scale)]
         pairings[-1] = limit.values[k]
-        sim.step(z, pairings, controls + [None])
+        sim.step(zs, pairings, controls + [None])
         for d, x, m in zip(diffs, xs, ms):
             np.subtract(x, x_ref[:m], out=d)
         np.maximum(gap, np.square(diff, out=diff), out=gap)

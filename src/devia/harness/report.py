@@ -29,6 +29,7 @@ __all__ = [
 SCHEMA = "devia-report/1"
 BOOTSTRAP_RESAMPLES = 1000
 _BOOTSTRAP_STREAM = 915001  # reserved stream id for bootstrap resampling
+_BOOTSTRAP_BLOCK = 1 << 16  # resampled values gathered at once
 
 
 @dataclass(frozen=True)
@@ -142,19 +143,17 @@ def fit_loglog_slope(
 ) -> dict:
     """OLS slope of log(mean) against log(m) with a bootstrap CI.
 
-    ``samples[m]`` are the per-replica values at system size m; the bootstrap
-    resamples replicas (the sup statistics are heavy-tailed, so a normal
-    stderr on the log-means would be optimistic).  A mean that is not
+    ``samples[m]`` are the per-replica values at system size m, the same
+    number at every m; the bootstrap resamples replicas (the sup statistics
+    are heavy-tailed, so a normal stderr on the log-means would be
+    optimistic), with its draws in resample-major order.  A mean that is not
     positive has no logarithm: the slope is then None and ``error`` names the
     system sizes at fault.  The CI is None when some resample has such a mean.
     """
     ms = np.asarray(sorted(ms))
     logm = np.log(ms)
-
-    def slope_of(means: np.ndarray) -> float:
-        return float(np.polyfit(logm, np.log(means), 1)[0])
-
-    means = np.array([samples[m].mean() for m in ms])
+    values = np.stack([np.asarray(samples[m], dtype=float) for m in ms])  # (M, n)
+    means = values.mean(axis=1)
     fit = {
         "means": {int(m): float(v) for m, v in zip(ms, means)},
         "slope": None,
@@ -165,14 +164,23 @@ def fit_loglog_slope(
     if bad:
         fit["error"] = f"mean is not positive at m = {bad}, so log(mean) is undefined"
         return fit
-    fit["slope"] = slope_of(means)
+    fit["slope"] = float(np.polyfit(logm, np.log(means), 1)[0])
     rng = stream(seed, _BOOTSTRAP_STREAM)
-    boot = np.empty(BOOTSTRAP_RESAMPLES)
-    for b in range(BOOTSTRAP_RESAMPLES):
-        bm = np.array(
-            [samples[m][rng.integers(0, len(samples[m]), len(samples[m]))].mean() for m in ms]
-        )
-        boot[b] = slope_of(bm) if np.all(bm > 0.0) else np.nan
+    n_m, n = values.shape
+    boot_means = np.empty((BOOTSTRAP_RESAMPLES, n_m))
+    per = max(1, _BOOTSTRAP_BLOCK // values.size)
+    idx = np.empty((per, n_m, n), dtype=np.int64)
+    for lo in range(0, BOOTSTRAP_RESAMPLES, per):
+        hi = min(lo + per, BOOTSTRAP_RESAMPLES)
+        for b in range(hi - lo):  # one draw per resample and m, resample-major
+            for i in range(n_m):
+                idx[b, i] = rng.integers(0, n, n)
+        for i in range(n_m):
+            boot_means[lo:hi, i] = values[i][idx[: hi - lo, i]].mean(axis=1)
+    defined = np.all(boot_means > 0.0, axis=1)
+    boot = np.full(BOOTSTRAP_RESAMPLES, np.nan)
+    if defined.any():
+        boot[defined] = np.polyfit(logm, np.log(boot_means[defined]).T, 1)[0]
     undefined = int(np.isnan(boot).sum())
     if undefined:
         fit["error"] = (

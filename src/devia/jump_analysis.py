@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jump_sim import JumpControl
-from .mf_model import RateModel, _drift, cell_weights, check_simplex, db_apply
+from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
 __all__ = [
@@ -58,13 +58,13 @@ __all__ = [
 
 def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> PathVec:
     """Classical RK4 solve of p' = b(p) on a uniform grid from p0, which
-    must lie on the simplex (:func:`check_simplex`).
+    must have K entries and lie on the simplex (:func:`check_simplex`).
 
     The drift sums to zero analytically, so the mass defect is pure round-off;
     it is renormalized away whenever it exceeds 1e-12.  A step producing
     negative mass beyond tolerance is retried at half size.
     """
-    p0 = check_simplex(p0)
+    p0 = check_simplex(check_states(p0, model.K))
     grid = np.linspace(0.0, T, n_steps + 1)
     vals = np.empty((n_steps + 1, model.K))
     vals[0] = p0

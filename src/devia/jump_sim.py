@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mf_model import RateModel, cell_weights, ell_cost
+from .mf_model import RateModel, cell_weights, check_states, ell_cost
 from .paths import PathVec
 from .rng import counter_uniforms
 # not used here, but perfbench/layers.py wraps jump_sim.stream by name
@@ -371,7 +371,7 @@ def batch_paths(
     KK = K * K
     if not (np.isfinite(T) and T >= 0):
         raise ValueError(f"need a finite horizon T >= 0; got T={T}")
-    counts0 = _counts_from_q0(q0, m)
+    counts0 = _counts_from_q0(check_states(q0, K), m)
     if _events is not None and R != 1:
         raise ValueError(f"event recording needs exactly one replica; got {R}")
     if ref is not None:

@@ -5,7 +5,8 @@ kernels: sigma(x, mu) = integral of alpha(x, y) mu(dy) and b(x, mu) likewise
 with beta.  A kernel may declare a rank-one separable form k(x, y) =
 f(x) g(y), in which case mean-field evaluation over an ensemble costs O(m)
 instead of O(m^2).  Factors may share an envelope (:class:`Enveloped`), which
-the particle simulators evaluate once per particle for both kernels.
+the particle simulators evaluate once per particle and step, into a buffer,
+for both kernels.
 
 Measures enter through :class:`MeasureHook`, a plain (points, weights)
 quadrature view that both particle ensembles and grid densities provide.
@@ -45,7 +46,9 @@ def _dot(w: np.ndarray, g):
 @dataclass(frozen=True)
 class Enveloped:
     """Separable factor x |-> scale(x) * env(x) whose envelope env other
-    factors may share."""
+    factors may share.  ``env(x, out=None)`` writes into ``out`` when given;
+    ``scale`` may return a scalar, which the particle simulators fold into
+    their per-segment constants."""
 
     scale: Callable
     env: Callable
@@ -54,13 +57,11 @@ class Enveloped:
         return self.scale(x) * self.env(x)
 
 
-def _factor(fn, x: np.ndarray, memo: dict) -> np.ndarray:
-    """fn(x) with every envelope and plain factor evaluated once per memo."""
-    if isinstance(fn, Enveloped):
-        return fn.scale(x) * _factor(fn.env, x, memo)
-    if id(fn) not in memo:
-        memo[id(fn)] = np.asarray(fn(x), dtype=float)
-    return memo[id(fn)]
+def _gaussian(u, out=None):
+    """exp(-u^2 / 2), written into ``out`` when it is given."""
+    y = np.square(np.asarray(u, dtype=float), out=out)
+    y = np.multiply(y, -0.5, out=out)
+    return np.exp(y, out=out)
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def default_kernels(c_alpha: float = 0.5, c_beta: float = 0.5) -> KernelPair:
     beta gives mean reversion near the origin so trajectories stay on a
     compact range.  Both are rank-one separable.
     """
-    g = lambda u: np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+    g = _gaussian
     alpha = Kernel(
         fn=lambda x, y: c_alpha * np.exp(-(x**2 + y**2) / 2.0),
         sep=(Enveloped(lambda x: c_alpha, g), g),

@@ -26,6 +26,7 @@ __all__ = [
     "RateModel",
     "JumpCell",
     "check_simplex",
+    "check_states",
     "random_simplex",
     "cell_measure",
     "cell_weights",
@@ -56,6 +57,15 @@ def check_simplex(q: np.ndarray) -> np.ndarray:
     s = q.sum()
     if abs(s - 1.0) > max(SIMPLEX_TOL, 1e-9 * len(q)):
         raise ValueError(f"mass not normalized: sum = {float(s)!r}")
+    return q
+
+
+def check_states(q: np.ndarray, K: int) -> np.ndarray:
+    """q as a float vector, after checking that it has one entry per state
+    of a K-state model."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (K,):
+        raise ValueError(f"the initial law has {q.size} entries; the model has K = {K}")
     return q
 
 

@@ -44,17 +44,30 @@ def test_schema_check_finds_a_broken_file(breakage, found):
 
 
 def _with_layers():
-    # a file with layer timings, given a CLI import timing if it predates them
+    # a file with layer timings, given the timings it predates
     doc = next(d for d in (json.loads(p.read_text()) for p in BENCH_FILES) if "layers" in d)
-    doc["layers"].setdefault("cli_import_s", {
-        "command": 'python -c "import devia.harness.cli"',
-        "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
-        "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
+    for key in ("cli_import_s", "limit_path_s"):
+        doc["layers"].setdefault(key, {
+            "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
+            "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
+        })
+    doc["layers"].setdefault("em_particle_steps_per_s", {
+        "parent": {"median": 2.0, "runs": [1.0, 2.0, 3.0], "quartiles": [1.0, 2.0, 3.0]},
+        "change": {"median": 3.0, "runs": [2.5, 3.0, 3.5], "quartiles": [2.5, 3.0, 3.5]},
     })
     return doc
 
 
-@pytest.mark.parametrize("key", ["cli_jump_sim_s", "cli_import_s"])
+@pytest.mark.parametrize("key", ["batch_paths_iterations_per_s", "em_particle_steps_per_s"])
+def test_schema_check_reads_the_median_timings(key):
+    doc = _with_layers()
+    assert _bench_pairs().problems(doc) == []
+    doc["layers"][key]["change"]["median"] += 1.0
+    assert any(f"layers.{key}.change: median is not the runs' median" in p
+               for p in _bench_pairs().problems(doc))
+
+
+@pytest.mark.parametrize("key", ["cli_jump_sim_s", "cli_import_s", "limit_path_s"])
 def test_schema_check_reads_the_best_of_timings(key):
     doc = _with_layers()
     assert _bench_pairs().problems(doc) == []

@@ -388,6 +388,53 @@ def test_rate_roundtrip_rejects_an_off_simplex_q0(tmp_path, capsys):
     assert "mass not normalized" in capsys.readouterr().err
 
 
+WRONG_LENGTH = "the initial law has 3 entries; the model has K = 2"
+
+
+@pytest.mark.parametrize("key", ["p0", "q0"])
+def test_jump_rate_diagnoses_an_initial_law_of_the_wrong_length(tmp_path, capsys, key):
+    from devia.harness.io import write_path_vec
+    from devia.paths import PathVec
+
+    model = tmp_path / "model.json"
+    dump_config({"family": "two-state", "rate": 1.0, key: [0.2, 0.3, 0.5]}, model)
+    eta_csv = tmp_path / "eta.csv"
+    write_path_vec(PathVec(np.linspace(0.0, 1.0, 65), np.zeros((65, 2))), eta_csv)
+    out = tmp_path / "report.json"
+    assert main(["jump-rate", "--model", str(model), "--eta", str(eta_csv), "--out", str(out)]) == 2
+    assert WRONG_LENGTH in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tilted", [False, True], ids=["plain", "tilted"])
+def test_jump_sim_diagnoses_a_q0_of_the_wrong_length(tmp_path, capsys, tilted):
+    model = tmp_path / "model.json"
+    dump_config({"family": "two-state", "rate": 1.0, "q0": [0.2, 0.3, 0.5]}, model)
+    out = tmp_path / "path.csv"
+    args = ["jump-sim", "--model", str(model), "--m", "10", "--T", "0.5", "--out", str(out)]
+    if tilted:
+        control = tmp_path / "control.json"
+        dump_config({"entries": {"1,2": 0.3}, "theta": 0.25}, control)
+        args += ["--control", str(control)]
+    assert main(args) == 2
+    assert WRONG_LENGTH in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_roundtrip_diagnoses_a_q0_of_the_wrong_length(tmp_path, capsys):
+    spec = {
+        "kind": "rate-roundtrip",
+        "target": "jump",
+        "model": {"family": "two-state", "rate": 1.0},
+        "q0": [0.2, 0.3, 0.5],
+        "p_steps": 64,
+    }
+    path = tmp_path / "spec.json"
+    dump_config(spec, path)
+    assert main(["run", str(path)]) == 2
+    assert WRONG_LENGTH in capsys.readouterr().err
+
+
 def test_jump_rate_resamples_a_non_uniform_grid(tmp_path, model_cfg):
     from devia.harness.io import write_path_vec
     from devia.jump_analysis import rate_I, solve_p

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,11 +235,54 @@ class TestCoupling:
 
 
 def _coupled_by_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replica):
-    """run_coupled written out plainly: one allocating EM update per system
-    under its own empirical measure, then the reference block under the
-    limit path's pairings, all on one draw of max(ms) normals per step.
-    Coefficients come from the kernels' own mean-field sums and factors,
-    not from the fused evaluator that run_coupled uses."""
+    """run_coupled written out plainly, in the fused update's operation order:
+    one allocating update per system under its own empirical measure, then
+    the reference block under the limit path's pairings, all on one draw of
+    max(ms) normals per step.  Coefficients come from the kernels' own
+    factor callables, not from the stepper that run_coupled uses; pairings
+    are summed by np.add.reduceat, as the stepper sums them."""
+    fa, fb = kernels.alpha.sep[0], kernels.beta.sep[0]
+    ga, gb = kernels.alpha.sep[1], kernels.beta.sep[1]
+    if isinstance(fa, Enveloped) and isinstance(fb, Enveloped) and fa.env is fb.env:
+        env, sa, sb = fa.env, fa.scale, fb.scale
+    else:
+        env, sa, sb = (lambda x: 1.0), fa, fb
+    limit = limit_path(kernels, M_ref, x0, T, dt, seed)
+    rng = stream(seed, replica)
+
+    def update(x, z, S_a, S_b, u=None, a=None):
+        # x + env (s_beta S_b dt + s_alpha S_a (sqrt(dt) z + dt/a u)), with
+        # every scalar factor folded into one constant
+        fa_x, fb_x = sa(x), sb(x)
+        c_a = S_a if np.ndim(fa_x) else S_a * fa_x
+        inc = z * (c_a * math.sqrt(dt))
+        if u is not None:
+            inc = inc + np.asarray(u) * (c_a * dt / a)
+        if np.ndim(fa_x):
+            inc = inc * fa_x
+        drift = fb_x * (S_b * dt) if np.ndim(fb_x) else S_b * fb_x * dt
+        return x + env(x) * (drift + inc)
+
+    mean = lambda g, x: np.add.reduceat(g(x), [0])[0] / len(x)
+    xs = {m: np.full(m, float(x0)) for m in ms}
+    ref = np.full(max(ms), float(x0))
+    gap = {m: np.zeros(m) for m in ms}
+    for k in range(round(T / dt)):
+        z = rng.standard_normal(max(ms))
+        for m in ms:
+            x = xs[m]
+            a = m ** (-theta) * math.sqrt(m)
+            xs[m] = update(x, z[:m], mean(ga, x), mean(gb, x), control(k * dt, x), a)
+        ref = update(ref, z, *limit.values[k])
+        for m in ms:
+            gap[m] = np.maximum(gap[m], (xs[m] - ref[:m]) ** 2)
+    return {m: float(gap[m].mean()) for m in ms}
+
+
+def _coupled_by_unfused_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replica):
+    """The same coupling in the unfused operation order
+    x + (b dt + sigma sqrt(dt) z + sigma u dt / a), with coefficients from
+    the kernels' own mean-field sums (KernelPair.sigma and drift)."""
     f_alpha, f_beta = kernels.alpha.sep[0], kernels.beta.sep[0]
     limit = limit_path(kernels, M_ref, x0, T, dt, seed)
     rng = stream(seed, replica)
@@ -269,11 +313,15 @@ def _coupled_by_loop(kernels, ms, M_ref, x0, T, dt, theta, control, seed, replic
 @pytest.mark.parametrize("family", ["default", "additive-noise"])
 def test_fused_coupling_equals_the_per_system_loop(family, ms, M_ref):
     # the flat segmented step advances every system and the reference block
-    # in one pass; it must reproduce the plain loop bit for bit
+    # in one pass; it must reproduce the plain loop in its own operation
+    # order bit for bit, and the unfused order to rounding
     kp = kernels_from_config({"family": family})
     args = (kp, ms, M_ref, 0.1, 0.25, 1 / 64, 0.25, lambda s, x: 1.0 + 0.1 * x, 5, 2)
     got = run_coupled(*args)
     assert got == _coupled_by_loop(*args)
+    unfused = _coupled_by_unfused_loop(*args)
+    assert got.keys() == unfused.keys()
+    assert all(got[m] == pytest.approx(unfused[m], rel=1e-12, abs=0) for m in ms)
     assert all(v > 0 for v in got.values())
 
 
@@ -316,13 +364,14 @@ class TestLimitPath:
 
 def test_fused_coefficients_match_the_kernel_means():
     # the flat stepper evaluates the shared envelope once per particle per
-    # step, one call per block of segments, and its factors equal the
-    # separate mean-field sums bit for bit
+    # step, one call per block of at most BLOCK particles, and its update
+    # is b dt + sigma sqrt(dt) z with the separate mean-field sums as b and
+    # sigma (given pairings on the second segment), to rounding
     calls = []
 
-    def env(u):
+    def env(u, out=None):
         calls.append(len(u))
-        return np.exp(-np.asarray(u, dtype=float) ** 2 / 2.0)
+        return default_kernels().alpha.sep[1](u, out=out)
 
     ref = default_kernels(0.4, 0.7)
     counted = KernelPair(
@@ -332,22 +381,61 @@ def test_fused_coefficients_match_the_kernel_means():
         ),
     )
     # the first two segments share a block, the third is a block of its own
-    sim = _FlatEM(counted, [257, 5, BLOCK], 0.0, 1 / 64)
-    sim.x[:] = np.random.default_rng(3).normal(size=len(sim.x))
-    x, y = sim.xs[0].copy(), sim.xs[1].copy()
-    mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
-    sim._coefficients([None, (0.25, 0.5), None])
-    assert calls == [262, BLOCK]
-    assert np.array_equal(sim._sig[sim.segs[0]], ref.sigma(x, mu))
-    assert np.array_equal(sim._step[sim.segs[0]], ref.drift(x, mu))
-    assert sim.used[0, 0] == sim.used[0, 1] == pytest.approx(mu.pair(env), rel=1e-14)
-    assert np.array_equal(sim._sig[sim.segs[1]], ref.alpha.sep[0](y) * 0.25)
-    assert np.array_equal(sim._step[sim.segs[1]], ref.beta.sep[0](y) * 0.5)
-    assert list(sim.used[1]) == [0.25, 0.5]
-    calls.clear()
+    # and the fourth spans two
+    sim = _FlatEM(counted, [257, 5, BLOCK, BLOCK + 3], 0.0, 1 / 64)
+    rng = np.random.default_rng(3)
+    x0 = rng.normal(size=len(sim.x))
+    zs = [rng.normal(size=n) for n in sim.sizes]
+    pairings = [None, (0.25, 0.5), None, None]
     for _ in range(3):
-        sim.step(np.zeros(len(sim.x)), [None, (0.25, 0.5), None])
-    assert calls == [262, BLOCK] * 3
+        sim.x[:] = x0
+        sim.step(zs, pairings)
+    assert calls == [262, BLOCK, BLOCK, 3] * 3
+    for j, seg in enumerate(sim.segs):
+        x = x0[seg]
+        mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
+        if pairings[j] is None:
+            sig, drift = ref.sigma(x, mu), ref.drift(x, mu)
+            assert sim.used[j, 0] == sim.used[j, 1] == pytest.approx(mu.pair(env), rel=1e-14)
+        else:
+            sig, drift = ref.alpha.sep[0](x) * 0.25, ref.beta.sep[0](x) * 0.5
+            assert list(sim.used[j]) == [0.25, 0.5]
+        want = drift / 64 + sig * math.sqrt(1 / 64) * zs[j]
+        assert np.allclose(sim.x[seg] - x, want, rtol=1e-12, atol=1e-15)
+
+
+def test_a_limit_path_step_allocates_at_most_one_block():
+    # every per-particle pass writes into the stepper's buffers; only the
+    # kernel factors allocate, one block of at most BLOCK particles at a time
+    kp = default_kernels()
+    M_ref = 32768
+    sim = _FlatEM(kp, [M_ref], 0.0, 1 / 512)
+    z = np.empty(M_ref)
+    rng = stream(1, REFERENCE_REPLICA)
+    sim.step([rng.standard_normal(out=z)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.step([rng.standard_normal(out=z)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak - before <= BLOCK * 8 + 4096
+
+
+def test_em_matches_the_exact_linear_gaussian_recursion():
+    # additive-noise pair: sigma = level and b = -rate x whatever the
+    # measure, so EM is x_{k+1} = (1 - rate dt) x_k + level sqrt(dt) z_k with
+    # mean x0 (1 - rate dt)^k and variance level^2 dt sum_{i<k} (1 - rate dt)^{2i}
+    level, rate, x0, T, dt, m = 0.7, 1.5, 1.0, 1.0, 1 / 64, 20_000
+    kp = kernels_from_config({"family": "additive-noise", "level": level, "rate": rate})
+    path = simulate_interacting(kp, m, x0, T, dt, seed=31, record_stride=64)
+    k, q = round(T / dt), 1.0 - rate * dt
+    mean = x0 * q**k
+    var = level**2 * dt * sum(q ** (2 * i) for i in range(k))
+    x = path.positions[-1]
+    assert abs(x.mean() - mean) <= 4 * math.sqrt(var / m)
+    assert abs(x.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / (m - 1))
 
 
 class TestOccupation:

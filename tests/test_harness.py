@@ -7,7 +7,9 @@ import pytest
 from devia.harness import exactness_tv, run_experiment, run_initial_moments, run_lln
 from devia.harness.config import dump_config, load_config
 from devia.harness.lemmas import run_lemma_suite
+from devia.harness import report
 from devia.harness.report import config_hash, fit_loglog_slope, sample_stats
+from devia.rng import stream
 
 MINI_LLN = {
     "kind": "lln",
@@ -199,6 +201,32 @@ def test_fit_loglog_slope_recovers_power_law():
     fit = fit_loglog_slope(ms, samples, seed=3)
     assert abs(fit["slope"] + 1.0) < 0.05
     assert fit["ci_low"] <= fit["slope"] <= fit["ci_high"]
+
+
+def _bootstrap_by_loop(ms, samples, seed):
+    """The bootstrap slopes as a per-resample loop: draw each m's resample
+    indices in turn, take the means, fit one slope."""
+    rng = stream(seed, report._BOOTSTRAP_STREAM)
+    logm = np.log(ms)
+    boot = []
+    for _ in range(report.BOOTSTRAP_RESAMPLES):
+        bm = np.array(
+            [samples[m][rng.integers(0, len(samples[m]), len(samples[m]))].mean() for m in ms]
+        )
+        boot.append(np.polyfit(logm, np.log(bm), 1)[0] if np.all(bm > 0.0) else np.nan)
+    return np.array(boot)
+
+
+@pytest.mark.parametrize("n, n_m", [(9, 7), (300, 7), (16500, 4)],
+                         ids=["one-block", "blocks", "block-per-resample"])
+def test_bootstrap_equals_the_per_resample_loop(n, n_m):
+    rng = np.random.default_rng(n)
+    ms = np.array([50 * 2**i for i in range(n_m)])
+    samples = {int(m): rng.exponential(1.0 / m, n) for m in ms}
+    fit = fit_loglog_slope(ms, samples, seed=9)
+    lo, hi = np.percentile(_bootstrap_by_loop(ms, samples, seed=9), [2.5, 97.5])
+    assert (fit["ci_low"], fit["ci_high"]) == (lo, hi)
+    assert fit["means"] == {int(m): samples[m].mean() for m in ms}
 
 
 def test_zero_mean_slope_is_a_failed_criterion():

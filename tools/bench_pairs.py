@@ -12,13 +12,16 @@ even-numbered pairs run the parent first, odd-numbered ones the change.
 Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
-``--layers`` adds three layer timings, alternating the trees: the lockstep
+``--layers`` adds five layer timings, alternating the trees: the lockstep
 iterations per second of ``batch_paths`` at the jump-long shape (m = 10^4,
 100 tilted replicas), the best-of-3 wall time of CLI ``jump-sim``
-(birth-death K = 5, m = 10^4) and the best-of-3 wall time of
+(birth-death K = 5, m = 10^4), the best-of-3 wall time of
 ``python -c "import devia.harness.cli"``, the import that every CLI command
-pays.  The result goes to ``BENCH_<pr>.json`` at
-the repository root; :func:`problems` is the file's schema check.
+pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
+the Euler-Maruyama particle-steps per second of one ``run_coupled`` replica
+under a shared limit path and the best-of-3 wall time of ``limit_path``.
+The result goes to ``BENCH_<pr>.json`` at the repository root;
+:func:`problems` is the file's schema check.
 """
 
 from __future__ import annotations
@@ -87,10 +90,38 @@ digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
 print(json.dumps({"iterations": calls[0], "seconds": seconds, "hash": digest}))
 """
 
+# the diffusion workload's coupling, timed by layer: one limit_path run, then
+# three run_coupled replicas under it after one untimed replica; prints the
+# particle-steps of a replica, the median replica and limit seconds and the
+# last replica's gaps
+EM_PROBE = r"""
+import json, statistics, time
+from devia.diff_sim import limit_path, run_coupled
+from devia.kernels import default_kernels
+
+kp = default_kernels()
+ms = [128, 256, 512, 1024, 2048, 4096, 8192]
+M_ref, T, dt = 32768, 0.5, 1 / 512
+t0 = time.perf_counter()
+limit = limit_path(kp, M_ref, 0.0, T, dt, 1)
+limit_s = time.perf_counter() - t0
+run = lambda r: run_coupled(kp, ms, M_ref, 0.0, T, dt, 0.25, lambda s, x: 1.0, 1, r, limit=limit)
+run(0)
+seconds = []
+for r in (1, 2, 3):
+    t0 = time.perf_counter()
+    gaps = run(r)
+    seconds.append(time.perf_counter() - t0)
+print(json.dumps({"particle_steps": round(T / dt) * (sum(ms) + max(ms)),
+                  "seconds": statistics.median(seconds), "limit_s": limit_s,
+                  "gaps": [gaps[m] for m in ms]}))
+"""
+
 BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
 CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
 CLI_IMPORT = "import devia.harness.cli"
-BEST_OF = ("cli_jump_sim_s", "cli_import_s")  # layer timings kept as best of their runs
+BEST_OF = ("cli_jump_sim_s", "cli_import_s", "limit_path_s")  # kept as best of their runs
+MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s")  # kept as medians
 
 
 def git(*args: str) -> bytes:
@@ -158,6 +189,7 @@ def layers(trees: dict, scratch: Path) -> dict:
     model = scratch / "birth-death-k5.json"
     model.write_text(json.dumps(BIRTH_DEATH_K5))
     kernel = {s: [] for s in SIDES}
+    em = {s: [] for s in SIDES}
     cli = {s: [] for s in SIDES}
     imports = {s: [] for s in SIDES}
     for i in range(3):
@@ -165,9 +197,10 @@ def layers(trees: dict, scratch: Path) -> dict:
             tree = trees[side]
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
             env.pop("DEVIA_WORKERS", None)
-            out = subprocess.run([sys.executable, "-c", KERNEL_PROBE], env=env, cwd=tree,
-                                 check=True, capture_output=True, text=True).stdout
-            kernel[side].append(json.loads(out.strip().splitlines()[-1]))
+            for probe, runs in ((KERNEL_PROBE, kernel), (EM_PROBE, em)):
+                out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tree,
+                                     check=True, capture_output=True, text=True).stdout
+                runs[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
                    "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
             cli[side].append(timed(cmd, env, tree))
@@ -177,6 +210,9 @@ def layers(trees: dict, scratch: Path) -> dict:
     if len(hashes) != 1 or len(iterations) != 1:
         raise SystemExit(f"bench_pairs: the trees' kernels differ: {hashes}, {iterations}")
     (n,) = iterations
+    (steps,) = {r["particle_steps"] for s in SIDES for r in em[s]}
+    gaps = {s: np.array(em[s][-1]["gaps"]) for s in SIDES}
+    gap_rel = float(np.max(np.abs(gaps["change"] / gaps["parent"] - 1.0)))
     same_csv = (scratch / "jump-sim-parent.csv").read_bytes() == (
         scratch / "jump-sim-change.csv").read_bytes()
     return {
@@ -196,6 +232,18 @@ def layers(trees: dict, scratch: Path) -> dict:
         "cli_import_s": {
             "command": f'python -c "{CLI_IMPORT}"',
             **{s: best_of(imports[s]) for s in SIDES},
+        },
+        "em_particle_steps_per_s": {
+            "shape": "diffusion workload: default kernels, m = 128 .. 8192 and 8192 reference "
+                     "particles, 256 steps of 1/512, seed 1; median of replicas 1-3 under one "
+                     "shared limit path, after an untimed replica",
+            "particle_steps": steps,
+            "gaps_max_rel_diff": gap_rel,
+            **{s: summary([steps / r["seconds"] for r in em[s]]) for s in SIDES},
+        },
+        "limit_path_s": {
+            "shape": "limit_path at M_ref = 32768, 256 steps of 1/512, seed 1",
+            **{s: best_of([r["limit_s"] for r in em[s]]) for s in SIDES},
         },
     }
 
@@ -238,6 +286,13 @@ def problems(doc: dict) -> list[str]:
     if not doc.get("workloads"):
         bad.append("no workloads")
     timings = doc.get("layers") or {}
+    for key in MEDIAN_OF:
+        for side in SIDES:
+            s = timings.get(key, {}).get(side)
+            if s is not None and (not s.get("runs") or abs(
+                s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3
+            ):
+                bad.append(f"layers.{key}.{side}: median is not the runs' median")
     for key in BEST_OF:
         if key not in timings:
             continue  # written before this timing existed
