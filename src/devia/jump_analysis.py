@@ -23,7 +23,10 @@ discontinuity), are reported infeasible, i.e. rate value infinity;
 ``detail["refine_check"]`` says whether the coarsening check ran.
 
 The passes over time slices evaluate BLOCK (256) slices or skeleton steps
-per batched call; only the RK4 and Picard recurrences loop in Python.
+per batched call.  The skeleton composes a block's RK4 steps by a prefix
+scan, and the rate functions factor each slice once for both the full and
+the half-grid refinement pass, so only :func:`solve_p`'s nonlinear RK4 loops
+in Python per step (as do the Picard sweeps, per iteration).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jump_sim import JumpControl
+from .jump_sim import JumpControl, _check_horizon
 from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
@@ -62,8 +65,13 @@ def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> 
 
     The drift sums to zero analytically, so the mass defect is pure round-off;
     it is renormalized away whenever it exceeds 1e-12.  A step producing
-    negative mass beyond tolerance is retried at half size.
+    negative mass beyond tolerance is retried at half size.  Needs
+    n_steps >= 1 and a finite horizon T > 0.
     """
+    if n_steps < 1:
+        raise ValueError(f"the LLN solve needs at least 1 step; got n_steps={n_steps}")
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"the LLN solve needs a finite horizon T > 0; got T={T}")
     p0 = check_simplex(check_states(p0, model.K))
     grid = np.linspace(0.0, T, n_steps + 1)
     vals = np.empty((n_steps + 1, model.K))
@@ -108,17 +116,49 @@ def _forcing(model: RateModel, P: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return M.sum(axis=-2) - M.sum(axis=-1)
 
 
+def _rk4_maps(G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """RK4 steps of eta' = A(t) eta + F(t) as affine maps in homogeneous
+    coordinates: (eta_{k+1}, 1) = M_k (eta_k, 1).  G (2n + 1, K + 1, K + 1)
+    holds the generators [[A, F], [0, 0]] at the stage times of step k, 2k
+    (start), 2k + 1 (midpoint) and 2k + 2 (end); h (n,) the step lengths."""
+    G0, G1, G2 = G[0:-1:2], G[1::2], G[2::2]
+    hh = h[:, None, None]
+    # stage k_i = S_i (eta, 1); k_1 = G0 (eta, 1)
+    S2 = G1 + (0.5 * hh) * (G1 @ G0)
+    S3 = G1 + (0.5 * hh) * (G1 @ S2)
+    S4 = G2 + hh * (G2 @ S3)
+    M = (hh / 6.0) * (G0 + 2.0 * S2 + 2.0 * S3 + S4)
+    diag = np.arange(G.shape[-1])
+    M[:, diag, diag] += 1.0
+    return M
+
+
+def _prefix_products(M: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products M_k ... M_1 M_0 of a stack of square
+    matrices, in place, by doubling: ceil(log2 n) batched products."""
+    d = 1
+    while d < len(M):
+        M[d:] = M[d:] @ M[:-d]
+        d *= 2
+    return M
+
+
 def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     """Fluctuation limit eta = G0(psi): the unique solution of the linear
     equation eta' = Db(p(t)) eta + f(t), eta(0) = 0, with per-cell forcing
     f(t) = sum (e_j - e_i) psi_ij(t) p_i(t) Gamma_ij(p(t)).
 
     Solved by RK4 on the grid of p; linear in psi.  The Jacobian and forcing
-    at the stage times of a block of steps come from one batched call.
+    at the stage times of a block of steps come from one batched call.  With
+    p interpolated linearly each step is an affine map of eta, so a block's
+    steps compose by a prefix scan (:func:`_prefix_products`) and no Python
+    loop runs over steps.  The control must cover the horizon of p.
     """
+    _check_horizon("control", psi.T, p_path.T)
     ts = p_path.grid
-    eta = np.zeros((len(ts), model.K))
-    y = eta[0]
+    K = model.K
+    eta = np.zeros((len(ts), K))
+    y = np.append(eta[0], 1.0)
     for b in blocks(len(ts) - 1, BLOCK):
         h = ts[b.start + 1 : b.stop + 1] - ts[b]
         # stage times of step k at 2k (start), 2k + 1 (midpoint), 2k + 2 (end)
@@ -126,16 +166,12 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
         s[0::2] = ts[b.start : b.stop + 1]
         s[1::2] = ts[b] + 0.5 * h
         P = p_path(s)
-        A = model.db(P)
-        F = _forcing(model, P, psi.value(s))
-        for k, hk in enumerate(h):
-            j = 2 * k
-            k1 = A[j] @ y + F[j]
-            k2 = A[j + 1] @ (y + 0.5 * hk * k1) + F[j + 1]
-            k3 = A[j + 1] @ (y + 0.5 * hk * k2) + F[j + 1]
-            k4 = A[j + 2] @ (y + hk * k3) + F[j + 2]
-            y = y + (hk / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            eta[b.start + k + 1] = y
+        G = np.zeros((len(s), K + 1, K + 1))
+        G[:, :K, :K] = model.db(P)
+        G[:, :K, K] = _forcing(model, P, psi.value(s))
+        M = _prefix_products(_rk4_maps(G, h))
+        eta[b.start + 1 : b.stop + 1] = M[:, :K] @ y
+        y[:K] = eta[b.stop]
     return PathVec(ts, eta)
 
 
@@ -153,6 +189,7 @@ def skeleton_picard(
     path.  Exists to demonstrate uniqueness numerically: any starting guess
     contracts to the same solution.  Stops after PICARD_MAX_ITER sweeps or
     once a sweep moves the path by at most PICARD_TOL."""
+    _check_horizon("control", psi.T, p_path.T)
     ts = p_path.grid
     P = p_path.values
     A = model.db(P)
@@ -258,74 +295,103 @@ DIVERGENCE_FACTOR = 1.5
 DIVERGENCE_ABS = 1.0
 
 
-def _slice_blocks(model: RateModel, p_path: PathVec, eta: PathVec):
-    """Yield (slices, W, r) per block of grid times: the cell weights
-    w_ij = p_i Gamma_ij(p) and the forcing r = eta' - Db(p)[eta] that a
-    control must produce there."""
+def _slice_blocks(model: RateModel, p_path: PathVec, eta: PathVec, halve: bool):
+    """Yield (W, forcings) per block of grid times: the cell weights
+    w_ij = p_i Gamma_ij(p) at the block's slices and the forcings a control
+    must produce there, as (rows, sel, r): r at the block's slices ``sel``,
+    its results bound for ``rows`` of the output grid.  The first forcing is
+    r = eta' - Db(p)[eta] on the grid of eta.  With ``halve`` a second one
+    follows, that of the half-grid path eta.restrict_every(2) at the block's
+    even slices; blocks start at multiples of BLOCK, which is even, so those
+    slices are its [::2] rows, and the two forcings differ only in eta'."""
     ts = eta.grid
     etadot = time_derivative(ts, eta.values)
+    if halve:
+        etadot_h = time_derivative(ts[::2], eta.values[::2])
     for b in blocks(len(ts), BLOCK):
         P = p_path(ts[b])
-        yield b, cell_weights(model, P), etadot[b] - db_apply(model, P, eta.values[b])
+        drift = db_apply(model, P, eta.values[b])
+        forcings = [(b, slice(None), etadot[b] - drift)]
+        if halve:
+            rows = slice(b.start // 2, (b.stop + 1) // 2)
+            forcings.append((rows, slice(None, None, 2), etadot_h[rows] - drift[::2]))
+        yield cell_weights(model, P), forcings
 
 
-def _residual_ratio(r: np.ndarray, reached: np.ndarray) -> np.ndarray:
-    """Orthogonal residual of r per slice, relative to max(1, ||r||)."""
+def _outputs(n: int, halve: bool) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(cost density, residual ratios) buffers per forcing of
+    :func:`_slice_blocks` on a grid of n points."""
+    sizes = [n, (n + 1) // 2] if halve else [n]
+    return [(np.empty(k), np.empty(k)) for k in sizes]
+
+
+def _apply_pinv(X: np.ndarray, Xp: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x = X^+ r per slice, from the factored pseudoinverse Xp, and the
+    orthogonal residual of r relative to max(1, ||r||)."""
+    x = Xp @ r[..., None]
+    reached = (X @ x)[..., 0]
     nr = np.linalg.norm(r, axis=-1)
-    return np.linalg.norm(r - reached, axis=-1) / np.maximum(1.0, nr)
+    return x[..., 0], np.linalg.norm(r - reached, axis=-1) / np.maximum(1.0, nr)
 
 
-def _least_norm_pass(
-    model: RateModel, p_path: PathVec, eta: PathVec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least-norm coefficients u with B u = r per slice, by SVD
-    pseudoinversion of the column stack B = [(e_j - e_i) sqrt(w_ij)];
-    returns (U values (N, K, K), residual ratios (N,))."""
+def _least_norm_blocks(model: RateModel, p_path: PathVec, eta: PathVec, halve: bool):
+    """Least-norm coefficients u with B u = r, by one SVD pseudoinversion
+    per slice of the column stack B = [(e_j - e_i) sqrt(w_ij)] over the
+    cells (I, J) with weight somewhere in the block.  Yields (I, J, solved)
+    per block, with (rows, u, residual ratios) per forcing of
+    :func:`_slice_blocks`."""
     K = model.K
-    U = np.zeros((len(eta.grid), K, K))
-    ratio = np.empty(len(eta.grid))
-    for b, W, r in _slice_blocks(model, p_path, eta):
-        # only cells with weight somewhere in the block give columns
+    for W, forcings in _slice_blocks(model, p_path, eta, halve):
         I, J = np.nonzero((W > 0.0).any(axis=0))
         pair = np.arange(len(I))
         sq = np.sqrt(W[:, I, J])
         B = np.zeros((len(sq), K, len(I)))
         B[:, J, pair] = sq
         B[:, I, pair] = -sq
-        u = np.linalg.pinv(B, rcond=SVD_RTOL) @ r[..., None]
-        ratio[b] = _residual_ratio(r, (B @ u)[..., 0])
-        # a cell with zero weight at a slice carries no control there
-        U[b, I, J] = np.where(sq > 0.0, u[..., 0], 0.0)
-    return U, ratio
+        Bp = np.linalg.pinv(B, rcond=SVD_RTOL)
+        solved = []
+        for rows, sel, r in forcings:
+            u, ratio = _apply_pinv(B[sel], Bp[sel], r)
+            # a cell with zero weight at a slice carries no control there
+            solved.append((rows, np.where(sq[sel] > 0.0, u, 0.0), ratio))
+        yield I, J, solved
 
 
-def _svd_density(model, p_path, eta):
-    """Cost density sum_ij u_ij^2 of the least-norm coefficients."""
-    U, ratio = _least_norm_pass(model, p_path, eta)
-    return (U**2).sum(axis=(1, 2)), ratio
+def _svd_density(model, p_path, eta, halve):
+    """Cost density sum_ij u_ij^2 of the least-norm coefficients, and the
+    residual ratios, per forcing of :func:`_slice_blocks`."""
+    out = _outputs(len(eta.grid), halve)
+    for _, _, solved in _least_norm_blocks(model, p_path, eta, halve):
+        for (dens, ratio), (rows, u, rr) in zip(out, solved):
+            dens[rows] = (u**2).sum(axis=-1)
+            ratio[rows] = rr
+    return out
 
 
-def _laplacian_density(model, p_path, eta):
+def _laplacian_density(model, p_path, eta, halve):
     """Cost density r^T theta, theta = L_w^+ r, with the graph Laplacian
-    L_w = diag((W + W^T) 1) - (W + W^T) = B B^T.  SVD_RTOL cuts the
-    eigenvalues of L_w (squared singular values of B): SVD_RTOL**2 would lie
-    below their round-off and keep null directions."""
+    L_w = diag((W + W^T) 1) - (W + W^T) = B B^T, and the residual ratios,
+    per forcing of :func:`_slice_blocks`.  SVD_RTOL cuts the eigenvalues of
+    L_w (squared singular values of B): SVD_RTOL**2 would lie below their
+    round-off and keep null directions."""
     diag = np.arange(model.K)
-    dens = np.empty(len(eta.grid))
-    ratio = np.empty(len(eta.grid))
-    for b, W, r in _slice_blocks(model, p_path, eta):
+    out = _outputs(len(eta.grid), halve)
+    for W, forcings in _slice_blocks(model, p_path, eta, halve):
         S = W + np.swapaxes(W, -1, -2)
         L = -S
         L[:, diag, diag] += S.sum(axis=-1)
-        theta = np.linalg.pinv(L, rcond=SVD_RTOL, hermitian=True) @ r[..., None]
-        dens[b] = (r * theta[..., 0]).sum(axis=-1)
-        ratio[b] = _residual_ratio(r, (L @ theta)[..., 0])
-    return dens, ratio
+        Lp = np.linalg.pinv(L, rcond=SVD_RTOL, hermitian=True)
+        for (dens, ratio), (rows, sel, r) in zip(out, forcings):
+            theta, ratio[rows] = _apply_pinv(L[sel], Lp[sel], r)
+            dens[rows] = (r * theta).sum(axis=-1)
+    return out
 
 
 def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> RateResult:
-    """Gate a path, integrate ``density(model, p_path, eta)`` -> (cost
-    density, residual ratios) over its grid, and check refinement."""
+    """Gate a path, integrate the cost density of
+    ``density(model, p_path, eta, halve)`` (per forcing of
+    :func:`_slice_blocks`: cost density, residual ratios) over its grid, and
+    check refinement against the half-grid forcing of the same pass."""
     if eta.grid[-1] > p_path.T + 1e-9 * max(1.0, p_path.T):
         raise ValueError("fluctuation path extends beyond the limit path's horizon")
     n = len(eta.grid)
@@ -343,11 +409,8 @@ def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> Ra
     if np.abs(vals.sum(axis=1)).max() > MASS_TOL * scale:
         return RateResult(math.inf, False, np.zeros(0), "path is not mass-zero", early)
 
-    def cost(path: PathVec) -> tuple[float, np.ndarray]:
-        dens, ratio = density(model, p_path, path)
-        return 0.5 * float(np.trapezoid(dens, path.grid)), ratio
-
-    value, ratio = cost(eta)
+    (dens, ratio), *halved = density(model, p_path, eta, refine == "ran")
+    value = 0.5 * float(np.trapezoid(dens, eta.grid))
     if ratio.max() > RESIDUAL_RTOL:
         k = int(ratio.argmax())
         return RateResult(
@@ -362,8 +425,9 @@ def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> Ra
     # a genuine discontinuity shows up as cost that grows as the grid
     # resolves it; compare against the half-resolution evaluation (only
     # possible when subsampling keeps the grid uniform)
-    if refine == "ran":
-        value_h, ratio_h = cost(eta.restrict_every(2))
+    if halved:
+        [(dens_h, ratio_h)] = halved
+        value_h = 0.5 * float(np.trapezoid(dens_h, eta.grid[::2]))
         if ratio_h.max() <= RESIDUAL_RTOL and value > DIVERGENCE_FACTOR * value_h + DIVERGENCE_ABS:
             return RateResult(
                 math.inf,
@@ -392,7 +456,10 @@ def rate_Ibar(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
 
 def min_norm_u(model: RateModel, p_path: PathVec, eta: PathVec) -> ControlMatrixU:
     """Least-norm per-pair control reproducing eta (no feasibility gating)."""
-    U, _ = _least_norm_pass(model, p_path, eta)
+    K = model.K
+    U = np.zeros((len(eta.grid), K, K))
+    for I, J, [(rows, u, _)] in _least_norm_blocks(model, p_path, eta, False):
+        U[rows, I, J] = u
     return ControlMatrixU(eta.grid, U)
 
 

@@ -51,20 +51,49 @@ def _with_layers():
             "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
             "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
         })
-    doc["layers"].setdefault("em_particle_steps_per_s", {
+    medians = {
         "parent": {"median": 2.0, "runs": [1.0, 2.0, 3.0], "quartiles": [1.0, 2.0, 3.0]},
         "change": {"median": 3.0, "runs": [2.5, 3.0, 3.5], "quartiles": [2.5, 3.0, 3.5]},
-    })
+    }
+    doc["layers"].setdefault("em_particle_steps_per_s", json.loads(json.dumps(medians)))
+    for key, diff in (("skeleton_G0_s", "eta_max_abs_diff"), ("rate_I_s", "value_max_rel_diff"),
+                      ("rate_Ibar_s", "value_max_rel_diff")):
+        doc["layers"].setdefault(key, {diff: 1e-14, **json.loads(json.dumps(medians))})
     return doc
 
 
-@pytest.mark.parametrize("key", ["batch_paths_iterations_per_s", "em_particle_steps_per_s"])
+MEDIAN_KEYS = ["batch_paths_iterations_per_s", "em_particle_steps_per_s",
+               "skeleton_G0_s", "rate_I_s", "rate_Ibar_s"]
+
+
+@pytest.mark.parametrize("key", MEDIAN_KEYS)
 def test_schema_check_reads_the_median_timings(key):
     doc = _with_layers()
     assert _bench_pairs().problems(doc) == []
     doc["layers"][key]["change"]["median"] += 1.0
     assert any(f"layers.{key}.change: median is not the runs' median" in p
                for p in _bench_pairs().problems(doc))
+
+
+@pytest.mark.parametrize("key, diff", [
+    ("skeleton_G0_s", "eta_max_abs_diff"),
+    ("rate_I_s", "value_max_rel_diff"),
+    ("rate_Ibar_s", "value_max_rel_diff"),
+])
+@pytest.mark.parametrize("value", [-1.0, float("inf"), None])
+def test_schema_check_reads_the_output_differences(key, diff, value):
+    doc = _with_layers()
+    doc["layers"][key][diff] = value
+    assert any(f"layers.{key}.{diff}: must be a finite difference >= 0" in p
+               for p in _bench_pairs().problems(doc))
+
+
+def test_files_without_the_analysis_timings_pass():
+    # files written before the analysis probe existed lack its keys
+    doc = _with_layers()
+    for key in ("skeleton_G0_s", "rate_I_s", "rate_Ibar_s"):
+        del doc["layers"][key]
+    assert _bench_pairs().problems(doc) == []
 
 
 @pytest.mark.parametrize("key", ["cli_jump_sim_s", "cli_import_s", "limit_path_s"])

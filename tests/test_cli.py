@@ -435,6 +435,36 @@ def test_rate_roundtrip_diagnoses_a_q0_of_the_wrong_length(tmp_path, capsys):
     assert WRONG_LENGTH in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--p-steps", "0"], "at least 1 step; got n_steps=0"),
+    (["--p-steps", "-3"], "at least 1 step; got n_steps=-3"),
+])
+def test_tilted_jump_sim_diagnoses_the_lln_grid(tmp_path, model_cfg, capsys, flags, message):
+    # a step count of 0 used to end in a ZeroDivisionError traceback, and -3
+    # in numpy's "Number of samples, -2, must be non-negative"
+    control = tmp_path / "control.json"
+    dump_config({"entries": {"1,2": 0.3}, "theta": 0.25}, control)
+    out = tmp_path / "path.csv"
+    args = ["jump-sim", "--model", model_cfg, "--m", "10", "--T", "0.5", "--out", str(out),
+            "--control", str(control)]
+    assert main(args + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_roundtrip_diagnoses_a_step_count_of_zero(tmp_path, capsys):
+    spec = {
+        "kind": "rate-roundtrip",
+        "target": "jump",
+        "model": {"family": "two-state", "rate": 1.0},
+        "p_steps": 0,
+    }
+    path = tmp_path / "spec.json"
+    dump_config(spec, path)
+    assert main(["run", str(path)]) == 2
+    assert "at least 1 step; got n_steps=0" in capsys.readouterr().err
+
+
 def test_jump_rate_resamples_a_non_uniform_grid(tmp_path, model_cfg):
     from devia.harness.io import write_path_vec
     from devia.jump_analysis import rate_I, solve_p

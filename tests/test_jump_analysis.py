@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devia.jump_analysis import (
+    _laplacian_density,
+    _svd_density,
     birth_death_law,
     min_norm_u,
     psi_from_u,
@@ -36,6 +39,18 @@ class TestSolveP:
         ts = p.grid
         exact = 0.5 + 0.4 * np.exp(-2.0 * ts)
         assert np.abs(p.values[:, 0] - exact).max() < 1e-10
+
+    @pytest.mark.parametrize("T, n_steps, message", [
+        (math.nan, 8, "finite horizon T > 0; got T=nan"),
+        (math.inf, 8, "finite horizon T > 0; got T=inf"),
+        (0.0, 8, "finite horizon T > 0; got T=0.0"),
+        (-1.0, 8, "finite horizon T > 0; got T=-1.0"),
+        (1.0, 0, "at least 1 step; got n_steps=0"),
+    ])
+    def test_bad_grid_is_diagnosed(self, flip_model, T, n_steps, message):
+        # T = nan used to give an all-NaN path, n_steps = 0 a ZeroDivisionError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            solve_p(flip_model, np.array([0.5, 0.5]), T, n_steps)
 
     def test_mass_conserved(self, default_model):
         p = solve_p(default_model, np.full(5, 0.2), 2.0, 512)
@@ -103,6 +118,84 @@ class TestSkeleton:
         a = skeleton_G0(flip_model, p, control)
         b = skeleton_picard(flip_model, p, control)
         assert np.abs(a.values - b.values).max() < 1e-5
+
+    @pytest.mark.parametrize("solve", [skeleton_G0, skeleton_picard])
+    def test_control_must_cover_the_horizon(self, flip_model, solve):
+        # a control on [0, 1] used to stretch its last bin over p's [0, 2]
+        p = solve_p(flip_model, np.array([0.5, 0.5]), 2.0, 64)
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.4})
+        with pytest.raises(ValueError, match="control ends at t=1, before the horizon T=2"):
+            solve(flip_model, p, control)
+
+
+def _skeleton_by_steps(model, p_path: PathVec, psi: JumpControl) -> np.ndarray:
+    """Reference for the scanned skeleton: RK4 one step at a time, with p
+    interpolated linearly at the stage midpoints."""
+    ts = p_path.grid
+    eta = np.zeros((len(ts), model.K))
+    y = eta[0]
+    for k in range(len(ts) - 1):
+        h = ts[k + 1] - ts[k]
+        s = np.array([ts[k], ts[k] + 0.5 * h, ts[k + 1]])
+        P = p_path(s)
+        A = model.db(P)
+        M = psi.value(s) * P[:, :, None] * model.rates_batch(P)
+        F = M.sum(axis=-2) - M.sum(axis=-1)
+        k1 = A[0] @ y + F[0]
+        k2 = A[1] @ (y + 0.5 * h * k1) + F[1]
+        k3 = A[1] @ (y + 0.5 * h * k2) + F[1]
+        k4 = A[2] @ (y + h * k3) + F[2]
+        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        eta[k + 1] = y
+    return eta
+
+
+def _assert_scan_matches_steps(model, p_path, psi):
+    want = _skeleton_by_steps(model, p_path, psi)
+    got = skeleton_G0(model, p_path, psi).values
+    assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+
+
+class TestSkeletonScan:
+    """The prefix-scanned skeleton equals the per-step RK4 recurrence."""
+
+    def test_birth_death_at_4096_steps(self, default_model):
+        p = solve_p(default_model, np.full(5, 0.2), 1.0, 4096)
+        _assert_scan_matches_steps(default_model, p, _potential_control(5, 1.0, 4, 0.4, 6))
+
+    def test_two_state(self, flip_model):
+        p = solve_p(flip_model, np.array([0.8, 0.2]), 1.0, 2048)
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.4, (2, 1): -0.2}, n_bins=4)
+        _assert_scan_matches_steps(flip_model, p, control)
+
+    def test_constant_model_with_empty_cells(self):
+        # nothing leaves state 3, and nothing goes from 2 to 3
+        model = constant_rate_model([[0.0, 1.0, 0.5], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        p = solve_p(model, np.array([0.2, 0.3, 0.5]), 1.0, 600)
+        _assert_scan_matches_steps(model, p, _potential_control(3, 1.0, 3, 0.5, 8))
+
+    @pytest.mark.parametrize("n_steps", [1, 255, 256, 257, 1000])
+    def test_block_edges(self, default_model, n_steps):
+        # 257 and 1000 steps leave a last block of 1 and 232 steps
+        p = solve_p(default_model, np.array([0.4, 0.3, 0.1, 0.1, 0.1]), 1.5, n_steps)
+        _assert_scan_matches_steps(default_model, p, _potential_control(5, 1.5, 3, 0.6, 7))
+
+    def test_non_uniform_grid(self, default_model):
+        p = solve_p(default_model, np.full(5, 0.2), 1.0, 1024)
+        grid = np.linspace(0.0, 1.0, 700) ** 1.5
+        _assert_scan_matches_steps(
+            default_model, PathVec(grid, p(grid)), _potential_control(5, 1.0, 4, 0.4, 9)
+        )
+
+
+@given(st.integers(2, 4), st.integers(1, 600), st.integers(0, 2**16), st.floats(0.25, 2.0))
+@settings(max_examples=25, deadline=None)
+def test_scanned_skeleton_matches_steps_on_constant_models(K, n_steps, seed, T):
+    rng = stream(seed, 1)
+    R = rng.choice([0.0, 0.0, 0.5, 1.0, 3.0], size=(K, K))
+    model = constant_rate_model(R)
+    p = solve_p(model, rng.dirichlet(np.ones(K)), T, n_steps)
+    _assert_scan_matches_steps(model, p, _potential_control(K, T, 3, 1.0, seed))
 
 
 def _potential_control(K: int, T: float, n_bins: int, scale: float, seed: int) -> JumpControl:
@@ -202,6 +295,43 @@ class TestRateFunctions:
         for rate in (rate_I, rate_Ibar):
             res = rate(flip_model, p, eta)
             assert res.feasible and res.detail["refine_check"] == want
+
+    @pytest.mark.parametrize("density", [_svd_density, _laplacian_density])
+    @pytest.mark.parametrize("path", ["skeleton", "unreachable"])
+    def test_fused_half_grid_equals_a_separate_pass(self, default_model, density, path):
+        # the half-grid forcing rides on the full pass's factorizations; it
+        # must give what a pass over eta.restrict_every(2) gives
+        if path == "skeleton":
+            model = default_model
+            p = solve_p(model, np.full(5, 0.2), 1.0, 4096)
+            eta = skeleton_G0(model, p, _potential_control(5, 1.0, 4, 0.4, 6))
+        else:
+            # only cell (1,2) is active, so motion in the 2-3 plane leaves
+            # a residual
+            R = np.zeros((3, 3))
+            R[0, 1] = 1.0
+            model = constant_rate_model(R)
+            p = solve_p(model, np.array([0.6, 0.3, 0.1]), 1.0, 1000)
+            eta = PathVec(p.grid, np.outer(p.grid, [0.0, -0.1, 0.1]))
+        [_, (dens_h, ratio_h)] = density(model, p, eta, True)
+        [(dens, ratio)] = density(model, p, eta.restrict_every(2), False)
+        assert np.allclose(dens_h, dens, rtol=1e-12, atol=0.0)
+        assert np.allclose(ratio_h, ratio, rtol=1e-12, atol=1e-15)
+        if path == "unreachable":
+            assert ratio.max() > 0.1
+
+    @pytest.mark.parametrize("rate", [rate_I, rate_Ibar])
+    def test_each_slice_is_factored_once(self, default_model, monkeypatch, rate):
+        # 4097 grid points make 17 blocks; the refinement pass reuses their
+        # factorizations instead of 9 more
+        p = solve_p(default_model, np.full(5, 0.2), 1.0, 4096)
+        eta = skeleton_G0(default_model, p, _potential_control(5, 1.0, 4, 0.4, 6))
+        calls = []
+        pinv = np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda *a, **k: calls.append(1) or pinv(*a, **k))
+        res = rate(default_model, p, eta)
+        assert res.feasible and res.detail["refine_check"] == "ran"
+        assert len(calls) == 17
 
     def test_passes_keep_memory_bounded(self, default_model):
         # the batched passes work in blocks of slices, so their peak

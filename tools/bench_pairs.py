@@ -12,9 +12,13 @@ even-numbered pairs run the parent first, odd-numbered ones the change.
 Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
-``--layers`` adds five layer timings, alternating the trees: the lockstep
+``--layers`` adds eight layer timings, alternating the trees: the lockstep
 iterations per second of ``batch_paths`` at the jump-long shape (m = 10^4,
-100 tilted replicas), the best-of-3 wall time of CLI ``jump-sim``
+100 tilted replicas; the median of 5 calls per process), the median seconds
+of ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape
+(birth-death K = 5, 4096 steps, a 4-bin potential control; the median of 5
+calls per process, with the trees' largest output differences), the
+best-of-3 wall time of CLI ``jump-sim``
 (birth-death K = 5, m = 10^4), the best-of-3 wall time of
 ``python -c "import devia.harness.cli"``, the import that every CLI command
 pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
@@ -47,13 +51,14 @@ METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 TOP_KEYS = ("what", "parent_commit", "hardware", "commands", "order", "claim", "workloads")
 SIDES = ("parent", "change")
 
-# one timed kernel call at the jump-long shape; prints iterations, seconds
-# and a hash of the outputs (which the two trees must share)
+# the kernel at the jump-long shape, timed over 5 calls after a counting
+# call; prints iterations, the median seconds and a hash of the outputs (which
+# the two trees must share)
 KERNEL_PROBE = r"""
-import hashlib, json, time
+import hashlib, json, statistics, time
 import numpy as np
 from devia import jump_sim
-from devia.jump_analysis import solve_p, skeleton_G0
+from devia.jump_analysis import solve_p
 from devia.mf_model import two_state_model
 from devia.paths import PathVec
 
@@ -61,10 +66,13 @@ model = two_state_model(1.0)
 q0 = np.array([0.5, 0.5])
 p = solve_p(model, q0, 1.0, 2048)
 control = jump_sim.JumpControl.constant(2, 1.0, {(1, 2): 0.4, (2, 1): -0.2}, n_bins=4)
-eta = skeleton_G0(model, p, control)
+# p stays at (1/2, 1/2), so the skeleton is eta = (-h, h) with
+# h' = -2 h + (0.4 + 0.2) / 2: exact, and the same bytes whatever solver a tree has
+h = 0.15 * (1.0 - np.exp(-2.0 * p.grid))
+eta_values = np.stack([-h, h], axis=1)
 m = 10_000
 a = m ** -0.25
-ref = PathVec(p.grid, p.values + eta.values / (a * np.sqrt(m)))
+ref = PathVec(p.grid, p.values + eta_values / (a * np.sqrt(m)))
 
 def run():
     return jump_sim.batch_paths(
@@ -83,11 +91,44 @@ def counted(self, *args):
 setattr(cls, name, counted)
 sup, finals = run()
 setattr(cls, name, orig)
-t0 = time.perf_counter()
-run()
-seconds = time.perf_counter() - t0
+seconds = []
+for _ in range(5):
+    t0 = time.perf_counter()
+    run()
+    seconds.append(time.perf_counter() - t0)
 digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
-print(json.dumps({"iterations": calls[0], "seconds": seconds, "hash": digest}))
+print(json.dumps({"iterations": calls[0], "seconds": statistics.median(seconds), "hash": digest}))
+"""
+
+# the jump analysis at the rate-roundtrip shape: skeleton_G0, rate_I and
+# rate_Ibar each timed over 5 calls after an untimed one; saves eta to the
+# path in argv[1] and prints the median seconds and both rate values
+ANALYSIS_PROBE = r"""
+import json, statistics, sys, time
+import numpy as np
+from devia.jump_analysis import rate_I, rate_Ibar, skeleton_G0, solve_p
+from devia.jump_sim import JumpControl
+from devia.mf_model import birth_death_model
+
+model = birth_death_model(5, 0.5, 0.5, 0.5)
+p = solve_p(model, np.full(5, 0.2), 1.0, 4096)
+v = np.random.default_rng(606).normal(size=(4, 5)) * 0.4
+psi = JumpControl(np.linspace(0.0, 1.0, 5), v[:, None, :] - v[:, :, None])
+eta = skeleton_G0(model, p, psi)
+np.save(sys.argv[1], eta.values)
+calls = {"skeleton_G0": lambda: skeleton_G0(model, p, psi),
+         "rate_I": lambda: rate_I(model, p, eta), "rate_Ibar": lambda: rate_Ibar(model, p, eta)}
+out = {}
+for name, call in calls.items():
+    call()
+    seconds = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - t0)
+    out[name] = statistics.median(seconds)
+out["values"] = {"rate_I": rate_I(model, p, eta).value, "rate_Ibar": rate_Ibar(model, p, eta).value}
+print(json.dumps(out))
 """
 
 # the diffusion workload's coupling, timed by layer: one limit_path run, then
@@ -121,7 +162,11 @@ BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
 CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
 CLI_IMPORT = "import devia.harness.cli"
 BEST_OF = ("cli_jump_sim_s", "cli_import_s", "limit_path_s")  # kept as best of their runs
-MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s")  # kept as medians
+# the analysis timings and the trees' largest output difference each records
+DIFFERENCES = {"skeleton_G0_s": "eta_max_abs_diff", "rate_I_s": "value_max_rel_diff",
+               "rate_Ibar_s": "value_max_rel_diff"}
+# kept as medians
+MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s", *DIFFERENCES)
 
 
 def git(*args: str) -> bytes:
@@ -192,14 +237,17 @@ def layers(trees: dict, scratch: Path) -> dict:
     em = {s: [] for s in SIDES}
     cli = {s: [] for s in SIDES}
     imports = {s: [] for s in SIDES}
+    analysis = {s: [] for s in SIDES}
     for i in range(3):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             tree = trees[side]
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
             env.pop("DEVIA_WORKERS", None)
-            for probe, runs in ((KERNEL_PROBE, kernel), (EM_PROBE, em)):
-                out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tree,
-                                     check=True, capture_output=True, text=True).stdout
+            eta_file = scratch / f"eta-{side}.npy"
+            for probe, runs in ((KERNEL_PROBE, kernel), (EM_PROBE, em),
+                                (ANALYSIS_PROBE, analysis)):
+                out = subprocess.run([sys.executable, "-c", probe, str(eta_file)], env=env,
+                                     cwd=tree, check=True, capture_output=True, text=True).stdout
                 runs[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
                    "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
@@ -215,10 +263,30 @@ def layers(trees: dict, scratch: Path) -> dict:
     gap_rel = float(np.max(np.abs(gaps["change"] / gaps["parent"] - 1.0)))
     same_csv = (scratch / "jump-sim-parent.csv").read_bytes() == (
         scratch / "jump-sim-change.csv").read_bytes()
+    etas = {s: np.load(scratch / f"eta-{s}.npy") for s in SIDES}
+    values = {s: analysis[s][-1]["values"] for s in SIDES}
+    differences = {
+        "skeleton_G0_s": float(np.abs(etas["change"] - etas["parent"]).max()),
+        **{f"{name}_s": abs(values["change"][name] / values["parent"][name] - 1.0)
+           for name in ("rate_I", "rate_Ibar")},
+    }
+    analysis_shape = ("rate-roundtrip: birth-death K = 5, a = b = c = 1/2, p0 uniform, "
+                      "4096 steps on [0, 1], 4-bin potential control (seed 606); "
+                      "median of 5 calls per process after an untimed call")
+    timings = {
+        key: {
+            "shape": analysis_shape,
+            diff: differences[key],
+            **{s: summary([r[key.removesuffix("_s")] for r in analysis[s]]) for s in SIDES},
+        }
+        for key, diff in DIFFERENCES.items()
+    }
     return {
+        **timings,
         "batch_paths_iterations_per_s": {
             "shape": "jump-long at m = 10^4: two-state, 4-bin control, skeleton ref, "
-                     "100 replicas, seed 3; one call per process after a counting call",
+                     "100 replicas, seed 3; median of 5 calls per process after a "
+                     "counting call",
             "iterations": n,
             "outputs_hash": hashes.pop(),
             **{s: summary([n / r["seconds"] for r in kernel[s]]) for s in SIDES},
@@ -293,6 +361,11 @@ def problems(doc: dict) -> list[str]:
                 s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3
             ):
                 bad.append(f"layers.{key}.{side}: median is not the runs' median")
+    for key, diff in DIFFERENCES.items():
+        if key in timings and not (
+            isinstance(timings[key].get(diff), float) and 0.0 <= timings[key][diff] < math.inf
+        ):
+            bad.append(f"layers.{key}.{diff}: must be a finite difference >= 0")
     for key in BEST_OF:
         if key not in timings:
             continue  # written before this timing existed
