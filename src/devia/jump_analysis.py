@@ -22,11 +22,15 @@ cost diverges under grid coarsening (the numerical signature of a
 discontinuity), are reported infeasible, i.e. rate value infinity;
 ``detail["refine_check"]`` says whether the coarsening check ran.
 
-The passes over time slices evaluate BLOCK (256) slices or skeleton steps
-per batched call.  The skeleton composes a block's RK4 steps by a prefix
-scan, and the rate functions factor each slice once for both the full and
-the half-grid refinement pass, so only :func:`solve_p`'s nonlinear RK4 loops
-in Python per step (as do the Picard sweeps, per iteration).
+The passes over time slices evaluate BLOCK (256) slices or steps per
+batched call.  :func:`solve_p` solves a block's nonlinear RK4 recursion at
+once by Newton's method, whose corrections obey an affine recurrence; the
+skeleton's RK4 steps are affine maps themselves.  Both compose a block's
+affine maps by one prefix scan (:func:`_prefix_products`).  The rate
+functions factor each slice once for both the full and the half-grid
+refinement pass.  So no Python loop runs over steps, except in the LLN
+solve's fallback for a block whose Newton solve fails (and in the Picard
+sweeps, per iteration).
 """
 
 from __future__ import annotations
@@ -55,6 +59,11 @@ __all__ = [
 ]
 
 
+# The batched passes below evaluate this many time slices (or steps) per
+# call, which bounds their temporaries independently of the grid length.
+BLOCK = 256
+
+
 # ---------------------------------------------------------------------------
 # LLN path
 
@@ -63,10 +72,14 @@ def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> 
     """Classical RK4 solve of p' = b(p) on a uniform grid from p0, which
     must have K entries and lie on the simplex (:func:`check_simplex`).
 
-    The drift sums to zero analytically, so the mass defect is pure round-off;
-    it is renormalized away whenever it exceeds 1e-12.  A step producing
-    negative mass beyond tolerance is retried at half size.  Needs
-    n_steps >= 1 and a finite horizon T > 0.
+    Each block of BLOCK steps is solved at once by Newton's method
+    (:func:`_newton_block`), with no Python loop over steps.  A block whose
+    Newton solve does not converge, goes non-finite or leaves the simplex
+    falls back to stepping one RK4 step at a time, where a step producing
+    negative mass beyond tolerance is retried at half size.  The drift sums
+    to zero analytically, so the mass defect is pure round-off; it is
+    renormalized away whenever it exceeds 1e-12.  Needs n_steps >= 1 and a
+    finite horizon T > 0.
     """
     if n_steps < 1:
         raise ValueError(f"the LLN solve needs at least 1 step; got n_steps={n_steps}")
@@ -76,20 +89,76 @@ def solve_p(model: RateModel, p0: np.ndarray, T: float, n_steps: int = 1024) -> 
     grid = np.linspace(0.0, T, n_steps + 1)
     vals = np.empty((n_steps + 1, model.K))
     vals[0] = p0
-    p = p0.copy()
     h = T / n_steps
-    for k in range(n_steps):
-        p = _rk4_step_simplex(model, p, h, depth=0)
-        vals[k + 1] = p
+    for b in blocks(n_steps, BLOCK):
+        out = vals[b.start + 1 : b.stop + 1]
+        if not _newton_block(model, vals[b.start], h, out):
+            p = vals[b.start]
+            for k in range(len(out)):
+                p = out[k] = _rk4_step_simplex(model, p, h, depth=0)
     return PathVec(grid, vals)
 
 
+NEWTON_MAX_ITER = 20
+NEWTON_TOL = 1e-15
+
+
+def _newton_block(model: RateModel, p0: np.ndarray, h: float, out: np.ndarray) -> bool:
+    """Solve the RK4 recursion p_{k+1} = Phi_h(p_k) from p0 for all n rows
+    of ``out`` (n, K) at once by Newton's method.
+
+    From the constant guess p_k = p0, each iteration evaluates Phi_h and its
+    Jacobian J_k at every step of the block in one batched pass.  The
+    correction obeys delta_{k+1} = J_k delta_k + Phi_h(p_k) - p_{k+1},
+    delta_0 = 0, an affine recurrence that a prefix scan
+    (:func:`_prefix_products`) solves for all k.  Iterates until
+    max |delta| <= NEWTON_TOL.  Returns False, with ``out`` undefined, when
+    the iteration does not converge within NEWTON_MAX_ITER, goes non-finite,
+    or converges to a path leaving the simplex beyond tolerance.
+    """
+    n, K = out.shape
+    P = np.empty((n + 1, K))
+    P[:] = p0
+    M = np.zeros((n, K + 1, K + 1))
+    M[:, K, K] = 1.0  # the scan keeps the row (0, .., 0, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            Y, stages = _rk4_map(model, P[:-1], h)
+            M[:, :K, :K] = _rk4_maps(*model.db(np.stack(stages)), h)
+            M[:, :K, K] = Y - P[1:]
+            delta = _prefix_products(M)[:, :K, K]
+            if not np.isfinite(delta).all():
+                return False
+            P[1:] += delta
+            if np.abs(delta).max() <= NEWTON_TOL:
+                break
+        else:
+            return False
+    P = P[1:]
+    if P.min() < -1e-9 * max(h, 1.0):
+        return False
+    s = P.sum(axis=1, keepdims=True)
+    out[:] = np.where(np.abs(s - 1.0) > 1e-12, P / s, P)
+    return True
+
+
+def _rk4_map(model: RateModel, X: np.ndarray, h: float) -> tuple[np.ndarray, tuple]:
+    """One classical RK4 step Phi_h(X) of p' = b(p) from states X (..., K),
+    and the four stage states at which it evaluates the drift."""
+    k1 = _drift(model, X)
+    X2 = X + 0.5 * h * k1
+    k2 = _drift(model, X2)
+    X3 = X + 0.5 * h * k2
+    k3 = _drift(model, X3)
+    X4 = X + h * k3
+    k4 = _drift(model, X4)
+    return X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), (X, X2, X3, X4)
+
+
 def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> np.ndarray:
-    k1 = _drift(model, p)
-    k2 = _drift(model, p + 0.5 * h * k1)
-    k3 = _drift(model, p + 0.5 * h * k2)
-    k4 = _drift(model, p + h * k3)
-    out = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step from p, retried as two half steps (to depth 20) while it
+    leaves the simplex beyond tolerance."""
+    out, _ = _rk4_map(model, p, h)
     if out.min() < -1e-9 * max(h, 1.0):
         if depth >= 20:
             raise RuntimeError("LLN solve cannot maintain the simplex; step too large")
@@ -104,10 +173,6 @@ def _rk4_step_simplex(model: RateModel, p: np.ndarray, h: float, depth: int) -> 
 # ---------------------------------------------------------------------------
 # skeleton map
 
-# The batched passes below evaluate this many time slices (or steps) per
-# call, which bounds their temporaries independently of the grid length.
-BLOCK = 256
-
 
 def _forcing(model: RateModel, P: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Exact per-cell integral of the jump map against psi: sum over cells of
@@ -116,19 +181,25 @@ def _forcing(model: RateModel, P: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return M.sum(axis=-2) - M.sum(axis=-1)
 
 
-def _rk4_maps(G: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """RK4 steps of eta' = A(t) eta + F(t) as affine maps in homogeneous
-    coordinates: (eta_{k+1}, 1) = M_k (eta_k, 1).  G (2n + 1, K + 1, K + 1)
-    holds the generators [[A, F], [0, 0]] at the stage times of step k, 2k
-    (start), 2k + 1 (midpoint) and 2k + 2 (end); h (n,) the step lengths."""
-    G0, G1, G2 = G[0:-1:2], G[1::2], G[2::2]
-    hh = h[:, None, None]
-    # stage k_i = S_i (eta, 1); k_1 = G0 (eta, 1)
-    S2 = G1 + (0.5 * hh) * (G1 @ G0)
-    S3 = G1 + (0.5 * hh) * (G1 @ S2)
-    S4 = G2 + hh * (G2 @ S3)
-    M = (hh / 6.0) * (G0 + 2.0 * S2 + 2.0 * S3 + S4)
-    diag = np.arange(G.shape[-1])
+def _rk4_maps(
+    A1: np.ndarray, A2: np.ndarray, A3: np.ndarray, A4: np.ndarray, h: np.ndarray | float
+) -> np.ndarray:
+    """Linearized RK4 steps: the maps M_k with d(y_{k+1}) = M_k d(y_k) for
+    the stage derivatives A1 .. A4 (n, d, d) of step k, each taken at its
+    stage's state; h holds the step lengths, (n,) or one for all steps.
+
+    For eta' = A(t) eta + F(t) in homogeneous coordinates, with the
+    generators [[A, F], [0, 0]] at the step's start, midpoint (twice) and
+    end, M_k is the step's affine map: (eta_{k+1}, 1) = M_k (eta_k, 1).  For
+    p' = b(p), with A_i = Db at the four stage states, it is the Jacobian of
+    the RK4 map."""
+    hh = np.reshape(h, (-1, 1, 1))
+    # stage derivatives d(k_i) = S_i d(y); d(k_1) = A1 d(y)
+    S2 = A2 + (0.5 * hh) * (A2 @ A1)
+    S3 = A3 + (0.5 * hh) * (A3 @ S2)
+    S4 = A4 + hh * (A4 @ S3)
+    M = (hh / 6.0) * (A1 + 2.0 * S2 + 2.0 * S3 + S4)
+    diag = np.arange(A1.shape[-1])
     M[:, diag, diag] += 1.0
     return M
 
@@ -169,7 +240,7 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
         G = np.zeros((len(s), K + 1, K + 1))
         G[:, :K, :K] = model.db(P)
         G[:, :K, K] = _forcing(model, P, psi.value(s))
-        M = _prefix_products(_rk4_maps(G, h))
+        M = _prefix_products(_rk4_maps(G[0:-1:2], G[1::2], G[1::2], G[2::2], h))
         eta[b.start + 1 : b.stop + 1] = M[:, :K] @ y
         y[:K] = eta[b.stop]
     return PathVec(ts, eta)

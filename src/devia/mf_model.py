@@ -176,10 +176,10 @@ def jump_map_G(model: RateModel, q: np.ndarray, y: tuple[float, float]) -> np.nd
 
 
 def _drift(model: RateModel, q: np.ndarray) -> np.ndarray:
-    """b(q) = R(q)^T q - (R(q) 1) * q at any q; the ODE stages evaluate it
-    off the simplex."""
-    R = model.rate_matrix(q)
-    return R.T @ q - R.sum(axis=1) * q
+    """b(q) = R(q)^T q - (R(q) 1) * q at any states q of shape (..., K);
+    the ODE stages evaluate it off the simplex."""
+    R = model.rates_batch(q)
+    return (q[..., None, :] @ R)[..., 0, :] - R.sum(axis=-1) * q
 
 
 def drift_b(model: RateModel, q: np.ndarray) -> np.ndarray:

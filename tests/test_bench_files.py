@@ -43,43 +43,55 @@ def test_schema_check_finds_a_broken_file(breakage, found):
     assert any(found in p for p in _bench_pairs().problems(doc))
 
 
+MEDIANS = {
+    "parent": {"median": 2.0, "runs": [1.0, 2.0, 3.0], "quartiles": [1.0, 2.0, 3.0]},
+    "change": {"median": 3.0, "runs": [2.5, 3.0, 3.5], "quartiles": [2.5, 3.0, 3.5]},
+}
+DIFFERENCES = [
+    ("solve_p_s", "p_max_abs_diff"),
+    ("skeleton_G0_s", "eta_max_abs_diff"),
+    ("rate_I_s", "value_max_rel_diff"),
+    ("rate_Ibar_s", "value_max_rel_diff"),
+]
+
+
+def _medians():
+    return json.loads(json.dumps(MEDIANS))
+
+
 def _with_layers():
-    # a file with layer timings, given the timings it predates
+    # the first file with layer timings, given the timings it predates; it
+    # keeps the CLI timing in the older best-of-3 form
     doc = next(d for d in (json.loads(p.read_text()) for p in BENCH_FILES) if "layers" in d)
     for key in ("cli_import_s", "limit_path_s"):
         doc["layers"].setdefault(key, {
             "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
             "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
         })
-    medians = {
-        "parent": {"median": 2.0, "runs": [1.0, 2.0, 3.0], "quartiles": [1.0, 2.0, 3.0]},
-        "change": {"median": 3.0, "runs": [2.5, 3.0, 3.5], "quartiles": [2.5, 3.0, 3.5]},
-    }
-    doc["layers"].setdefault("em_particle_steps_per_s", json.loads(json.dumps(medians)))
-    for key, diff in (("skeleton_G0_s", "eta_max_abs_diff"), ("rate_I_s", "value_max_rel_diff"),
-                      ("rate_Ibar_s", "value_max_rel_diff")):
-        doc["layers"].setdefault(key, {diff: 1e-14, **json.loads(json.dumps(medians))})
+    doc["layers"].setdefault("em_particle_steps_per_s", _medians())
+    for key, diff in DIFFERENCES:
+        doc["layers"].setdefault(key, {diff: 1e-14, **_medians()})
     return doc
 
 
 MEDIAN_KEYS = ["batch_paths_iterations_per_s", "em_particle_steps_per_s",
-               "skeleton_G0_s", "rate_I_s", "rate_Ibar_s"]
+               "solve_p_s", "skeleton_G0_s", "rate_I_s", "rate_Ibar_s",
+               "cli_jump_sim_s", "cli_import_s", "limit_path_s"]
 
 
 @pytest.mark.parametrize("key", MEDIAN_KEYS)
 def test_schema_check_reads_the_median_timings(key):
     doc = _with_layers()
+    doc["layers"][key].update(_medians())
     assert _bench_pairs().problems(doc) == []
     doc["layers"][key]["change"]["median"] += 1.0
     assert any(f"layers.{key}.change: median is not the runs' median" in p
                for p in _bench_pairs().problems(doc))
+    doc["layers"][key]["parent"]["runs"] = []
+    assert any(f"layers.{key}.parent: needs its runs" in p for p in _bench_pairs().problems(doc))
 
 
-@pytest.mark.parametrize("key, diff", [
-    ("skeleton_G0_s", "eta_max_abs_diff"),
-    ("rate_I_s", "value_max_rel_diff"),
-    ("rate_Ibar_s", "value_max_rel_diff"),
-])
+@pytest.mark.parametrize("key, diff", DIFFERENCES)
 @pytest.mark.parametrize("value", [-1.0, float("inf"), None])
 def test_schema_check_reads_the_output_differences(key, diff, value):
     doc = _with_layers()
@@ -91,13 +103,14 @@ def test_schema_check_reads_the_output_differences(key, diff, value):
 def test_files_without_the_analysis_timings_pass():
     # files written before the analysis probe existed lack its keys
     doc = _with_layers()
-    for key in ("skeleton_G0_s", "rate_I_s", "rate_Ibar_s"):
+    for key, _ in DIFFERENCES:
         del doc["layers"][key]
     assert _bench_pairs().problems(doc) == []
 
 
 @pytest.mark.parametrize("key", ["cli_jump_sim_s", "cli_import_s", "limit_path_s"])
 def test_schema_check_reads_the_best_of_timings(key):
+    # older files kept these three timings as the best of 3 runs
     doc = _with_layers()
     assert _bench_pairs().problems(doc) == []
     doc["layers"][key]["change"]["best"] += 1.0

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devia import jump_analysis
 from devia.jump_analysis import (
     _laplacian_density,
     _svd_density,
@@ -22,7 +23,7 @@ from devia.jump_analysis import (
     u_from_psi,
 )
 from devia.jump_sim import JumpControl
-from devia.mf_model import birth_death_model, constant_rate_model
+from devia.mf_model import birth_death_model, constant_rate_model, two_state_model
 from devia.paths import PathVec
 from devia.rng import stream
 
@@ -56,6 +57,98 @@ class TestSolveP:
         p = solve_p(default_model, np.full(5, 0.2), 2.0, 512)
         assert np.abs(p.values.sum(axis=1) - 1.0).max() < 1e-12
         assert p.values.min() >= 0.0
+
+
+def _lln_by_steps(model, p0, T: float, n_steps: int) -> np.ndarray:
+    """Reference for the LLN solve: classical RK4 one step at a time, with
+    the drift written from the rate matrix.  A step that leaves the simplex
+    by more than 1e-9 max(h, 1) is retried as two half steps, and a step's
+    mass is renormalized when it is off by more than 1e-12."""
+
+    def b(q):
+        R = model.rate_matrix(q)
+        return R.T @ q - R.sum(axis=1) * q
+
+    def step(p, h, depth):
+        k1 = b(p)
+        k2 = b(p + 0.5 * h * k1)
+        k3 = b(p + 0.5 * h * k2)
+        k4 = b(p + h * k3)
+        out = p + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if out.min() < -1e-9 * max(h, 1.0):
+            assert depth < 20, "the reference cannot keep the simplex"
+            return step(step(p, h / 2.0, depth + 1), h / 2.0, depth + 1)
+        s = out.sum()
+        return out / s if abs(s - 1.0) > 1e-12 else out
+
+    vals = [np.asarray(p0, dtype=float)]
+    for _ in range(n_steps):
+        vals.append(step(vals[-1], T / n_steps, 0))
+    return np.array(vals)
+
+
+@pytest.fixture()
+def fallback_steps(monkeypatch):
+    """Counts the steps solve_p takes one at a time, half steps included."""
+    calls = [0]
+    step = jump_analysis._rk4_step_simplex
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(jump_analysis, "_rk4_step_simplex", counted)
+    return calls
+
+
+@pytest.fixture()
+def newton_iterations(monkeypatch):
+    """Counts the prefix scans of solve_p's Newton iterations."""
+    calls = [0]
+    scan = jump_analysis._prefix_products
+
+    def counted(M):
+        calls[0] += 1
+        return scan(M)
+
+    monkeypatch.setattr(jump_analysis, "_prefix_products", counted)
+    return calls
+
+
+class TestNewtonLLN:
+    """The blocked Newton solve equals RK4 stepped one step at a time."""
+
+    @pytest.mark.parametrize("model, p0, T, n_steps", [
+        (birth_death_model(5, 0.5, 0.5, 0.5), np.full(5, 0.2), 1.0, 4096),
+        (birth_death_model(5, 0.5, 0.5, 0.5), np.full(5, 0.2), 10.0, 4096),
+        (birth_death_model(3, 1.0, 2.0, 0.5), np.array([0.6, 0.3, 0.1]), 1.0, 600),
+        (two_state_model(1.0), np.array([0.9, 0.1]), 1.0, 512),
+    ], ids=["birth-death K5 T1", "birth-death K5 T10", "birth-death K3", "two-state"])
+    def test_matches_the_sequential_reference(
+        self, fallback_steps, newton_iterations, model, p0, T, n_steps
+    ):
+        p = solve_p(model, p0, T, n_steps)
+        assert fallback_steps[0] == 0
+        # with the exact RK4 Jacobian Newton converges fast
+        assert newton_iterations[0] <= 5 * math.ceil(n_steps / jump_analysis.BLOCK)
+        assert np.array_equal(p.grid, np.linspace(0.0, T, n_steps + 1))
+        assert np.abs(p.values - _lln_by_steps(model, p0, T, n_steps)).max() <= 1e-15
+
+    def test_a_step_leaving_the_simplex_falls_back_to_half_steps(self, fallback_steps):
+        # a full RK4 step of h = 1/8 against rates of order 60 overshoots
+        # into negative mass; the half steps keep the simplex
+        model = constant_rate_model([[0.0, 40.0, 10.0], [20.0, 0.0, 30.0], [5.0, 25.0, 0.0]])
+        p0 = np.array([0.9, 0.05, 0.05])
+        p = solve_p(model, p0, 1.0, 8)
+        assert fallback_steps[0] > 8
+        assert p.values.min() >= 0.0
+        assert np.abs(p.values - _lln_by_steps(model, p0, 1.0, 8)).max() <= 1e-15
+
+    def test_a_model_that_cannot_keep_the_simplex_raises(self, fallback_steps):
+        # h / 2^20 is still far too long a step against a rate of 1e8
+        with pytest.raises(RuntimeError, match="cannot maintain the simplex; step too large"):
+            solve_p(two_state_model(1e8), np.array([0.9, 0.1]), 1.0, 1)
+        assert fallback_steps[0] == 21
 
 
 def _two_state_skeleton_oracle(psi_val: float, p1_0: float, ts: np.ndarray) -> np.ndarray:

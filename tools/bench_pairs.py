@@ -12,20 +12,20 @@ even-numbered pairs run the parent first, odd-numbered ones the change.
 Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
-``--layers`` adds eight layer timings, alternating the trees: the lockstep
-iterations per second of ``batch_paths`` at the jump-long shape (m = 10^4,
-100 tilted replicas; the median of 5 calls per process), the median seconds
-of ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape
-(birth-death K = 5, 4096 steps, a 4-bin potential control; the median of 5
-calls per process, with the trees' largest output differences), the
-best-of-3 wall time of CLI ``jump-sim``
-(birth-death K = 5, m = 10^4), the best-of-3 wall time of
+``--layers`` adds nine layer timings, each the median over ROUNDS rounds
+that alternate the trees: the lockstep iterations per second of
+``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
+median of 5 calls per process), the seconds of ``solve_p``, ``skeleton_G0``,
+``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape (birth-death K = 5,
+4096 steps, a 4-bin potential control; the median of 5 calls per process,
+with the trees' largest output differences), the wall time of CLI
+``jump-sim`` (birth-death K = 5, m = 10^4), the wall time of
 ``python -c "import devia.harness.cli"``, the import that every CLI command
 pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
 the Euler-Maruyama particle-steps per second of one ``run_coupled`` replica
-under a shared limit path and the best-of-3 wall time of ``limit_path``.
-The result goes to ``BENCH_<pr>.json`` at the repository root;
-:func:`problems` is the file's schema check.
+under a shared limit path and the wall time of ``limit_path``.  The result
+goes to ``BENCH_<pr>.json`` at the repository root; :func:`problems` is the
+file's schema check.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
 print(json.dumps({"iterations": calls[0], "seconds": statistics.median(seconds), "hash": digest}))
 """
 
-# the jump analysis at the rate-roundtrip shape: skeleton_G0, rate_I and
-# rate_Ibar each timed over 5 calls after an untimed one; saves eta to the
-# path in argv[1] and prints the median seconds and both rate values
+# the jump analysis at the rate-roundtrip shape: solve_p, skeleton_G0, rate_I
+# and rate_Ibar each timed over 5 calls after an untimed one; saves p and eta
+# to the path in argv[1] and prints the median seconds and both rate values
 ANALYSIS_PROBE = r"""
 import json, statistics, sys, time
 import numpy as np
@@ -111,12 +111,14 @@ from devia.jump_sim import JumpControl
 from devia.mf_model import birth_death_model
 
 model = birth_death_model(5, 0.5, 0.5, 0.5)
-p = solve_p(model, np.full(5, 0.2), 1.0, 4096)
+p0 = np.full(5, 0.2)
+p = solve_p(model, p0, 1.0, 4096)
 v = np.random.default_rng(606).normal(size=(4, 5)) * 0.4
 psi = JumpControl(np.linspace(0.0, 1.0, 5), v[:, None, :] - v[:, :, None])
 eta = skeleton_G0(model, p, psi)
-np.save(sys.argv[1], eta.values)
-calls = {"skeleton_G0": lambda: skeleton_G0(model, p, psi),
+np.save(sys.argv[1], np.stack([p.values, eta.values]))
+calls = {"solve_p": lambda: solve_p(model, p0, 1.0, 4096),
+         "skeleton_G0": lambda: skeleton_G0(model, p, psi),
          "rate_I": lambda: rate_I(model, p, eta), "rate_Ibar": lambda: rate_Ibar(model, p, eta)}
 out = {}
 for name, call in calls.items():
@@ -161,12 +163,13 @@ print(json.dumps({"particle_steps": round(T / dt) * (sum(ms) + max(ms)),
 BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
 CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
 CLI_IMPORT = "import devia.harness.cli"
-BEST_OF = ("cli_jump_sim_s", "cli_import_s", "limit_path_s")  # kept as best of their runs
+ROUNDS = 5  # alternating rounds of the layer probes, one run of each timing per side
 # the analysis timings and the trees' largest output difference each records
-DIFFERENCES = {"skeleton_G0_s": "eta_max_abs_diff", "rate_I_s": "value_max_rel_diff",
-               "rate_Ibar_s": "value_max_rel_diff"}
-# kept as medians
-MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s", *DIFFERENCES)
+DIFFERENCES = {"solve_p_s": "p_max_abs_diff", "skeleton_G0_s": "eta_max_abs_diff",
+               "rate_I_s": "value_max_rel_diff", "rate_Ibar_s": "value_max_rel_diff"}
+# every layer timing, kept as the median of its runs
+MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s", *DIFFERENCES,
+             "cli_jump_sim_s", "cli_import_s", "limit_path_s")
 
 
 def git(*args: str) -> bytes:
@@ -226,10 +229,6 @@ def timed(cmd: list[str], env: dict, cwd: Path) -> float:
     return time.perf_counter() - t0
 
 
-def best_of(runs: list[float]) -> dict:
-    return {"best": round(min(runs), 4), "runs": [round(x, 4) for x in runs]}
-
-
 def layers(trees: dict, scratch: Path) -> dict:
     model = scratch / "birth-death-k5.json"
     model.write_text(json.dumps(BIRTH_DEATH_K5))
@@ -238,15 +237,15 @@ def layers(trees: dict, scratch: Path) -> dict:
     cli = {s: [] for s in SIDES}
     imports = {s: [] for s in SIDES}
     analysis = {s: [] for s in SIDES}
-    for i in range(3):
+    for i in range(ROUNDS):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             tree = trees[side]
             env = dict(os.environ, PYTHONPATH=str(tree / "src"))
             env.pop("DEVIA_WORKERS", None)
-            eta_file = scratch / f"eta-{side}.npy"
+            paths_file = scratch / f"paths-{side}.npy"
             for probe, runs in ((KERNEL_PROBE, kernel), (EM_PROBE, em),
                                 (ANALYSIS_PROBE, analysis)):
-                out = subprocess.run([sys.executable, "-c", probe, str(eta_file)], env=env,
+                out = subprocess.run([sys.executable, "-c", probe, str(paths_file)], env=env,
                                      cwd=tree, check=True, capture_output=True, text=True).stdout
                 runs[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
@@ -263,10 +262,12 @@ def layers(trees: dict, scratch: Path) -> dict:
     gap_rel = float(np.max(np.abs(gaps["change"] / gaps["parent"] - 1.0)))
     same_csv = (scratch / "jump-sim-parent.csv").read_bytes() == (
         scratch / "jump-sim-change.csv").read_bytes()
-    etas = {s: np.load(scratch / f"eta-{s}.npy") for s in SIDES}
+    paths = {s: np.load(scratch / f"paths-{s}.npy") for s in SIDES}
+    path_diff = np.abs(paths["change"] - paths["parent"]).max(axis=(1, 2))
     values = {s: analysis[s][-1]["values"] for s in SIDES}
     differences = {
-        "skeleton_G0_s": float(np.abs(etas["change"] - etas["parent"]).max()),
+        "solve_p_s": float(path_diff[0]),
+        "skeleton_G0_s": float(path_diff[1]),
         **{f"{name}_s": abs(values["change"][name] / values["parent"][name] - 1.0)
            for name in ("rate_I", "rate_Ibar")},
     }
@@ -295,11 +296,11 @@ def layers(trees: dict, scratch: Path) -> dict:
             "command": "python -m devia.harness.cli " + " ".join(CLI_ARGS)
                        + " --model <birth-death K = 5, a = b = c = 1/2>",
             "same_output": same_csv,
-            **{s: best_of(cli[s]) for s in SIDES},
+            **{s: summary(cli[s]) for s in SIDES},
         },
         "cli_import_s": {
             "command": f'python -c "{CLI_IMPORT}"',
-            **{s: best_of(imports[s]) for s in SIDES},
+            **{s: summary(imports[s]) for s in SIDES},
         },
         "em_particle_steps_per_s": {
             "shape": "diffusion workload: default kernels, m = 128 .. 8192 and 8192 reference "
@@ -310,8 +311,9 @@ def layers(trees: dict, scratch: Path) -> dict:
             **{s: summary([steps / r["seconds"] for r in em[s]]) for s in SIDES},
         },
         "limit_path_s": {
-            "shape": "limit_path at M_ref = 32768, 256 steps of 1/512, seed 1",
-            **{s: best_of([r["limit_s"] for r in em[s]]) for s in SIDES},
+            "shape": "limit_path at M_ref = 32768, 256 steps of 1/512, seed 1; one call per "
+                     "process",
+            **{s: summary([r["limit_s"] for r in em[s]]) for s in SIDES},
         },
     }
 
@@ -355,26 +357,23 @@ def problems(doc: dict) -> list[str]:
         bad.append("no workloads")
     timings = doc.get("layers") or {}
     for key in MEDIAN_OF:
-        for side in SIDES:
-            s = timings.get(key, {}).get(side)
-            if s is not None and (not s.get("runs") or abs(
-                s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3
-            ):
-                bad.append(f"layers.{key}.{side}: median is not the runs' median")
-    for key, diff in DIFFERENCES.items():
-        if key in timings and not (
-            isinstance(timings[key].get(diff), float) and 0.0 <= timings[key][diff] < math.inf
-        ):
-            bad.append(f"layers.{key}.{diff}: must be a finite difference >= 0")
-    for key in BEST_OF:
         if key not in timings:
             continue  # written before this timing existed
         for side in SIDES:
             s = timings[key].get(side)
             if not isinstance(s, dict) or not s.get("runs"):
                 bad.append(f"layers.{key}.{side}: needs its runs")
-            elif abs(s.get("best", math.inf) - min(s["runs"])) > 1e-3:
-                bad.append(f"layers.{key}.{side}: best is not the runs' minimum")
+            elif "best" in s:
+                # older files kept the CLI and limit_path timings as the best of 3
+                if abs(s["best"] - min(s["runs"])) > 1e-3:
+                    bad.append(f"layers.{key}.{side}: best is not the runs' minimum")
+            elif abs(s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3:
+                bad.append(f"layers.{key}.{side}: median is not the runs' median")
+    for key, diff in DIFFERENCES.items():
+        if key in timings and not (
+            isinstance(timings[key].get(diff), float) and 0.0 <= timings[key][diff] < math.inf
+        ):
+            bad.append(f"layers.{key}.{diff}: must be a finite difference >= 0")
     return bad
 
 
