@@ -11,16 +11,24 @@ The single-path simulators :func:`simulate_jump` and :func:`simulate_tilted`
 run one replica of it and record its events, so a single path is bit for
 bit the same replica of any Monte Carlo batch.
 
-A lockstep iteration fetches three consecutive draws of every replica in
-one gather: draw ptr sets the waiting time, ptr + 1 picks the cell and
-ptr + 2 is the thinning test (plain runs fetch two).  A replica whose event
-fires consumes all of them; one that stops at a control-bin edge or at T
-consumes the first only, so ptr advances by 1 + 2 * fired (plain:
-1 + fired).  The draws come from a per-row cache holding ``DRAW_BUDGET``
-draws per batch (at least 32 and at most 4096 per row).  The per-bin
-control tables and the bin caps are built once per call, and the limit and
-reference paths are stacked into one path when they share a grid, so an
-iteration costs a fixed few dozen array operations on the live rows.
+A candidate event reads three consecutive draws of its replica: the first
+sets the waiting time, the second picks the cell and the third is the
+thinning test (plain runs read two).  An event that fires consumes all of
+them; a replica that stops at a control-bin edge or at T consumes the first
+only.  A lockstep iteration evaluates a window of E candidate events of
+every live replica from the 3E draws at its pointer, all positions at once:
+position 0 holds the replica's true state, and positions 1..E-1 the states
+the previous window implied there.  Waiting times are summed in draw order,
+so each position's time has the bits of the one-event loop.  The iteration
+commits the longest prefix whose guessed states equal the states implied
+by the jumps before them, through the first position that stops at a bin
+edge or T; committing only verified positions makes every output the same
+for any E.  E = CELL_BUDGET // (rows K^2), clamped to [1, MAX_WINDOW], is
+fixed per chunk of at most CHUNK_REPLICAS replicas: 40 for 100 replicas of
+a two-state chain, 1 (one event per iteration) above 2048.  The draws
+come from a per-row cache (see :class:`_ReplicaRandoms`), and the per-bin
+control tables and the bin caps are built once per call; the limit and
+reference paths are stacked into one path when they share a grid.
 
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
@@ -43,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mf_model import RateModel, cell_weights, check_states, ell_cost
-from .paths import PathVec
+from .paths import PathVec, blocks
 from .rng import counter_uniforms
 # not used here, but perfbench/layers.py wraps jump_sim.stream by name
 from .rng import stream  # noqa: F401
@@ -222,17 +230,26 @@ def tilt_cost(
     of p and 1 elsewhere.
 
     ell(phi) is constant per cell and bin, so the integral reduces to per-cell
-    integrals of the support-cell measure p_i(s) Gamma_ij(p(s)) over each bin;
-    those are evaluated by the trapezoid rule on the grid of p.
+    integrals of the support-cell measure p_i(s) Gamma_ij(p(s)) over each bin.
+    Each bin is integrated by the trapezoid rule on the grid of p cut at the
+    bin's edges, so no interval takes the phi of a neighbouring bin; the last
+    bin runs to the end of p.
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
     _check_horizon("p_path", p_path.T, control.T)
     ts = p_path.grid
-    W = cell_weights(model, p_path.values)  # (N, K, K)
-    phi = 1.0 + control.value(ts) / a_scale  # (N, K, K), right-continuous
-    dens = (ell_cost(phi.ravel()).reshape(phi.shape) * W).sum(axis=(1, 2))
-    return float(np.trapezoid(dens, ts))
+    cuts = np.clip(control.edges, ts[0], ts[-1])
+    cuts[0], cuts[-1] = ts[0], ts[-1]
+    phi = 1.0 + control.psi / a_scale  # (B, K, K)
+    ell = ell_cost(phi.ravel()).reshape(phi.shape)
+    cost = 0.0
+    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if hi > lo:
+            s = np.concatenate([[lo], ts[(ts > lo) & (ts < hi)], [hi]])
+            dens = (ell[k] * cell_weights(model, p_path(s))).sum(axis=(1, 2))
+            cost += np.trapezoid(dens, s)
+    return float(cost)
 
 
 def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
@@ -250,8 +267,49 @@ def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
 # ---------------------------------------------------------------------------
 # batched kernel for Monte Carlo experiments
 
-# uniforms cached per batch; sets each row's cache width (see _ReplicaRandoms)
+# uniforms cached per batch, and the fetches a row's cache holds at least;
+# together they set each row's cache width (see _ReplicaRandoms)
 DRAW_BUDGET = 1 << 15
+CACHE_FETCHES = 8
+# window cells per batch: n rows of a K-state model evaluate windows of
+# CELL_BUDGET // (n K^2) events, at least 1 and at most MAX_WINDOW
+CELL_BUDGET = 1 << 14
+MAX_WINDOW = 64
+# replicas advanced together; bounds the working memory of wide batches
+CHUNK_REPLICAS = 1 << 14
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """np.add.reduce(x, axis=-1), bit for bit.  numpy adds fewer than 8
+    terms in order, one row at a time, so a short axis is summed here a
+    column at a time, in the same order; 8 or more it sums pairwise."""
+    if x.shape[-1] >= 8:
+        return np.add.reduce(x, axis=-1)
+    s = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        s += x[..., j]
+    return s
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared euclidean distance over the last axis: (a - b)^2 summed as
+    np.add.reduce sums it (see :func:`_sum_last`)."""
+    if a.shape[-1] >= 8:
+        d = a - b
+        d *= d
+        return np.add.reduce(d, axis=-1)
+    s = a[..., 0] - b[..., 0]
+    s *= s
+    for j in range(1, a.shape[-1]):
+        d = a[..., j] - b[..., j]
+        d *= d
+        s += d
+    return s
+
+
+def _window_length(rows: int, K: int) -> int:
+    """Events per window for a batch of ``rows`` replicas of a K-state model."""
+    return min(MAX_WINDOW, max(1, CELL_BUDGET // (rows * K * K)))
 
 
 class _ReplicaRandoms:
@@ -260,50 +318,52 @@ class _ReplicaRandoms:
     Draw k of replica r is a pure function of (seed, r, k) (see
     :func:`devia.rng.counter_uniforms`).  Each row caches the next ``cache``
     draws of its replica, where ``cache`` is ``DRAW_BUDGET`` split over the
-    batch's rows, clamped to [32, 4096] and even: 4096 for a single path,
-    326 for 100 replicas, 32 from 1024 replicas up.  Results are therefore
-    identical no matter how replicas are grouped, and rows can be dropped
-    without touching the draws of the others.
+    batch's rows, clamped to [32, 4096], but at least ``CACHE_FETCHES``
+    fetches, and even: 4096 for a single path, 960 for 100 tilted replicas
+    in windows of 40 events, 32 for 16384 plain replicas.
+    Results are therefore identical no matter how replicas are grouped, and
+    rows can be dropped without touching the draws of the others.
 
-    An iteration of the kernel reads ``width`` consecutive draws of every row
+    An iteration of the kernel reads ``span`` consecutive draws of every row
     in one gather (:meth:`fetch`) and then moves each row's pointer past the
-    draws it used (:meth:`advance`): all ``width`` of them if the row's event
-    fired, its first draw otherwise.  A move is at most ``width``, so
-    ``safe``, the number of fetches no row can run out in, counts down to the
-    next look for rows to refill; a row is refilled from the even index at or
-    below its pointer, since ``counter_uniforms`` starts on whole blocks.
+    draws it used (:meth:`advance`), at most ``span``.  ``safe``, the number
+    of fetches no row can run out in, counts down to the next look for rows
+    to refill; a row is refilled from the even index at or below its
+    pointer, since ``counter_uniforms`` starts on whole blocks.
     """
 
-    def __init__(self, seed: int, replica_ids: np.ndarray, width: int):
+    def __init__(self, seed: int, replica_ids: np.ndarray, width: int, window: int):
         n = len(replica_ids)
-        self.cache = min(4096, max(32, DRAW_BUDGET // max(n, 1))) & ~1
+        self.width = width  # draws of one candidate event
+        self.span = width * window
+        share = min(4096, max(32, DRAW_BUDGET // max(n, 1)))
+        self.cache = max(share, CACHE_FETCHES * self.span) & ~1
         self.seed = seed
-        self.width = width
-        self.cols = np.arange(width)
-        self.moves = np.array([1, width])  # pointer moves of a stop and of a fired row
         self.ids = replica_ids
         self.base = np.zeros(n, dtype=np.int64)  # draw index of each row's cache start
         self.buf = counter_uniforms(seed, replica_ids, self.base, self.cache)
+        # every run of span draws of the flat buffer, by its first draw
+        self.runs = np.lib.stride_tricks.sliding_window_view(self.buf.reshape(-1), self.span)
         # a row keeps its buffer row when others leave: off is the flat index
         # of its cache start, pos that of its next draw
         self.off = np.arange(n) * self.cache
         self.pos = self.off.copy()
-        self.safe = self.cache // width
+        self.safe = self.cache // self.span
 
     def fetch(self) -> np.ndarray:
-        """The next ``width`` draws of every row, shape (rows, width)."""
+        """The next ``span`` draws of every row, shape (rows, span)."""
         if not self.safe:
             self._refill()
         self.safe -= 1
-        return self.buf.take(self.pos[:, None] + self.cols)
+        return self.runs[self.pos]
 
-    def advance(self, fired: np.ndarray) -> None:
-        """Move each row past the draws of its last fetch that it used."""
-        self.pos += self.moves.take(fired.view(np.uint8))
+    def advance(self, used: np.ndarray) -> None:
+        """Move each row past the ``used`` draws of its last fetch."""
+        self.pos += used
 
     def _refill(self) -> None:
         ptr = self.pos - self.off
-        need = np.flatnonzero(ptr > self.cache - self.width)
+        need = np.flatnonzero(ptr > self.cache - self.span)
         if len(need):
             start = self.base[need] + (ptr[need] & ~1)
             self.buf[self.off[need] // self.cache] = counter_uniforms(
@@ -312,7 +372,7 @@ class _ReplicaRandoms:
             self.base[need] = start
             ptr[need] &= 1
             self.pos[need] = self.off[need] + ptr[need]
-        self.safe = (self.cache - int(ptr.max())) // self.width
+        self.safe = (self.cache - int(ptr.max())) // self.span
 
     def keep(self, rows: np.ndarray) -> None:
         """Drop every row not selected by ``rows``; the buffer stays put."""
@@ -330,7 +390,7 @@ def _path_lookup(ref: PathVec | None, p_path: PathVec | None):
 
         def at(t):
             v = both(t)
-            return v[:, :K], v[:, K:]
+            return v[..., :K], v[..., K:]
 
         return at
     return lambda t: tuple(None if x is None else x(t) for x in (ref, p_path))
@@ -358,12 +418,12 @@ def batch_paths(
     as 0 and only the final counts matter.  Tilted dynamics are enabled by
     passing (control, a_m, p_path) together.
 
-    Only live replicas are advanced: a replica that reaches T writes its
-    results back and leaves the working arrays.  T must be finite and
-    nonnegative; ``p_path``, ``ref`` and the control must each reach T.
-    ``_events``, for a single replica only, receives (t, counts) after every
-    accepted event.  The draws each iteration reads are laid out in the
-    module docstring.
+    Replicas are advanced in chunks of at most ``CHUNK_REPLICAS``, and only
+    live replicas are advanced: a replica that reaches T writes its results
+    back and leaves the working arrays.  T must be finite and nonnegative;
+    ``p_path``, ``ref`` and the control must each reach T.  ``_events``, for
+    a single replica only, receives (t, counts) after every accepted event.
+    The draws each iteration reads are laid out in the module docstring.
     """
     replicas = np.asarray(replicas, dtype=np.int64)
     R = len(replicas)
@@ -385,8 +445,9 @@ def batch_paths(
         _check_horizon("p_path", p_path.T, T)
         _check_horizon("control", control.T, T)
         # per-bin tables: the bound factor on every cell, the control over
-        # a(m) sqrt(m), the time a row in the bin stops at, and the edge
-        # that moves it to the next bin
+        # a(m) sqrt(m), the time a row in the bin stops at (a column, to
+        # broadcast over window positions), and the edge that moves it to
+        # the next bin
         stop = np.minimum(control.edges[1:], T)
         stop[-1] = T  # the last bin runs to T
         edge = control.edges[1:].copy()
@@ -394,7 +455,7 @@ def batch_paths(
         tables = (
             (1.0 + np.maximum(control.psi, 0.0) / a_scale).reshape(-1, KK),
             (control.psi / a_scale).reshape(-1, KK),
-            stop,
+            stop[:, None],
             edge,
         )
     else:
@@ -403,72 +464,115 @@ def batch_paths(
     # count change of each cell's jump, e_j - e_i (zero on the diagonal)
     eye, cells = np.eye(K, dtype=np.int64), np.arange(KK)
     step = eye[cells % K] - eye[cells // K]
+    width = 3 if tilted else 2  # draws of a candidate event
 
-    sup_dev = np.zeros(R)
-    final_counts = np.empty((R, K), dtype=np.int64)
-    # working arrays of the live replicas; rows[i] is row i's output index
-    rnd = _ReplicaRandoms(seed, replicas, 3 if tilted else 2)
-    rows = np.arange(R)
-    t = np.zeros(R)
-    counts = np.tile(counts0, (R, 1))
-    q = counts / m
-    sup = np.zeros(R)
-    row_KK = np.arange(R) * KK  # flat offset of each row's cells
-    k = np.zeros(R, dtype=np.intp)  # control bin of each row
-    # the rows' entries of the bin tables; regathered when a row moves bin
-    if tilted:
-        factor, psi_a, cap, next_edge = (a[k] for a in tables)
-    else:
-        cap = T
+    def window(u, g, t, cap, factor, psi_a):
+        """Evaluate one window of every live row from its draws ``u`` (n, E,
+        width) and guessed states ``g`` (n, E, K).  Returns the positions
+        committed, the states implied before every position (n, E + 1, K),
+        whether the last committed position stopped at the cap, the time
+        after it and, with a ref, the largest squared deviation observed at
+        the committed positions.  Accepted committed events go to _events."""
+        n, E = g.shape[:2]
+        pos = np.arange(n * E).reshape(n, E)  # flat index of each position
+        q = g / m
+        rates = g[..., None] * model.rates_batch(q)  # (n, E, K, K)
+        bound = rates.reshape(n, E, KK)
+        if tilted:
+            bound = bound * factor[:, None, :]
+        total = _sum_last(bound)
+        # event times in draw order, t_{e+1} = t_e - log1p(-u)/total, with
+        # the additions of the one-event loop; a zero total gives inf (nan
+        # for a zero draw), which never fires
+        t_prop = np.log1p(-u[..., 0]) / total
+        np.negative(t_prop, out=t_prop)
+        t_prop[:, 0] += t
+        if E > 1:
+            np.cumsum(t_prop, axis=1, out=t_prop)
+        # a position past its bin boundary (or the horizon) stops there
+        fired = t_prop <= cap
+        times = np.fmin(t_prop, cap)
 
-    def observe(ref_t):
-        """Fold the deviation of every row from ``ref_t = ref(t)`` into sup."""
-        if ref_t is not None:
-            d = q - ref_t
-            d *= d
-            # np.linalg.norm(axis=1), without its Python wrapper
-            np.maximum(sup, np.sqrt(np.add.reduce(d, axis=1)), out=sup)
+        # the cell: the first whose prefix sum of bound exceeds u * total,
+        # the last taking what rounding leaves over; ties resolve past
+        # zero-weight cells
+        thr = u[..., 1] * total
+        acc = bound[..., 0].copy()
+        cell = (acc <= thr).astype(np.intp)
+        for j in range(1, KK - 1):
+            acc += bound[..., j]
+            cell += acc <= thr
+        lin = pos * KK + cell
+        b_cell = bound.take(lin)
+        accept = fired & (b_cell > 0.0)
+        if tilted:
+            r_cell = rates.take(lin)
+        del rates, bound, acc, thr  # room for the path lookups
+        ref_t, p_t = at(times)
+        if tilted:
+            w_p = (m * p_t.take(pos * K + cell // K)) * model.rates_batch(p_t).take(lin)
+            psi_cell = psi_a.take(np.arange(n)[:, None] * KK + cell)
+            actual = r_cell + psi_cell * np.minimum(r_cell, w_p)
+            accept &= u[..., 2] * b_cell <= actual
 
-    observe(at(t)[0])
-    # a zero total rate makes the waiting time inf (or nan for a zero draw);
-    # the comparisons below treat either as "not fired"
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # implied[:, e] is the state before position e: the true state plus
+        # the accepted jumps of the positions before it
+        implied = np.empty((n, E + 1, K), dtype=np.int64)
+        implied[:, 0] = g[:, 0]
+        step.take(cell * accept, axis=0, out=implied[:, 1:])
+        implied[:, 1] += g[:, 0]
+        if E > 1:
+            np.cumsum(implied[:, 1:], axis=1, out=implied[:, 1:])
+        # commit positions while the guess was the implied state, through
+        # the first that stops at the cap (counts sum to m, so K - 1 states
+        # decide equality)
+        more = t_prop[:, :-1] < cap
+        for j in range(K - 1):
+            more &= g[:, 1:, j] == implied[:, 1:E, j]
+        c = 1 + np.logical_and.accumulate(more, axis=1).sum(axis=1)
+        last = pos[:, 0] + c - 1
+        dev = None
+        if ref is not None:
+            # each committed position's state before and after its jump
+            dev = np.maximum(_sq_dist(q, ref_t), _sq_dist(implied[:, 1:] / m, ref_t))
+            dev *= pos[:1] < c[:, None]
+            dev = dev.max(axis=1)
+        if _events is not None:
+            for e in np.flatnonzero(accept[0, : c[0]]):
+                _events.append((float(t_prop[0, e]), implied[0, e + 1].copy()))
+        return c, implied, ~fired.take(last), times.take(last), dev
+
+    def advance(ids, sup_out, finals_out):
+        """Run the replicas ``ids`` to T; write their results to the outputs."""
+        n = len(ids)
+        E = _window_length(n, K)
+        rnd = _ReplicaRandoms(seed, ids, width, E)
+        rows = np.arange(n)
+        t = np.zeros(n)
+        # guessed states of the window positions; position 0 is the true state
+        g = np.tile(counts0, (n, E, 1))
+        sup = np.zeros(n)
+        k = np.zeros(n, dtype=np.intp)  # control bin of each row
+        # the rows' entries of the bin tables; regathered when a row moves bin
+        factor = psi_a = None
+        if tilted:
+            factor, psi_a, cap, next_edge = (a[k] for a in tables)
+        else:
+            cap = T
+        if ref is not None:
+            np.sqrt(_sq_dist(g[:, 0] / m, at(t)[0]), out=sup)
+        # each row's first implied state, flat in an (n, E + 1) window
+        starts, positions = np.arange(n)[:, None] * (E + 1), np.arange(E)
         while len(rows):
             n = len(rows)
-            rates = counts[:, :, None] * model.rates_batch(q)  # (n, K, K)
-            bound = (rates.reshape(n, KK) * factor) if tilted else rates.reshape(n, KK)
-            total = bound.sum(axis=1)
-            u = rnd.fetch()  # waiting time, cell, thinning test
-            t_prop = t - np.log1p(-u[:, 0]) / total
-
-            # replicas that would pass a bin boundary (or the horizon) move
-            # there; the others move to their proposed event time
-            fired = t_prop <= cap
-            t = np.fmin(t_prop, cap)
-            ref_t, p_t = at(t)
-            observe(ref_t)  # state before any jump, at the new time
-            rnd.advance(fired)
-
-            if fired.any():
-                # ties at cumsum boundaries must resolve past zero-weight
-                # cells; the last cell takes what rounding leaves over
-                flat = bound.cumsum(axis=1)
-                flat[:, -1] = np.inf
-                cell = (flat > (u[:, 1] * total)[:, None]).argmax(axis=1)
-                lin = row_KK + cell
-                b_cell = bound.take(lin)
-                accept = fired & (b_cell > 0.0)
-                if tilted:
-                    r_cell = rates.take(lin)
-                    w_p = ((m * p_t)[:, :, None] * model.rates_batch(p_t)).take(lin)
-                    actual = r_cell + psi_a.take(lin) * np.minimum(r_cell, w_p)
-                    accept &= u[:, 2] * b_cell <= actual
-                if accept.any():
-                    counts += step.take(cell * accept, axis=0)
-                    q = counts / m
-                    observe(ref_t)
-                    if _events is not None:
-                        _events.append((float(t[0]), counts[0].copy()))
+            u = rnd.fetch().reshape(n, E, width)  # waiting time, cell, thinning test
+            c, implied, stopped, t, dev = window(u, g, t, cap, factor, psi_a)
+            rnd.advance(width * c - (width - 1) * stopped)
+            if dev is not None:
+                np.maximum(sup, np.sqrt(dev), out=sup)
+            # the next window guesses the states this one implied past its commit
+            past = starts[:n] + np.minimum(c[:, None] + positions, E)
+            g = implied.reshape(-1, K).take(past, axis=0)
 
             if tilted:
                 moved = t >= next_edge
@@ -477,12 +581,19 @@ def batch_paths(
                     factor, psi_a, cap, next_edge = (a[k] for a in tables)
             done = t >= T
             if done.any():
-                sup_dev[rows[done]] = sup[done]
-                final_counts[rows[done]] = counts[done]
+                sup_out[rows[done]] = sup[done]
+                finals_out[rows[done]] = g[done, 0]
                 live = ~done
-                rows, t, counts, q, sup, k = (a[live] for a in (rows, t, counts, q, sup, k))
+                rows, t, g, sup, k = (a[live] for a in (rows, t, g, sup, k))
                 rnd.keep(live)
-                row_KK = row_KK[: len(rows)]
                 if tilted:
                     factor, psi_a, cap, next_edge = (a[k] for a in tables)
+
+    sup_dev = np.zeros(R)
+    final_counts = np.empty((R, K), dtype=np.int64)
+    # a zero total rate makes a waiting time inf (or nan for a zero draw);
+    # the comparisons treat either as "not fired"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for part in blocks(R, CHUNK_REPLICAS):
+            advance(replicas[part], sup_dev[part], final_counts[part])
     return sup_dev, final_counts

@@ -288,21 +288,24 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
 
 
 def _broadcaster(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Q -> A broadcast over the leading axes of Q, as a read-only view.
+    """Q -> A repeated over the leading axes of Q, as a read-only array.
 
-    The view for the last leading shape is kept: the jump kernel asks for
-    the same shape at every event, and np.broadcast_to's Python wrapper
-    would cost more than the rest of the call.
+    The array for the last leading shape is kept: the jump kernel asks for
+    the same shape at every window until a replica leaves.  It is a
+    contiguous copy, not a broadcast view, since products with a view's
+    zero strides run several times slower.
     """
     last = [(None, None)]
 
     def broadcast(Q):
         shape = np.shape(Q)[:-1]
-        key, view = last[0]
+        key, full = last[0]
         if key != shape:
-            view = np.broadcast_to(A, shape + A.shape)
-            last[0] = (shape, view)
-        return view
+            full = np.empty(shape + A.shape)
+            full[...] = A
+            full.flags.writeable = False
+            last[0] = (shape, full)
+        return full
 
     return broadcast
 

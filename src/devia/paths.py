@@ -44,21 +44,27 @@ class PathVec:
 
     @cached_property
     def _cells(self) -> np.ndarray:
-        """One row per grid cell: its start, its length and both end values.
-        Built on the first call, so a path never interpolated carries none."""
+        """One column per grid cell: its start, its length and both end
+        values.  Built on the first call, so a path never interpolated
+        carries none; column-major, so that a batch of times is gathered and
+        weighted along long rows."""
         g, v = self.grid, self.values
-        return np.hstack([g[:-1, None], np.diff(g)[:, None], v[:-1], v[1:]])
+        return np.vstack([g[:-1], np.diff(g), v[:-1].T, v[1:].T])
 
     def __call__(self, t) -> np.ndarray:
         """Linear interpolation; clamps to the horizon endpoints."""
         t = np.asarray(t, dtype=float)
         # np.minimum/np.maximum: np.clip's Python-level wrapper is slow here
-        tt = np.minimum(np.maximum(t, self.grid[0]), self.grid[-1])
+        tt = np.minimum(np.maximum(t, self.grid[0]), self.grid[-1]).ravel()
         # searchsorted on the inner grid times is the clamped cell index
-        c = self._cells.take(self.grid[1:-1].searchsorted(tt, "right"), axis=0)
+        c = self._cells.take(self.grid[1:-1].searchsorted(tt, "right"), axis=1)
         K = self.values.shape[1]
-        w = ((tt - c[..., 0]) / c[..., 1])[..., None]
-        return (1 - w) * c[..., 2 : 2 + K] + w * c[..., 2 + K :]
+        w = (tt - c[0]) / c[1]
+        v = (1 - w) * c[2 : 2 + K]
+        right = c[2 + K :]
+        right *= w
+        v += right
+        return np.ascontiguousarray(v.T).reshape(t.shape + (K,))
 
     def sup_norm(self) -> float:
         """Max over grid times of the euclidean norm."""

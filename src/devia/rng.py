@@ -27,7 +27,7 @@ _SHIFT32 = np.uint64(32)
 _MUL = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # for words c0, c2
 _WEYL = (0x9E3779B9, 0xBB67AE85)
 _ROUNDS = 10
-_CHUNK_BLOCKS = 1 << 16  # output blocks per vectorized pass; bounds temporaries
+_CHUNK_BLOCKS = 1 << 14  # output blocks per vectorized pass; bounds temporaries
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:

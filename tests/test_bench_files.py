@@ -68,13 +68,15 @@ def _with_layers():
             "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
             "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
         })
-    doc["layers"].setdefault("em_particle_steps_per_s", _medians())
+    for key in ("em_particle_steps_per_s", "batch_paths_events_per_s"):
+        doc["layers"].setdefault(key, _medians())
     for key, diff in DIFFERENCES:
         doc["layers"].setdefault(key, {diff: 1e-14, **_medians()})
     return doc
 
 
-MEDIAN_KEYS = ["batch_paths_iterations_per_s", "em_particle_steps_per_s",
+MEDIAN_KEYS = ["batch_paths_events_per_s", "batch_paths_iterations_per_s",
+               "em_particle_steps_per_s",
                "solve_p_s", "skeleton_G0_s", "rate_I_s", "rate_Ibar_s",
                "cli_jump_sim_s", "cli_import_s", "limit_path_s"]
 

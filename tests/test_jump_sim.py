@@ -16,7 +16,13 @@ from devia.jump_sim import (
     simulate_tilted,
     tilt_cost,
 )
-from devia.mf_model import birth_death_model, constant_rate_model, ell_cost, two_state_model
+from devia.mf_model import (
+    birth_death_model,
+    cell_weights,
+    constant_rate_model,
+    ell_cost,
+    two_state_model,
+)
 
 
 def test_zero_rates_freeze_the_path():
@@ -92,6 +98,34 @@ class TestTilted:
         phi = 1.0 + psi / (a_m * math.sqrt(400))
         want = ell_cost(phi) * quad(lambda s: p(s)[0], 0.0, 1.0, limit=200)[0]
         assert got == pytest.approx(want, abs=1e-8)
+
+    def test_cost_is_second_order_across_bin_edges(self):
+        # each bin is integrated on its own side of its edges: successive
+        # grid doublings change the cost by a quarter as much each time
+        # (a first-order rule only halves the change), and the cost agrees
+        # with quad run bin by bin on a finer limit path
+        model = birth_death_model(3, 0.5, 0.5, 0.5)
+        q0 = np.array([0.6, 0.3, 0.1])
+        psi = np.zeros((4, 3, 3))
+        for (i, j), v in {(1, 2): [0.6, -0.3, 0.9, 0.2], (2, 3): [-0.4, 0.5, 0.1, -0.6],
+                          (2, 1): [0.3, 0.8, -0.5, 0.4], (3, 2): [-0.2, 0.1, 0.7, -0.3]}.items():
+            psi[:, i - 1, j - 1] = v
+        control = JumpControl(np.linspace(0.0, 1.0, 5), psi)
+        m, a_m = 400, 400 ** (-0.25)
+        costs = [tilt_cost(model, control, a_m, m, solve_p(model, q0, 1.0, n))
+                 for n in (64, 128, 256, 512, 1024, 2048)]
+        changes = np.abs(np.diff(costs))
+        assert np.all((changes[:-1] / changes[1:] > 3.5) & (changes[:-1] / changes[1:] < 4.5))
+
+        fine = solve_p(model, q0, 1.0, 16384)
+        phi = 1.0 + psi / (a_m * math.sqrt(m))
+        ell = ell_cost(phi.ravel()).reshape(phi.shape)
+        want = sum(
+            quad(lambda s: float((ell[k] * cell_weights(model, fine(s))).sum()),
+                 k / 4, (k + 1) / 4, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for k in range(4)
+        )
+        assert costs[-1] == pytest.approx(want, abs=1e-9)
 
     def test_cost_nonnegative(self, rng):
         for _ in range(20):
@@ -304,13 +338,16 @@ class TestBatchKernel:
         assert np.concatenate([f for _, f in parts]).tobytes() == finals.tobytes()
 
     def test_single_path_equals_its_row_across_cache_refills(self, flip_model, monkeypatch):
-        # a lone replica caches 4096 draws and a 64-replica batch 512 per
-        # row, so the two runs refill at different draws; the lone replica
-        # must refill at least twice and still match its row of the batch
+        # a lone replica caches 4096 draws and a 64-replica batch 1536 per
+        # row (8 fetches of windows of 64 events), so the two runs refill
+        # at different draws; the lone replica must refill at least twice
+        # and still match its row of the batch
         from devia import jump_sim
 
-        assert jump_sim._ReplicaRandoms(0, np.arange(1), 3).cache == 4096
-        assert jump_sim._ReplicaRandoms(0, np.arange(64), 3).cache == 512
+        window = {n: jump_sim._window_length(n, 2) for n in (1, 64)}
+        assert window == {1: 64, 64: 64}
+        assert jump_sim._ReplicaRandoms(0, np.arange(1), 3, window[1]).cache == 4096
+        assert jump_sim._ReplicaRandoms(0, np.arange(64), 3, window[64]).cache == 1536
         q0 = np.array([0.5, 0.5])
         p = solve_p(flip_model, q0, 1.0, 256)
         m = 5000
@@ -370,6 +407,27 @@ class TestBatchKernel:
             tracemalloc.stop()
         assert finals.shape == (20_000, 2)
         assert peak < 64 * 2**20
+
+    def test_memory_is_bounded_in_replica_chunks(self, flip_model):
+        # replicas advance in chunks of CHUNK_REPLICAS, so 3e5 replicas hold
+        # the outputs (7.2 MB), their ids (2.4 MB) and one chunk's draw
+        # cache and window arrays; one 32-draw cache row per replica alone
+        # would take 77 MB
+        import tracemalloc
+
+        from devia import jump_sim
+
+        R = 300_000
+        replicas = np.arange(R)
+        tracemalloc.start()
+        try:
+            _, finals = batch_paths(flip_model, 6, np.array([1.0, 0.0]), 1.0, 1, replicas)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert R > 16 * jump_sim.CHUNK_REPLICAS
+        assert np.all(finals.sum(axis=1) == 6)
+        assert peak < 40 * 2**20
 
 
 # ---------------------------------------------------------------------------

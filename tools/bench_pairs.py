@@ -13,9 +13,10 @@ Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
 ``--layers`` adds nine layer timings, each the median over ROUNDS rounds
-that alternate the trees: the lockstep iterations per second of
+that alternate the trees: the candidate events per second of
 ``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
-median of 5 calls per process), the seconds of ``solve_p``, ``skeleton_G0``,
+median of KERNEL_CALLS calls per process, with each tree's count of
+lockstep iterations beside it), the seconds of ``solve_p``, ``skeleton_G0``,
 ``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape (birth-death K = 5,
 4096 steps, a 4-bin potential control; the median of 5 calls per process,
 with the trees' largest output differences), the wall time of CLI
@@ -51,11 +52,15 @@ METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 TOP_KEYS = ("what", "parent_commit", "hardware", "commands", "order", "claim", "workloads")
 SIDES = ("parent", "change")
 
-# the kernel at the jump-long shape, timed over 5 calls after a counting
-# call; prints iterations, the median seconds and a hash of the outputs (which
-# the two trees must share)
+KERNEL_CALLS = 15  # timed kernel calls per process
+
+# the kernel at the jump-long shape, timed over KERNEL_CALLS calls after a
+# counting call; prints the candidate events (the work both trees share), the
+# lockstep iterations (which differ by design between a one-event kernel and
+# a windowed one), the median seconds and a hash of the outputs (which the
+# two trees must share)
 KERNEL_PROBE = r"""
-import hashlib, json, statistics, time
+import hashlib, json, statistics, sys, time
 import numpy as np
 from devia import jump_sim
 from devia.jump_analysis import solve_p
@@ -79,25 +84,32 @@ def run():
         model, m, q0, 1.0, 3, np.arange(100), control=control, a_m=a, p_path=p, ref=ref
     )
 
-# one iteration = one fetch of draws, or (older kernels) one unmasked draw
+# an iteration is one fetch of draws; a one-event kernel advances each row
+# by whether its candidate event fired, a windowed one by the draws each row
+# used: width per candidate event, and 1 for a stop at a bin edge or T
 cls = jump_sim._ReplicaRandoms
-name = "fetch" if hasattr(cls, "fetch") else "draw"
-orig, calls = getattr(cls, name), [0]
+fetch, advance = cls.fetch, cls.advance
+count = {"iterations": 0, "events": 0}
 
-def counted(self, *args):
-    calls[0] += not args or args[0] is None
-    return orig(self, *args)
+def counted_fetch(self):
+    count["iterations"] += 1
+    return fetch(self)
 
-setattr(cls, name, counted)
+def counted_advance(self, moved):
+    fired = moved if moved.dtype == bool else moved // self.width
+    count["events"] += int(fired.sum())
+    return advance(self, moved)
+
+cls.fetch, cls.advance = counted_fetch, counted_advance
 sup, finals = run()
-setattr(cls, name, orig)
+cls.fetch, cls.advance = fetch, advance
 seconds = []
-for _ in range(5):
+for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
     run()
     seconds.append(time.perf_counter() - t0)
 digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
-print(json.dumps({"iterations": calls[0], "seconds": statistics.median(seconds), "hash": digest}))
+print(json.dumps({**count, "seconds": statistics.median(seconds), "hash": digest}))
 """
 
 # the jump analysis at the rate-roundtrip shape: solve_p, skeleton_G0, rate_I
@@ -168,8 +180,10 @@ ROUNDS = 5  # alternating rounds of the layer probes, one run of each timing per
 DIFFERENCES = {"solve_p_s": "p_max_abs_diff", "skeleton_G0_s": "eta_max_abs_diff",
                "rate_I_s": "value_max_rel_diff", "rate_Ibar_s": "value_max_rel_diff"}
 # every layer timing, kept as the median of its runs
-MEDIAN_OF = ("batch_paths_iterations_per_s", "em_particle_steps_per_s", *DIFFERENCES,
-             "cli_jump_sim_s", "cli_import_s", "limit_path_s")
+# (files before the windowed kernel timed batch_paths in iterations per second)
+MEDIAN_OF = ("batch_paths_events_per_s", "batch_paths_iterations_per_s",
+             "em_particle_steps_per_s", *DIFFERENCES, "cli_jump_sim_s", "cli_import_s",
+             "limit_path_s")
 
 
 def git(*args: str) -> bytes:
@@ -245,18 +259,19 @@ def layers(trees: dict, scratch: Path) -> dict:
             paths_file = scratch / f"paths-{side}.npy"
             for probe, runs in ((KERNEL_PROBE, kernel), (EM_PROBE, em),
                                 (ANALYSIS_PROBE, analysis)):
-                out = subprocess.run([sys.executable, "-c", probe, str(paths_file)], env=env,
-                                     cwd=tree, check=True, capture_output=True, text=True).stdout
+                out = subprocess.run([sys.executable, "-c", probe, str(paths_file),
+                                      str(KERNEL_CALLS)], env=env, cwd=tree, check=True,
+                                     capture_output=True, text=True).stdout
                 runs[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
                    "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
             cli[side].append(timed(cmd, env, tree))
             imports[side].append(timed([sys.executable, "-c", CLI_IMPORT], env, tree))
     hashes = {r["hash"] for s in SIDES for r in kernel[s]}
-    iterations = {r["iterations"] for s in SIDES for r in kernel[s]}
-    if len(hashes) != 1 or len(iterations) != 1:
-        raise SystemExit(f"bench_pairs: the trees' kernels differ: {hashes}, {iterations}")
-    (n,) = iterations
+    events = {r["events"] for s in SIDES for r in kernel[s]}
+    if len(hashes) != 1 or len(events) != 1:
+        raise SystemExit(f"bench_pairs: the trees' kernels differ: {hashes}, {events}")
+    (n,) = events
     (steps,) = {r["particle_steps"] for s in SIDES for r in em[s]}
     gaps = {s: np.array(em[s][-1]["gaps"]) for s in SIDES}
     gap_rel = float(np.max(np.abs(gaps["change"] / gaps["parent"] - 1.0)))
@@ -284,11 +299,12 @@ def layers(trees: dict, scratch: Path) -> dict:
     }
     return {
         **timings,
-        "batch_paths_iterations_per_s": {
+        "batch_paths_events_per_s": {
             "shape": "jump-long at m = 10^4: two-state, 4-bin control, skeleton ref, "
-                     "100 replicas, seed 3; median of 5 calls per process after a "
-                     "counting call",
-            "iterations": n,
+                     f"100 replicas, seed 3; median of {KERNEL_CALLS} calls per process "
+                     "after a counting call",
+            "candidate_events": n,
+            "iterations": {s: kernel[s][0]["iterations"] for s in SIDES},
             "outputs_hash": hashes.pop(),
             **{s: summary([n / r["seconds"] for r in kernel[s]]) for s in SIDES},
         },
