@@ -140,16 +140,14 @@ class _FlatEM:
     returns a scalar, is folded into one Python scalar.  When both kernels'
     factors are :class:`Enveloped` with one envelope, env is evaluated once
     per particle per step into a buffer and s_. are their scales; otherwise
-    env is 1 and s_. are the factors, or for a dense kernel the mean over
-    the segment's own particles, with S = 1.  Factors are evaluated over
-    blocks of at most BLOCK consecutive particles (a larger segment spans
-    several blocks), and every pass of the update writes into work buffers
+    env is 1 and s_. are the factors.  Factors are evaluated over blocks of
+    at most BLOCK consecutive particles (a larger segment spans several
+    blocks), and every pass of the update writes into work buffers
     allocated here once.  ``used[j]`` holds the pairings the last step used
-    on segment j (nan for a dense kernel).
+    on segment j.
     """
 
     def __init__(self, kernels: KernelPair, sizes, x0: float, dt: float, names=None):
-        self.kernels = kernels
         self.sizes = [int(n) for n in sizes]
         self._counts = np.array(self.sizes, dtype=float)
         self.edges = np.cumsum([0, *self.sizes])
@@ -158,10 +156,11 @@ class _FlatEM:
         self.dt = dt
         self.x = np.full(int(self.edges[-1]), float(x0))
         self.used = np.empty((len(sizes), 2))
-        fa, fb = (k.sep and k.sep[0] for k in (kernels.alpha, kernels.beta))
+        (fa, ga), (fb, gb) = kernels.alpha.sep, kernels.beta.sep
+        self._gs = (ga, gb)
         shared = isinstance(fa, Enveloped) and isinstance(fb, Enveloped) and fa.env is fb.env
         self.env = fa.env if shared else None
-        self._factors = (fa.scale, fb.scale) if shared else (fa, fb)  # None: dense
+        self._factors = (fa.scale, fb.scale) if shared else (fa, fb)
         self._env = np.empty_like(self.x) if shared else None
         self._step, self._tmp = np.empty_like(self.x), np.empty_like(self.x)
         self._finite = np.empty(len(self.x), dtype=bool)
@@ -189,17 +188,14 @@ class _FlatEM:
     def _pairings(self, pairings) -> list:
         """The envelope into its buffer, and each segment's pairings, given
         (pairings[j]) or under its own empirical measure (None), into used.
-        Returns used as lists, with 1.0 in place of a dense kernel's nan."""
-        x, kerns = self.x, (self.kernels.alpha, self.kernels.beta)
+        Returns used as lists."""
+        x = self.x
         if self.env is not None:
             for blk, _ in self._blocks:
                 self.env(x[blk], out=self._env[blk])
         if any(p is None for p in pairings):
             means = {}  # kernels sharing g share the pairing
-            for k, (kern, buf) in enumerate(zip(kerns, (self._tmp, self._step))):
-                if kern.sep is None:
-                    continue
-                g = kern.sep[1]
+            for k, (g, buf) in enumerate(zip(self._gs, (self._tmp, self._step))):
                 if id(g) not in means:
                     if g is not self.env:
                         for blk, _ in self._blocks:
@@ -210,19 +206,13 @@ class _FlatEM:
         for j, p in enumerate(pairings):
             if p is not None:
                 self.used[j] = p
-        used = self.used.tolist()
-        for k, kern in enumerate(kerns):
-            if kern.sep is None:
-                self.used[:, k] = np.nan
-                for row in used:
-                    row[k] = 1.0
-        return used
+        return self.used.tolist()
 
     def _advance(self, blk: slice, members, zs, controls, used) -> None:
         """The block's increments into _step, under the pairings ``used``
         that :meth:`_pairings` returned."""
         dt = self.dt
-        fa, fb = self._block_factors(blk, members)
+        fa, fb = (f(self.x[blk]) for f in self._factors)
         a_arr, b_arr = getattr(fa, "ndim", 0) > 0, getattr(fb, "ndim", 0) > 0
         for j, bl, sl, tmp, step in members:
             S_a, S_b = used[j]
@@ -244,22 +234,6 @@ class _FlatEM:
             np.add(step, tmp, out=step)
         if self.env is not None:
             np.multiply(self._step[blk], self._env[blk], out=self._step[blk])
-
-    def _block_factors(self, blk: slice, members) -> list:
-        """s_alpha and s_beta over a block: arrays, or scalars for factors
-        that return one; a dense kernel's is its mean over each segment's
-        own particles."""
-        out = []
-        for kern, f in zip((self.kernels.alpha, self.kernels.beta), self._factors):
-            if f is not None:
-                out.append(f(self.x[blk]))
-                continue
-            vals = np.empty(blk.stop - blk.start)
-            for j, bl, sl, _, _ in members:
-                x, n = self.xs[j], self.sizes[j]
-                vals[bl] = kern.mean_y(x[sl], MeasureHook(points=x, weights=np.full(n, 1.0 / n)))
-            out.append(vals)
-        return out
 
     def step(self, zs, pairings=None, controls=None) -> None:
         """One fused update of every segment j, driven by the normals zs[j]
@@ -464,7 +438,7 @@ def occupation_accumulate(path: DiffusionPath, control: Control) -> OccupationMe
 
 @dataclass(frozen=True)
 class LimitPath:
-    """The limit law seen by separable kernels: values[k] holds
+    """The limit law as the coefficients see it: values[k] holds
     (<mu(t_k), g_alpha>, <mu(t_k), g_beta>) at t_k = k dt, k = 0..n_steps,
     from a reference ensemble of M_ref particles started at x0."""
 
@@ -482,10 +456,9 @@ def limit_path(
     kernels: KernelPair, M_ref: int, x0: float, T: float, dt: float, seed: int
 ) -> LimitPath:
     """Run the reference ensemble of M_ref particles once, on the stream
-    (seed, REFERENCE_REPLICA), and keep only its kernel pairings: with
-    separable kernels these are all the limit law contributes to the
-    coefficients.  Positions are not kept."""
-    kernels.require_separable()
+    (seed, REFERENCE_REPLICA), and keep only its kernel pairings: these are
+    all the limit law contributes to the coefficients.  Positions are not
+    kept."""
     if M_ref < 1:
         raise ValueError(f"need M_ref >= 1; got M_ref={M_ref}")
     n_steps = _n_steps(T, dt)
@@ -525,7 +498,6 @@ def run_coupled(
     columns.  Returns m -> (1/m) sum_i sup-step squared gap, with the sup
     taken over every step.
     """
-    kernels.require_separable()
     if min(ms) < 1:
         raise ValueError(f"system sizes must be >= 1; got ms={list(ms)}")
     if max(ms) > M_ref:

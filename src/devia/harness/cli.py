@@ -28,6 +28,7 @@ from ..diff_analysis import rate_diffusion, solve_fokker_planck
 from ..diff_sim import simulate_interacting
 from ..jump_analysis import rate_I, rate_Ibar, solve_p
 from ..jump_sim import simulate_jump, simulate_tilted
+from ..mf_model import config_scalar
 from ..paths import PathVec
 from ..schwartz import HermiteFunction
 from .config import load_config, resolve_kernels, resolve_model
@@ -159,7 +160,7 @@ def _cmd_diff_rate(args) -> int:
     eta = read_grid_field(args.eta)
     rho = solve_fokker_planck(
         kernels,
-        float(cfg.get("x0", args.x0)),
+        config_scalar(cfg, "x0", args.x0),
         float(eta.ts[-1]),
         float(eta.xs[0]),
         float(eta.xs[-1]),

@@ -2,11 +2,11 @@
 
 The diffusion and drift coefficients are mean-field averages of two-argument
 kernels: sigma(x, mu) = integral of alpha(x, y) mu(dy) and b(x, mu) likewise
-with beta.  A kernel may declare a rank-one separable form k(x, y) =
-f(x) g(y), in which case mean-field evaluation over an ensemble costs O(m)
-instead of O(m^2).  Factors may share an envelope (:class:`Enveloped`), which
-the particle simulators evaluate once per particle and step, into a buffer,
-for both kernels.
+with beta.  Every kernel is rank-one separable, k(x, y) = f(x) g(y), so the
+measure enters the coefficients only through the pairing <mu, g>, and
+mean-field evaluation over an ensemble costs O(m), not O(m^2).  Factors may
+share an envelope (:class:`Enveloped`), which the particle simulators
+evaluate once per particle and step, into a buffer, for both kernels.
 
 Measures enter through :class:`MeasureHook`, a plain (points, weights)
 quadrature view that both particle ensembles and grid densities provide.
@@ -22,6 +22,8 @@ from typing import Callable
 
 import numpy as np
 
+from .mf_model import config_scalar
+
 __all__ = [
     "Enveloped",
     "Kernel",
@@ -33,8 +35,6 @@ __all__ = [
     "zero_kernel",
     "kernels_from_config",
 ]
-
-_CHUNK = 512
 
 
 def _dot(w: np.ndarray, g):
@@ -78,7 +78,8 @@ class MeasureHook:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Two-argument interaction kernel with optional separable fast path.
+    """Interaction kernel k(x, y) = f(x) g(y) with ``sep = (f, g)``; ``fn``
+    evaluates k(x, y) directly, for the grid scans (such as the CFL bound).
 
     ``sup`` and ``lip`` record certified bounds on |k| and on both partial
     derivatives; they are diagnostics (reports, bound checks), not inputs to
@@ -86,7 +87,7 @@ class Kernel:
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    sep: tuple[Callable, Callable] | None = None
+    sep: tuple[Callable, Callable]
     sup: float = float("inf")
     lip: float = float("inf")
     name: str = ""
@@ -98,30 +99,15 @@ class Kernel:
         """x |-> integral k(x, y) mu(dy), vectorized over x; weights
         (..., N) give (..., len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.sep is not None:
-            f, g = self.sep
-            return np.asarray(f(x), dtype=float) * _dot(mu.weights, g(mu.points))[..., None]
-        out = np.empty(mu.weights.shape[:-1] + x.shape)
-        w = mu.weights[..., None]
-        for lo in range(0, len(x), _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            out[..., sl] = (self.fn(x[sl, None], mu.points[None, :]) @ w)[..., 0]
-        return out
+        f, g = self.sep
+        return np.asarray(f(x), dtype=float) * _dot(mu.weights, g(mu.points))[..., None]
 
     def mean_x(self, fvals: np.ndarray, mu: MeasureHook, x: np.ndarray) -> np.ndarray:
         """x |-> integral f(y) k(y, x) mu(dy) for sample values f(points);
         weights or values (..., N) give (..., len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        wf = mu.weights * fvals
-        if self.sep is not None:
-            f, g = self.sep
-            return _dot(wf, f(mu.points))[..., None] * np.asarray(g(x), dtype=float)
-        out = np.empty(wf.shape[:-1] + x.shape)
-        wf = wf[..., None, :]
-        for lo in range(0, len(x), _CHUNK):
-            sl = slice(lo, lo + _CHUNK)
-            out[..., sl] = (wf @ self.fn(mu.points[:, None], x[None, sl]))[..., 0, :]
-        return out
+        f, g = self.sep
+        return _dot(mu.weights * fvals, f(mu.points))[..., None] * np.asarray(g(x), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -134,14 +120,6 @@ class KernelPair:
 
     def drift(self, x, mu: MeasureHook) -> np.ndarray:
         return self.beta.mean_y(x, mu)
-
-    def require_separable(self) -> None:
-        for k in (self.alpha, self.beta):
-            if k.sep is None:
-                raise ValueError(
-                    f"kernel {k.name or k.fn!r} is not rank-one separable; the limit law "
-                    "then does not enter through the pairings <mu, g>"
-                )
 
 
 def zero_kernel() -> Kernel:
@@ -216,12 +194,10 @@ def kernels_from_config(cfg: dict) -> KernelPair:
         raise ValueError(f"a kernels config must be a mapping; got {type(cfg).__name__}")
     family = cfg.get("family", "default")
     if family == "default":
-        return default_kernels(float(cfg.get("c_alpha", 0.5)), float(cfg.get("c_beta", 0.5)))
+        return default_kernels(*(config_scalar(cfg, k, 0.5) for k in ("c_alpha", "c_beta")))
     if family == "additive-noise":
-        return KernelPair(
-            alpha=constant_alpha(float(cfg.get("level", 1.0))),
-            beta=linear_reversion_beta(float(cfg.get("rate", 1.0))),
-        )
+        level, rate = (config_scalar(cfg, k, 1.0) for k in ("level", "rate"))
+        return KernelPair(alpha=constant_alpha(level), beta=linear_reversion_beta(rate))
     if family == "zero":
         return KernelPair(alpha=zero_kernel(), beta=zero_kernel())
     raise ValueError(f"unknown kernel family {family!r}")

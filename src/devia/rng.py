@@ -27,7 +27,7 @@ _SHIFT32 = np.uint64(32)
 _MUL = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # for words c0, c2
 _WEYL = (0x9E3779B9, 0xBB67AE85)
 _ROUNDS = 10
-_CHUNK_BLOCKS = 1 << 14  # output blocks per vectorized pass; bounds temporaries
+_PASS_BLOCKS = 1 << 14  # output blocks per vectorized pass; bounds temporaries
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -85,7 +85,7 @@ def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int)
     key = (seed & 0xFFFFFFFF, seed >> 32)
     half = n // 2
     out = np.empty((len(replicas), n))
-    step = max(1, _CHUNK_BLOCKS // max(half, 1))
+    step = max(1, _PASS_BLOCKS // max(half, 1))
     for lo in range(0, len(replicas), step):
         rows = slice(lo, lo + step)
         # counter (c0, c1, c2, c3) = (block lo, block hi, replica lo, replica hi)

@@ -350,6 +350,50 @@ def test_malformed_config_is_a_diagnosed_exit(tmp_path, capsys, name, text, comm
     assert message in capsys.readouterr().err
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("diff-sim", {"family": "default", "c_beta": [1]}, "'c_beta' must be a finite number; got [1]"),
+    ("diff-sim", {"family": "additive-noise", "level": "high"}, "'level' must be a finite number"),
+    ("diff-sim", {"family": "additive-noise", "rate": True}, "'rate' must be a finite number"),
+    ("diff-rate", {"family": "default", "c_alpha": NAN}, "'c_alpha' must be a finite number; got nan"),
+    ("diff-rate", {"family": "default", "x0": "left"}, "'x0' must be a finite number; got 'left'"),
+    ("jump-sim", {"family": "birth-death", "K": 3, "a": [1], "b": 0.5, "c": 0.5},
+     "'a' must be a finite number; got [1]"),
+    ("jump-sim", {"family": "birth-death", "K": 3, "a": NAN, "b": 0.5, "c": 0.5},
+     "'a' must be a finite number; got nan"),
+    ("jump-sim", {"family": "birth-death", "K": 3.5, "a": 0.5, "b": 0.5, "c": 0.5},
+     "'K' must be an integer; got 3.5"),
+    ("jump-sim", {"family": "birth-death", "K": "three", "a": 0.5, "b": 0.5, "c": 0.5},
+     "'K' must be an integer; got 'three'"),
+    ("jump-sim", {"family": "two-state", "rate": float("inf")}, "'rate' must be a finite number"),
+    ("jump-sim", {"family": "two-state", "gamma_norm": "x"}, "'gamma_norm' must be a finite number"),
+], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "list-a", "nan-a",
+        "fractional-K", "string-K", "inf-rate", "string-gamma_norm"])
+def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):
+    # each used to end in a TypeError traceback, a wrong diagnosis (a CFL
+    # violation, an off-lattice initial state) or a silently truncated K
+    path = tmp_path / "cfg.json"
+    dump_config(cfg, path)
+    if command == "jump-sim":
+        argv = ["jump-sim", "--model", str(path), "--m", "10", "--T", "1.0",
+                "--out", str(tmp_path / "path.csv")]
+    elif command == "diff-sim":
+        argv = ["diff-sim", "--kernels", str(path), "--m", "4", "--T", "0.25",
+                "--out", str(tmp_path / "run")]
+    else:
+        from devia.diff_analysis import GridField
+
+        eta_csv = tmp_path / "eta.csv"
+        xs = np.linspace(-5.0, 5.0, 41)
+        write_grid_field(GridField(xs, np.array([0.0, 0.125, 0.25]), np.zeros((3, 41))), eta_csv)
+        argv = ["diff-rate", "--kernels", str(path), "--eta", str(eta_csv),
+                "--out", str(tmp_path / "rate.json")]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_diff_sim_zero_stride_is_a_diagnosed_exit(tmp_path, kernel_cfg, capsys):
     # used to run silently with stride 1
     argv = ["diff-sim", "--kernels", kernel_cfg, "--m", "4", "--T", "0.25", "--dt", "0.015625",

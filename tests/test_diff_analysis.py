@@ -16,11 +16,11 @@ from devia.diff_analysis import (
     weak_form_residual,
 )
 from devia.kernels import (
-    Kernel,
     KernelPair,
     MeasureHook,
     constant_alpha,
     default_kernels,
+    kernels_from_config,
     linear_reversion_beta,
     zero_kernel,
 )
@@ -28,11 +28,6 @@ from devia.schwartz import HermiteFunction
 
 HEAT = KernelPair(alpha=constant_alpha(1.0), beta=zero_kernel())
 TRANSPORT = KernelPair(alpha=zero_kernel(), beta=linear_reversion_beta(1.0))
-
-
-def _dense(kp: KernelPair) -> KernelPair:
-    """The same pair without its separable fast path."""
-    return KernelPair(alpha=Kernel(fn=kp.alpha.fn), beta=Kernel(fn=kp.beta.fn))
 
 
 @st.composite
@@ -46,8 +41,6 @@ def grid_problems(draw):
         kp = KernelPair(constant_alpha(draw(st.floats(0.1, 1.0))), linear_reversion_beta(1.0))
     else:
         kp = HEAT
-    if draw(st.booleans()):
-        kp = _dense(kp)
     x0, half = draw(st.floats(-0.5, 0.5)), draw(st.floats(4.0, 6.0))
     return kp, x0, half, draw(st.integers(41, 81)), draw(st.floats(0.01, 0.1))
 
@@ -170,6 +163,26 @@ class TestRateDiffusion:
         assert res.feasible
         assert abs(res.value - want) / want < 0.02
 
+    def test_ornstein_uhlenbeck_cost_is_exact(self):
+        # additive-noise pair with level = rate = 1: Ornstein-Uhlenbeck
+        # particles dX = -X dt + dW.  The control g(t) = e^{-(T-t)} / V_T,
+        # V_T = (1 - e^{-2T}) / 2, moves the mean of eta from 0 to 1 at least
+        # cost, and its exact cost is 1/2 int_0^T g^2 dt = 1 / (2 V_T); the
+        # chain FP -> linearized -> rate must reach it at second order in dx
+        T = 0.5
+        V_T = (1.0 - math.exp(-2.0 * T)) / 2.0
+        exact = 1.0 / (2.0 * V_T)  # 1.581977
+        kp = kernels_from_config({"family": "additive-noise", "level": 1.0, "rate": 1.0})
+        err = {}
+        for nx in (161, 321):
+            rho = solve_fokker_planck(kp, 0.3, T, -5.0, 5.0, nx)
+            eta = solve_linearized(kp, rho, lambda x, t: np.exp(-(T - t)) / V_T)
+            res = rate_diffusion(kp, rho, eta)
+            assert res.feasible, res.message
+            err[nx] = (res.value - exact) / exact
+        assert abs(err[161]) <= 1e-3
+        assert abs(err[321]) <= abs(err[161]) / 3.0
+
     def test_mass_violation_infeasible(self):
         kp = default_kernels()
         rho = solve_fokker_planck(kp, 0.0, 0.25, -5.0, 5.0, 121)
@@ -256,10 +269,32 @@ class TestWeakDuality:
         assert res[201] < 5e-3
 
 
+@pytest.mark.parametrize("family", ["default", "additive-noise", "zero"])
+def test_kernel_fn_is_its_separable_form(family):
+    # the kernels' two definitions agree: fn(x, y) = f(x) g(y) on a grid
+    xs = np.linspace(-4.0, 4.0, 81)
+    kp = kernels_from_config({"family": family})
+    for kernel in (kp.alpha, kp.beta):
+        f, g = kernel.sep
+        outer = np.asarray(f(xs))[:, None] * np.asarray(g(xs))[None, :]
+        assert np.allclose(kernel.fn(xs[:, None], xs[None, :]), outer, rtol=1e-13, atol=0.0)
+
+
+def _dense_means(kernel, pts, W, x, fvals):
+    """integral k(x, y) mu(dy) and integral f(y) k(y, x) mu(dy) as O(N M)
+    sums of the kernel's direct definition fn, each with the sum of its
+    terms' magnitudes (the scale of its rounding error)."""
+    k_xy = kernel.fn(x[:, None], pts[None, :])  # (len(x), N)
+    k_yx = kernel.fn(pts[:, None], x[None, :])  # (N, len(x))
+    wf = W * fvals
+    return ((W @ k_xy.T, np.abs(W) @ np.abs(k_xy.T)),
+            (wf @ k_yx, np.abs(wf) @ np.abs(k_yx)))
+
+
 @st.composite
 def measure_paths(draw):
     """Points, weights with one or two leading axes, and evaluation points
-    crossing the dense kernels' chunk of 512."""
+    of several sizes."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
     n = draw(st.integers(1, 200))
@@ -277,14 +312,13 @@ def measure_paths(draw):
     ],
     ids=["gaussian", "gaussian-reversion", "const", "linear"],
 )
-@pytest.mark.parametrize("dense", [False, True], ids=["separable", "dense"])
+@pytest.mark.parametrize("reference", ["separable", "dense"])
 @given(measure_paths())
 @settings(max_examples=25, deadline=None)
-def test_batched_means_equal_the_row_calls(kernel, dense, data):
-    # weights (..., N) average a path of measures in one call; each row is
-    # bit for bit the call on that row alone
-    if dense:
-        kernel = Kernel(fn=kernel.fn)
+def test_batched_means_equal_the_row_calls(kernel, reference, data):
+    # weights (..., N) average a path of measures in one call.  separable:
+    # each row is bit for bit the library's call on that row alone; dense:
+    # the batch matches O(N M) sums of fn, which share no code with it
     pts, W, x, fvals = data
     mu = MeasureHook(points=pts, weights=W)
     got_y = kernel.mean_y(x, mu)
@@ -292,6 +326,12 @@ def test_batched_means_equal_the_row_calls(kernel, dense, data):
     unit = MeasureHook(points=pts, weights=np.ones_like(pts))
     got_xw = kernel.mean_x(W * fvals, unit, x)
     assert got_y.shape == got_x.shape == got_xw.shape == W.shape[:-1] + x.shape
+    if reference == "dense":
+        (ref_y, scale_y), (ref_x, scale_x) = _dense_means(kernel, pts, W, x, fvals)
+        assert np.all(np.abs(got_y - ref_y) <= 1e-12 * scale_y)
+        assert np.all(np.abs(got_x - ref_x) <= 1e-12 * scale_x)
+        assert np.all(np.abs(got_xw - ref_x) <= 1e-12 * scale_x)
+        return
     for idx in np.ndindex(W.shape[:-1]):
         row = MeasureHook(points=pts, weights=W[idx])
         assert np.array_equal(got_y[idx], kernel.mean_y(x, row))
