@@ -28,10 +28,16 @@ from ..diff_analysis import rate_diffusion, solve_fokker_planck
 from ..diff_sim import simulate_interacting
 from ..jump_analysis import rate_I, rate_Ibar, solve_p
 from ..jump_sim import simulate_jump, simulate_tilted
-from ..mf_model import config_scalar
 from ..paths import PathVec
 from ..schwartz import HermiteFunction
-from .config import load_config, resolve_kernels, resolve_model
+from .config import (
+    config_numbers,
+    config_scalar,
+    control_from_config,
+    kernels_from_config,
+    load_config,
+    model_from_config,
+)
 from .experiments import run_experiment
 from .io import read_grid_field, read_path_vec, write_jump_path
 from .report import config_hash
@@ -68,14 +74,12 @@ def _cmd_lemma_suite(args) -> int:
 
 def _cmd_jump_sim(args) -> int:
     cfg = load_config(args.model)
-    model = resolve_model(cfg)
-    q0 = np.asarray(cfg.get("q0", [1.0 / model.K] * model.K), dtype=float)
+    model = model_from_config(cfg.get("model", cfg))
+    q0 = np.array(config_numbers(cfg, "q0", [1.0 / model.K] * model.K))
     if args.control:
-        from .experiments import _control_from_spec
-
         control_cfg = load_config(args.control)
-        control = _control_from_spec(control_cfg, model.K, args.T)
-        theta = float(control_cfg.get("theta", args.theta))
+        control = control_from_config(control_cfg, model.K, args.T)
+        theta = config_scalar(control_cfg, "theta", args.theta)
         a_m = args.m ** (-theta)
         p = solve_p(model, q0, args.T, args.p_steps)
         path, cost = simulate_tilted(model, args.m, q0, args.T, control, a_m, p, args.seed)
@@ -107,10 +111,10 @@ def _uniform_resample(path: PathVec) -> PathVec:
 
 def _cmd_jump_rate(args) -> int:
     cfg = load_config(args.model)
-    model = resolve_model(cfg)
+    model = model_from_config(cfg.get("model", cfg))
     raw = read_path_vec(args.eta)
     eta = _uniform_resample(raw)
-    p0 = np.asarray(cfg.get("p0", cfg.get("q0", [1.0 / model.K] * model.K)), dtype=float)
+    p0 = np.array(config_numbers(cfg, "p0" if "p0" in cfg else "q0", [1.0 / model.K] * model.K))
     p = solve_p(model, p0, eta.T, max(len(eta.grid) - 1, 256))
     res_bar = rate_Ibar(model, p, eta)
     res = rate_I(model, p, eta)
@@ -132,14 +136,13 @@ def _cmd_jump_rate(args) -> int:
 
 def _cmd_diff_sim(args) -> int:
     cfg = load_config(args.kernels)
-    kernels = resolve_kernels(cfg)
+    kernels = kernels_from_config(cfg.get("kernels", cfg))
     dt = args.T / 2048 if args.dt is None else args.dt
     path = simulate_interacting(
         kernels, args.m, args.x0, args.T, dt, args.seed, record_stride=args.stride
     )
-    phis = [
-        HermiteFunction.from_hermite_coeffs(c) for c in cfg.get("test_functions", [[1.0]])
-    ]
+    coeffs = config_numbers(cfg, "test_functions", [[1.0]], depth=2)
+    phis = [HermiteFunction.from_hermite_coeffs(c) for c in coeffs]
     lines = [
         "time,mean,var," + ",".join(f"pairing_{k}" for k in range(len(phis)))
     ]
@@ -156,7 +159,7 @@ def _cmd_diff_sim(args) -> int:
 
 def _cmd_diff_rate(args) -> int:
     cfg = load_config(args.kernels)
-    kernels = resolve_kernels(cfg)
+    kernels = kernels_from_config(cfg.get("kernels", cfg))
     eta = read_grid_field(args.eta)
     rho = solve_fokker_planck(
         kernels,

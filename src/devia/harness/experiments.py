@@ -9,6 +9,7 @@ entries carry the declared tolerances.  Replica randomness is keyed by
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -37,11 +38,19 @@ from ..jump_analysis import (
     solve_p,
 )
 from ..jump_sim import JumpControl, batch_paths
-from ..mf_model import check_simplex, model_from_config
+from ..mf_model import check_simplex
 from ..paths import PathVec
 from ..rng import stream
 from ..schwartz import HermiteFunction
-from .config import resolve_kernels, resolve_model
+from .config import (
+    config_numbers,
+    config_scalar,
+    config_section,
+    control_from_config,
+    kernels_from_config,
+    load_config,
+    model_from_config,
+)
 from .report import (
     CriterionResult,
     ExperimentReport,
@@ -88,14 +97,28 @@ def _fan_out(worker, arg_sets: list[tuple], n_replicas: int) -> list[np.ndarray]
         return [np.concatenate([f.result() for f in fs]) for fs in futs]
 
 
-def _timed(fn):
-    def wrapper(spec: dict) -> ExperimentReport:
-        t0 = time.perf_counter()
-        report = fn(spec)
-        report.runtime_seconds = time.perf_counter() - t0
-        return report
+RUNNERS = {}
 
-    return wrapper
+
+def _runner(kind: str, *required: str):
+    """Make fn(spec, seed) -> (stats, criteria, work) the runner of ``kind``
+    in RUNNERS: it checks the required keys, reads the seed and returns the
+    report, with its wall time logged on it."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def run(spec: dict) -> ExperimentReport:
+            t0 = time.perf_counter()
+            _require(spec, kind, *required)
+            seed = config_scalar(spec, "seed", 0, integer=True)
+            report = ExperimentReport(kind, spec, seed, *fn(spec, seed))
+            report.runtime_seconds = time.perf_counter() - t0
+            return report
+
+        RUNNERS[kind] = run
+        return run
+
+    return wrap
 
 
 def _require(spec: dict, kind: str, *keys: str) -> None:
@@ -111,14 +134,14 @@ MIN_REPLICAS = 30
 def _replicas_and_grid(spec: dict, kind: str) -> tuple[int, list[int]]:
     """The Monte Carlo layout of a slope fit: enough replicas for a usable
     bootstrap and a strictly increasing grid of at least two sizes."""
-    replicas = int(spec.get("replicas", 0))
+    replicas = config_scalar(spec, "replicas", 0, integer=True)
     if replicas < MIN_REPLICAS:
         raise ValueError(
             f"slope fits need at least {MIN_REPLICAS} replicas for a usable bootstrap; "
             f"got {replicas}"
         )
     _require(spec, kind, "m_grid")
-    grid = [int(m) for m in spec["m_grid"]]
+    grid = config_numbers(spec, "m_grid", integer=True)
     if len(grid) < 2:
         raise ValueError(f"a slope fit needs an m_grid of at least 2 sizes; got {grid}")
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
@@ -137,19 +160,17 @@ def _lln_chunk(model_cfg, m, q0, T, p, seed, lo, hi):
     return sup**2
 
 
-@_timed
-def run_lln(spec: dict) -> ExperimentReport:
+@_runner("lln", "model", "q0")
+def run_lln(spec: dict, seed: int):
     """Mean squared sup-deviation of the empirical measure from its limit,
     fitted against 1/m on a log-log scale."""
-    _require(spec, "lln", "model", "q0")
     replicas, m_grid = _replicas_and_grid(spec, "lln")
-    model_cfg = spec["model"]
-    q0 = np.asarray(spec["q0"], dtype=float)
-    T = float(spec.get("T", 1.0))
-    seed = int(spec.get("seed", 0))
-    p_steps = int(spec.get("p_steps", 1024))
-    want = float(spec.get("criteria", {}).get("slope", -1.0))
-    tol = float(spec.get("criteria", {}).get("slope_tol", 0.2))
+    model_cfg = load_config(spec["model"], "model")
+    q0 = np.array(config_numbers(spec, "q0"))
+    T = config_scalar(spec, "T", 1.0)
+    p_steps = config_scalar(spec, "p_steps", 1024, integer=True)
+    want = config_scalar(config_section(spec, "criteria"), "slope", -1.0)
+    tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.2)
 
     p = solve_p(model_from_config(model_cfg), q0, T, p_steps)
     arg_sets = [(model_cfg, m, q0, T, p, seed + k) for k, m in enumerate(m_grid)]
@@ -157,27 +178,11 @@ def run_lln(spec: dict) -> ExperimentReport:
     fit = fit_loglog_slope(np.array(m_grid), samples, seed)
     stats = {str(m): sample_stats(samples[m]).to_dict() for m in m_grid}
     crit = slope_criterion("LLN log-log slope", fit, want, tol, f"slope = {want} +/- {tol}")
-    return ExperimentReport(
-        kind="lln",
-        config=spec,
-        seed=seed,
-        stats=stats,
-        criteria=[crit],
-        work={"replicas": replicas, "m_grid": m_grid},
-    )
+    return stats, [crit], {"replicas": replicas, "m_grid": m_grid}
 
 
 # ---------------------------------------------------------------------------
 # tilt limit
-
-
-def _control_from_spec(block: dict, K: int, T: float) -> JumpControl:
-    n_bins = int(block.get("n_bins", 1))
-    entries = {}
-    for key, val in block.get("entries", {}).items():
-        i, j = (int(v) for v in str(key).split(","))
-        entries[(i, j)] = float(val)
-    return JumpControl.constant(K, T, entries, n_bins=n_bins)
 
 
 def _tilt_chunk(model_cfg, m, q0, T, theta, control, p, eta, seed, lo, hi):
@@ -191,29 +196,26 @@ def _tilt_chunk(model_cfg, m, q0, T, theta, control, p, eta, seed, lo, hi):
     return scale * sup
 
 
-@_timed
-def run_tilt_limit(spec: dict) -> ExperimentReport:
+@_runner("tilt-limit", "model", "q0", "control")
+def run_tilt_limit(spec: dict, seed: int):
     """Controlled fluctuations against the skeleton limit: the mean sup
     distance must be nonincreasing in m (within two standard errors) and at
     least halve from the smallest to the largest system."""
-    _require(spec, "tilt-limit", "model", "q0", "control")
     replicas, m_grid = _replicas_and_grid(spec, "tilt-limit")
-    model_cfg = spec["model"]
-    q0 = np.asarray(spec["q0"], dtype=float)
-    T = float(spec.get("T", 1.0))
-    theta = float(spec.get("theta", 0.25))
-    seed = int(spec.get("seed", 0))
-    p_steps = int(spec.get("p_steps", 2048))
-    control_cfg = spec["control"]
-    se_factor = float(spec.get("criteria", {}).get("se_factor", 2.0))
-    final_ratio = float(spec.get("criteria", {}).get("final_ratio", 0.5))
+    model_cfg = load_config(spec["model"], "model")
+    q0 = np.array(config_numbers(spec, "q0"))
+    T = config_scalar(spec, "T", 1.0)
+    theta = config_scalar(spec, "theta", 0.25)
+    p_steps = config_scalar(spec, "p_steps", 2048, integer=True)
+    se_factor = config_scalar(config_section(spec, "criteria"), "se_factor", 2.0)
+    final_ratio = config_scalar(config_section(spec, "criteria"), "final_ratio", 0.5)
 
     stats = {}
     means, ses = [], []
     # p, the control and the skeleton depend on neither m nor the replicas
     model = model_from_config(model_cfg)
     p = solve_p(model, q0, T, p_steps)
-    control = _control_from_spec(control_cfg, model.K, T)
+    control = control_from_config(config_section(spec, "control"), model.K, T)
     eta = skeleton_G0(model, p, control)
     arg_sets = [
         (model_cfg, m, q0, T, theta, control, p, eta, seed + k) for k, m in enumerate(m_grid)
@@ -242,14 +244,7 @@ def run_tilt_limit(spec: dict) -> ExperimentReport:
             ratio <= final_ratio,
         ),
     ]
-    return ExperimentReport(
-        kind="tilt-limit",
-        config=spec,
-        seed=seed,
-        stats=stats,
-        criteria=criteria,
-        work={"replicas": replicas, "m_grid": m_grid},
-    )
+    return stats, criteria, {"replicas": replicas, "m_grid": m_grid}
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ def _final_stride(T: float, dt: float) -> int:
 
 
 def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
-    kernels = resolve_kernels({"kernels": kernel_cfg})
+    kernels = kernels_from_config(kernel_cfg)
     phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
     out = np.empty(hi - lo)
     for r in range(lo, hi):
@@ -273,22 +268,20 @@ def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
     return out
 
 
-@_timed
-def run_clt_scaling(spec: dict) -> ExperimentReport:
+@_runner("clt-scaling", "kernels")
+def run_clt_scaling(spec: dict, seed: int):
     """At the central-limit scale a(m) = m^(-1/2) the pairing fluctuations
     have m-independent variance; the fitted log-log slope must be flat."""
-    _require(spec, "clt-scaling", "kernels")
     replicas, m_grid = _replicas_and_grid(spec, "clt-scaling")
-    kernel_cfg = spec["kernels"]
-    x0 = float(spec.get("x0", 0.0))
-    T = float(spec.get("T", 0.5))
-    dt = float(spec.get("dt", T / 256))
-    M_ref = int(spec.get("M_ref", 8192))
-    seed = int(spec.get("seed", 0))
-    phi_coeffs = list(spec.get("phi", [0.0, 1.0]))
-    tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
+    kernel_cfg = load_config(spec["kernels"], "kernels")
+    x0 = config_scalar(spec, "x0", 0.0)
+    T = config_scalar(spec, "T", 0.5)
+    dt = config_scalar(spec, "dt", T / 256)
+    M_ref = config_scalar(spec, "M_ref", 8192, integer=True)
+    phi_coeffs = config_numbers(spec, "phi", [0.0, 1.0])
+    tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
-    kernels = resolve_kernels({"kernels": kernel_cfg})
+    kernels = kernels_from_config(kernel_cfg)
     phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
     samples = {}
     arg_sets = []
@@ -304,10 +297,7 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
     crit = slope_criterion(
         "pairing variance plateau", fit, 0.0, tol, f"log-log slope of the variance = 0 +/- {tol}"
     )
-    return ExperimentReport(
-        kind="clt-scaling", config=spec, seed=seed, stats=stats, criteria=[crit],
-        work={"replicas": replicas},
-    )
+    return stats, [crit], {"replicas": replicas}
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +305,7 @@ def run_clt_scaling(spec: dict) -> ExperimentReport:
 
 
 def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, limit, lo, hi):
-    kernels = resolve_kernels({"kernels": kernel_cfg})
+    kernels = kernels_from_config(kernel_cfg)
     out = np.empty((hi - lo, len(ms)))
     for r in range(lo, hi):
         gaps = run_coupled(
@@ -326,25 +316,23 @@ def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, limi
     return out
 
 
-@_timed
-def run_coupling_scaling(spec: dict) -> ExperimentReport:
+@_runner("coupling-scaling", "kernels")
+def run_coupling_scaling(spec: dict, seed: int):
     """Mean squared sup-gap between controlled particles and their coupled
     reference particles, i.i.d. copies of the limit law whose pairings come
     from one M_ref-particle ensemble per run; the log-log slope must match
     -(1 - 2 theta)."""
-    _require(spec, "coupling-scaling", "kernels")
     replicas, m_grid = _replicas_and_grid(spec, "coupling-scaling")
-    kernel_cfg = spec["kernels"]
-    x0 = float(spec.get("x0", 0.0))
-    T = float(spec.get("T", 0.5))
-    dt = float(spec.get("dt", T / 256))
-    theta = float(spec.get("theta", 0.25))
-    M_ref = int(spec.get("M_ref", 4 * max(m_grid)))
-    seed = int(spec.get("seed", 0))
-    u_const = float(spec.get("control", {}).get("constant", 1.0))
-    tol = float(spec.get("criteria", {}).get("slope_tol", 0.3))
+    kernel_cfg = load_config(spec["kernels"], "kernels")
+    x0 = config_scalar(spec, "x0", 0.0)
+    T = config_scalar(spec, "T", 0.5)
+    dt = config_scalar(spec, "dt", T / 256)
+    theta = config_scalar(spec, "theta", 0.25)
+    M_ref = config_scalar(spec, "M_ref", 4 * max(m_grid), integer=True)
+    u_const = config_scalar(config_section(spec, "control"), "constant", 1.0)
+    tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
-    limit = limit_path(resolve_kernels({"kernels": kernel_cfg}), M_ref, x0, T, dt, seed)
+    limit = limit_path(kernels_from_config(kernel_cfg), M_ref, x0, T, dt, seed)
     (raw,) = _fan_out(
         _coupling_chunk,
         [(kernel_cfg, tuple(m_grid), M_ref, x0, T, dt, theta, u_const, seed, limit)],
@@ -358,30 +346,22 @@ def run_coupling_scaling(spec: dict) -> ExperimentReport:
     crit = slope_criterion(
         "coupling gap log-log slope", fit, want, tol, f"slope = {want} +/- {tol}"
     )
-    return ExperimentReport(
-        kind="coupling-scaling", config=spec, seed=seed, stats=stats, criteria=[crit],
-        work={
-            "replicas": replicas,
-            "M_ref": M_ref,
-            "em_particle_steps": limit.n_steps * (replicas * (max(m_grid) + sum(m_grid)) + M_ref),
-        },
-    )
+    steps = limit.n_steps * (replicas * (max(m_grid) + sum(m_grid)) + M_ref)
+    return stats, [crit], {"replicas": replicas, "M_ref": M_ref, "em_particle_steps": steps}
 
 
 # ---------------------------------------------------------------------------
 # iid initial moments
 
 
-@_timed
-def run_initial_moments(spec: dict) -> ExperimentReport:
+@_runner("initial-moments", "p0")
+def run_initial_moments(spec: dict, seed: int):
     """Empirical-measure moments under iid initial sampling: the n=1 identity
     E ||mu0 - p0||^2 = sum p_i (1 - p_i) / m holds within Monte Carlo error,
     and the second moment of ||mu0 - p0||^2 decays like m^-2."""
-    _require(spec, "initial-moments", "p0")
     replicas, m_grid = _replicas_and_grid(spec, "initial-moments")
-    p0 = check_simplex(spec["p0"])
-    seed = int(spec.get("seed", 0))
-    tol_slope = float(spec.get("criteria", {}).get("slope_tol", 0.3))
+    p0 = check_simplex(config_numbers(spec, "p0"))
+    tol_slope = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
     stats = {}
     identity_ok = True
@@ -405,10 +385,7 @@ def run_initial_moments(spec: dict) -> ExperimentReport:
         ),
         slope_criterion("second-moment slope", fit, -2.0, tol_slope, f"slope = -2 +/- {tol_slope}"),
     ]
-    return ExperimentReport(
-        kind="initial-moments", config=spec, seed=seed, stats=stats, criteria=criteria,
-        work={"replicas": replicas},
-    )
+    return stats, criteria, {"replicas": replicas}
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +402,11 @@ def _potential_control(model, T: float, n_bins: int, scale: float, seed: int) ->
     return JumpControl(np.linspace(0.0, T, n_bins + 1), psi)
 
 
-@_timed
-def run_rate_roundtrip(spec: dict) -> ExperimentReport:
+@_runner("rate-roundtrip")
+def run_rate_roundtrip(spec: dict, seed: int):
     """Forward-solve a control into a path, invert the path back to a
     least-norm control, compare costs; jump and diffusion sides."""
-    seed = int(spec.get("seed", 0))
+    tols = config_section(spec, "criteria")
     target = spec.get("target", "both")
     if target not in ("jump", "diffusion", "both"):
         raise ValueError(
@@ -440,12 +417,12 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
 
     if target in ("jump", "both"):
         _require(spec, "rate-roundtrip", "model")
-        model = resolve_model({"model": spec["model"]})
-        q0 = np.asarray(spec.get("q0", [1.0 / model.K] * model.K), dtype=float)
-        T = float(spec.get("T", 1.0))
-        p_steps = int(spec.get("p_steps", 4096))
-        tol_bar = float(spec.get("criteria", {}).get("jump_tol", 1e-6))
-        tol_eq = float(spec.get("criteria", {}).get("equality_tol", 1e-8))
+        model = model_from_config(spec["model"])
+        q0 = np.array(config_numbers(spec, "q0", [1.0 / model.K] * model.K))
+        T = config_scalar(spec, "T", 1.0)
+        p_steps = config_scalar(spec, "p_steps", 4096, integer=True)
+        tol_bar = config_scalar(tols, "jump_tol", 1e-6)
+        tol_eq = config_scalar(tols, "equality_tol", 1e-8)
         p = solve_p(model, q0, T, p_steps)
 
         psi = _potential_control(model, T, n_bins=1, scale=0.4, seed=seed)
@@ -484,12 +461,12 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
 
     if target in ("diffusion", "both"):
         _require(spec, "rate-roundtrip", "kernels")
-        kernels = resolve_kernels({"kernels": spec["kernels"]})
-        x0 = float(spec.get("x0", 0.0))
-        Td = float(spec.get("T_diff", 0.5))
-        nx = int(spec.get("nx", 161))
-        x_lo, x_hi = spec.get("domain", (-5.0, 5.0))
-        tol_rel = float(spec.get("criteria", {}).get("diff_rel_tol", 0.02))
+        kernels = kernels_from_config(spec["kernels"])
+        x0 = config_scalar(spec, "x0", 0.0)
+        Td = config_scalar(spec, "T_diff", 0.5)
+        nx = config_scalar(spec, "nx", 161, integer=True)
+        x_lo, x_hi = config_numbers(spec, "domain", [-5.0, 5.0])
+        tol_rel = config_scalar(tols, "diff_rel_tol", 0.02)
 
         def g(x, t):
             return np.sin(x) * (1.0 + 0.5 * t)
@@ -522,9 +499,7 @@ def run_rate_roundtrip(spec: dict) -> ExperimentReport:
             )
         )
 
-    return ExperimentReport(
-        kind="rate-roundtrip", config=spec, seed=seed, stats=stats, criteria=criteria
-    )
+    return stats, criteria, {}
 
 
 # ---------------------------------------------------------------------------
@@ -552,16 +527,6 @@ def exactness_tv(rate: float, m: int, T: float, replicas: int, seed: int) -> dic
 
 # ---------------------------------------------------------------------------
 # dispatcher
-
-
-RUNNERS = {
-    "lln": run_lln,
-    "clt-scaling": run_clt_scaling,
-    "tilt-limit": run_tilt_limit,
-    "coupling-scaling": run_coupling_scaling,
-    "initial-moments": run_initial_moments,
-    "rate-roundtrip": run_rate_roundtrip,
-}
 
 
 def run_experiment(spec: dict) -> ExperimentReport:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jump_sim import JumpControl, _check_horizon
+from .jump_sim import JumpControl, _bin_samples, _check_horizon
 from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
@@ -309,10 +309,10 @@ class ControlMatrixU:
 
 def u_from_psi(model: RateModel, p_path: PathVec, psi: JumpControl) -> ControlMatrixU:
     """Pointwise map psi -> u: u_ij(s) = psi_ij(s) sqrt(p_i(s) Gamma_ij(p(s))),
-    zero on cells with vanishing support measure."""
-    ts = p_path.grid
-    W = cell_weights(model, p_path(ts))
-    return ControlMatrixU(ts, psi.value(ts) * np.sqrt(W))
+    zero on cells with vanishing support measure, on the grid of p cut at the
+    bin edges (once per side), so the cost of u is half :func:`psi_l2sq`."""
+    s, k, W = _bin_samples(model, p_path, psi.edges)
+    return ControlMatrixU(s, psi.psi[k] * np.sqrt(W))
 
 
 def psi_from_u(
@@ -337,11 +337,10 @@ def psi_from_u(
 
 def psi_l2sq(model: RateModel, p_path: PathVec, psi: JumpControl) -> float:
     """Squared L2(lambda) norm of the control field: integral over time of
-    sum_ij psi_ij(t)^2 p_i(t) Gamma_ij(p(t)) (trapezoid on the grid of p)."""
-    ts = p_path.grid
-    W = cell_weights(model, p_path(ts))
-    dens = (psi.value(ts) ** 2 * W).sum(axis=(1, 2))
-    return float(np.trapezoid(dens, ts))
+    sum_ij psi_ij(t)^2 p_i(t) Gamma_ij(p(t)), each bin on its own side of
+    its edges (see :func:`_bin_samples`)."""
+    s, k, W = _bin_samples(model, p_path, psi.edges)
+    return float(np.trapezoid((psi.psi[k] ** 2 * W).sum(axis=(1, 2)), s))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mf_model import RateModel, cell_weights, check_states, ell_cost
+from .mf_model import RateModel, _check_pair, cell_weights, check_states, ell_cost
 from .paths import PathVec, blocks
 from .rng import counter_uniforms
 # not used here, but perfbench/layers.py wraps jump_sim.stream by name
@@ -145,8 +145,7 @@ class JumpControl:
         """Control that is constant in time; entries maps (i, j) -> value."""
         psi = np.zeros((n_bins, K, K))
         for (i, j), v in entries.items():
-            if i == j:
-                raise ValueError("control lives on off-diagonal cells")
+            _check_pair(K, i, j)
             psi[:, i - 1, j - 1] = v
         return cls(np.linspace(0.0, T, n_bins + 1), psi)
 
@@ -222,6 +221,22 @@ def _recorded_path(model, m, q0, T, seed, replica, **tilt) -> JumpPath:
     return JumpPath(np.array(times), np.array(counts), m=m, T=float(T))
 
 
+def _bin_samples(model: RateModel, p_path: PathVec, edges: np.ndarray):
+    """The grid of p cut at the bin ``edges``, the bin of each point, and the
+    cell weights there: a bin holds its grid points and both its edges, so a
+    trapezoid rule on the cut grid never reads a neighbouring bin."""
+    ts = p_path.grid
+    cuts = np.clip(edges, ts[0], ts[-1])
+    cuts[0], cuts[-1] = ts[0], ts[-1]
+    pieces = [
+        np.concatenate([[lo], ts[(ts > lo) & (ts < hi)], [hi]]) if hi > lo else ts[:0]
+        for lo, hi in zip(cuts[:-1], cuts[1:])
+    ]
+    s = np.concatenate(pieces)
+    k = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
+    return s, k, cell_weights(model, p_path(s))
+
+
 def tilt_cost(
     model: RateModel, control: JumpControl, a_m: float, m: int, p_path: PathVec
 ) -> float:
@@ -230,26 +245,16 @@ def tilt_cost(
     of p and 1 elsewhere.
 
     ell(phi) is constant per cell and bin, so the integral reduces to per-cell
-    integrals of the support-cell measure p_i(s) Gamma_ij(p(s)) over each bin.
-    Each bin is integrated by the trapezoid rule on the grid of p cut at the
-    bin's edges, so no interval takes the phi of a neighbouring bin; the last
-    bin runs to the end of p.
+    integrals of the support-cell measure p_i(s) Gamma_ij(p(s)) over each bin
+    (see :func:`_bin_samples`).
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
     _check_horizon("p_path", p_path.T, control.T)
-    ts = p_path.grid
-    cuts = np.clip(control.edges, ts[0], ts[-1])
-    cuts[0], cuts[-1] = ts[0], ts[-1]
     phi = 1.0 + control.psi / a_scale  # (B, K, K)
     ell = ell_cost(phi.ravel()).reshape(phi.shape)
-    cost = 0.0
-    for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if hi > lo:
-            s = np.concatenate([[lo], ts[(ts > lo) & (ts < hi)], [hi]])
-            dens = (ell[k] * cell_weights(model, p_path(s))).sum(axis=(1, 2))
-            cost += np.trapezoid(dens, s)
-    return float(cost)
+    s, k, W = _bin_samples(model, p_path, control.edges)
+    return float(np.trapezoid((ell[k] * W).sum(axis=(1, 2)), s))
 
 
 def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:

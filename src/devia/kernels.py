@@ -22,8 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from .mf_model import config_scalar
-
 __all__ = [
     "Enveloped",
     "Kernel",
@@ -33,7 +31,6 @@ __all__ = [
     "constant_alpha",
     "linear_reversion_beta",
     "zero_kernel",
-    "kernels_from_config",
 ]
 
 
@@ -181,23 +178,3 @@ def default_kernels(c_alpha: float = 0.5, c_beta: float = 0.5) -> KernelPair:
         name="gaussian-reversion",
     )
     return KernelPair(alpha=alpha, beta=beta)
-
-
-def kernels_from_config(cfg: dict) -> KernelPair:
-    """Kernel pair from a config mapping.
-
-    ``family`` selects the pair: "default" (keys c_alpha, c_beta),
-    "additive-noise" (constant alpha ``level``, reversion beta ``rate``)
-    or "zero".
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"a kernels config must be a mapping; got {type(cfg).__name__}")
-    family = cfg.get("family", "default")
-    if family == "default":
-        return default_kernels(*(config_scalar(cfg, k, 0.5) for k in ("c_alpha", "c_beta")))
-    if family == "additive-noise":
-        level, rate = (config_scalar(cfg, k, 1.0) for k in ("level", "rate"))
-        return KernelPair(alpha=constant_alpha(level), beta=linear_reversion_beta(rate))
-    if family == "zero":
-        return KernelPair(alpha=zero_kernel(), beta=zero_kernel())
-    raise ValueError(f"unknown kernel family {family!r}")

@@ -40,8 +40,6 @@ __all__ = [
     "birth_death_model",
     "constant_rate_model",
     "two_state_model",
-    "config_scalar",
-    "model_from_config",
 ]
 
 SIMPLEX_TOL = 1e-12
@@ -343,53 +341,3 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
 def two_state_model(rate: float = 1.0) -> RateModel:
     """Symmetric two-state flip model, Gamma_12 = Gamma_21 = rate."""
     return constant_rate_model([[0.0, rate], [rate, 0.0]])
-
-
-def config_scalar(cfg: dict, key: str, default=None, integer: bool = False):
-    """``cfg[key]``, or ``default`` when the key is absent, as a finite float
-    (an int when ``integer``); any other value is a ValueError naming the key."""
-    value = cfg.get(key, default)
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = math.nan
-    if math.isfinite(x) and (not integer or x.is_integer()):
-        return int(x) if integer else x
-    need = "an integer" if integer else "a finite number"
-    raise ValueError(f"{key!r} must be {need}; got {value!r}")
-
-
-def model_from_config(cfg: dict) -> RateModel:
-    """Build a model from a config mapping.
-
-    Keys: ``family`` ("birth-death" | "constant" | "two-state"), ``K``,
-    family parameters (``a``/``b``/``c`` or ``matrix`` or ``rate``) and
-    optionally explicit constants (``gamma_norm``, ``c_gamma``, ``l_gamma``)
-    which are cross-checked against the recomputed values.
-    """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"a model config must be a mapping; got {type(cfg).__name__}")
-    family = cfg.get("family", "birth-death")
-    needs = {"birth-death": ("K", "a", "b", "c"), "constant": ("matrix",), "two-state": ()}
-    if family not in needs:
-        raise ValueError(f"unknown model family {family!r}")
-    for key in needs[family]:
-        if key not in cfg:
-            raise ValueError(f"the {family} model needs the key {key!r}")
-    if family == "birth-death":
-        K = config_scalar(cfg, "K", integer=True)
-        model = birth_death_model(K, *(config_scalar(cfg, k) for k in "abc"))
-    elif family == "constant":
-        model = constant_rate_model(np.asarray(cfg["matrix"], dtype=float))
-    else:
-        model = two_state_model(config_scalar(cfg, "rate", 1.0))
-
-    for key in ("gamma_norm", "c_gamma", "l_gamma"):
-        if key in cfg:
-            got = getattr(model, key)
-            want = config_scalar(cfg, key)
-            if abs(got - want) > 1e-9 * max(1.0, abs(want)):
-                raise ValueError(
-                    f"declared {key}={want} disagrees with recomputed value {got}"
-                )
-    return model

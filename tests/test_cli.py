@@ -255,6 +255,9 @@ def test_diff_rate_two_point_field_is_diagnosed(tmp_path, kernel_cfg, capsys):
 
 
 MINI_MOMENTS = {"kind": "initial-moments", "p0": [0.5, 0.5], "m_grid": [50, 100], "replicas": 100}
+MINI_DIFFUSION = {"kind": "rate-roundtrip", "target": "diffusion", "kernels": {"family": "default"}}
+MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5, 0.5],
+             "m_grid": [50, 100], "replicas": 30}
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -268,8 +271,19 @@ MINI_MOMENTS = {"kind": "initial-moments", "p0": [0.5, 0.5], "m_grid": [50, 100]
      "target must be 'jump', 'diffusion' or 'both'; got 'jmp'"),
     # multinomial would sample (0.5, 0.5) while the exact moment used 0.6
     (dict(MINI_MOMENTS, p0=[0.5, 0.6]), "mass not normalized: sum = 1.1"),
+    # each of these five used to end in a traceback with exit 1
+    (dict(MINI_DIFFUSION, T_diff=[0.5]), "'T_diff' must be a finite number; got [0.5]"),
+    (dict(MINI_MOMENTS, criteria=[0.2]), "'criteria' must be a mapping; got [0.2]"),
+    (dict(MINI_DIFFUSION, domain=5), "'domain' must be a list of numbers; got 5"),
+    (dict(MINI_TILT, control={"entries": {"1,2": [0.4]}}),
+     "'1,2' must be a finite number; got [0.4]"),
+    (dict(MINI_TILT, control={"entries": {"1,5": 0.4}}), "state pair (1,5) out of range 1..2"),
+    # used to be truncated to 10
+    (dict(MINI_MOMENTS, m_grid=[5, 10.7]), "'m_grid' must be an integer; got 10.7"),
+    (dict(MINI_MOMENTS, replicas="many"), "'replicas' must be an integer; got 'many'"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
-        "p0-off-the-simplex"])
+        "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
+        "control-entry-off-the-states", "fractional-m_grid", "string-replicas"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"
@@ -277,6 +291,15 @@ def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+def test_seed_keeps_every_bit(tmp_path):
+    # an integer key never passes through float, which would round 2^60 + 1
+    seed = 2**60 + 1
+    path = tmp_path / "spec.json"
+    dump_config(dict(MINI_MOMENTS, seed=seed), path)
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) in (0, 1)
+    assert json.loads((tmp_path / "report.json").read_text())["seed"] == seed
 
 
 def _spoil_cell(csv, row: int, col: int, text: str = "abc") -> None:
@@ -369,16 +392,32 @@ NAN = float("nan")
      "'K' must be an integer; got 'three'"),
     ("jump-sim", {"family": "two-state", "rate": float("inf")}, "'rate' must be a finite number"),
     ("jump-sim", {"family": "two-state", "gamma_norm": "x"}, "'gamma_norm' must be a finite number"),
+    # a control file's scalars; each of these two used to end in a traceback with exit 1
+    ("control", {"entries": {"1,2": [0.4]}}, "'1,2' must be a finite number; got [0.4]"),
+    ("control", {"entries": {"1,2": 0.4}, "theta": [0.25]}, "'theta' must be a finite number; got [0.25]"),
+    ("control", {"n_bins": 2.5, "entries": {"1,2": 0.4}}, "'n_bins' must be an integer; got 2.5"),
+    ("control", {"entries": {"1-2": 0.4}}, "a control entry key must read 'i,j'; got '1-2'"),
+    ("jump-sim", {"family": "two-state", "q0": 0.5}, "'q0' must be a list of numbers; got 0.5"),
+    ("diff-sim", {"family": "default", "test_functions": [1.0]},
+     "'test_functions' must be a list of numbers; got 1.0"),
+    ("diff-sim", {"family": "default", "test_functions": 1.0},
+     "'test_functions' must be a list of lists of numbers; got 1.0"),
 ], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "list-a", "nan-a",
-        "fractional-K", "string-K", "inf-rate", "string-gamma_norm"])
+        "fractional-K", "string-K", "inf-rate", "string-gamma_norm", "list-control-entry",
+        "list-theta", "fractional-n_bins", "control-key", "number-q0", "flat-test_functions",
+        "number-test_functions"])
 def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):
     # each used to end in a TypeError traceback, a wrong diagnosis (a CFL
     # violation, an off-lattice initial state) or a silently truncated K
     path = tmp_path / "cfg.json"
     dump_config(cfg, path)
-    if command == "jump-sim":
+    if command in ("jump-sim", "control"):
         argv = ["jump-sim", "--model", str(path), "--m", "10", "--T", "1.0",
                 "--out", str(tmp_path / "path.csv")]
+        if command == "control":
+            dump_config(MODEL_CFG, tmp_path / "model.json")
+            argv[2] = str(tmp_path / "model.json")
+            argv += ["--control", str(path)]
     elif command == "diff-sim":
         argv = ["diff-sim", "--kernels", str(path), "--m", "4", "--T", "0.25",
                 "--out", str(tmp_path / "run")]
@@ -578,3 +617,27 @@ def test_readme_cli_examples_parse():
         argv = shlex.split(line, comments=True)[1:]
         commands.add(build_parser().parse_args(argv).command)
     assert commands == {"run", "lemma-suite", "jump-sim", "jump-rate", "diff-sim", "diff-rate"}
+
+
+def test_readme_config_examples_are_read(tmp_path, monkeypatch):
+    # every JSON example of README's "Config files" section goes through the
+    # reader of its kind, so a documented key the reader stops accepting fails
+    import re
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n### ", 1)[0]
+    examples = dict(re.findall(r"\(`(\w+)\.json`\):\n\n```json\n(.*?)```", section, flags=re.S))
+    assert sorted(examples) == ["control", "kernels", "model", "spec"]
+    monkeypatch.chdir(tmp_path)  # the spec names the model file by a relative path
+    for kind, text in examples.items():
+        Path(f"{kind}.json").write_text(text)
+    argvs = {
+        "model": ["jump-sim", "--model", "model.json", "--m", "20", "--T", "0.5", "--out", "p.csv"],
+        "control": ["jump-sim", "--model", "model.json", "--m", "400", "--T", "0.5",
+                    "--control", "control.json", "--out", "t.csv"],
+        "kernels": ["diff-sim", "--kernels", "kernels.json", "--m", "4", "--T", "0.25",
+                    "--dt", "0.0625", "--out", "run"],
+        "spec": ["run", "spec.json"],
+    }
+    for kind, argv in argvs.items():
+        assert main(argv) in ((0, 1) if kind == "spec" else (0,)), kind

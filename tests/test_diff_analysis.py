@@ -15,12 +15,12 @@ from devia.diff_analysis import (
     stable_dt,
     weak_form_residual,
 )
+from devia.harness.config import kernels_from_config
 from devia.kernels import (
     KernelPair,
     MeasureHook,
     constant_alpha,
     default_kernels,
-    kernels_from_config,
     linear_reversion_beta,
     zero_kernel,
 )

@@ -22,7 +22,8 @@ from devia.diff_sim import (
     simulate_controlled,
     simulate_interacting,
 )
-from devia.kernels import MeasureHook, kernels_from_config
+from devia.harness.config import kernels_from_config
+from devia.kernels import MeasureHook
 from devia.schwartz import HermiteFunction, apply_L
 
 SEED, X0 = 2024, 0.3

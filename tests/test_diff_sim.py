@@ -18,6 +18,7 @@ from devia.diff_sim import (
     simulate_controlled,
     simulate_interacting,
 )
+from devia.harness.config import kernels_from_config
 from devia.kernels import (
     Enveloped,
     Kernel,
@@ -25,7 +26,6 @@ from devia.kernels import (
     MeasureHook,
     constant_alpha,
     default_kernels,
-    kernels_from_config,
     linear_reversion_beta,
     zero_kernel,
 )

@@ -506,6 +506,24 @@ class TestControlMaps:
         assert cost_u <= cost_psi + 1e-12
         assert cost_u == pytest.approx(cost_psi, rel=1e-12)
 
+    def test_psi_l2sq_is_second_order_across_bin_edges(self):
+        # 4 bins on grids of 63 .. 1008 steps, whose points miss the edges:
+        # each bin is integrated on its own side of its edges, so successive
+        # doublings change the norm by a quarter as much each time (a rule
+        # that lets an interval straddle an edge only halves the change)
+        model = birth_death_model(3, 0.5, 0.5, 0.5)
+        q0 = np.array([0.6, 0.3, 0.1])
+        psi = np.zeros((4, 3, 3))
+        for (i, j), v in {(1, 2): [0.6, -0.3, 0.9, 0.2], (2, 3): [-0.4, 0.5, 0.1, -0.6],
+                          (2, 1): [0.3, 0.8, -0.5, 0.4], (3, 2): [-0.2, 0.1, 0.7, -0.3]}.items():
+            psi[:, i - 1, j - 1] = v
+        control = JumpControl(np.linspace(0.0, 1.0, 5), psi)
+        norms = [psi_l2sq(model, solve_p(model, q0, 1.0, n), control)
+                 for n in (63, 126, 252, 504, 1008)]
+        changes = np.abs(np.diff(norms))
+        assert np.all((changes[:-1] / changes[1:] > 3.5) & (changes[:-1] / changes[1:] < 4.5))
+        assert changes[-1] < 1e-8
+
     def test_min_norm_u_reproduces_forcing(self, default_model):
         p = solve_p(default_model, np.full(5, 0.2), 1.0, 1024)
         psi = _potential_control(5, 1.0, n_bins=1, scale=0.4, seed=11)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from devia.harness.config import model_from_config
 from devia.mf_model import (
     birth_death_model,
     cell_measure,
@@ -16,7 +17,6 @@ from devia.mf_model import (
     ell_cost,
     jump_cell,
     jump_map_G,
-    model_from_config,
     random_simplex,
 )
 
