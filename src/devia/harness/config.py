@@ -150,6 +150,8 @@ def control_from_config(cfg: dict, K: int, T: float) -> JumpControl:
     """Control constant in time on ``n_bins`` uniform bins of [0, T], with
     ``entries`` mapping "i,j" to the value of psi_ij."""
     n_bins = config_scalar(cfg, "n_bins", 1, integer=True)
+    if n_bins < 1:
+        raise ValueError(f"'n_bins' must be at least 1; got {n_bins}")
     entries = {}
     block = config_section(cfg, "entries")
     for key in block:

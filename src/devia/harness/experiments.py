@@ -100,16 +100,21 @@ def _fan_out(worker, arg_sets: list[tuple], n_replicas: int) -> list[np.ndarray]
 RUNNERS = {}
 
 
-def _runner(kind: str, *required: str):
+def _runner(kind: str, *required: str, optional: tuple = (), criteria: tuple = ()):
     """Make fn(spec, seed) -> (stats, criteria, work) the runner of ``kind``
-    in RUNNERS: it checks the required keys, reads the seed and returns the
-    report, with its wall time logged on it."""
+    in RUNNERS: it checks the required keys, that the spec holds no key but
+    these, ``optional``, kind, seed and criteria and that its criteria block
+    holds no key but ``criteria``, reads the seed and returns the report,
+    with its wall time logged on it."""
+    keys = ("kind", "seed", "criteria", *required, *optional)
 
     def wrap(fn):
         @functools.wraps(fn)
         def run(spec: dict) -> ExperimentReport:
             t0 = time.perf_counter()
             _require(spec, kind, *required)
+            _known(spec, f"{kind} spec", keys)
+            _known(config_section(spec, "criteria"), f"{kind} criteria", criteria)
             seed = config_scalar(spec, "seed", 0, integer=True)
             report = ExperimentReport(kind, spec, seed, *fn(spec, seed))
             report.runtime_seconds = time.perf_counter() - t0
@@ -128,7 +133,18 @@ def _require(spec: dict, kind: str, *keys: str) -> None:
             raise ValueError(f"the {kind} spec needs the key {key!r}")
 
 
+def _known(block: dict, what: str, keys: tuple) -> None:
+    """A key that no reader reads is a misspelling, not a default."""
+    for key in block:
+        if key not in keys:
+            raise ValueError(
+                f"the {what} has an unknown key {key!r}; expected one of {sorted(keys)}"
+            )
+
+
 MIN_REPLICAS = 30
+# the keys of every slope fit's Monte Carlo layout (see _replicas_and_grid)
+LAYOUT = ("replicas", "m_grid")
 
 
 def _replicas_and_grid(spec: dict, kind: str) -> tuple[int, list[int]]:
@@ -160,7 +176,8 @@ def _lln_chunk(model_cfg, m, q0, T, p, seed, lo, hi):
     return sup**2
 
 
-@_runner("lln", "model", "q0")
+@_runner("lln", "model", "q0", optional=(*LAYOUT, "T", "p_steps"),
+         criteria=("slope", "slope_tol"))
 def run_lln(spec: dict, seed: int):
     """Mean squared sup-deviation of the empirical measure from its limit,
     fitted against 1/m on a log-log scale."""
@@ -196,7 +213,8 @@ def _tilt_chunk(model_cfg, m, q0, T, theta, control, p, eta, seed, lo, hi):
     return scale * sup
 
 
-@_runner("tilt-limit", "model", "q0", "control")
+@_runner("tilt-limit", "model", "q0", "control", optional=(*LAYOUT, "T", "theta", "p_steps"),
+         criteria=("se_factor", "final_ratio"))
 def run_tilt_limit(spec: dict, seed: int):
     """Controlled fluctuations against the skeleton limit: the mean sup
     distance must be nonincreasing in m (within two standard errors) and at
@@ -215,7 +233,9 @@ def run_tilt_limit(spec: dict, seed: int):
     # p, the control and the skeleton depend on neither m nor the replicas
     model = model_from_config(model_cfg)
     p = solve_p(model, q0, T, p_steps)
-    control = control_from_config(config_section(spec, "control"), model.K, T)
+    block = config_section(spec, "control")
+    _known(block, "tilt-limit control", ("n_bins", "entries"))
+    control = control_from_config(block, model.K, T)
     eta = skeleton_G0(model, p, control)
     arg_sets = [
         (model_cfg, m, q0, T, theta, control, p, eta, seed + k) for k, m in enumerate(m_grid)
@@ -268,7 +288,8 @@ def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
     return out
 
 
-@_runner("clt-scaling", "kernels")
+@_runner("clt-scaling", "kernels", optional=(*LAYOUT, "x0", "T", "dt", "M_ref", "phi"),
+         criteria=("slope_tol",))
 def run_clt_scaling(spec: dict, seed: int):
     """At the central-limit scale a(m) = m^(-1/2) the pairing fluctuations
     have m-independent variance; the fitted log-log slope must be flat."""
@@ -316,7 +337,8 @@ def _coupling_chunk(kernel_cfg, ms, M_ref, x0, T, dt, theta, u_const, seed, limi
     return out
 
 
-@_runner("coupling-scaling", "kernels")
+@_runner("coupling-scaling", "kernels",
+         optional=(*LAYOUT, "x0", "T", "dt", "theta", "M_ref", "control"), criteria=("slope_tol",))
 def run_coupling_scaling(spec: dict, seed: int):
     """Mean squared sup-gap between controlled particles and their coupled
     reference particles, i.i.d. copies of the limit law whose pairings come
@@ -329,7 +351,9 @@ def run_coupling_scaling(spec: dict, seed: int):
     dt = config_scalar(spec, "dt", T / 256)
     theta = config_scalar(spec, "theta", 0.25)
     M_ref = config_scalar(spec, "M_ref", 4 * max(m_grid), integer=True)
-    u_const = config_scalar(config_section(spec, "control"), "constant", 1.0)
+    block = config_section(spec, "control")
+    _known(block, "coupling-scaling control", ("constant",))
+    u_const = config_scalar(block, "constant", 1.0)
     tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
     limit = limit_path(kernels_from_config(kernel_cfg), M_ref, x0, T, dt, seed)
@@ -354,7 +378,7 @@ def run_coupling_scaling(spec: dict, seed: int):
 # iid initial moments
 
 
-@_runner("initial-moments", "p0")
+@_runner("initial-moments", "p0", optional=LAYOUT, criteria=("slope_tol",))
 def run_initial_moments(spec: dict, seed: int):
     """Empirical-measure moments under iid initial sampling: the n=1 identity
     E ||mu0 - p0||^2 = sum p_i (1 - p_i) / m holds within Monte Carlo error,
@@ -402,7 +426,10 @@ def _potential_control(model, T: float, n_bins: int, scale: float, seed: int) ->
     return JumpControl(np.linspace(0.0, T, n_bins + 1), psi)
 
 
-@_runner("rate-roundtrip")
+@_runner("rate-roundtrip",
+         optional=("target", "model", "q0", "T", "p_steps", "kernels", "x0", "T_diff", "nx",
+                   "domain"),
+         criteria=("jump_tol", "equality_tol", "diff_rel_tol"))
 def run_rate_roundtrip(spec: dict, seed: int):
     """Forward-solve a control into a path, invert the path back to a
     least-norm control, compare costs; jump and diffusion sides."""
@@ -465,7 +492,10 @@ def run_rate_roundtrip(spec: dict, seed: int):
         x0 = config_scalar(spec, "x0", 0.0)
         Td = config_scalar(spec, "T_diff", 0.5)
         nx = config_scalar(spec, "nx", 161, integer=True)
-        x_lo, x_hi = config_numbers(spec, "domain", [-5.0, 5.0])
+        domain = config_numbers(spec, "domain", [-5.0, 5.0])
+        if len(domain) != 2 or not domain[0] < domain[1]:
+            raise ValueError(f"'domain' must be two numbers [lo, hi] with lo < hi; got {domain}")
+        x_lo, x_hi = domain
         tol_rel = config_scalar(tols, "diff_rel_tol", 0.02)
 
         def g(x, t):

@@ -17,18 +17,26 @@ thinning test (plain runs read two).  An event that fires consumes all of
 them; a replica that stops at a control-bin edge or at T consumes the first
 only.  A lockstep iteration evaluates a window of E candidate events of
 every live replica from the 3E draws at its pointer, all positions at once:
-position 0 holds the replica's true state, and positions 1..E-1 the states
-the previous window implied there.  Waiting times are summed in draw order,
-so each position's time has the bits of the one-event loop.  The iteration
-commits the longest prefix whose guessed states equal the states implied
-by the jumps before them, through the first position that stops at a bin
-edge or T; committing only verified positions makes every output the same
-for any E.  E = CELL_BUDGET // (rows K^2), clamped to [1, MAX_WINDOW], is
-fixed per chunk of at most CHUNK_REPLICAS replicas: 40 for 100 replicas of
-a two-state chain, 1 (one event per iteration) above 2048.  The draws
-come from a per-row cache (see :class:`_ReplicaRandoms`), and the per-bin
-control tables and the bin caps are built once per call; the limit and
-reference paths are stacked into one path when they share a grid.
+position 0 holds the replica's true state, and the others guessed states.
+Waiting times are summed in draw order, so each position's time has the
+bits of the one-event loop.  The iteration commits the longest prefix whose
+guessed states equal the states implied by the jumps before them, through
+the first position that stops at a bin edge or T; committing only verified
+positions makes every output the same for any E and any guesses.  After a
+window that committed c positions, the next one guesses the states it
+implied before position V = E - c + 1; the later positions are predicted
+once the next window's draws are fetched: with the rates frozen at the
+state at V - 1, each draw picks its cell from the frozen bound (and in
+tilted runs takes the thinning test at those rates and p at the window
+start), and the guess is that state plus the predicted jumps.  A row that
+stopped at a bin edge or T predicts all but its true state.  A jump moves
+the rates by O(1/m), so at large m nearly every guess holds and a window
+commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
+[1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
+for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
+The draws come from a per-row cache (see :class:`_ReplicaRandoms`), and the
+per-bin control tables and the bin caps are built once per call; the limit
+and reference paths are stacked into one path when they share a grid.
 
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
@@ -272,14 +280,15 @@ def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
 # ---------------------------------------------------------------------------
 # batched kernel for Monte Carlo experiments
 
-# uniforms cached per batch, and the fetches a row's cache holds at least;
-# together they set each row's cache width (see _ReplicaRandoms)
+# uniforms cached per batch, and the fetches a row's cache holds at least
+# (2 or more: a refill moves a row on by half its cache); together they set
+# each row's cache width (see _ReplicaRandoms)
 DRAW_BUDGET = 1 << 15
-CACHE_FETCHES = 8
+CACHE_FETCHES = 3
 # window cells per batch: n rows of a K-state model evaluate windows of
 # CELL_BUDGET // (n K^2) events, at least 1 and at most MAX_WINDOW
-CELL_BUDGET = 1 << 14
-MAX_WINDOW = 64
+CELL_BUDGET = 1 << 15
+MAX_WINDOW = 128
 # replicas advanced together; bounds the working memory of wide batches
 CHUNK_REPLICAS = 1 << 14
 
@@ -312,6 +321,19 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
+def _pick_cells(bound: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """The cell of each threshold: the first whose prefix sum of ``bound``
+    over its last axis, added in order, exceeds ``thr`` (with which the
+    other axes broadcast), the last taking what rounding leaves over; ties
+    resolve past zero-weight cells."""
+    acc = bound[..., 0].copy()
+    cell = (acc <= thr).astype(np.intp)
+    for j in range(1, bound.shape[-1] - 1):
+        acc += bound[..., j]
+        cell += acc <= thr
+    return cell
+
+
 def _window_length(rows: int, K: int) -> int:
     """Events per window for a batch of ``rows`` replicas of a K-state model."""
     return min(MAX_WINDOW, max(1, CELL_BUDGET // (rows * K * K)))
@@ -324,8 +346,8 @@ class _ReplicaRandoms:
     :func:`devia.rng.counter_uniforms`).  Each row caches the next ``cache``
     draws of its replica, where ``cache`` is ``DRAW_BUDGET`` split over the
     batch's rows, clamped to [32, 4096], but at least ``CACHE_FETCHES``
-    fetches, and even: 4096 for a single path, 960 for 100 tilted replicas
-    in windows of 40 events, 32 for 16384 plain replicas.
+    fetches, and a multiple of 4: 4096 for a single path, 732 for 100 tilted
+    replicas in windows of 81 events, 32 for 16384 plain replicas.
     Results are therefore identical no matter how replicas are grouped, and
     rows can be dropped without touching the draws of the others.
 
@@ -333,8 +355,11 @@ class _ReplicaRandoms:
     in one gather (:meth:`fetch`) and then moves each row's pointer past the
     draws it used (:meth:`advance`), at most ``span``.  ``safe``, the number
     of fetches no row can run out in, counts down to the next look for rows
-    to refill; a row is refilled from the even index at or below its
-    pointer, since ``counter_uniforms`` starts on whole blocks.
+    that run low.  Once one does, every row at or past half its cache moves
+    on by half a cache in one ``counter_uniforms`` call: its second half
+    moves down and only the freed half is drawn, so each draw is generated
+    once.  A fetch spans at most half a cache (``CACHE_FETCHES`` >= 2), so
+    afterwards every row has at least one fetch left.
     """
 
     def __init__(self, seed: int, replica_ids: np.ndarray, width: int, window: int):
@@ -342,7 +367,8 @@ class _ReplicaRandoms:
         self.width = width  # draws of one candidate event
         self.span = width * window
         share = min(4096, max(32, DRAW_BUDGET // max(n, 1)))
-        self.cache = max(share, CACHE_FETCHES * self.span) & ~1
+        # a multiple of 4, so that each half starts on a whole Philox block
+        self.cache = -(-max(share, CACHE_FETCHES * self.span) // 4) * 4
         self.seed = seed
         self.ids = replica_ids
         self.base = np.zeros(n, dtype=np.int64)  # draw index of each row's cache start
@@ -368,15 +394,19 @@ class _ReplicaRandoms:
 
     def _refill(self) -> None:
         ptr = self.pos - self.off
-        need = np.flatnonzero(ptr > self.cache - self.span)
-        if len(need):
-            start = self.base[need] + (ptr[need] & ~1)
-            self.buf[self.off[need] // self.cache] = counter_uniforms(
-                self.seed, self.ids[need], start, self.cache
+        if ptr.max() > self.cache - self.span:
+            # every row at or past half its cache moves on by half a cache:
+            # its second half moves down and only the freed half is drawn
+            half = self.cache // 2
+            need = np.flatnonzero(ptr >= half)
+            rows = self.off[need] // self.cache
+            self.buf[rows, :half] = self.buf[rows, half:]
+            self.buf[rows, half:] = counter_uniforms(
+                self.seed, self.ids[need], self.base[need] + self.cache, half
             )
-            self.base[need] = start
-            ptr[need] &= 1
-            self.pos[need] = self.off[need] + ptr[need]
+            self.base[need] += half
+            self.pos[need] -= half
+            ptr[need] -= half
         self.safe = (self.cache - int(ptr.max())) // self.span
 
     def keep(self, rows: np.ndarray) -> None:
@@ -476,12 +506,12 @@ def batch_paths(
         width) and guessed states ``g`` (n, E, K).  Returns the positions
         committed, the states implied before every position (n, E + 1, K),
         whether the last committed position stopped at the cap, the time
-        after it and, with a ref, the largest squared deviation observed at
-        the committed positions.  Accepted committed events go to _events."""
+        after it, with a ref the largest squared deviation observed at the
+        committed positions and, in tilted runs, p at the time after it.
+        Accepted committed events go to _events."""
         n, E = g.shape[:2]
         pos = np.arange(n * E).reshape(n, E)  # flat index of each position
-        q = g / m
-        rates = g[..., None] * model.rates_batch(q)  # (n, E, K, K)
+        rates = g[..., None] * model.rates_batch(g / m)  # (n, E, K, K)
         bound = rates.reshape(n, E, KK)
         if tilted:
             bound = bound * factor[:, None, :]
@@ -498,21 +528,13 @@ def batch_paths(
         fired = t_prop <= cap
         times = np.fmin(t_prop, cap)
 
-        # the cell: the first whose prefix sum of bound exceeds u * total,
-        # the last taking what rounding leaves over; ties resolve past
-        # zero-weight cells
-        thr = u[..., 1] * total
-        acc = bound[..., 0].copy()
-        cell = (acc <= thr).astype(np.intp)
-        for j in range(1, KK - 1):
-            acc += bound[..., j]
-            cell += acc <= thr
+        cell = _pick_cells(bound, u[..., 1] * total)
         lin = pos * KK + cell
         b_cell = bound.take(lin)
         accept = fired & (b_cell > 0.0)
         if tilted:
             r_cell = rates.take(lin)
-        del rates, bound, acc, thr  # room for the path lookups
+        del rates, bound, total  # room for the path lookups
         ref_t, p_t = at(times)
         if tilted:
             w_p = (m * p_t.take(pos * K + cell // K)) * model.rates_batch(p_t).take(lin)
@@ -539,13 +561,39 @@ def batch_paths(
         dev = None
         if ref is not None:
             # each committed position's state before and after its jump
-            dev = np.maximum(_sq_dist(q, ref_t), _sq_dist(implied[:, 1:] / m, ref_t))
+            dev = np.maximum(_sq_dist(g / m, ref_t), _sq_dist(implied[:, 1:] / m, ref_t))
             dev *= pos[:1] < c[:, None]
             dev = dev.max(axis=1)
         if _events is not None:
             for e in np.flatnonzero(accept[0, : c[0]]):
                 _events.append((float(t_prop[0, e]), implied[0, e + 1].copy()))
-        return c, implied, ~fired.take(last), times.take(last), dev
+        p_last = None if p_t is None else p_t[np.arange(n), c - 1]
+        return c, implied, ~fired.take(last), times.take(last), dev, p_last
+
+    def predict(u, known, V, factor, psi_a, p_now):
+        """Guessed states of every window position, written into ``known``:
+        the known states before position V of each row, and from V on the
+        states reached from the one at V - 1 by the jumps its rates, the
+        bound factor and p at the window start give the window's draws
+        ``u``."""
+        n, E = known.shape[:2]
+        s = known[:, -1]  # the state at V - 1
+        rates = (s[:, :, None] * model.rates_batch(s / m)).reshape(n, KK)
+        bound = rates * factor if tilted else rates
+        cell = _pick_cells(bound[:, None], u[:, :-1, 1] * _sum_last(bound)[:, None])
+        lin = np.arange(n)[:, None] * KK + cell
+        b_cell = bound.take(lin)
+        accept = b_cell > 0.0
+        if tilted:
+            w_p = (m * p_now[:, :, None] * model.rates_batch(p_now)).reshape(n, KK)
+            actual = rates + psi_a * np.minimum(rates, w_p)
+            accept &= u[:, :-1, 2] * b_cell <= actual.take(lin)
+        # position e + 1 is predicted from the jumps at V - 1 .. e
+        accept &= np.arange(1, E) >= V[:, None]
+        jumps = step.take(cell * accept, axis=0)
+        np.cumsum(jumps, axis=1, out=jumps)
+        known[:, 1:] += jumps
+        return known
 
     def advance(ids, sup_out, finals_out):
         """Run the replicas ``ids`` to T; write their results to the outputs."""
@@ -554,30 +602,41 @@ def batch_paths(
         rnd = _ReplicaRandoms(seed, ids, width, E)
         rows = np.arange(n)
         t = np.zeros(n)
-        # guessed states of the window positions; position 0 is the true state
-        g = np.tile(counts0, (n, E, 1))
+        # the states the last window implied at the positions of the next,
+        # the true state at position 0 and its guesses before position V;
+        # positions from V - 1 on hold the state at V - 1
+        known = np.tile(counts0, (n, E, 1))
+        V = np.ones(n, dtype=np.intp)
         sup = np.zeros(n)
         k = np.zeros(n, dtype=np.intp)  # control bin of each row
         # the rows' entries of the bin tables; regathered when a row moves bin
         factor = psi_a = None
+        ref_t, p_now = at(t)  # p at each row's time, for the predictions
         if tilted:
             factor, psi_a, cap, next_edge = (a[k] for a in tables)
         else:
             cap = T
         if ref is not None:
-            np.sqrt(_sq_dist(g[:, 0] / m, at(t)[0]), out=sup)
+            np.sqrt(_sq_dist(known[:, 0] / m, ref_t), out=sup)
         # each row's first implied state, flat in an (n, E + 1) window
         starts, positions = np.arange(n)[:, None] * (E + 1), np.arange(E)
         while len(rows):
             n = len(rows)
             u = rnd.fetch().reshape(n, E, width)  # waiting time, cell, thinning test
-            c, implied, stopped, t, dev = window(u, g, t, cap, factor, psi_a)
+            g = predict(u, known, V, factor, psi_a, p_now) if E > 1 else known
+            c, implied, stopped, t, dev, p_now = window(u, g, t, cap, factor, psi_a)
             rnd.advance(width * c - (width - 1) * stopped)
             if dev is not None:
                 np.maximum(sup, np.sqrt(dev), out=sup)
-            # the next window guesses the states this one implied past its commit
-            past = starts[:n] + np.minimum(c[:, None] + positions, E)
-            g = implied.reshape(-1, K).take(past, axis=0)
+            if E == 1:
+                known = implied[:, 1:]
+            else:
+                # the next window knows the states this one implied past its
+                # commit; a row that stopped reads its draws at another
+                # offset and knows only its true state
+                past = starts[:n] + np.minimum(c[:, None] + positions * ~stopped[:, None], E)
+                known = implied.reshape(-1, K).take(past, axis=0)
+                V = np.where(stopped, 1, E + 1 - c)
 
             if tilted:
                 moved = t >= next_edge
@@ -587,11 +646,12 @@ def batch_paths(
             done = t >= T
             if done.any():
                 sup_out[rows[done]] = sup[done]
-                finals_out[rows[done]] = g[done, 0]
+                finals_out[rows[done]] = known[done, 0]
                 live = ~done
-                rows, t, g, sup, k = (a[live] for a in (rows, t, g, sup, k))
+                rows, t, known, V, sup, k = (a[live] for a in (rows, t, known, V, sup, k))
                 rnd.keep(live)
                 if tilted:
+                    p_now = p_now[live]
                     factor, psi_a, cap, next_edge = (a[k] for a in tables)
 
     sup_dev = np.zeros(R)

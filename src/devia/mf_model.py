@@ -289,21 +289,24 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
 def _broadcaster(A: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Q -> A repeated over the leading axes of Q, as a read-only array.
 
-    The array for the last leading shape is kept: the jump kernel asks for
-    the same shape at every window until a replica leaves.  It is a
-    contiguous copy, not a broadcast view, since products with a view's
-    zero strides run several times slower.
+    The arrays for the last two leading shapes asked for are kept: the jump
+    kernel asks for a window's shape and for one row each at every window
+    until a replica leaves.  They are contiguous copies, not broadcast
+    views, since products with a view's zero strides run several times
+    slower.
     """
-    last = [(None, None)]
+    kept = {}  # leading shape -> array, the most recently used last
 
     def broadcast(Q):
         shape = np.shape(Q)[:-1]
-        key, full = last[0]
-        if key != shape:
+        full = kept.pop(shape, None)
+        if full is None:
             full = np.empty(shape + A.shape)
             full[...] = A
             full.flags.writeable = False
-            last[0] = (shape, full)
+            if len(kept) > 1:
+                del kept[next(iter(kept))]
+        kept[shape] = full
         return full
 
     return broadcast

@@ -60,7 +60,8 @@ class PathVec:
         c = self._cells.take(self.grid[1:-1].searchsorted(tt, "right"), axis=1)
         K = self.values.shape[1]
         w = (tt - c[0]) / c[1]
-        v = (1 - w) * c[2 : 2 + K]
+        v = c[2 : 2 + K]
+        v *= 1 - w
         right = c[2 + K :]
         right *= w
         v += right

@@ -281,9 +281,26 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
     # used to be truncated to 10
     (dict(MINI_MOMENTS, m_grid=[5, 10.7]), "'m_grid' must be an integer; got 10.7"),
     (dict(MINI_MOMENTS, replicas="many"), "'replicas' must be an integer; got 'many'"),
+    # misspelled keys used to be ignored, their defaults silently taken
+    (dict(MINI_MOMENTS, sead=9), "the initial-moments spec has an unknown key 'sead'"),
+    (dict(MINI_MOMENTS, critera={"slope_tol": 0.01}),
+     "the initial-moments spec has an unknown key 'critera'"),
+    (dict(MINI_MOMENTS, criteria={"slope_tl": 0.01}),
+     "the initial-moments criteria has an unknown key 'slope_tl'"),
+    (dict(MINI_DIFFUSION, model={"family": "two-state"}, q0=[0.5, 0.5], T_dif=0.25),
+     "the rate-roundtrip spec has an unknown key 'T_dif'"),
+    (dict(MINI_TILT, control={"n_bin": 4, "entries": {"1,2": 0.4}}),
+     "the tilt-limit control has an unknown key 'n_bin'"),
+    # these two used to name no key
+    (dict(MINI_DIFFUSION, domain=[-5.0, 0.0, 5.0]),
+     "'domain' must be two numbers [lo, hi] with lo < hi; got [-5.0, 0.0, 5.0]"),
+    (dict(MINI_TILT, control={"n_bins": -1, "entries": {"1,2": 0.4}}),
+     "'n_bins' must be at least 1; got -1"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
-        "control-entry-off-the-states", "fractional-m_grid", "string-replicas"])
+        "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
+        "misspelled-criteria", "misspelled-criterion", "misspelled-T_diff", "misspelled-n_bins",
+        "three-entry-domain", "negative-n_bins"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"
@@ -396,6 +413,7 @@ NAN = float("nan")
     ("control", {"entries": {"1,2": [0.4]}}, "'1,2' must be a finite number; got [0.4]"),
     ("control", {"entries": {"1,2": 0.4}, "theta": [0.25]}, "'theta' must be a finite number; got [0.25]"),
     ("control", {"n_bins": 2.5, "entries": {"1,2": 0.4}}, "'n_bins' must be an integer; got 2.5"),
+    ("control", {"n_bins": 0, "entries": {"1,2": 0.4}}, "'n_bins' must be at least 1; got 0"),
     ("control", {"entries": {"1-2": 0.4}}, "a control entry key must read 'i,j'; got '1-2'"),
     ("jump-sim", {"family": "two-state", "q0": 0.5}, "'q0' must be a list of numbers; got 0.5"),
     ("diff-sim", {"family": "default", "test_functions": [1.0]},
@@ -404,7 +422,7 @@ NAN = float("nan")
      "'test_functions' must be a list of lists of numbers; got 1.0"),
 ], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "list-a", "nan-a",
         "fractional-K", "string-K", "inf-rate", "string-gamma_norm", "list-control-entry",
-        "list-theta", "fractional-n_bins", "control-key", "number-q0", "flat-test_functions",
+        "list-theta", "fractional-n_bins", "zero-n_bins", "control-key", "number-q0", "flat-test_functions",
         "number-test_functions"])
 def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):
     # each used to end in a TypeError traceback, a wrong diagnosis (a CFL

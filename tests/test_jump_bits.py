@@ -1,11 +1,14 @@
 """Pinned bytes of the batched jump kernel.
 
 The sha256 prefixes in PINNED were computed by the one-event lockstep loop
-that the windowed kernel replaced.  Committing only verified window
-positions must reproduce them for every window length E, every replica
-chunk size and every batch shape.  Each digest covers ``sup.tobytes() +
-finals.tobytes()`` of one ``batch_paths`` call, the ``times`` and ``counts``
-of a recorded path, or the bytes of a CLI ``jump-sim`` CSV.
+that the windowed kernel replaced; the entries at m = 20, 2000 and 10^4 by
+the windowed kernel before it predicted its guesses, when it still
+reproduced the others.  Committing only verified window positions must
+reproduce them for every window length E, every replica chunk size, every
+batch shape and however good the guesses are.  Each digest covers
+``sup.tobytes() + finals.tobytes()`` of one ``batch_paths`` call, the
+``times`` and ``counts`` of a recorded path, or the bytes of a CLI
+``jump-sim`` CSV.
 """
 
 import hashlib
@@ -67,13 +70,18 @@ def _batch_digest(name, mode, R) -> str:
                                 **_kwargs(model, q0, entries, mode)))
 
 
-def _many_bins_digest() -> str:
-    """Two-state, m = 2000, 100 replicas under a 64-bin control: windows
-    end at many bin edges."""
+def _tilted_digest(m, R, n_bins) -> str:
+    """Two-state, R tilted replicas of m particles under an n_bins control,
+    with p as the ref."""
     model, q0, entries = _models()["two-state"]
-    tilt = _tilt(model, q0, entries, n_bins=64, m=2000)
-    return _digest(*batch_paths(model, 2000, q0, T, SEED, np.arange(100),
-                                **tilt, ref=tilt["p_path"]))
+    tilt = _tilt(model, q0, entries, n_bins=n_bins, m=m)
+    return _digest(*batch_paths(model, m, q0, T, SEED, np.arange(R), **tilt, ref=tilt["p_path"]))
+
+
+def _many_bins_digest() -> str:
+    """m = 2000, 100 replicas under a 64-bin control: windows end at many
+    bin edges."""
+    return _tilted_digest(2000, 100, 64)
 
 
 def _path_digest(kind) -> str:
@@ -132,6 +140,9 @@ PINNED = {
     "birth-death-5/tilted/100": "319197c0c1bbe18d",
     "birth-death-5/tilted/2000": "ff19d6b20585e2bc",
     "many-bins/100": "d28c8ad590bf99c4",
+    "tilted/m=10000/20": "20bd6a26d9416ad5",
+    "tilted/m=2000/100": "bd173b2d120f2a59",
+    "many-bins/m=20/100": "da8b32b1906362b2",
     "path/plain": "173f8f1f222aeb29",
     "path/tilted": "bb65c59f47967441",
     "path/many-bins": "83f6d7aaa6da3df0",
@@ -194,6 +205,49 @@ def test_many_bin_edges_are_pinned(monkeypatch, E):
     assert _many_bins_digest() == PINNED["many-bins/100"]
 
 
+@pytest.mark.parametrize("E", [None, 7, 40, 128])
+def test_predicted_windows_are_pinned(monkeypatch, E):
+    # at m = 10^4 a jump moves the rates by 1e-4, so nearly every guess
+    # predicted at frozen rates holds
+    if E is not None:
+        _window(monkeypatch, E, 20, 2)
+    assert _tilted_digest(10_000, 20, 4) == PINNED["tilted/m=10000/20"]
+
+
+@pytest.mark.parametrize("E", [None, 64])
+def test_poorly_predicted_windows_are_pinned(monkeypatch, E):
+    # at m = 20 a jump moves the rates by 5%, and 64 bin edges stop windows
+    if E is not None:
+        _window(monkeypatch, E, 100, 2)
+    assert _tilted_digest(20, 100, 64) == PINNED["many-bins/m=20/100"]
+
+
+def test_windows_commit_nearly_all_they_evaluate(monkeypatch):
+    # m = 2000, 100 tilted replicas: the one-event loop's 205 346 candidate
+    # events, with windows of 40 unpredicted guesses in 112 lockstep
+    # iterations that evaluated 422 080 row-positions
+    cls = jump_sim._ReplicaRandoms
+    fetch, advance = cls.fetch, cls.advance
+    count = {"iterations": 0, "positions": 0, "events": 0}
+
+    def counted_fetch(self):
+        u = fetch(self)
+        count["iterations"] += 1
+        count["positions"] += u.size // self.width
+        return u
+
+    def counted_advance(self, used):
+        count["events"] += int((used // self.width).sum())  # a stop uses 1 draw
+        return advance(self, used)
+
+    monkeypatch.setattr(cls, "fetch", counted_fetch)
+    monkeypatch.setattr(cls, "advance", counted_advance)
+    assert _tilted_digest(2000, 100, 4) == PINNED["tilted/m=2000/100"]
+    assert count["events"] == 205_346
+    assert count["iterations"] <= 44
+    assert count["positions"] <= 1.25 * count["events"]
+
+
 @pytest.mark.parametrize("E", [None, 1, 7])
 @pytest.mark.parametrize("kind", ["plain", "tilted", "many-bins"])
 def test_recorded_paths_are_pinned(monkeypatch, kind, E):
@@ -214,6 +268,9 @@ def all_digests(tmp_path) -> dict:
     out = {f"{name}/{mode}/{R}": _batch_digest(name, mode, R)
            for name in _models() for mode in MODES for R in REPLICAS}
     out["many-bins/100"] = _many_bins_digest()
+    out["tilted/m=10000/20"] = _tilted_digest(10_000, 20, 4)
+    out["tilted/m=2000/100"] = _tilted_digest(2000, 100, 4)
+    out["many-bins/m=20/100"] = _tilted_digest(20, 100, 64)
     out.update({f"path/{k}": _path_digest(k) for k in ("plain", "tilted", "many-bins")})
     out.update({f"cli/{k}": _cli_digest(tmp_path / k, k == "tilted") for k in ("plain", "tilted")})
     return out

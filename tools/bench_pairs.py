@@ -16,7 +16,8 @@ one.
 that alternate the trees: the candidate events per second of
 ``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
 median of KERNEL_CALLS calls per process, with each tree's count of
-lockstep iterations beside it), the seconds of ``solve_p``, ``skeleton_G0``,
+lockstep iterations and its row-positions evaluated per candidate event
+beside it), the seconds of ``solve_p``, ``skeleton_G0``,
 ``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape (birth-death K = 5,
 4096 steps, a 4-bin potential control; the median of 5 calls per process,
 with the trees' largest output differences), the wall time of CLI
@@ -57,8 +58,8 @@ KERNEL_CALLS = 15  # timed kernel calls per process
 # the kernel at the jump-long shape, timed over KERNEL_CALLS calls after a
 # counting call; prints the candidate events (the work both trees share), the
 # lockstep iterations (which differ by design between a one-event kernel and
-# a windowed one), the median seconds and a hash of the outputs (which the
-# two trees must share)
+# a windowed one), the row-positions those iterations evaluated, the median
+# seconds and a hash of the outputs (which the two trees must share)
 KERNEL_PROBE = r"""
 import hashlib, json, statistics, sys, time
 import numpy as np
@@ -89,11 +90,13 @@ def run():
 # used: width per candidate event, and 1 for a stop at a bin edge or T
 cls = jump_sim._ReplicaRandoms
 fetch, advance = cls.fetch, cls.advance
-count = {"iterations": 0, "events": 0}
+count = {"iterations": 0, "events": 0, "positions": 0}
 
 def counted_fetch(self):
+    u = fetch(self)
     count["iterations"] += 1
-    return fetch(self)
+    count["positions"] += u.size // self.width
+    return u
 
 def counted_advance(self, moved):
     fired = moved if moved.dtype == bool else moved // self.width
@@ -305,6 +308,9 @@ def layers(trees: dict, scratch: Path) -> dict:
                      "after a counting call",
             "candidate_events": n,
             "iterations": {s: kernel[s][0]["iterations"] for s in SIDES},
+            # useful work over attempted: a window wastes the positions past
+            # its first wrong guess
+            "evaluated_per_event": {s: round(kernel[s][0]["positions"] / n, 4) for s in SIDES},
             "outputs_hash": hashes.pop(),
             **{s: summary([n / r["seconds"] for r in kernel[s]]) for s in SIDES},
         },
