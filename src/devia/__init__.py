@@ -8,9 +8,9 @@ Subpackages and modules:
   fluctuation paths.
 - ``jump_analysis``: limit ODE, skeleton map, jump rate functions, control
   conversions.
-- ``diff_sim``: interacting and controlled diffusion ensembles (a reference
-  ensemble is an interacting one at a large particle count), the limit law's
-  pairing path, the coupling and occupation measures.
+- ``diff_sim``: interacting diffusion ensembles (a reference ensemble is an
+  interacting one at a large particle count), the limit law's pairing path
+  and the coupling of controlled systems to it.
 - ``diff_analysis``: nonlinear Fokker-Planck and linearized solvers, diffusion
   rate function.
 - ``schwartz``: rapidly decaying test functions, seminorms, generator action.

@@ -2,25 +2,24 @@
 
 All particles move by Euler-Maruyama with mean-field coefficients: the
 diffusion and drift at a particle are the empirical averages of the kernels
-over the whole ensemble.  Controlled runs add a scaled control drift
-sigma * u / (a(m) sqrt(m)) and account its quadratic cost.  The reference
+over the whole ensemble.  The controlled systems of the coupling add a
+scaled control drift sigma * u / (a(m) sqrt(m)).  The reference
 (McKean-Vlasov) ensemble is the same dynamics run at a large particle count
 on the stream (seed, REFERENCE_REPLICA): :func:`simulate_interacting` keeps
 its positions in a :class:`DiffusionPath`, whose measure hooks give the
-pairings <mu(t), f> and whose :meth:`DiffusionPath.density` is a kernel
-density estimate, and :func:`limit_path` keeps only its kernel pairings.
+pairings <mu(t), f>, and :func:`limit_path` keeps only its kernel pairings.
 Its own mean-field error is O(1/M_ref), so M_ref should sit well above every
 system size it is compared against.
 
-Every simulator here (the interacting and controlled systems, the reference
-ensemble, the limit path, the Richardson guard and the lockstep coupling)
-advances through one Euler-Maruyama step, :meth:`_FlatEM.step`, which also
-stops the run with a FloatingPointError naming the segment and particle as
-soon as a position leaves the finite range.  The step works on one flat
-particle array cut into segments, each with its own measure: the coupling
-lays out its systems of sizes m_1 .. m_k and its max(m) reference particles
-as k + 1 segments of one array and advances them all in one step, the other
-simulators use a single segment.  A step is one fused update per segment,
+Every simulator here (the interacting system, the limit path and the
+lockstep coupling) advances through one Euler-Maruyama step,
+:meth:`_FlatEM.step`, which also stops the run with a FloatingPointError
+naming the segment and particle as soon as a position leaves the finite
+range.  The step works on one flat particle array cut into segments, each
+with its own measure: the coupling lays out its systems of sizes
+m_1 .. m_k and its max(m) reference particles as k + 1 segments of one
+array and advances them all in one step, the other simulators use a single
+segment.  A step is one fused update per segment,
 
     x += env * (s_beta * S_beta dt + s_alpha * S_alpha (sqrt(dt) z + dt/a u)),
 
@@ -54,18 +53,7 @@ import numpy as np
 from .kernels import Enveloped, KernelPair, MeasureHook
 from .rng import stream
 
-__all__ = [
-    "DiffusionPath",
-    "LimitPath",
-    "OccupationMeasure",
-    "simulate_interacting",
-    "simulate_controlled",
-    "fluctuation_pairing",
-    "limit_path",
-    "occupation_accumulate",
-    "richardson_gap",
-    "run_coupled",
-]
+__all__ = ["DiffusionPath", "LimitPath", "simulate_interacting", "limit_path", "run_coupled"]
 
 Control = Callable[[float, np.ndarray], np.ndarray]
 
@@ -85,7 +73,6 @@ class DiffusionPath:
 
     times: np.ndarray  # (n_rec,)
     positions: np.ndarray  # (n_rec, m)
-    dt: float
 
     @property
     def m(self) -> int:
@@ -101,18 +88,6 @@ class DiffusionPath:
         """Empirical measure at a recorded time."""
         x = self.positions[self.index_of(t)]
         return MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
-
-    def density(self, t: float, xs: np.ndarray) -> np.ndarray:
-        """Gaussian KDE of the empirical measure at a recorded time, with
-        the normal-reference bandwidth."""
-        x = self.positions[self.index_of(t)]
-        h = 1.06 * max(float(np.std(x)), 1e-12) * len(x) ** (-0.2)
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros_like(xs)
-        for lo in range(0, len(x), 4096):
-            blk = x[lo : lo + 4096]
-            out += np.exp(-((xs[:, None] - blk[None, :]) ** 2) / (2 * h * h)).sum(axis=1)
-        return out / (len(x) * h * math.sqrt(2 * math.pi))
 
 
 def _n_steps(T: float, dt: float) -> int:
@@ -258,47 +233,6 @@ class _FlatEM:
             )
 
 
-def _em_run(
-    kernels: KernelPair,
-    m: int,
-    x0: float,
-    T: float,
-    dt: float,
-    rng: np.random.Generator,
-    control: Control | None,
-    a_scale: float,
-    record_stride: int,
-) -> tuple[DiffusionPath, float]:
-    if m < 1:
-        raise ValueError(f"need m >= 1; got m={m}")
-    if record_stride < 1:
-        raise ValueError(f"need a record stride >= 1; got {record_stride}")
-    n_steps = _n_steps(T, dt)
-    sim = _FlatEM(kernels, [m], x0, dt)
-    z = np.empty(m)
-    rec_idx = list(range(0, n_steps + 1, record_stride))
-    if rec_idx[-1] != n_steps:
-        rec_idx.append(n_steps)
-    rec = np.empty((len(rec_idx), m))
-    rec_times = np.array([k * dt for k in rec_idx])
-    rec[0] = sim.x
-    cost = 0.0
-    pos = 1
-    for k in range(n_steps):
-        rng.standard_normal(out=z)
-        controls = None
-        if control is not None:
-            u = np.asarray(control(k * dt, sim.x), dtype=float)
-            ub = np.broadcast_to(u, (m,))
-            cost += float(np.dot(ub, ub)) * dt / (2.0 * m)
-            controls = [(u, a_scale)]
-        sim.step([z], controls=controls)
-        if pos < len(rec_idx) and k + 1 == rec_idx[pos]:
-            rec[pos] = sim.x
-            pos += 1
-    return DiffusionPath(times=rec_times, positions=rec, dt=dt), cost
-
-
 def simulate_interacting(
     kernels: KernelPair,
     m: int,
@@ -309,131 +243,25 @@ def simulate_interacting(
     replica: int = 0,
     record_stride: int = 1,
 ) -> DiffusionPath:
-    """Euler-Maruyama trajectory of the interacting system of m particles.
-
-    The scheme is strong order 1/2 (weak order 1); discretization error is
-    checked by :func:`richardson_gap`, which couples a run at dt against one
-    at dt/2 on the same Brownian path.
-    """
-    rng = stream(seed, replica)
-    path, _ = _em_run(kernels, m, x0, T, dt, rng, None, 1.0, record_stride)
-    return path
-
-
-def simulate_controlled(
-    kernels: KernelPair,
-    m: int,
-    x0: float,
-    T: float,
-    dt: float,
-    a_m: float,
-    control: Control,
-    seed: int,
-    replica: int = 0,
-    record_stride: int = 1,
-) -> tuple[DiffusionPath, float]:
-    """Controlled system with drift perturbation sigma * u / (a(m) sqrt(m)).
-
-    ``control(s, x)`` must return values broadcastable to the particle array.
-    The returned cost is the step sum of sum_i u_i^2 * dt / (2m), matching
-    the quadratic cost of the controlled representation exactly.
-    """
-    rng = stream(seed, replica)
-    return _em_run(
-        kernels, m, x0, T, dt, rng, control, a_m * math.sqrt(m), record_stride
-    )
-
-
-def richardson_gap(
-    kernels: KernelPair,
-    m: int,
-    x0: float,
-    T: float,
-    dt: float,
-    seed: int = 0,
-    replica: int = 0,
-) -> float:
-    """Discretization-error guard: mean squared final-time gap between a run
-    at dt and one at dt/2 driven by the same Brownian path.
-
-    The half-step run consumes the two fine increments whose sum is the
-    coarse increment, so the gap isolates the time-stepping error.
-    """
+    """Euler-Maruyama trajectory of the interacting system of m particles on
+    the stream (seed, replica), recorded every ``record_stride`` steps and at
+    T.  The scheme is strong order 1/2 (weak order 1)."""
     if m < 1:
         raise ValueError(f"need m >= 1; got m={m}")
+    if record_stride < 1:
+        raise ValueError(f"need a record stride >= 1; got {record_stride}")
     n_steps = _n_steps(T, dt)
     rng = stream(seed, replica)
-    coarse = _FlatEM(kernels, [m], x0, dt)
-    fine = _FlatEM(kernels, [m], x0, dt / 2.0)
-    z1, z2, zc = np.empty(m), np.empty(m), np.empty(m)
-    for _ in range(n_steps):
-        rng.standard_normal(out=z1)
-        rng.standard_normal(out=z2)
-        fine.step([z1])
-        fine.step([z2])
-        np.divide(np.add(z1, z2, out=zc), math.sqrt(2.0), out=zc)
-        coarse.step([zc])
-    return float(np.mean((coarse.x - fine.x) ** 2))
-
-
-def fluctuation_pairing(
-    path: DiffusionPath,
-    ref: DiffusionPath,
-    a_m: float,
-    phi: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centered, scaled pairing t -> a(m) sqrt(m) (<mu^m(t), phi> - <mu(t), phi>)
-    on the common recorded grid, with mu(t) the empirical measure of the
-    reference ensemble ``ref``."""
-    if not np.allclose(path.times, ref.times, rtol=0, atol=1e-12):
-        raise ValueError("paths must share the recorded time grid")
-    scale = a_m * math.sqrt(path.m)
-    vals = scale * (phi(path.positions).mean(axis=1) - phi(ref.positions).mean(axis=1))
-    return path.times.copy(), vals
-
-
-@dataclass(frozen=True)
-class OccupationMeasure:
-    """Samples (control value, position, time) with weights dt/m."""
-
-    y: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    w: np.ndarray
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.w.sum())
-
-    def pair_xs(self, f: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
-        """Pairing of the (position, time) marginal against f(x, s)."""
-        return float(np.dot(self.w, f(self.x, self.s)))
-
-    def cost(self) -> float:
-        """1/2 * integral y^2 d(nu): equals the controlled run's cost."""
-        return 0.5 * float(np.dot(self.w, self.y**2))
-
-
-def occupation_accumulate(path: DiffusionPath, control: Control) -> OccupationMeasure:
-    """Occupation measure of a controlled run recorded at every step.
-
-    Control values are re-evaluated at the recorded (time, position) pairs,
-    which reproduces the simulation's own draws since controls are plain
-    functions of (s, x).
-    """
-    if len(path.times) < 2 or not np.allclose(np.diff(path.times), path.dt):
-        raise ValueError("occupation accumulation needs a full-resolution recording")
-    m = path.m
-    n_steps = len(path.times) - 1
-    ys = np.empty((n_steps, m))
-    for k in range(n_steps):
-        ys[k] = np.broadcast_to(
-            np.asarray(control(path.times[k], path.positions[k]), dtype=float), (m,)
-        )
-    xs = path.positions[:-1]
-    ss = np.broadcast_to(path.times[:-1, None], (n_steps, m))
-    w = np.full(n_steps * m, path.dt / m)
-    return OccupationMeasure(y=ys.ravel(), x=xs.ravel(), s=ss.ravel().copy(), w=w)
+    sim = _FlatEM(kernels, [m], x0, dt)
+    z = np.empty(m)
+    rec_idx = [*range(0, n_steps, record_stride), n_steps]
+    positions = np.empty((len(rec_idx), m))
+    positions[0] = sim.x
+    for k in range(1, n_steps + 1):
+        sim.step([rng.standard_normal(out=z)])
+        if k % record_stride == 0 or k == n_steps:
+            positions[-(-k // record_stride)] = sim.x  # row ceil(k / stride)
+    return DiffusionPath(times=np.array(rec_idx) * dt, positions=positions)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .config import (
     config_scalar,
     control_from_config,
     kernels_from_config,
+    known_keys,
     load_config,
     model_from_config,
 )
@@ -62,6 +63,15 @@ def _write_json(out, doc: dict) -> None:
     Path(out).write_text(text + "\n")
 
 
+def _block(cfg: dict, key: str, *own: str) -> dict:
+    """The ``key`` block of a CLI config file, or the file itself when it is
+    flat; a nested file holds no key but ``key`` and the CLI's ``own`` keys."""
+    if key not in cfg:
+        return cfg
+    known_keys(cfg, f"{key} file", (key, *own))
+    return cfg[key]
+
+
 def _cmd_run(args) -> int:
     return _finish(run_experiment(load_config(args.spec)), args.out)
 
@@ -74,7 +84,7 @@ def _cmd_lemma_suite(args) -> int:
 
 def _cmd_jump_sim(args) -> int:
     cfg = load_config(args.model)
-    model = model_from_config(cfg.get("model", cfg))
+    model = model_from_config(_block(cfg, "model", "q0", "p0"))
     q0 = np.array(config_numbers(cfg, "q0", [1.0 / model.K] * model.K))
     if args.control:
         control_cfg = load_config(args.control)
@@ -111,7 +121,7 @@ def _uniform_resample(path: PathVec) -> PathVec:
 
 def _cmd_jump_rate(args) -> int:
     cfg = load_config(args.model)
-    model = model_from_config(cfg.get("model", cfg))
+    model = model_from_config(_block(cfg, "model", "q0", "p0"))
     raw = read_path_vec(args.eta)
     eta = _uniform_resample(raw)
     p0 = np.array(config_numbers(cfg, "p0" if "p0" in cfg else "q0", [1.0 / model.K] * model.K))
@@ -136,7 +146,7 @@ def _cmd_jump_rate(args) -> int:
 
 def _cmd_diff_sim(args) -> int:
     cfg = load_config(args.kernels)
-    kernels = kernels_from_config(cfg.get("kernels", cfg))
+    kernels = kernels_from_config(_block(cfg, "kernels", "x0", "test_functions"))
     dt = args.T / 2048 if args.dt is None else args.dt
     path = simulate_interacting(
         kernels, args.m, args.x0, args.T, dt, args.seed, record_stride=args.stride
@@ -159,7 +169,7 @@ def _cmd_diff_sim(args) -> int:
 
 def _cmd_diff_rate(args) -> int:
     cfg = load_config(args.kernels)
-    kernels = kernels_from_config(cfg.get("kernels", cfg))
+    kernels = kernels_from_config(_block(cfg, "kernels", "x0", "test_functions"))
     eta = read_grid_field(args.eta)
     rho = solve_fokker_planck(
         kernels,

@@ -22,7 +22,21 @@ from .. import kernels, mf_model
 from ..jump_sim import JumpControl
 
 __all__ = ["load_config", "dump_config", "config_section", "config_scalar", "config_numbers",
-           "model_from_config", "kernels_from_config", "control_from_config"]
+           "known_keys", "model_from_config", "kernels_from_config", "control_from_config"]
+
+# each family's (required, optional) keys; a model may also declare its
+# constants, and a CLI model file carries its initial law q0/p0 beside them
+MODEL_KEYS = {
+    "birth-death": (("K", "a", "b", "c"), ()),
+    "constant": (("matrix",), ()),
+    "two-state": ((), ("rate",)),
+}
+MODEL_COMMON = ("family", "gamma_norm", "c_gamma", "l_gamma", "q0", "p0")
+# each family's keys; a CLI kernels file carries x0 and test_functions beside them
+KERNEL_KEYS = {"default": ("c_alpha", "c_beta"), "additive-noise": ("level", "rate"), "zero": ()}
+KERNEL_COMMON = ("family", "x0", "test_functions")
+# a CLI control file carries theta beside them
+CONTROL_KEYS = ("n_bins", "entries", "theta")
 
 
 def load_config(source, what: str = "") -> dict:
@@ -92,22 +106,33 @@ def config_numbers(cfg: dict, key: str, default=None, integer: bool = False, dep
     return [config_scalar({key: v}, key, None, integer) for v in value]
 
 
+def known_keys(block: dict, what: str, keys: tuple) -> None:
+    """A key that no reader reads is a misspelling, not a default."""
+    for key in block:
+        if key not in keys:
+            raise ValueError(
+                f"the {what} has an unknown key {key!r}; expected one of {sorted(keys)}"
+            )
+
+
 def model_from_config(cfg) -> mf_model.RateModel:
     """Build a model from a config mapping or file.
 
     Keys: ``family`` ("birth-death" | "constant" | "two-state"), ``K``,
     family parameters (``a``/``b``/``c`` or ``matrix`` or ``rate``) and
     optionally explicit constants (``gamma_norm``, ``c_gamma``, ``l_gamma``)
-    which are cross-checked against the recomputed values.
+    which are cross-checked against the recomputed values.  Any other key
+    but ``q0``/``p0`` is a ValueError.
     """
     cfg = load_config(cfg, "model")
     family = cfg.get("family", "birth-death")
-    needs = {"birth-death": ("K", "a", "b", "c"), "constant": ("matrix",), "two-state": ()}
-    if family not in needs:
+    if not isinstance(family, str) or family not in MODEL_KEYS:
         raise ValueError(f"unknown model family {family!r}")
-    for key in needs[family]:
+    required, optional = MODEL_KEYS[family]
+    for key in required:
         if key not in cfg:
             raise ValueError(f"the {family} model needs the key {key!r}")
+    known_keys(cfg, f"{family} model", (*MODEL_COMMON, *required, *optional))
     if family == "birth-death":
         K = config_scalar(cfg, "K", integer=True)
         model = mf_model.birth_death_model(K, *(config_scalar(cfg, k) for k in "abc"))
@@ -132,23 +157,26 @@ def kernels_from_config(cfg) -> kernels.KernelPair:
 
     ``family`` selects the pair: "default" (keys c_alpha, c_beta),
     "additive-noise" (constant alpha ``level``, reversion beta ``rate``)
-    or "zero".
+    or "zero".  Any other key but ``x0``/``test_functions`` is a ValueError.
     """
     cfg = load_config(cfg, "kernels")
     family = cfg.get("family", "default")
+    if not isinstance(family, str) or family not in KERNEL_KEYS:
+        raise ValueError(f"unknown kernel family {family!r}")
+    known_keys(cfg, f"{family} kernels", (*KERNEL_COMMON, *KERNEL_KEYS[family]))
     if family == "default":
         return kernels.default_kernels(*(config_scalar(cfg, k, 0.5) for k in ("c_alpha", "c_beta")))
     if family == "additive-noise":
         level, rate = (config_scalar(cfg, k, 1.0) for k in ("level", "rate"))
         return kernels.KernelPair(kernels.constant_alpha(level), kernels.linear_reversion_beta(rate))
-    if family == "zero":
-        return kernels.KernelPair(kernels.zero_kernel(), kernels.zero_kernel())
-    raise ValueError(f"unknown kernel family {family!r}")
+    return kernels.KernelPair(kernels.zero_kernel(), kernels.zero_kernel())
 
 
 def control_from_config(cfg: dict, K: int, T: float) -> JumpControl:
     """Control constant in time on ``n_bins`` uniform bins of [0, T], with
-    ``entries`` mapping "i,j" to the value of psi_ij."""
+    ``entries`` mapping "i,j" to the value of psi_ij; any other key but
+    ``theta`` is a ValueError."""
+    known_keys(cfg, "control", CONTROL_KEYS)
     n_bins = config_scalar(cfg, "n_bins", 1, integer=True)
     if n_bins < 1:
         raise ValueError(f"'n_bins' must be at least 1; got {n_bins}")

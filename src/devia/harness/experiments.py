@@ -48,6 +48,7 @@ from .config import (
     config_section,
     control_from_config,
     kernels_from_config,
+    known_keys,
     load_config,
     model_from_config,
 )
@@ -113,8 +114,8 @@ def _runner(kind: str, *required: str, optional: tuple = (), criteria: tuple = (
         def run(spec: dict) -> ExperimentReport:
             t0 = time.perf_counter()
             _require(spec, kind, *required)
-            _known(spec, f"{kind} spec", keys)
-            _known(config_section(spec, "criteria"), f"{kind} criteria", criteria)
+            known_keys(spec, f"{kind} spec", keys)
+            known_keys(config_section(spec, "criteria"), f"{kind} criteria", criteria)
             seed = config_scalar(spec, "seed", 0, integer=True)
             report = ExperimentReport(kind, spec, seed, *fn(spec, seed))
             report.runtime_seconds = time.perf_counter() - t0
@@ -131,15 +132,6 @@ def _require(spec: dict, kind: str, *keys: str) -> None:
     for key in keys:
         if key not in spec:
             raise ValueError(f"the {kind} spec needs the key {key!r}")
-
-
-def _known(block: dict, what: str, keys: tuple) -> None:
-    """A key that no reader reads is a misspelling, not a default."""
-    for key in block:
-        if key not in keys:
-            raise ValueError(
-                f"the {what} has an unknown key {key!r}; expected one of {sorted(keys)}"
-            )
 
 
 MIN_REPLICAS = 30
@@ -234,7 +226,7 @@ def run_tilt_limit(spec: dict, seed: int):
     model = model_from_config(model_cfg)
     p = solve_p(model, q0, T, p_steps)
     block = config_section(spec, "control")
-    _known(block, "tilt-limit control", ("n_bins", "entries"))
+    known_keys(block, "tilt-limit control", ("n_bins", "entries"))
     control = control_from_config(block, model.K, T)
     eta = skeleton_G0(model, p, control)
     arg_sets = [
@@ -352,7 +344,7 @@ def run_coupling_scaling(spec: dict, seed: int):
     theta = config_scalar(spec, "theta", 0.25)
     M_ref = config_scalar(spec, "M_ref", 4 * max(m_grid), integer=True)
     block = config_section(spec, "control")
-    _known(block, "coupling-scaling control", ("constant",))
+    known_keys(block, "coupling-scaling control", ("constant",))
     u_const = config_scalar(block, "constant", 1.0)
     tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
@@ -538,8 +530,9 @@ def run_rate_roundtrip(spec: dict, seed: int):
 
 def exactness_tv(rate: float, m: int, T: float, replicas: int, seed: int) -> dict:
     """Total-variation distance between the simulated time-T law of the
-    two-state occupation count and its exact law, the uniformized law of the
-    (m+1)-state birth-death count chain.  All m particles start in state 1."""
+    two-state chain's count of particles in state 1 and its exact law, the
+    uniformized law of the (m+1)-state birth-death count chain.  All m
+    particles start in state 1."""
     from ..mf_model import two_state_model
 
     model = two_state_model(rate)

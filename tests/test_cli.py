@@ -1,4 +1,6 @@
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import devia
 from devia.harness.cli import main
 from devia.harness.config import dump_config
 from devia.harness.io import read_grid_field, read_path_vec, write_grid_field
@@ -79,8 +82,6 @@ def test_csv_writers_keep_the_per_value_bytes(tmp_path):
 
 
 def test_library_imports_no_scipy():
-    import devia
-
     code = ("import sys, devia.harness, devia.harness.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(devia.__file__).resolve().parents[1])
@@ -88,6 +89,14 @@ def test_library_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.walk_packages(devia.__path__, "devia.")])
+def test_exports_exist(name):
+    # every module declares its exports, and each one is defined
+    module = importlib.import_module(name)
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
+    exec(f"from {name} import *", {})
 
 
 def test_tilted_jump_sim_cost_sidecar(tmp_path, model_cfg):
@@ -373,8 +382,12 @@ def test_cli_json_is_strict(tmp_path):
     ("spec.yaml", "kind: [lln\n", "run", "not valid YAML"),
     ("model.json", '{"model": [1, 2]}', "jump-sim", "a model config must be a mapping; got list"),
     ("k.json", '{"kernels": 0.5}', "diff-sim", "a kernels config must be a mapping; got float"),
+    # an unhashable family used to end in a TypeError traceback
+    ("model.json", '{"family": ["two-state"]}', "jump-sim", "unknown model family ['two-state']"),
+    ("k.json", '{"family": {"a": 1}}', "diff-sim", "unknown kernel family {'a': 1}"),
 ], ids=["no-c", "no-matrix", "empty-yaml-model", "list-model", "empty-yaml-spec", "list-spec",
-        "yaml-syntax", "inline-list-model", "inline-number-kernels"])
+        "yaml-syntax", "inline-list-model", "inline-number-kernels", "list-family",
+        "mapping-family"])
 def test_malformed_config_is_a_diagnosed_exit(tmp_path, capsys, name, text, command, message):
     cfg = tmp_path / name
     cfg.write_text(text)
@@ -427,6 +440,26 @@ NAN = float("nan")
 def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):
     # each used to end in a TypeError traceback, a wrong diagnosis (a CFL
     # violation, an off-lattice initial state) or a silently truncated K
+    assert main(_config_argv(tmp_path, command, cfg)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, key", [
+    ("jump-sim", {"family": "two-state", "rat": 2.0, "q0": [0.5, 0.5]}, "rat"),
+    ("jump-sim", {"model": {"family": "two-state"}, "q_0": [0.5, 0.5]}, "q_0"),
+    ("diff-sim", {"kernels": {"family": "default", "c_alpa": 0.9}, "test_functions": [[1.0]]},
+     "c_alpa"),
+    ("control", {"n_bin": 4, "entries": {"1,2": 0.4}, "theta": 0.25}, "n_bin"),
+], ids=["model", "model-file", "kernels", "control"])
+def test_unknown_config_key_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, key):
+    # each used to be ignored, its default taking its place
+    assert main(_config_argv(tmp_path, command, cfg)) == 2
+    assert f"has an unknown key {key!r}" in capsys.readouterr().err
+
+
+def _config_argv(tmp_path, command, cfg) -> list:
+    """Arguments of a run of ``command`` that reads ``cfg`` as its model,
+    kernels or (``control``) control file."""
     path = tmp_path / "cfg.json"
     dump_config(cfg, path)
     if command in ("jump-sim", "control"):
@@ -447,8 +480,7 @@ def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, me
         write_grid_field(GridField(xs, np.array([0.0, 0.125, 0.25]), np.zeros((3, 41))), eta_csv)
         argv = ["diff-rate", "--kernels", str(path), "--eta", str(eta_csv),
                 "--out", str(tmp_path / "rate.json")]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    return argv
 
 
 def test_diff_sim_zero_stride_is_a_diagnosed_exit(tmp_path, kernel_cfg, capsys):

@@ -4,8 +4,10 @@ The sha256 prefixes in PINNED were computed by the library as it stood
 before the dense (non-separable) kernel path was deleted; the separable-only
 code must reproduce them bit for bit for every kernel family that a config
 can build.  Each digest covers the ``tobytes()`` of the arrays (or float64
-scalars) named in its key.  The coupling and reference runs use a system of
-more than BLOCK particles, so their segments span several factor blocks.
+scalars) named in its key; ``richardson_gap`` is the dt against dt/2 guard
+that ``test_diff_sim`` builds on the library's Euler-Maruyama step.  The
+coupling and reference runs use a system of more than BLOCK particles, so
+their segments span several factor blocks.
 """
 
 import hashlib
@@ -14,17 +16,11 @@ import numpy as np
 import pytest
 
 from devia.diff_analysis import rate_diffusion, solve_fokker_planck, solve_linearized
-from devia.diff_sim import (
-    BLOCK,
-    limit_path,
-    richardson_gap,
-    run_coupled,
-    simulate_controlled,
-    simulate_interacting,
-)
+from devia.diff_sim import BLOCK, limit_path, run_coupled, simulate_interacting
 from devia.harness.config import kernels_from_config
 from devia.kernels import MeasureHook
 from devia.schwartz import HermiteFunction, apply_L
+from test_diff_sim import richardson_gap
 
 SEED, X0 = 2024, 0.3
 FAMILIES = {
@@ -54,9 +50,6 @@ def _particle_digests(kp) -> dict:
     out["run_coupled"] = _digest(np.array(list(gaps.values())), np.array(list(wide.values())))
     path = simulate_interacting(kp, 300, X0, 0.5, 1 / 64, seed=SEED, replica=3, record_stride=4)
     out["simulate_interacting"] = _digest(path.times, path.positions)
-    path, cost = simulate_controlled(kp, 300, X0, 0.5, 1 / 64, 300 ** (-0.25), _control,
-                                     seed=SEED, replica=4)
-    out["simulate_controlled"] = _digest(path.positions, np.float64(cost))
     out["richardson_gap"] = _digest(np.float64(richardson_gap(kp, 256, X0, 0.25, 1 / 64, SEED)))
     return out
 
@@ -79,7 +72,6 @@ PINNED = {
     "default/limit_path": "f08440ddbf7bd850",
     "default/run_coupled": "4fc7415e1f4768dd",
     "default/simulate_interacting": "72f3b7c7b9f20728",
-    "default/simulate_controlled": "025a019ff6ceba62",
     "default/richardson_gap": "ce5859006fa8d945",
     "default/solve_fokker_planck": "90f844ffa0adddac",
     "default/solve_linearized": "d9ada106383da956",
@@ -88,7 +80,6 @@ PINNED = {
     "additive-noise/limit_path": "cf513729d8fd301a",
     "additive-noise/run_coupled": "4977bb0fcdfd14f5",
     "additive-noise/simulate_interacting": "831bc57c4e3b27e3",
-    "additive-noise/simulate_controlled": "14e5fa11dca8bc27",
     "additive-noise/richardson_gap": "72c67c64b4ec541e",
     "additive-noise/solve_fokker_planck": "401e1d61791d0031",
     "additive-noise/solve_linearized": "6bc346c31b7b12ac",
@@ -97,7 +88,6 @@ PINNED = {
     "zero/limit_path": "81c611f35bff7949",
     "zero/run_coupled": "2c34ce1df23b838c",
     "zero/simulate_interacting": "bb9077a407e1f283",
-    "zero/simulate_controlled": "d6629a81933b87ae",
     "zero/richardson_gap": "af5570f5a1810b7a",
 }
 

@@ -10,12 +10,9 @@ from devia.diff_sim import (
     REFERENCE_REPLICA,
     LimitPath,
     _FlatEM,
-    fluctuation_pairing,
+    _n_steps,
     limit_path,
-    occupation_accumulate,
-    richardson_gap,
     run_coupled,
-    simulate_controlled,
     simulate_interacting,
 )
 from devia.harness.config import kernels_from_config
@@ -76,6 +73,28 @@ class TestInteracting:
             simulate_interacting(ZERO, 4, 0.0, 1.0, 0.3, seed=0)  # T not a multiple
 
 
+def richardson_gap(kernels, m, x0, T, dt, seed=0, replica=0) -> float:
+    """Discretization-error guard: mean squared final-time gap between a run
+    at dt and one at dt/2 driven by the same Brownian path.
+
+    The half-step run consumes the two fine increments whose sum is the
+    coarse increment, so the gap isolates the time-stepping error.
+    """
+    n_steps = _n_steps(T, dt)
+    rng = stream(seed, replica)
+    coarse = _FlatEM(kernels, [m], x0, dt)
+    fine = _FlatEM(kernels, [m], x0, dt / 2.0)
+    z1, z2, zc = np.empty(m), np.empty(m), np.empty(m)
+    for _ in range(n_steps):
+        rng.standard_normal(out=z1)
+        rng.standard_normal(out=z2)
+        fine.step([z1])
+        fine.step([z2])
+        np.divide(np.add(z1, z2, out=zc), math.sqrt(2.0), out=zc)
+        coarse.step([zc])
+    return float(np.mean((coarse.x - fine.x) ** 2))
+
+
 def test_richardson_gap_shrinks_with_dt():
     # the coupled dt vs dt/2 comparison isolates time-stepping error; it
     # must shrink roughly linearly in dt for the multiplicative kernels
@@ -101,35 +120,6 @@ def test_default_kernel_bounds_certified():
     assert dB.max() <= kp.beta.lip + 1e-6
 
 
-class TestControlled:
-    def test_zero_control_matches_uncontrolled(self):
-        a = simulate_interacting(default_kernels(), 32, 0.0, 0.5, 1 / 128, seed=5)
-        b, cost = simulate_controlled(
-            default_kernels(), 32, 0.0, 0.5, 1 / 128, a_m=0.5, control=lambda s, x: 0.0, seed=5
-        )
-        assert cost == 0.0
-        assert np.array_equal(a.positions, b.positions)
-
-    def test_constant_control_cost_exact(self):
-        _, cost = simulate_controlled(
-            ADDITIVE, 50, 0.0, 1.0, 1 / 128, a_m=50 ** (-0.25), control=lambda s, x: 3.0, seed=6
-        )
-        assert cost == pytest.approx(9.0 / 2.0, rel=1e-12)
-
-    def test_constant_control_mean_shift(self):
-        # sigma = 1: the control adds a deterministic drift u/(a sqrt(m))
-        m, u = 4000, 1.5
-        a_m = m ** (-0.25)
-        path, _ = simulate_controlled(
-            ADDITIVE, m, 0.0, 1.0, 1 / 128, a_m=a_m, control=lambda s, x: u, seed=7,
-            record_stride=128,
-        )
-        want = u / (a_m * math.sqrt(m))
-        got = path.positions[-1].mean()
-        se = path.positions[-1].std() / math.sqrt(m)
-        assert abs(got - want) < 3 * se
-
-
 class TestMcKean:
     # a reference ensemble is an interacting system at a large particle count
     def test_unit_pairing(self):
@@ -146,38 +136,6 @@ class TestMcKean:
         ref = simulate_interacting(REVERSION, 64, 1.0, 1.0, 1 / 512, seed=10)
         got = ref.hook(1.0).pair(lambda x: x)
         assert got == pytest.approx(math.exp(-1.0), abs=2e-3)
-
-    def test_density_integrates_to_one(self):
-        ref = simulate_interacting(ADDITIVE, 2048, 0.0, 0.5, 1 / 64, seed=11, record_stride=64)
-        xs = np.linspace(-6, 6, 2001)
-        dens = ref.density(0.5, xs)
-        assert np.trapezoid(dens, xs) == pytest.approx(1.0, abs=1e-3)
-
-
-class TestFluctuationPairing:
-    def test_constant_function_vanishes(self):
-        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
-        path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
-        _, vals = fluctuation_pairing(path, ref, 0.3, lambda x: np.ones_like(x))
-        assert np.abs(vals).max() == 0.0
-
-    def test_rows_are_the_per_time_pairings(self):
-        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
-        path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
-        times, vals = fluctuation_pairing(path, ref, 0.3, np.sin)
-        want = [
-            0.3 * math.sqrt(64) * (np.mean(np.sin(x)) - np.mean(np.sin(y)))
-            for x, y in zip(path.positions, ref.positions)
-        ]
-        assert np.array_equal(times, path.times) and vals.tolist() == want
-
-    def test_linearity(self):
-        ref = simulate_interacting(default_kernels(), 256, 0.0, 0.5, 1 / 64, seed=12)
-        path = simulate_interacting(default_kernels(), 64, 0.0, 0.5, 1 / 64, seed=13)
-        _, a = fluctuation_pairing(path, ref, 0.3, lambda x: x)
-        _, b = fluctuation_pairing(path, ref, 0.3, lambda x: x**2)
-        _, c = fluctuation_pairing(path, ref, 0.3, lambda x: x + 2.0 * x**2)
-        assert np.allclose(c, a + 2 * b, atol=1e-10)
 
 
 class TestCoupling:
@@ -216,6 +174,26 @@ class TestCoupling:
             lambda s, x: 0.0, seed=3,
         )
         assert gaps == {64: 0.0, 256: 0.0}
+
+    @pytest.mark.parametrize("level", [1.0, 0.8])
+    @pytest.mark.parametrize("rate", [0.0, 1.5], ids=["additive", "additive-reversion"])
+    def test_constant_control_gap_is_exact(self, level, rate):
+        # sigma = level and b = -rate x whatever the measure (the pairings
+        # <mu, 1> are 1), so a system particle and its reference particle
+        # share every term but the control's: their gap is deterministic,
+        # g_(k+1) = (1 - rate dt) g_k + level u dt / a with a = m^(-theta) sqrt(m).
+        # It grows every step, so the sup is the final gap level u T / a at
+        # rate 0 and the geometric sum level u / (a rate) (1 - (1 - rate dt)^n)
+        # otherwise.  Bound fixed before the first run: relative 1e-12.
+        u, T, dt, theta, ms = 1.5, 0.5, 1 / 64, 0.25, [16, 64, 500]
+        beta = linear_reversion_beta(rate) if rate else zero_kernel()
+        kp = KernelPair(alpha=constant_alpha(level), beta=beta)
+        gaps = run_coupled(kp, ms, 512, 0.3, T, dt, theta, lambda s, x: u, seed=7)
+        n = round(T / dt)
+        for m in ms:
+            a = m ** (-theta) * math.sqrt(m)
+            want = level * u * (T if not rate else (1 - (1 - rate * dt) ** n) / rate) / a
+            assert gaps[m] == pytest.approx(want**2, rel=1e-12, abs=0), m
 
     @pytest.mark.parametrize(
         "T, dt", [(0.5, 1 / 32), (0.25, 1 / 64)], ids=["step-count", "dt"]
@@ -432,50 +410,6 @@ def test_em_matches_the_exact_linear_gaussian_recursion():
     assert abs(x.var(ddof=1) - var) <= 4 * var * math.sqrt(2.0 / (m - 1))
 
 
-class TestOccupation:
-    def test_total_weight_is_horizon(self):
-        path, _ = simulate_controlled(
-            default_kernels(), 16, 0.0, 0.75, 1 / 64, a_m=0.5, control=lambda s, x: 1.0, seed=18
-        )
-        occ = occupation_accumulate(path, lambda s, x: 1.0)
-        assert occ.total_weight == pytest.approx(0.75, rel=1e-12)
-
-    def test_zero_control_marginal(self):
-        path, _ = simulate_controlled(
-            default_kernels(), 16, 0.0, 0.5, 1 / 64, a_m=0.5, control=lambda s, x: 0.0, seed=19
-        )
-        occ = occupation_accumulate(path, lambda s, x: 0.0)
-        assert np.all(occ.y == 0.0)
-
-    def test_cost_identity(self):
-        # 1/2 integral y^2 d(nu) reproduces the controlled run's cost exactly
-        ctrl = lambda s, x: np.sin(3 * s) * (1.0 + 0.2 * x)
-        path, cost = simulate_controlled(
-            default_kernels(), 24, 0.0, 0.5, 1 / 64, a_m=0.5, control=ctrl, seed=20
-        )
-        occ = occupation_accumulate(path, ctrl)
-        assert occ.cost() == pytest.approx(cost, rel=1e-12)
-
-    def test_xs_marginal_converges_to_reference(self):
-        # <nu_(2,3), f> for f = x*s against the reference-time integral
-        f = lambda x, s: x * s
-        ref = simulate_interacting(default_kernels(), 8192, 0.2, 0.5, 1 / 64, seed=21)
-        ref_val = np.trapezoid([ref.hook(t).pair(lambda x: x) * t for t in ref.times], ref.times)
-        errs = {}
-        for m in (16, 512):
-            vals = []
-            for r in range(6):
-                path, _ = simulate_controlled(
-                    default_kernels(), m, 0.2, 0.5, 1 / 64, a_m=m ** (-0.25),
-                    control=lambda s, x: 0.5, seed=22, replica=r,
-                )
-                occ = occupation_accumulate(path, lambda s, x: 0.5)
-                vals.append(occ.pair_xs(f))
-            errs[m] = abs(np.mean(vals) - ref_val)
-        assert errs[512] < errs[16] + 5e-3
-
-
-
 @pytest.mark.parametrize(
     "m, T, dt, match",
     [
@@ -486,14 +420,14 @@ class TestOccupation:
     ],
     ids=["not-a-multiple", "zero-dt", "negative-dt", "no-particles"],
 )
-@pytest.mark.parametrize("sim", ["run_coupled", "richardson_gap"])
+@pytest.mark.parametrize("sim", ["run_coupled", "simulate_interacting"])
 def test_bad_step_arguments_are_diagnosed(sim, m, T, dt, match):
     kp = default_kernels()
     with pytest.raises(ValueError, match=match):
         if sim == "run_coupled":
             run_coupled(kp, [m, 8], 16, 0.0, T, dt, 0.25, lambda s, x: 1.0, seed=1)
         else:
-            richardson_gap(kp, m, 0.0, T, dt, seed=1)
+            simulate_interacting(kp, m, 0.0, T, dt, seed=1)
 
 
 def test_nonfinite_positions_abort():
@@ -532,11 +466,3 @@ def test_nonfinite_positions_abort():
         with pytest.raises(FloatingPointError, match=match), np.errstate(over="ignore"):
             run()
 
-
-def test_occupation_requires_full_recording():
-    path, _ = simulate_controlled(
-        default_kernels(), 8, 0.0, 0.5, 1 / 32, a_m=0.5, control=lambda s, x: 1.0,
-        seed=2, record_stride=4,
-    )
-    with pytest.raises(ValueError, match="full-resolution"):
-        occupation_accumulate(path, lambda s, x: 1.0)
