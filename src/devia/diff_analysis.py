@@ -76,6 +76,19 @@ class GridField:
     ts: np.ndarray  # (Nt+1,) times
     values: np.ndarray  # (Nt+1, Nx)
 
+    def __post_init__(self):
+        for grid, name in ((self.xs, "spatial nodes"), (self.ts, "times")):
+            if np.ndim(grid) != 1 or len(grid) < 2:
+                raise ValueError(f"grid field needs at least 2 {name}; got {np.size(grid)}")
+            if np.any(np.diff(grid) <= 0):
+                raise ValueError(f"grid field {name} must be strictly increasing")
+        shape = (len(self.ts), len(self.xs))
+        if np.shape(self.values) != shape:
+            raise ValueError(
+                f"grid field values must have shape (times, nodes) = {shape}; "
+                f"got {np.shape(self.values)}"
+            )
+
     @property
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])

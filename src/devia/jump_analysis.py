@@ -45,15 +45,12 @@ from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_stat
 from .paths import PathVec, blocks, time_derivative
 
 __all__ = [
-    "ControlMatrixU",
     "RateResult",
     "solve_p",
     "skeleton_G0",
     "skeleton_picard",
     "rate_I",
     "rate_Ibar",
-    "u_from_psi",
-    "psi_from_u",
     "psi_l2sq",
     "birth_death_law",
 ]
@@ -279,60 +276,7 @@ def skeleton_picard(
 
 
 # ---------------------------------------------------------------------------
-# control containers and conversions
-
-
-@dataclass(frozen=True)
-class ControlMatrixU:
-    """Per-pair control coefficients sampled on a time grid.
-
-    ``values[k, i-1, j-1]`` approximates u_ij at grid[k]; quadratures over
-    time use the trapezoid rule on this grid.
-    """
-
-    grid: np.ndarray  # (N,)
-    values: np.ndarray  # (N, K, K), zero diagonal
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float).copy()
-        idx = np.arange(values.shape[1])
-        values[:, idx, idx] = 0.0
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-    def cost(self) -> float:
-        """1/2 * integral of sum_ij u_ij^2 dt (trapezoid)."""
-        dens = (self.values**2).sum(axis=(1, 2))
-        return 0.5 * float(np.trapezoid(dens, self.grid))
-
-
-def u_from_psi(model: RateModel, p_path: PathVec, psi: JumpControl) -> ControlMatrixU:
-    """Pointwise map psi -> u: u_ij(s) = psi_ij(s) sqrt(p_i(s) Gamma_ij(p(s))),
-    zero on cells with vanishing support measure, on the grid of p cut at the
-    bin edges (once per side), so the cost of u is half :func:`psi_l2sq`."""
-    s, k, W = _bin_samples(model, p_path, psi.edges)
-    return ControlMatrixU(s, psi.psi[k] * np.sqrt(W))
-
-
-def psi_from_u(
-    model: RateModel, p_path: PathVec, u: ControlMatrixU, edges: np.ndarray | None = None
-) -> JumpControl:
-    """Pointwise map u -> psi: psi_ij(s) = u_ij(s) / sqrt(p_i Gamma_ij(p)) on
-    active cells, materialized as a bin field sampled at the left bin edges.
-
-    With ``edges`` equal to the bin edges of a per-cell-constant source field,
-    composing with :func:`u_from_psi` is the identity.
-    """
-    if edges is None:
-        edges = u.grid
-    lefts = np.asarray(edges[:-1], dtype=float)
-    W = cell_weights(model, p_path(lefts))
-    idx = np.clip(np.searchsorted(u.grid, lefts, side="right") - 1, 0, len(u.grid) - 1)
-    uv = u.values[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = np.where(W > 0.0, uv / np.sqrt(W), 0.0)
-    return JumpControl(np.asarray(edges, dtype=float), psi)
+# control norm
 
 
 def psi_l2sq(model: RateModel, p_path: PathVec, psi: JumpControl) -> float:
@@ -404,13 +348,14 @@ def _apply_pinv(X: np.ndarray, Xp: np.ndarray, r: np.ndarray) -> tuple[np.ndarra
     return x[..., 0], np.linalg.norm(r - reached, axis=-1) / np.maximum(1.0, nr)
 
 
-def _least_norm_blocks(model: RateModel, p_path: PathVec, eta: PathVec, halve: bool):
-    """Least-norm coefficients u with B u = r, by one SVD pseudoinversion
-    per slice of the column stack B = [(e_j - e_i) sqrt(w_ij)] over the
-    cells (I, J) with weight somewhere in the block.  Yields (I, J, solved)
-    per block, with (rows, u, residual ratios) per forcing of
-    :func:`_slice_blocks`."""
+def _svd_density(model, p_path, eta, halve):
+    """Cost density sum_ij u_ij^2 of the least-norm coefficients u with
+    B u = r, and the residual ratios, per forcing of :func:`_slice_blocks`:
+    one SVD pseudoinversion per slice of the column stack
+    B = [(e_j - e_i) sqrt(w_ij)] over the cells (i, j) with weight somewhere
+    in the block."""
     K = model.K
+    out = _outputs(len(eta.grid), halve)
     for W, forcings in _slice_blocks(model, p_path, eta, halve):
         I, J = np.nonzero((W > 0.0).any(axis=0))
         pair = np.arange(len(I))
@@ -419,22 +364,10 @@ def _least_norm_blocks(model: RateModel, p_path: PathVec, eta: PathVec, halve: b
         B[:, J, pair] = sq
         B[:, I, pair] = -sq
         Bp = np.linalg.pinv(B, rcond=SVD_RTOL)
-        solved = []
-        for rows, sel, r in forcings:
-            u, ratio = _apply_pinv(B[sel], Bp[sel], r)
+        for (dens, ratio), (rows, sel, r) in zip(out, forcings):
+            u, ratio[rows] = _apply_pinv(B[sel], Bp[sel], r)
             # a cell with zero weight at a slice carries no control there
-            solved.append((rows, np.where(sq[sel] > 0.0, u, 0.0), ratio))
-        yield I, J, solved
-
-
-def _svd_density(model, p_path, eta, halve):
-    """Cost density sum_ij u_ij^2 of the least-norm coefficients, and the
-    residual ratios, per forcing of :func:`_slice_blocks`."""
-    out = _outputs(len(eta.grid), halve)
-    for _, _, solved in _least_norm_blocks(model, p_path, eta, halve):
-        for (dens, ratio), (rows, u, rr) in zip(out, solved):
-            dens[rows] = (u**2).sum(axis=-1)
-            ratio[rows] = rr
+            dens[rows] = (np.where(sq[sel] > 0.0, u, 0.0) ** 2).sum(axis=-1)
     return out
 
 
@@ -522,15 +455,6 @@ def rate_Ibar(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
     graph Laplacian of the cells.  It never forms the least-norm u, so it
     checks :func:`rate_I` independently."""
     return _rate_common(model, p_path, eta, _laplacian_density)
-
-
-def min_norm_u(model: RateModel, p_path: PathVec, eta: PathVec) -> ControlMatrixU:
-    """Least-norm per-pair control reproducing eta (no feasibility gating)."""
-    K = model.K
-    U = np.zeros((len(eta.grid), K, K))
-    for I, J, [(rows, u, _)] in _least_norm_blocks(model, p_path, eta, False):
-        U[rows, I, J] = u
-    return ControlMatrixU(eta.grid, U)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ the rates by O(1/m), so at large m nearly every guess holds and a window
 commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
 [1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
 for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
-The draws come from a per-row cache (see :class:`_ReplicaRandoms`), and the
-per-bin control tables and the bin caps are built once per call; the limit
-and reference paths are stacked into one path when they share a grid.
+Each iteration generates its window's draws for every row in one call (see
+:class:`_ReplicaRandoms`); the per-bin control tables and the bin caps are
+built once per call, and the limit and reference paths are stacked into one
+path when they share a grid.
 
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
@@ -280,11 +281,6 @@ def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
 # ---------------------------------------------------------------------------
 # batched kernel for Monte Carlo experiments
 
-# uniforms cached per batch, and the fetches a row's cache holds at least
-# (2 or more: a refill moves a row on by half its cache); together they set
-# each row's cache width (see _ReplicaRandoms)
-DRAW_BUDGET = 1 << 15
-CACHE_FETCHES = 3
 # window cells per batch: n rows of a K-state model evaluate windows of
 # CELL_BUDGET // (n K^2) events, at least 1 and at most MAX_WINDOW
 CELL_BUDGET = 1 << 15
@@ -302,22 +298,6 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
     s = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         s += x[..., j]
-    return s
-
-
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared euclidean distance over the last axis: (a - b)^2 summed as
-    np.add.reduce sums it (see :func:`_sum_last`)."""
-    if a.shape[-1] >= 8:
-        d = a - b
-        d *= d
-        return np.add.reduce(d, axis=-1)
-    s = a[..., 0] - b[..., 0]
-    s *= s
-    for j in range(1, a.shape[-1]):
-        d = a[..., j] - b[..., j]
-        d *= d
-        s += d
     return s
 
 
@@ -343,77 +323,43 @@ class _ReplicaRandoms:
     """Uniform draws of the live replicas, consumed in lockstep.
 
     Draw k of replica r is a pure function of (seed, r, k) (see
-    :func:`devia.rng.counter_uniforms`).  Each row caches the next ``cache``
-    draws of its replica, where ``cache`` is ``DRAW_BUDGET`` split over the
-    batch's rows, clamped to [32, 4096], but at least ``CACHE_FETCHES``
-    fetches, and a multiple of 4: 4096 for a single path, 732 for 100 tilted
-    replicas in windows of 81 events, 32 for 16384 plain replicas.
-    Results are therefore identical no matter how replicas are grouped, and
-    rows can be dropped without touching the draws of the others.
+    :func:`devia.rng.counter_uniforms`), so a row holds only its replica and
+    the index of its next draw.  Results are therefore identical no matter
+    how replicas are grouped, and rows can be dropped without touching the
+    draws of the others.
 
-    An iteration of the kernel reads ``span`` consecutive draws of every row
-    in one gather (:meth:`fetch`) and then moves each row's pointer past the
-    draws it used (:meth:`advance`), at most ``span``.  ``safe``, the number
-    of fetches no row can run out in, counts down to the next look for rows
-    that run low.  Once one does, every row at or past half its cache moves
-    on by half a cache in one ``counter_uniforms`` call: its second half
-    moves down and only the freed half is drawn, so each draw is generated
-    once.  A fetch spans at most half a cache (``CACHE_FETCHES`` >= 2), so
-    afterwards every row has at least one fetch left.
+    An iteration of the kernel reads the next ``span`` draws of every row
+    (:meth:`fetch`) and then moves each row's pointer past the draws it used
+    (:meth:`advance`), at most ``span``.  A fetch is one ``counter_uniforms``
+    call from the even draw at or below each pointer (a stop uses 1 draw,
+    so a pointer can be odd): ``span`` draws, one more if any pointer is
+    odd, rounded up to even.
     """
 
     def __init__(self, seed: int, replica_ids: np.ndarray, width: int, window: int):
-        n = len(replica_ids)
         self.width = width  # draws of one candidate event
         self.span = width * window
-        share = min(4096, max(32, DRAW_BUDGET // max(n, 1)))
-        # a multiple of 4, so that each half starts on a whole Philox block
-        self.cache = -(-max(share, CACHE_FETCHES * self.span) // 4) * 4
         self.seed = seed
         self.ids = replica_ids
-        self.base = np.zeros(n, dtype=np.int64)  # draw index of each row's cache start
-        self.buf = counter_uniforms(seed, replica_ids, self.base, self.cache)
-        # every run of span draws of the flat buffer, by its first draw
-        self.runs = np.lib.stride_tricks.sliding_window_view(self.buf.reshape(-1), self.span)
-        # a row keeps its buffer row when others leave: off is the flat index
-        # of its cache start, pos that of its next draw
-        self.off = np.arange(n) * self.cache
-        self.pos = self.off.copy()
-        self.safe = self.cache // self.span
+        self.pos = np.zeros(len(replica_ids), dtype=np.int64)  # each row's next draw
 
     def fetch(self) -> np.ndarray:
         """The next ``span`` draws of every row, shape (rows, span)."""
-        if not self.safe:
-            self._refill()
-        self.safe -= 1
-        return self.runs[self.pos]
+        odd = self.pos & 1
+        n = (self.span + int(odd.max()) + 1) & -2
+        u = counter_uniforms(self.seed, self.ids, self.pos - odd, n)
+        if n == self.span:  # every pointer is even
+            return u
+        runs = np.lib.stride_tricks.sliding_window_view(u.reshape(-1), self.span)
+        return runs[np.arange(0, u.size, n) + odd]
 
     def advance(self, used: np.ndarray) -> None:
         """Move each row past the ``used`` draws of its last fetch."""
         self.pos += used
 
-    def _refill(self) -> None:
-        ptr = self.pos - self.off
-        if ptr.max() > self.cache - self.span:
-            # every row at or past half its cache moves on by half a cache:
-            # its second half moves down and only the freed half is drawn
-            half = self.cache // 2
-            need = np.flatnonzero(ptr >= half)
-            rows = self.off[need] // self.cache
-            self.buf[rows, :half] = self.buf[rows, half:]
-            self.buf[rows, half:] = counter_uniforms(
-                self.seed, self.ids[need], self.base[need] + self.cache, half
-            )
-            self.base[need] += half
-            self.pos[need] -= half
-            ptr[need] -= half
-        self.safe = (self.cache - int(ptr.max())) // self.span
-
     def keep(self, rows: np.ndarray) -> None:
-        """Drop every row not selected by ``rows``; the buffer stays put."""
-        self.ids, self.base, self.off, self.pos = (
-            a[rows] for a in (self.ids, self.base, self.off, self.pos)
-        )
+        """Drop every row not selected by ``rows``."""
+        self.ids, self.pos = self.ids[rows], self.pos[rows]
 
 
 def _path_lookup(ref: PathVec | None, p_path: PathVec | None):
@@ -561,7 +507,8 @@ def batch_paths(
         dev = None
         if ref is not None:
             # each committed position's state before and after its jump
-            dev = np.maximum(_sq_dist(g / m, ref_t), _sq_dist(implied[:, 1:] / m, ref_t))
+            dev = _sum_last(np.square(g / m - ref_t))
+            np.maximum(dev, _sum_last(np.square(implied[:, 1:] / m - ref_t)), out=dev)
             dev *= pos[:1] < c[:, None]
             dev = dev.max(axis=1)
         if _events is not None:
@@ -617,7 +564,7 @@ def batch_paths(
         else:
             cap = T
         if ref is not None:
-            np.sqrt(_sq_dist(known[:, 0] / m, ref_t), out=sup)
+            np.sqrt(_sum_last(np.square(known[:, 0] / m - ref_t)), out=sup)
         # each row's first implied state, flat in an (n, E + 1) window
         starts, positions = np.arange(n)[:, None] * (E + 1), np.arange(E)
         while len(rows):

@@ -27,7 +27,6 @@ _SHIFT32 = np.uint64(32)
 _MUL = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # for words c0, c2
 _WEYL = (0x9E3779B9, 0xBB67AE85)
 _ROUNDS = 10
-_PASS_BLOCKS = 1 << 14  # output blocks per vectorized pass; bounds temporaries
 
 
 def stream(seed: int, *ids: int) -> np.random.Generator:
@@ -84,21 +83,18 @@ def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int)
         raise ValueError("draw ranges must start at a nonnegative even index and have even length")
     key = (seed & 0xFFFFFFFF, seed >> 32)
     half = n // 2
+    # counter (c0, c1, c2, c3) = (block lo, block hi, replica lo, replica hi)
+    x = np.empty((2, len(replicas) * half), dtype=np.uint64)
+    x[0] = (start[:, None] // 2 + np.arange(half)).ravel()
+    x[1] = np.repeat(replicas, half)
+    y = x >> _SHIFT32
+    x &= _MASK32
+    _rounds(x, y, key)
+    # draw 2j of a block is the top 53 bits of (c0 << 32 | c1), draw
+    # 2j + 1 those of (c2 << 32 | c3)
+    x <<= _SHIFT32
+    x |= y
+    x >>= np.uint64(11)
     out = np.empty((len(replicas), n))
-    step = max(1, _PASS_BLOCKS // max(half, 1))
-    for lo in range(0, len(replicas), step):
-        rows = slice(lo, lo + step)
-        # counter (c0, c1, c2, c3) = (block lo, block hi, replica lo, replica hi)
-        x = np.empty((2, min(step, len(replicas) - lo) * half), dtype=np.uint64)
-        x[0] = (start[rows, None] // 2 + np.arange(half)).ravel()
-        x[1] = np.repeat(replicas[rows], half)
-        y = x >> _SHIFT32
-        x &= _MASK32
-        _rounds(x, y, key)
-        # draw 2j of a block is the top 53 bits of (c0 << 32 | c1), draw
-        # 2j + 1 those of (c2 << 32 | c3)
-        x <<= _SHIFT32
-        x |= y
-        x >>= np.uint64(11)
-        np.multiply(x.T, 2.0**-53, out=out[rows].reshape(-1, 2))
+    np.multiply(x.T, 2.0**-53, out=out.reshape(-1, 2))
     return out

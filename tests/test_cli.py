@@ -263,6 +263,30 @@ def test_diff_rate_two_point_field_is_diagnosed(tmp_path, kernel_cfg, capsys):
     assert not out.exists()
 
 
+BAD_GRID_CSVS = {
+    "one-node": ("t,0.5\n0.0,0.0\n0.1,0.0\n0.2,0.0\n", "at least 2 spatial nodes; got 1"),
+    "one-time": ("t,-1.0,0.0,1.0\n0.0,0.0,0.0,0.0\n", "at least 2 times; got 1"),
+    "repeated-node": ("t,0.0,0.0,1.0\n0.0,0,0,0\n0.1,0,0,0\n0.2,0,0,0\n",
+                      "spatial nodes must be strictly increasing"),
+    "times-out-of-order": ("t,-1.0,0.0,1.0\n0.0,0,0,0\n0.2,0,0,0\n0.1,0,0,0\n",
+                           "times must be strictly increasing"),
+    "short-rows": ("t,-1.0,0.0,1.0\n0.0,0,0\n0.1,0,0\n0.2,0,0\n",
+                   "values must have shape (times, nodes) = (3, 3); got (3, 2)"),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_GRID_CSVS))
+def test_diff_rate_malformed_grid_is_diagnosed(tmp_path, kernel_cfg, capsys, name):
+    text, message = BAD_GRID_CSVS[name]
+    eta_csv = tmp_path / "eta.csv"
+    eta_csv.write_text(text)
+    out = tmp_path / "rate.json"
+    rc = main(["diff-rate", "--kernels", kernel_cfg, "--eta", str(eta_csv), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 MINI_MOMENTS = {"kind": "initial-moments", "p0": [0.5, 0.5], "m_grid": [50, 100], "replicas": 100}
 MINI_DIFFUSION = {"kind": "rate-roundtrip", "target": "diffusion", "kernels": {"family": "default"}}
 MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5, 0.5],

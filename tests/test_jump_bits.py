@@ -165,7 +165,8 @@ def test_column_sums_have_the_bits_of_add_reduce(width):
     x = rng.random((500, 3, width)) * 10.0 ** rng.uniform(-3, 3, (500, 3, width))
     y = rng.random((500, 3, width))
     assert jump_sim._sum_last(x).tobytes() == np.add.reduce(x, axis=-1).tobytes()
-    assert jump_sim._sq_dist(x, y).tobytes() == np.add.reduce((x - y) ** 2, axis=-1).tobytes()
+    squares = np.square(x - y)
+    assert jump_sim._sum_last(squares).tobytes() == np.add.reduce((x - y) ** 2, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("R", REPLICAS)

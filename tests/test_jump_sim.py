@@ -337,39 +337,34 @@ class TestBatchKernel:
         assert np.concatenate([s for s, _ in parts]).tobytes() == sup.tobytes()
         assert np.concatenate([f for _, f in parts]).tobytes() == finals.tobytes()
 
-    def test_single_path_equals_its_row_across_cache_refills(self, flip_model, monkeypatch):
-        # a lone replica caches 4096 draws and a 64-replica batch 1152 per
-        # row (3 fetches of windows of 128 events), so the two runs refill
-        # at different draws; the lone replica must refill at least twice,
-        # each time drawing only the half of its cache it moved past, and
-        # still match its row of the batch
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_fetch_reads_the_next_draws_of_every_row(self, width):
+        # rows advanced by mixed odd and even amounts, 1-draw stops among
+        # them, must read the slices of one wide call at their pointers, and
+        # dropping rows must leave the kept rows' draws as they were
         from devia import jump_sim
+        from devia.rng import counter_uniforms
 
-        window = {n: jump_sim._window_length(n, 2) for n in (1, 64)}
-        assert window == {1: 128, 64: 128}
-        assert jump_sim._ReplicaRandoms(0, np.arange(1), 3, window[1]).cache == 4096
-        assert jump_sim._ReplicaRandoms(0, np.arange(64), 3, window[64]).cache == 1152
-        q0 = np.array([0.5, 0.5])
-        p = solve_p(flip_model, q0, 1.0, 256)
-        m = 5000
-        kw = {
-            "control": JumpControl.constant(2, 1.0, {(1, 2): 0.5, (2, 1): -0.3}, n_bins=4),
-            "a_m": m ** (-0.25),
-            "p_path": p,
-            "ref": p,
-        }
-        sup, finals = batch_paths(flip_model, m, q0, 1.0, 8, np.arange(64), **kw)
-        fills = []
-        fill = jump_sim.counter_uniforms
-        monkeypatch.setattr(
-            jump_sim, "counter_uniforms", lambda *a: (fills.append(a[3]), fill(*a))[1]
-        )
-        r = 37
-        s1, f1 = batch_paths(flip_model, m, q0, 1.0, 8, np.array([r]), **kw)
-        # the first fill and at least two refills of half the cache
-        assert len(fills) >= 3 and fills[0] == 4096 and set(fills[1:]) == {2048}
-        assert s1.tobytes() == sup[r:r + 1].tobytes()
-        assert f1.tobytes() == finals[r:r + 1].tobytes()
+        ids = np.array([3, 17, 0, 99, 5, 42])
+        rnd = jump_sim._ReplicaRandoms(7, ids, width, 5)
+        wide = counter_uniforms(7, ids, 0, 400)
+        pos = np.zeros(len(ids), dtype=np.int64)
+        rng = np.random.default_rng(width)
+        for it in range(10):
+            u = rnd.fetch()
+            want = np.take_along_axis(wide, pos[:, None] + np.arange(rnd.span), axis=1)
+            assert u.tobytes() == want.tobytes(), it
+            used = rng.integers(1, rnd.span + 1, len(ids))
+            used[it % len(ids)], used[(it + 1) % len(ids)] = 1, 2
+            rnd.advance(used)
+            pos += used
+            if it in (3, 6):
+                kept = np.arange(len(ids)) != it % len(ids)
+                before = rnd.fetch()
+                rnd.keep(kept)
+                assert rnd.fetch().tobytes() == before[kept].tobytes()
+                ids, wide, pos = ids[kept], wide[kept], pos[kept]
+        assert np.array_equal(rnd.ids, ids)
 
     @pytest.mark.parametrize("T", [math.nan, -1.0, math.inf])
     def test_horizon_must_be_finite_and_nonnegative(self, flip_model, T):
@@ -412,9 +407,8 @@ class TestBatchKernel:
 
     def test_memory_is_bounded_in_replica_chunks(self, flip_model):
         # replicas advance in chunks of CHUNK_REPLICAS, so 3e5 replicas hold
-        # the outputs (7.2 MB), their ids (2.4 MB) and one chunk's draw
-        # cache and window arrays; one 32-draw cache row per replica alone
-        # would take 77 MB
+        # the outputs (7.2 MB), their ids (2.4 MB) and one chunk's draws and
+        # window arrays; 32 draws per replica alone would take 77 MB
         import tracemalloc
 
         from devia import jump_sim

@@ -16,11 +16,12 @@ one.
 that alternate the trees: the candidate events per second of
 ``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
 median of KERNEL_CALLS calls per process, with each tree's count of
-lockstep iterations and its row-positions evaluated per candidate event
-beside it), the seconds of ``solve_p``, ``skeleton_G0``,
-``rate_I`` and ``rate_Ibar`` at the rate-roundtrip shape (birth-death K = 5,
-4096 steps, a 4-bin potential control; the median of 5 calls per process,
-with the trees' largest output differences), the wall time of CLI
+lockstep iterations, its row-positions evaluated per candidate event and
+its ``counter_uniforms`` calls and draws generated beside it), the seconds
+of ``solve_p``, ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the
+rate-roundtrip shape (birth-death K = 5, 4096 steps, a 4-bin potential
+control; the median of 5 calls per process, with the trees' largest output
+differences), the wall time of CLI
 ``jump-sim`` (birth-death K = 5, m = 10^4), the wall time of
 ``python -c "import devia.harness.cli"``, the import that every CLI command
 pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
@@ -58,7 +59,8 @@ KERNEL_CALLS = 15  # timed kernel calls per process
 # the kernel at the jump-long shape, timed over KERNEL_CALLS calls after a
 # counting call; prints the candidate events (the work both trees share), the
 # lockstep iterations (which differ by design between a one-event kernel and
-# a windowed one), the row-positions those iterations evaluated, the median
+# a windowed one), the row-positions those iterations evaluated, the Philox
+# work (counter_uniforms calls and the draws they generated), the median
 # seconds and a hash of the outputs (which the two trees must share)
 KERNEL_PROBE = r"""
 import hashlib, json, statistics, sys, time
@@ -90,7 +92,7 @@ def run():
 # used: width per candidate event, and 1 for a stop at a bin edge or T
 cls = jump_sim._ReplicaRandoms
 fetch, advance = cls.fetch, cls.advance
-count = {"iterations": 0, "events": 0, "positions": 0}
+count = {"iterations": 0, "events": 0, "positions": 0, "philox_calls": 0, "draws": 0}
 
 def counted_fetch(self):
     u = fetch(self)
@@ -103,9 +105,17 @@ def counted_advance(self, moved):
     count["events"] += int(fired.sum())
     return advance(self, moved)
 
+def counted_uniforms(seed, replicas, start, n):
+    count["philox_calls"] += 1
+    count["draws"] += len(replicas) * n
+    return uniforms(seed, replicas, start, n)
+
+uniforms = jump_sim.counter_uniforms
 cls.fetch, cls.advance = counted_fetch, counted_advance
+jump_sim.counter_uniforms = counted_uniforms
 sup, finals = run()
 cls.fetch, cls.advance = fetch, advance
+jump_sim.counter_uniforms = uniforms
 seconds = []
 for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
@@ -311,6 +321,8 @@ def layers(trees: dict, scratch: Path) -> dict:
             # useful work over attempted: a window wastes the positions past
             # its first wrong guess
             "evaluated_per_event": {s: round(kernel[s][0]["positions"] / n, 4) for s in SIDES},
+            "philox_calls": {s: kernel[s][0]["philox_calls"] for s in SIDES},
+            "draws_generated": {s: kernel[s][0]["draws"] for s in SIDES},
             "outputs_hash": hashes.pop(),
             **{s: summary([n / r["seconds"] for r in kernel[s]]) for s in SIDES},
         },
