@@ -6,8 +6,8 @@ Subpackages and modules:
   geometry, drift and its derivative, thinning cost function).
 - ``jump_sim``: exact event-driven simulation, tilted simulation, scaled
   fluctuation paths.
-- ``jump_analysis``: limit ODE, skeleton map, jump rate functions, control
-  conversions.
+- ``jump_analysis``: limit ODE, skeleton map, jump rate functions, the exact
+  time-T law of a birth-death count chain.
 - ``diff_sim``: interacting diffusion ensembles (a reference ensemble is an
   interacting one at a large particle count), the limit law's pairing path
   and the coupling of controlled systems to it.

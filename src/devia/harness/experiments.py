@@ -141,7 +141,8 @@ LAYOUT = ("replicas", "m_grid")
 
 def _replicas_and_grid(spec: dict, kind: str) -> tuple[int, list[int]]:
     """The Monte Carlo layout of a slope fit: enough replicas for a usable
-    bootstrap and a strictly increasing grid of at least two sizes."""
+    bootstrap and a strictly increasing grid of at least two sizes, each
+    at least 1."""
     replicas = config_scalar(spec, "replicas", 0, integer=True)
     if replicas < MIN_REPLICAS:
         raise ValueError(
@@ -152,6 +153,8 @@ def _replicas_and_grid(spec: dict, kind: str) -> tuple[int, list[int]]:
     grid = config_numbers(spec, "m_grid", integer=True)
     if len(grid) < 2:
         raise ValueError(f"a slope fit needs an m_grid of at least 2 sizes; got {grid}")
+    if min(grid) < 1:
+        raise ValueError(f"every m_grid size must be at least 1; got {grid}")
     if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("m_grid must be strictly increasing")
     return replicas, grid
@@ -557,6 +560,8 @@ def run_experiment(spec: dict) -> ExperimentReport:
     if kind == "lemma-suite":
         from .lemmas import run_lemma_suite
 
+        # the suite's seeds are fixed, so even a seed key is not read
+        known_keys(spec, "lemma-suite spec", ("kind",))
         return run_lemma_suite()
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {sorted(RUNNERS)}")

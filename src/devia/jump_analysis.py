@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jump_sim import JumpControl, _bin_samples, _check_horizon
+from .jump_sim import JumpControl, _bin_integral, _check_horizon
 from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
@@ -282,9 +282,8 @@ def skeleton_picard(
 def psi_l2sq(model: RateModel, p_path: PathVec, psi: JumpControl) -> float:
     """Squared L2(lambda) norm of the control field: integral over time of
     sum_ij psi_ij(t)^2 p_i(t) Gamma_ij(p(t)), each bin on its own side of
-    its edges (see :func:`_bin_samples`)."""
-    s, k, W = _bin_samples(model, p_path, psi.edges)
-    return float(np.trapezoid((psi.psi[k] ** 2 * W).sum(axis=(1, 2)), s))
+    its edges (see :func:`_bin_integral`)."""
+    return _bin_integral(model, p_path, psi.edges, psi.psi**2)
 
 
 # ---------------------------------------------------------------------------

@@ -22,16 +22,14 @@ Waiting times are summed in draw order, so each position's time has the
 bits of the one-event loop.  The iteration commits the longest prefix whose
 guessed states equal the states implied by the jumps before them, through
 the first position that stops at a bin edge or T; committing only verified
-positions makes every output the same for any E and any guesses.  After a
-window that committed c positions, the next one guesses the states it
-implied before position V = E - c + 1; the later positions are predicted
-once the next window's draws are fetched: with the rates frozen at the
-state at V - 1, each draw picks its cell from the frozen bound (and in
-tilted runs takes the thinning test at those rates and p at the window
-start), and the guess is that state plus the predicted jumps.  A row that
-stopped at a bin edge or T predicts all but its true state.  A jump moves
-the rates by O(1/m), so at large m nearly every guess holds and a window
-commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
+positions makes every output the same for any E and any guesses.  A row
+carries only its true state from one window to the next, and each window
+predicts its guesses from it: with the rates frozen at the true state,
+each draw picks its cell from the frozen bound (and in tilted runs takes
+the thinning test at those rates and p at the window start), and the guess
+is the true state plus the predicted jumps.  A jump moves the rates by
+O(1/m), so at large m nearly every guess holds and a window commits nearly
+all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
 [1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
 for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
 Each iteration generates its window's draws for every row in one call (see
@@ -230,10 +228,10 @@ def _recorded_path(model, m, q0, T, seed, replica, **tilt) -> JumpPath:
     return JumpPath(np.array(times), np.array(counts), m=m, T=float(T))
 
 
-def _bin_samples(model: RateModel, p_path: PathVec, edges: np.ndarray):
-    """The grid of p cut at the bin ``edges``, the bin of each point, and the
-    cell weights there: a bin holds its grid points and both its edges, so a
-    trapezoid rule on the cut grid never reads a neighbouring bin."""
+def _bin_integral(model: RateModel, p_path: PathVec, edges: np.ndarray, table) -> float:
+    """Integral over s of sum_ij table[k, i, j] p_i(s) Gamma_ij(p(s)), k the
+    bin of s: a trapezoid rule on the grid of p cut at the bin ``edges``; each
+    bin holds its grid points and both its edges, so never reads its neighbour."""
     ts = p_path.grid
     cuts = np.clip(edges, ts[0], ts[-1])
     cuts[0], cuts[-1] = ts[0], ts[-1]
@@ -243,7 +241,8 @@ def _bin_samples(model: RateModel, p_path: PathVec, edges: np.ndarray):
     ]
     s = np.concatenate(pieces)
     k = np.repeat(np.arange(len(pieces)), [len(piece) for piece in pieces])
-    return s, k, cell_weights(model, p_path(s))
+    W = cell_weights(model, p_path(s))
+    return float(np.trapezoid((table[k] * W).sum(axis=(1, 2)), s))
 
 
 def tilt_cost(
@@ -255,15 +254,14 @@ def tilt_cost(
 
     ell(phi) is constant per cell and bin, so the integral reduces to per-cell
     integrals of the support-cell measure p_i(s) Gamma_ij(p(s)) over each bin
-    (see :func:`_bin_samples`).
+    (see :func:`_bin_integral`).
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
     _check_horizon("p_path", p_path.T, control.T)
     phi = 1.0 + control.psi / a_scale  # (B, K, K)
     ell = ell_cost(phi.ravel()).reshape(phi.shape)
-    s, k, W = _bin_samples(model, p_path, control.edges)
-    return float(np.trapezoid((ell[k] * W).sum(axis=(1, 2)), s))
+    return _bin_integral(model, p_path, control.edges, ell)
 
 
 def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
@@ -304,8 +302,8 @@ def _sum_last(x: np.ndarray) -> np.ndarray:
 def _pick_cells(bound: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """The cell of each threshold: the first whose prefix sum of ``bound``
     over its last axis, added in order, exceeds ``thr`` (with which the
-    other axes broadcast), the last taking what rounding leaves over; ties
-    resolve past zero-weight cells."""
+    other axes broadcast), the last taking what rounding leaves over; ties skip
+    zero-weight cells."""
     acc = bound[..., 0].copy()
     cell = (acc <= thr).astype(np.intp)
     for j in range(1, bound.shape[-1] - 1):
@@ -329,7 +327,7 @@ class _ReplicaRandoms:
     draws of the others.
 
     An iteration of the kernel reads the next ``span`` draws of every row
-    (:meth:`fetch`) and then moves each row's pointer past the draws it used
+    (:meth:`fetch`) and then moves each row's pointer beyond the draws it used
     (:meth:`advance`), at most ``span``.  A fetch is one ``counter_uniforms``
     call from the even draw at or below each pointer (a stop uses 1 draw,
     so a pointer can be odd): ``span`` draws, one more if any pointer is
@@ -354,7 +352,7 @@ class _ReplicaRandoms:
         return runs[np.arange(0, u.size, n) + odd]
 
     def advance(self, used: np.ndarray) -> None:
-        """Move each row past the ``used`` draws of its last fetch."""
+        """Move each row beyond the ``used`` draws of its last fetch."""
         self.pos += used
 
     def keep(self, rows: np.ndarray) -> None:
@@ -447,15 +445,45 @@ def batch_paths(
     step = eye[cells % K] - eye[cells // K]
     width = 3 if tilted else 2  # draws of a candidate event
 
-    def window(u, g, t, cap, factor, psi_a):
-        """Evaluate one window of every live row from its draws ``u`` (n, E,
-        width) and guessed states ``g`` (n, E, K).  Returns the positions
-        committed, the states implied before every position (n, E + 1, K),
-        whether the last committed position stopped at the cap, the time
-        after it, with a ref the largest squared deviation observed at the
-        committed positions and, in tilted runs, p at the time after it.
-        Accepted committed events go to _events."""
-        n, E = g.shape[:2]
+    def walk(s, cell):
+        """The states ``s`` (n, K) and those after each of the jumps
+        ``cell`` (n, L), cell 0 (a diagonal one) for none: (n, L + 1, K)."""
+        n, L = cell.shape
+        states = np.empty((n, L + 1, K), dtype=np.int64)
+        states[:, 0] = s
+        step.take(cell, axis=0, out=states[:, 1:])
+        states[:, 1] += s
+        if L > 1:
+            np.cumsum(states[:, 1:], axis=1, out=states[:, 1:])
+        return states
+
+    def predict(u, s, factor, psi_a, p_now):
+        """Guessed states of the window: the true state ``s``, then the states
+        reached by the jumps that the draws ``u`` give at the rates of ``s``,
+        the bound factor and p at the window start ``p_now``."""
+        n = len(s)
+        rates = (s[:, :, None] * model.rates_batch(s / m)).reshape(n, KK)
+        bound = rates * factor if tilted else rates
+        cell = _pick_cells(bound[:, None], u[:, :-1, 1] * _sum_last(bound)[:, None])
+        lin = np.arange(n)[:, None] * KK + cell
+        b_cell = bound.take(lin)
+        accept = b_cell > 0.0
+        if tilted:
+            w_p = (m * p_now[:, :, None] * model.rates_batch(p_now)).reshape(n, KK)
+            actual = rates + psi_a * np.minimum(rates, w_p)
+            accept &= u[:, :-1, 2] * b_cell <= actual.take(lin)
+        return walk(s, cell * accept)
+
+    def window(u, s, t, cap, factor, psi_a, p_now):
+        """Evaluate one window of every live row, at guesses predicted from
+        its true state ``s`` (n, K) and draws ``u`` (n, E, width).  Returns
+        the positions committed, the states implied before every position
+        and after the last (n, E + 1, K), whether the last committed position
+        stopped at the cap, the time after it, with a ref the largest squared
+        deviation observed at the committed positions and, in tilted runs, p
+        at the time after it.  Accepted committed events go to _events."""
+        n, E = u.shape[:2]
+        g = predict(u, s, factor, psi_a, p_now) if E > 1 else s[:, None]
         pos = np.arange(n * E).reshape(n, E)  # flat index of each position
         rates = g[..., None] * model.rates_batch(g / m)  # (n, E, K, K)
         bound = rates.reshape(n, E, KK)
@@ -470,7 +498,7 @@ def batch_paths(
         t_prop[:, 0] += t
         if E > 1:
             np.cumsum(t_prop, axis=1, out=t_prop)
-        # a position past its bin boundary (or the horizon) stops there
+        # a position beyond its bin boundary (or the horizon) stops there
         fired = t_prop <= cap
         times = np.fmin(t_prop, cap)
 
@@ -488,14 +516,8 @@ def batch_paths(
             actual = r_cell + psi_cell * np.minimum(r_cell, w_p)
             accept &= u[..., 2] * b_cell <= actual
 
-        # implied[:, e] is the state before position e: the true state plus
-        # the accepted jumps of the positions before it
-        implied = np.empty((n, E + 1, K), dtype=np.int64)
-        implied[:, 0] = g[:, 0]
-        step.take(cell * accept, axis=0, out=implied[:, 1:])
-        implied[:, 1] += g[:, 0]
-        if E > 1:
-            np.cumsum(implied[:, 1:], axis=1, out=implied[:, 1:])
+        # implied[:, e]: the true state plus the accepted jumps before position e
+        implied = walk(s, cell * accept)
         # commit positions while the guess was the implied state, through
         # the first that stops at the cap (counts sum to m, so K - 1 states
         # decide equality)
@@ -517,31 +539,6 @@ def batch_paths(
         p_last = None if p_t is None else p_t[np.arange(n), c - 1]
         return c, implied, ~fired.take(last), times.take(last), dev, p_last
 
-    def predict(u, known, V, factor, psi_a, p_now):
-        """Guessed states of every window position, written into ``known``:
-        the known states before position V of each row, and from V on the
-        states reached from the one at V - 1 by the jumps its rates, the
-        bound factor and p at the window start give the window's draws
-        ``u``."""
-        n, E = known.shape[:2]
-        s = known[:, -1]  # the state at V - 1
-        rates = (s[:, :, None] * model.rates_batch(s / m)).reshape(n, KK)
-        bound = rates * factor if tilted else rates
-        cell = _pick_cells(bound[:, None], u[:, :-1, 1] * _sum_last(bound)[:, None])
-        lin = np.arange(n)[:, None] * KK + cell
-        b_cell = bound.take(lin)
-        accept = b_cell > 0.0
-        if tilted:
-            w_p = (m * p_now[:, :, None] * model.rates_batch(p_now)).reshape(n, KK)
-            actual = rates + psi_a * np.minimum(rates, w_p)
-            accept &= u[:, :-1, 2] * b_cell <= actual.take(lin)
-        # position e + 1 is predicted from the jumps at V - 1 .. e
-        accept &= np.arange(1, E) >= V[:, None]
-        jumps = step.take(cell * accept, axis=0)
-        np.cumsum(jumps, axis=1, out=jumps)
-        known[:, 1:] += jumps
-        return known
-
     def advance(ids, sup_out, finals_out):
         """Run the replicas ``ids`` to T; write their results to the outputs."""
         n = len(ids)
@@ -549,11 +546,7 @@ def batch_paths(
         rnd = _ReplicaRandoms(seed, ids, width, E)
         rows = np.arange(n)
         t = np.zeros(n)
-        # the states the last window implied at the positions of the next,
-        # the true state at position 0 and its guesses before position V;
-        # positions from V - 1 on hold the state at V - 1
-        known = np.tile(counts0, (n, E, 1))
-        V = np.ones(n, dtype=np.intp)
+        s = np.tile(counts0, (n, 1))  # each row's true state
         sup = np.zeros(n)
         k = np.zeros(n, dtype=np.intp)  # control bin of each row
         # the rows' entries of the bin tables; regathered when a row moves bin
@@ -564,26 +557,17 @@ def batch_paths(
         else:
             cap = T
         if ref is not None:
-            np.sqrt(_sum_last(np.square(known[:, 0] / m - ref_t)), out=sup)
-        # each row's first implied state, flat in an (n, E + 1) window
-        starts, positions = np.arange(n)[:, None] * (E + 1), np.arange(E)
+            np.sqrt(_sum_last(np.square(s / m - ref_t)), out=sup)
         while len(rows):
-            n = len(rows)
-            u = rnd.fetch().reshape(n, E, width)  # waiting time, cell, thinning test
-            g = predict(u, known, V, factor, psi_a, p_now) if E > 1 else known
-            c, implied, stopped, t, dev, p_now = window(u, g, t, cap, factor, psi_a)
+            u = rnd.fetch().reshape(len(rows), E, width)  # waiting time, cell, thinning test
+            c, implied, stopped, t, dev, p_now = window(u, s, t, cap, factor, psi_a, p_now)
+            # the true state after the commit (c = 1 in a window of one);
+            # implied stays referenced until the next window returns, which
+            # keeps glibc malloc from trimming the heap every iteration
+            s = implied[:, 1] if E == 1 else implied[np.arange(len(c)), c]
             rnd.advance(width * c - (width - 1) * stopped)
             if dev is not None:
                 np.maximum(sup, np.sqrt(dev), out=sup)
-            if E == 1:
-                known = implied[:, 1:]
-            else:
-                # the next window knows the states this one implied past its
-                # commit; a row that stopped reads its draws at another
-                # offset and knows only its true state
-                past = starts[:n] + np.minimum(c[:, None] + positions * ~stopped[:, None], E)
-                known = implied.reshape(-1, K).take(past, axis=0)
-                V = np.where(stopped, 1, E + 1 - c)
 
             if tilted:
                 moved = t >= next_edge
@@ -593,9 +577,9 @@ def batch_paths(
             done = t >= T
             if done.any():
                 sup_out[rows[done]] = sup[done]
-                finals_out[rows[done]] = known[done, 0]
+                finals_out[rows[done]] = s[done]
                 live = ~done
-                rows, t, known, V, sup, k = (a[live] for a in (rows, t, known, V, sup, k))
+                rows, t, s, sup, k = (a[live] for a in (rows, t, s, sup, k))
                 rnd.keep(live)
                 if tilted:
                     p_now = p_now[live]

@@ -329,11 +329,20 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
      "'domain' must be two numbers [lo, hi] with lo < hi; got [-5.0, 0.0, 5.0]"),
     (dict(MINI_TILT, control={"n_bins": -1, "entries": {"1,2": 0.4}}),
      "'n_bins' must be at least 1; got -1"),
+    # m = 0 gave nan statistics, and m < 0 numpy's "n < 0"
+    (dict(MINI_MOMENTS, m_grid=[0, 10]), "every m_grid size must be at least 1; got [0, 10]"),
+    (dict(MINI_MOMENTS, m_grid=[-5, 10]), "every m_grid size must be at least 1; got [-5, 10]"),
+    # the suite reads no key but kind (its seeds are fixed); these used to be
+    # silently dropped
+    ({"kind": "lemma-suite", "seed": 5, "sead": 1, "criteria": {"bogus": 1}},
+     "the lemma-suite spec has an unknown key 'criteria'; expected one of ['kind']"),
+    ({"kind": "lemma-suite", "seed": 5}, "the lemma-suite spec has an unknown key 'seed'"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
         "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
         "misspelled-criteria", "misspelled-criterion", "misspelled-T_diff", "misspelled-n_bins",
-        "three-entry-domain", "negative-n_bins"])
+        "three-entry-domain", "negative-n_bins", "zero-m", "negative-m", "lemma-suite-keys",
+        "lemma-suite-seed"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"

@@ -52,6 +52,7 @@ SPECS = {
         "T_diff": 0.25, "nx": 161, "domain": [-5.0, 5.0], "seed": 19,
         "criteria": {"diff_rel_tol": 0.1},
     },
+    "lemma-suite": {"kind": "lemma-suite"},
 }
 
 PINNED = {
@@ -62,6 +63,7 @@ PINNED = {
     "initial-moments": "14b9663c791c71c2",
     "rate-roundtrip-jump": "e3845da926364eb2",
     "rate-roundtrip-diffusion": "08063cc03629723e",
+    "lemma-suite": "3d5de16fbe84640d",
 }
 
 
