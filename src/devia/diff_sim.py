@@ -35,16 +35,26 @@ layout changes no output bit; the fused form rounds differently from the
 unfused b dt + sigma sqrt(dt) z + sigma u dt / a, by about one unit in the
 last place.
 
-Noise is drawn per step from the replica's own counter-based stream, one
-standard normal per particle, so a controlled system of size m and reference
+Noise is drawn from the replica's own counter-based stream, one standard
+normal per particle per step, so a controlled system of size m and reference
 particles driven by the same stream share Brownian increments by particle
 index (the coupling construction; see :func:`run_coupled`): each system
-reads its normals as a view of the first m of the reference draw.
+reads its normals as a view of the first m of the reference row.  Every
+simulator takes its rows from one source, :func:`_normal_rows`: a helper
+thread fills the next block of whole steps into one of two buffers of at
+most NOISE_FLOATS floats while the steps read the other.  The generator
+fills without holding the interpreter lock, so the draws overlap the
+steps' arithmetic, and a fill of shape (rows, width) makes the same draws
+as ``rows`` successive draws of ``width`` normals, so the blocks change no
+output bit.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,6 +75,10 @@ REFERENCE_REPLICA = 10_000_000
 # that the factor functions allocate at 64 KB; larger temporaries are
 # returned to the OS and faulted back every step
 BLOCK = 8192
+
+# floats per noise buffer (1 MB): 16 steps at width 8192, 4 at 32768; the
+# run holds two
+NOISE_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,48 @@ def _n_steps(T: float, dt: float) -> int:
     if abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"horizon T={T!r} is not a multiple of the step size dt={dt!r}")
     return n_steps
+
+
+def _normal_rows(rng: np.random.Generator, n_steps: int, width: int):
+    """Yield n_steps rows of ``width`` standard normals from ``rng``, in
+    stream order.  A helper thread fills blocks of whole steps, at most
+    NOISE_FLOATS floats unless one step is larger, into two buffers in turn:
+    the next block while the caller reads the rows of the current one.  A
+    row stays valid until the next row is asked for.  The thread starts with
+    the first row and is stopped and joined when the generator finishes or
+    is closed; callers close it (``contextlib.closing``) so that an
+    exception in their loop does not leave it running.
+    """
+    if n_steps == 0:
+        return
+    rows = max(1, NOISE_FLOATS // width)
+    bufs = [np.empty((min(rows, n_steps), width)) for _ in range(0, n_steps, rows)[:2]]
+    # block i fills buffer i % 2; the last block may be short
+    blocks = [bufs[i % 2][: n_steps - lo] for i, lo in enumerate(range(0, n_steps, rows))]
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def fill():
+        try:
+            while (block := todo.get()) is not None:
+                rng.standard_normal(out=block)
+                done.put(block)
+        except Exception as exc:  # the caller would wait on done forever
+            done.put(exc)
+
+    helper = threading.Thread(target=fill, name="normal-rows", daemon=True)
+    helper.start()
+    try:
+        todo.put(blocks[0])
+        for i in range(len(blocks)):
+            if i + 1 < len(blocks):
+                todo.put(blocks[i + 1])  # the buffer of block i - 1, all read
+            block = done.get()
+            if isinstance(block, Exception):
+                raise block
+            yield from block
+    finally:
+        todo.put(None)
+        helper.join()
 
 
 class _FlatEM:
@@ -253,14 +309,14 @@ def simulate_interacting(
     n_steps = _n_steps(T, dt)
     rng = stream(seed, replica)
     sim = _FlatEM(kernels, [m], x0, dt)
-    z = np.empty(m)
     rec_idx = [*range(0, n_steps, record_stride), n_steps]
     positions = np.empty((len(rec_idx), m))
     positions[0] = sim.x
-    for k in range(1, n_steps + 1):
-        sim.step([rng.standard_normal(out=z)])
-        if k % record_stride == 0 or k == n_steps:
-            positions[-(-k // record_stride)] = sim.x  # row ceil(k / stride)
+    with closing(_normal_rows(rng, n_steps, m)) as rows:
+        for k, z in enumerate(rows, 1):
+            sim.step([z])
+            if k % record_stride == 0 or k == n_steps:
+                positions[-(-k // record_stride)] = sim.x  # row ceil(k / stride)
     return DiffusionPath(times=np.array(rec_idx) * dt, positions=positions)
 
 
@@ -292,11 +348,11 @@ def limit_path(
     n_steps = _n_steps(T, dt)
     rng = stream(seed, REFERENCE_REPLICA)
     sim = _FlatEM(kernels, [M_ref], x0, dt)
-    z = np.empty(M_ref)
     values = np.empty((n_steps + 1, 2))
-    for k in range(n_steps):
-        sim.step([rng.standard_normal(out=z)])
-        values[k] = sim.used[0]
+    with closing(_normal_rows(rng, n_steps, M_ref)) as rows:
+        for k, z in enumerate(rows):
+            sim.step([z])
+            values[k] = sim.used[0]
     sim._pairings([None])
     values[n_steps] = sim.used[0]
     return LimitPath(values=values, dt=dt, M_ref=M_ref, x0=float(x0))
@@ -324,7 +380,9 @@ def run_coupled(
     given; pass it to share one across replicas), and one per-step increment
     array drives them and every controlled system, which uses its first m
     columns.  Returns m -> (1/m) sum_i sup-step squared gap, with the sup
-    taken over every step.
+    taken over every step.  Raises FloatingPointError, naming the system,
+    when a position leaves the finite range or a sup squared gap is not
+    finite.
     """
     if min(ms) < 1:
         raise ValueError(f"system sizes must be >= 1; got ms={list(ms)}")
@@ -340,21 +398,26 @@ def run_coupled(
     rng = stream(seed, replica)
     names = [f"the system of size m={m}" for m in ms] + ["the reference block"]
     sim = _FlatEM(kernels, [*ms, max(ms)], x0, dt, names)
-    z_ref = np.empty(max(ms))
-    zs = [z_ref[:m] for m in ms] + [z_ref]
     *xs, x_ref = sim.xs
     gap = np.zeros(sum(ms))
     diff = np.empty_like(gap)
     diffs = [diff[seg] for seg in sim.segs[:-1]]
     a_scale = [m ** (-theta) * math.sqrt(m) for m in ms]
     pairings = [None] * (len(ms) + 1)
-    for k in range(n_steps):
-        t = k * dt
-        rng.standard_normal(out=z_ref)
-        controls = [(np.asarray(control(t, x), dtype=float), a) for x, a in zip(xs, a_scale)]
-        pairings[-1] = limit.values[k]
-        sim.step(zs, pairings, controls + [None])
-        for d, x, m in zip(diffs, xs, ms):
-            np.subtract(x, x_ref[:m], out=d)
-        np.maximum(gap, np.square(diff, out=diff), out=gap)
+    # overflow is diagnosed, not warned about: a position that leaves the
+    # finite range stops the step, and an infinite gap the check below
+    with closing(_normal_rows(rng, n_steps, max(ms))) as rows, np.errstate(over="ignore"):
+        for k, z in enumerate(rows):
+            t = k * dt
+            controls = [(np.asarray(control(t, x), dtype=float), a) for x, a in zip(xs, a_scale)]
+            pairings[-1] = limit.values[k]
+            sim.step([z[:m] for m in ms] + [z], pairings, controls + [None])
+            for d, x, m in zip(diffs, xs, ms):
+                np.subtract(x, x_ref[:m], out=d)
+            np.maximum(gap, np.square(diff, out=diff), out=gap)
+    if not np.isfinite(gap).all():
+        j = int(np.searchsorted(sim.edges, int(np.argmin(np.isfinite(gap))), side="right")) - 1
+        raise FloatingPointError(
+            f"the sup squared gap of {names[j]} to its reference particles is not finite"
+        )
     return {m: float(gap[seg].mean()) for seg, m in zip(sim.segs, ms)}

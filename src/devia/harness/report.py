@@ -147,8 +147,9 @@ def fit_loglog_slope(
     number at every m; the bootstrap resamples replicas (the sup statistics
     are heavy-tailed, so a normal stderr on the log-means would be
     optimistic), with its draws in resample-major order.  A mean that is not
-    positive has no logarithm: the slope is then None and ``error`` names the
-    system sizes at fault.  The CI is None when some resample has such a mean.
+    positive and finite has no finite logarithm: the slope is then None and
+    ``error`` names the system sizes at fault.  The CI is None when some
+    resample has such a mean.
     """
     ms = np.asarray(sorted(ms))
     logm = np.log(ms)
@@ -160,9 +161,9 @@ def fit_loglog_slope(
         "ci_low": None,
         "ci_high": None,
     }
-    bad = [int(m) for m, v in zip(ms, means) if not v > 0.0]
+    bad = [int(m) for m, v in zip(ms, means) if not 0.0 < v < np.inf]
     if bad:
-        fit["error"] = f"mean is not positive at m = {bad}, so log(mean) is undefined"
+        fit["error"] = f"mean is not positive and finite at m = {bad}, so log(mean) is undefined"
         return fit
     fit["slope"] = float(np.polyfit(logm, np.log(means), 1)[0])
     rng = stream(seed, _BOOTSTRAP_STREAM)
@@ -177,7 +178,7 @@ def fit_loglog_slope(
                 idx[b, i] = rng.integers(0, n, n)
         for i in range(n_m):
             boot_means[lo:hi, i] = values[i][idx[: hi - lo, i]].mean(axis=1)
-    defined = np.all(boot_means > 0.0, axis=1)
+    defined = np.all((boot_means > 0.0) & (boot_means < np.inf), axis=1)
     boot = np.full(BOOTSTRAP_RESAMPLES, np.nan)
     if defined.any():
         boot[defined] = np.polyfit(logm, np.log(boot_means[defined]).T, 1)[0]
@@ -185,7 +186,7 @@ def fit_loglog_slope(
     if undefined:
         fit["error"] = (
             f"{undefined} of {BOOTSTRAP_RESAMPLES} bootstrap resamples have a mean "
-            "that is not positive"
+            "that is not positive and finite"
         )
     else:
         lo, hi = np.percentile(boot, [2.5, 97.5])

@@ -55,6 +55,10 @@ DIFFERENCES = [
 ]
 
 
+# the EM probe's process CPU seconds, recorded from BENCH_24.json on
+CPU_KEYS = ("run_coupled_cpu_s", "limit_path_cpu_s")
+
+
 def _medians():
     return json.loads(json.dumps(MEDIANS))
 
@@ -68,7 +72,7 @@ def _with_layers():
             "parent": {"best": 0.61, "runs": [0.7, 0.61, 0.65]},
             "change": {"best": 0.3, "runs": [0.3, 0.31, 0.33]},
         })
-    for key in ("em_particle_steps_per_s", "batch_paths_events_per_s"):
+    for key in ("em_particle_steps_per_s", "batch_paths_events_per_s", *CPU_KEYS):
         doc["layers"].setdefault(key, _medians())
     for key, diff in DIFFERENCES:
         doc["layers"].setdefault(key, {diff: 1e-14, **_medians()})
@@ -78,7 +82,15 @@ def _with_layers():
 MEDIAN_KEYS = ["batch_paths_events_per_s", "batch_paths_iterations_per_s",
                "em_particle_steps_per_s",
                "solve_p_s", "skeleton_G0_s", "rate_I_s", "rate_Ibar_s",
-               "cli_jump_sim_s", "cli_import_s", "limit_path_s"]
+               "cli_jump_sim_s", "cli_import_s", "limit_path_s", *CPU_KEYS]
+
+
+@pytest.mark.parametrize("path", [p for p in BENCH_FILES if int(p.stem.split("_")[1]) >= 24],
+                         ids=lambda p: p.name)
+def test_em_probe_records_cpu_beside_wall_seconds(path):
+    layers = json.loads(path.read_text())["layers"]
+    for key in ("em_particle_steps_per_s", "limit_path_s", *CPU_KEYS):
+        assert all(layers[key][side]["runs"] for side in ("parent", "change"))
 
 
 @pytest.mark.parametrize("key", MEDIAN_KEYS)

@@ -3,6 +3,7 @@ import json
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import devia
 from devia.harness.cli import main
 from devia.harness.config import dump_config
 from devia.harness.io import read_grid_field, read_path_vec, write_grid_field
+from test_harness import MINI_COUPLING
 
 MODEL_CFG = {"family": "two-state", "rate": 1.0, "q0": [0.5, 0.5]}
 KERNEL_CFG = {"family": "default", "c_alpha": 0.5, "c_beta": 0.5, "test_functions": [[1.0], [0.0, 1.0]]}
@@ -248,6 +250,23 @@ def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
         rc = main(argv + ["--x0", "1", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "left the finite range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", [False, True], ids=["summary", "out"])
+def test_overflowing_coupling_gap_is_a_diagnosed_exit(tmp_path, capsys, out):
+    # under a 1e300 control the positions stay finite, but their squared gap
+    # to the reference particles overflows; it used to end in a nan slope
+    spec = tmp_path / "spec.json"
+    dump_config(dict(MINI_COUPLING, control={"constant": 1e300}), spec)
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", str(spec), *(["--out", str(report)] if out else [])])
+    assert rc == 2
+    assert ("the sup squared gap of the system of size m=16 to its reference particles "
+            "is not finite") in capsys.readouterr().err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert not report.exists()
 
 
 def test_diff_rate_two_point_field_is_diagnosed(tmp_path, kernel_cfg, capsys):

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -7,10 +9,12 @@ import pytest
 from devia.diff_analysis import solve_fokker_planck
 from devia.diff_sim import (
     BLOCK,
+    NOISE_FLOATS,
     REFERENCE_REPLICA,
     LimitPath,
     _FlatEM,
     _n_steps,
+    _normal_rows,
     limit_path,
     run_coupled,
     simulate_interacting,
@@ -461,8 +465,54 @@ def test_nonfinite_positions_abort():
         ),
         (lambda: richardson_gap(blowup, 4, 3.0, 4.0, 0.5, seed=1), "particle 0"),
     ]
+    threads = threading.active_count()
     for run, where in runs:
         match = where + r" left the finite range in a step of size dt=0\.(25|5)$"
-        with pytest.raises(FloatingPointError, match=match), np.errstate(over="ignore"):
+        # ``caught`` keeps the traceback, and with it the run's frames, alive:
+        # the noise thread must be joined all the same
+        with pytest.raises(FloatingPointError, match=match) as caught, np.errstate(over="ignore"):
             run()
+        assert threading.active_count() == threads, caught.value
+
+
+@pytest.mark.parametrize("width, n_steps", [
+    (NOISE_FLOATS + 3, 3),  # one step per block
+    (1000, 300),  # 131 steps per block, the last block short
+    (1000, 5),  # fewer steps than one block
+])
+def test_noise_rows_are_the_stream_in_order(width, n_steps):
+    threads = threading.active_count()
+    rows = [z.copy() for z in _normal_rows(stream(4, 2), n_steps, width)]
+    assert threading.active_count() == threads
+    want = stream(4, 2)
+    assert len(rows) == n_steps
+    for z in rows:
+        assert np.array_equal(z, want.standard_normal(width))
+
+
+def test_a_slow_reader_keeps_its_rows():
+    # the helper may run ahead by one block only: a reader that sleeps on
+    # every row lets it, and a second block ahead would overwrite the rows
+    # being read
+    width = NOISE_FLOATS // 3
+    rows = []
+    for z in _normal_rows(stream(4, 2), 12, width):
+        time.sleep(0.002)
+        rows.append(z.copy())
+    want = stream(4, 2)
+    assert all(np.array_equal(z, want.standard_normal(width)) for z in rows)
+
+
+def test_no_steps_draw_no_noise_rows():
+    assert list(_normal_rows(stream(4, 2), 0, 8)) == []
+
+
+def test_a_noise_source_closed_early_joins_its_thread():
+    threads = threading.active_count()
+    rows = _normal_rows(stream(4, 2), 100, 8192)
+    first = next(rows).copy()
+    assert threading.active_count() == threads + 1
+    rows.close()
+    assert threading.active_count() == threads
+    assert np.array_equal(first, stream(4, 2).standard_normal(8192))
 

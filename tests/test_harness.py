@@ -237,9 +237,23 @@ def test_zero_mean_slope_is_a_failed_criterion():
     (crit,) = rep.criteria
     assert not crit.passed and not rep.passed
     assert crit.value is None
-    assert crit.detail["error"] == "mean is not positive at m = [40, 160], so log(mean) is undefined"
+    assert crit.detail["error"] == (
+        "mean is not positive and finite at m = [40, 160], so log(mean) is undefined"
+    )
     assert json.loads(rep.to_json())["criteria"][0]["value"] is None
     assert "value=undefined" in rep.summary_lines()[1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_mean_has_no_slope(bad):
+    # an overflowing sample used to reach np.polyfit and give a nan slope
+    samples = {10: np.array([1.0, bad, 2.0]), 20: np.full(3, 0.5), 40: np.array([bad, 0.1, 0.2])}
+    fit = fit_loglog_slope(np.array([10, 20, 40]), samples, seed=1)
+    assert fit["slope"] is None and fit["ci_low"] is None and fit["ci_high"] is None
+    assert fit["error"] == (
+        "mean is not positive and finite at m = [10, 40], so log(mean) is undefined"
+    )
 
 
 def test_zero_mean_bootstrap_resample_leaves_the_ci_undefined():

@@ -12,7 +12,7 @@ even-numbered pairs run the parent first, odd-numbered ones the change.
 Workloads without a ``--pairs`` entry get two pairs; ``WORKLOAD=0`` skips
 one.
 
-``--layers`` adds nine layer timings, each the median over ROUNDS rounds
+``--layers`` adds eleven layer timings, each the median over ROUNDS rounds
 that alternate the trees: the candidate events per second of
 ``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
 median of KERNEL_CALLS calls per process, with each tree's count of
@@ -26,7 +26,8 @@ differences), the wall time of CLI
 ``python -c "import devia.harness.cli"``, the import that every CLI command
 pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
 the Euler-Maruyama particle-steps per second of one ``run_coupled`` replica
-under a shared limit path and the wall time of ``limit_path``.  The result
+under a shared limit path and the wall time of ``limit_path``, each with its
+process CPU seconds (every thread) beside it.  The result
 goes to ``BENCH_<pr>.json`` at the repository root; :func:`problems` is the
 file's schema check.
 """
@@ -160,8 +161,8 @@ print(json.dumps(out))
 
 # the diffusion workload's coupling, timed by layer: one limit_path run, then
 # three run_coupled replicas under it after one untimed replica; prints the
-# particle-steps of a replica, the median replica and limit seconds and the
-# last replica's gaps
+# particle-steps of a replica, the median replica and limit seconds, wall and
+# process CPU (every thread), and the last replica's gaps
 EM_PROBE = r"""
 import json, statistics, time
 from devia.diff_sim import limit_path, run_coupled
@@ -170,18 +171,21 @@ from devia.kernels import default_kernels
 kp = default_kernels()
 ms = [128, 256, 512, 1024, 2048, 4096, 8192]
 M_ref, T, dt = 32768, 0.5, 1 / 512
-t0 = time.perf_counter()
+t0, c0 = time.perf_counter(), time.process_time()
 limit = limit_path(kp, M_ref, 0.0, T, dt, 1)
-limit_s = time.perf_counter() - t0
+limit_s, limit_cpu_s = time.perf_counter() - t0, time.process_time() - c0
 run = lambda r: run_coupled(kp, ms, M_ref, 0.0, T, dt, 0.25, lambda s, x: 1.0, 1, r, limit=limit)
 run(0)
-seconds = []
+seconds, cpu_seconds = [], []
 for r in (1, 2, 3):
-    t0 = time.perf_counter()
+    t0, c0 = time.perf_counter(), time.process_time()
     gaps = run(r)
     seconds.append(time.perf_counter() - t0)
+    cpu_seconds.append(time.process_time() - c0)
 print(json.dumps({"particle_steps": round(T / dt) * (sum(ms) + max(ms)),
-                  "seconds": statistics.median(seconds), "limit_s": limit_s,
+                  "seconds": statistics.median(seconds),
+                  "cpu_seconds": statistics.median(cpu_seconds),
+                  "limit_s": limit_s, "limit_cpu_s": limit_cpu_s,
                   "gaps": [gaps[m] for m in ms]}))
 """
 
@@ -196,7 +200,7 @@ DIFFERENCES = {"solve_p_s": "p_max_abs_diff", "skeleton_G0_s": "eta_max_abs_diff
 # (files before the windowed kernel timed batch_paths in iterations per second)
 MEDIAN_OF = ("batch_paths_events_per_s", "batch_paths_iterations_per_s",
              "em_particle_steps_per_s", *DIFFERENCES, "cli_jump_sim_s", "cli_import_s",
-             "limit_path_s")
+             "limit_path_s", "run_coupled_cpu_s", "limit_path_cpu_s")
 
 
 def git(*args: str) -> bytes:
@@ -348,6 +352,16 @@ def layers(trees: dict, scratch: Path) -> dict:
             "shape": "limit_path at M_ref = 32768, 256 steps of 1/512, seed 1; one call per "
                      "process",
             **{s: summary([r["limit_s"] for r in em[s]]) for s in SIDES},
+        },
+        # process CPU seconds, every thread, beside the two wall timings above
+        "run_coupled_cpu_s": {
+            "shape": "the em_particle_steps_per_s replicas: process CPU seconds of one replica, "
+                     "median of replicas 1-3",
+            **{s: summary([r["cpu_seconds"] for r in em[s]]) for s in SIDES},
+        },
+        "limit_path_cpu_s": {
+            "shape": "the limit_path_s call: its process CPU seconds",
+            **{s: summary([r["limit_cpu_s"] for r in em[s]]) for s in SIDES},
         },
     }
 
