@@ -312,7 +312,8 @@ def simulate_interacting(
     rec_idx = [*range(0, n_steps, record_stride), n_steps]
     positions = np.empty((len(rec_idx), m))
     positions[0] = sim.x
-    with closing(_normal_rows(rng, n_steps, m)) as rows:
+    # a position that leaves the finite range stops the step with a diagnosis
+    with closing(_normal_rows(rng, n_steps, m)) as rows, np.errstate(over="ignore"):
         for k, z in enumerate(rows, 1):
             sim.step([z])
             if k % record_stride == 0 or k == n_steps:
@@ -349,7 +350,7 @@ def limit_path(
     rng = stream(seed, REFERENCE_REPLICA)
     sim = _FlatEM(kernels, [M_ref], x0, dt)
     values = np.empty((n_steps + 1, 2))
-    with closing(_normal_rows(rng, n_steps, M_ref)) as rows:
+    with closing(_normal_rows(rng, n_steps, M_ref)) as rows, np.errstate(over="ignore"):
         for k, z in enumerate(rows):
             sim.step([z])
             values[k] = sim.used[0]

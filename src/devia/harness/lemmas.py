@@ -277,7 +277,7 @@ def check_gaussian_norm() -> CriterionResult:
     val = seminorm_hilbert(HermiteFunction.gaussian(), 0)
     err = abs(val - np.pi**0.25)
     return CriterionResult(
-        "Gaussian reference norm", err, "| ||phi||_0 - pi^(1/4) | <= 1e-8", err <= 1e-8
+        "Gaussian reference norm", err, "| ||phi||_0 - pi^(1/4) | <= 1e-14", err <= 1e-14
     )
 
 

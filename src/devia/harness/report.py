@@ -170,14 +170,13 @@ def fit_loglog_slope(
     n_m, n = values.shape
     boot_means = np.empty((BOOTSTRAP_RESAMPLES, n_m))
     per = max(1, _BOOTSTRAP_BLOCK // values.size)
-    idx = np.empty((per, n_m, n), dtype=np.int64)
     for lo in range(0, BOOTSTRAP_RESAMPLES, per):
         hi = min(lo + per, BOOTSTRAP_RESAMPLES)
-        for b in range(hi - lo):  # one draw per resample and m, resample-major
-            for i in range(n_m):
-                idx[b, i] = rng.integers(0, n, n)
+        # the same draws as one integers(0, n, n) call per resample and m, in order
+        idx = rng.integers(0, n, (hi - lo, n_m, n))
         for i in range(n_m):
-            boot_means[lo:hi, i] = values[i][idx[: hi - lo, i]].mean(axis=1)
+            boot_means[lo:hi, i] = values[i][idx[:, i]].mean(axis=1)
+        del idx  # else the next block is drawn while this one is still held
     defined = np.all((boot_means > 0.0) & (boot_means < np.inf), axis=1)
     boot = np.full(BOOTSTRAP_RESAMPLES, np.nan)
     if defined.any():

@@ -394,8 +394,7 @@ def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> Ra
     ``density(model, p_path, eta, halve)`` (per forcing of
     :func:`_slice_blocks`: cost density, residual ratios) over its grid, and
     check refinement against the half-grid forcing of the same pass."""
-    if eta.grid[-1] > p_path.T + 1e-9 * max(1.0, p_path.T):
-        raise ValueError("fluctuation path extends beyond the limit path's horizon")
+    _check_horizon("p_path", p_path.T, eta.grid[-1])
     n = len(eta.grid)
     if n < 9:
         refine = f"skipped: {n} grid points, fewer than 9"

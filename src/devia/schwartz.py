@@ -10,16 +10,16 @@ so the weighted Sobolev seminorms
     ||phi||_n^2 = sum_{k<=n} integral (1+x^2)^{2n} (phi^(k))^2 dx
 
 and the derivative sup-seminorms |phi|_n = sum_{k<=n} sup |phi^(k)| never
-touch numerical differentiation.  Hilbert seminorms are integrated by
-node-doubling Gauss-Legendre on [-R, R] with R chosen from an analytic tail
-bound; sup seminorms by a dense scan with local parabolic refinement.
+touch numerical differentiation or quadrature.  A Hilbert seminorm is a
+finite sum of Gaussian moments integral x^d e^{-x^2} dx = Gamma(d/2 + 1/2)
+(d even), refused when its own rounding bound is too large; a sup is the
+largest |phi| over the critical points, the real roots of p' - x p.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -30,20 +30,12 @@ from .kernels import KernelPair, MeasureHook
 
 __all__ = [
     "HermiteFunction",
-    "QuadratureError",
     "seminorm_hilbert",
     "seminorm_sup",
     "apply_L",
     "hermite_basis_function",
     "random_hermite_function",
 ]
-
-
-class QuadratureError(RuntimeError):
-    """Raised when node doubling fails to stabilize an integral."""
-
-
-MAX_QUAD_NODES = 16384
 
 
 @dataclass(frozen=True)
@@ -107,124 +99,61 @@ def random_hermite_function(rng: np.random.Generator, max_degree: int = 8) -> He
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# seminorms
 
 
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _gaussian_moment_tail(d: int, R: float) -> float:
-    """integral_R^inf x^d e^{-x^2} dx = Gamma((d+1)/2, R^2) / 2 for R >= 0,
-    by the upward recurrence Gamma(b+1, x) = b Gamma(b, x) + x^b e^{-x}
-    from Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)) (d even) or
-    Gamma(1, x) = e^{-x} (d odd); all its terms are nonnegative."""
-    x = R * R
-    ex = math.exp(-x)
-    if d % 2:
-        b, g = 1.0, ex
-    else:
-        b, g = 0.5, math.sqrt(math.pi) * math.erfc(math.sqrt(x))
-    while b < 0.5 * (d + 1):
-        g = b * g + x**b * ex
-        b += 1.0
-    return 0.5 * g
-
-
-# the quadrature radius leaves a tail below this fraction of the full-line bound
-TAIL_RTOL = 1e-14
-
-
-def _integration_radius(abs_coeffs: np.ndarray) -> float:
-    """Radius beyond which the tail of sum |c_d| x^d e^{-x^2} is negligible
-    (TAIL_RTOL) relative to the corresponding full-line bound."""
-    scale = sum(
-        c * 2.0 * _gaussian_moment_tail(d, 0.0) for d, c in enumerate(abs_coeffs) if c > 0
-    )
-    R = 8.0
-    while R <= 64.0:
-        tail = sum(
-            c * 2.0 * _gaussian_moment_tail(d, R) for d, c in enumerate(abs_coeffs) if c > 0
-        )
-        if tail <= TAIL_RTOL * max(scale, 1e-300):
-            return R
-        R *= 2.0
-    return R
-
-
-def _integrate_weighted_square(polys: list[Polynomial], n: int) -> float:
-    """integral (1+x^2)^{2n} * sum p_k(x)^2 * e^{-x^2} dx by node-doubling
-    Gauss-Legendre on [-R, R]."""
-    weight = Polynomial([1.0, 0.0, 1.0]) ** (2 * n)
-    total = weight * sum((p * p for p in polys), Polynomial([0.0]))
-    R = _integration_radius(np.abs(total.coef))
-
-    def value(nodes: int) -> float:
-        x, w = _leggauss(nodes)
-        xs = R * x
-        return R * float(np.dot(w, total(xs) * np.exp(-(xs**2))))
-
-    nodes = 64
-    prev = value(nodes)
-    while nodes < MAX_QUAD_NODES:
-        nodes *= 2
-        cur = value(nodes)
-        if abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureError("node doubling did not stabilize the seminorm integral")
+# largest relative rounding bound a Hilbert seminorm sum may carry
+ROUNDING_RTOL = 1e-8
 
 
 def seminorm_hilbert(phi: HermiteFunction, n: int) -> float:
-    """Weighted Sobolev seminorm ||phi||_n; monotone nondecreasing in n."""
+    """Weighted Sobolev seminorm ||phi||_n; monotone nondecreasing in n.
+
+    The integrand (1+x^2)^{2n} sum_{k<=n} p_k^2 e^{-x^2} is a polynomial
+    times e^{-x^2}, so ||phi||_n^2 = sum_d c_d mu_d over its coefficients c_d
+    and the Gaussian moments mu_d = integral x^d e^{-x^2} dx, Gamma(d/2 + 1/2)
+    for even d and 0 for odd d.  The same sum over the integrand built
+    from the |coefficients| of each p_k, times the machine epsilon, is the
+    scale of its rounding error: a ValueError refuses a sum whose rounding
+    bound exceeds ROUNDING_RTOL relative to its value.
+    """
     if n < 0:
         raise ValueError("seminorm order must be nonnegative")
-    derivs = [phi]
-    for _ in range(n):
-        derivs.append(derivs[-1].derivative())
-    val = _integrate_weighted_square([d.poly for d in derivs], n)
-    return math.sqrt(max(val, 0.0))
+    polys = [phi.derivative(k).poly for k in range(n + 1)]
+    weight = Polynomial([1.0, 0.0, 1.0]) ** (2 * n)
+    total = sum(weight * p * p for p in polys)
+    bound = sum(weight * Polynomial(np.abs(p.coef)) ** 2 for p in polys)
+    mu, m = np.zeros(len(bound.coef)), math.sqrt(math.pi)
+    for d in range(0, len(mu), 2):  # Gamma(d/2 + 1/2) = Gamma(d/2 - 1/2) (d - 1)/2
+        mu[d], m = m, m * (d + 1) / 2
+    value = float(np.dot(total.coef, mu[: len(total.coef)]))
+    scale = float(np.dot(bound.coef, mu))
+    if scale == 0.0:
+        return 0.0
+    rel = np.finfo(float).eps * scale / value if value > 0.0 else math.inf
+    if not rel <= ROUNDING_RTOL:
+        raise ValueError(
+            f"the order-{n} seminorm of a degree-{phi.degree} function has a relative "
+            f"rounding bound of {rel:.3g}, above ROUNDING_RTOL = {ROUNDING_RTOL:g}"
+        )
+    return math.sqrt(value)
 
 
 def _sup_abs(phi: HermiteFunction) -> float:
-    """sup over x of |p(x) e^{-x^2/2}| by dense scan plus local refinement.
-
-    The scan radius comes from the same tail bound as the quadrature; the
-    family decays fast enough that the sup is attained well inside it.
-    """
-    abs_coeffs = np.abs(phi.poly.coef) if len(phi.poly.coef) else np.array([0.0])
-    if not np.any(abs_coeffs > 0):
+    """sup over x of |p(x) e^{-x^2/2}|.  phi vanishes at +-inf, so the sup
+    sits at a real root of p' - x p, the polynomial of phi'; the real parts
+    of all its roots include those."""
+    if not np.any(phi.poly.coef):
         return 0.0
-    R = math.sqrt(2.0 * len(abs_coeffs) + 2.0) + 6.0
-    xs = np.linspace(-R, R, 8001)
-    ys = np.abs(phi(xs))
-    k = int(ys.argmax())
-    lo = xs[max(k - 1, 0)]
-    hi = xs[min(k + 1, len(xs) - 1)]
-    fine = np.linspace(lo, hi, 801)
-    fy = np.abs(phi(fine))
-    j = int(fy.argmax())
-    if 0 < j < len(fine) - 1:
-        # parabolic peak through the three best samples
-        y0, y1, y2 = fy[j - 1], fy[j], fy[j + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom < 0:
-            return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-    return float(fy[j])
+    crit = phi.derivative().poly.roots().real
+    return float(np.abs(phi(crit)).max())
 
 
 def seminorm_sup(phi: HermiteFunction, n: int) -> float:
     """Derivative sup-seminorm |phi|_n = sum_{k<=n} sup |phi^(k)|."""
     if n < 0:
         raise ValueError("seminorm order must be nonnegative")
-    total = 0.0
-    d = phi
-    for k in range(n + 1):
-        total += _sup_abs(d)
-        if k < n:
-            d = d.derivative()
-    return total
+    return sum(_sup_abs(phi.derivative(k)) for k in range(n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +192,9 @@ def apply_L(kernels: KernelPair, mu: MeasureHook, phi: HermiteFunction) -> Calla
 def apply_L_seminorm_ratio(kernels: KernelPair, mu: MeasureHook, phi: HermiteFunction) -> float:
     """Diagnostic ratio ||L phi||_0 / ||phi||_2.  L phi is not in the
     Hermite family, so the numerator is the trapezoid rule for the integral
-    of (L phi)^2 on 4001 points of [-R, R], with R the scan radius of
-    :func:`_sup_abs`; the denominator is exact."""
+    of (L phi)^2 on 4001 points of [-R, R], with R = sqrt(2 deg p + 4) + 6
+    some way past the last turning point of p(x) e^{-x^2/2}; the denominator
+    is exact."""
     L_phi = apply_L(kernels, mu, phi)
     R = math.sqrt(2.0 * (phi.degree + 1) + 2.0) + 6.0
     xs = np.linspace(-R, R, 4001)

@@ -166,7 +166,7 @@ def test_criterion_08_schwartz_calculus():
     ok = all(i.passed for i in items)
     _emit(
         8, "seminorm monotonicity, embedding ratio, Gaussian norm", ok,
-        items[2].value, "monotone; ratio bounded over 100 functions; pi^(1/4) within 1e-8", rt,
+        items[2].value, "monotone; ratio bounded over 100 functions; pi^(1/4) within 1e-14", rt,
     )
 
 

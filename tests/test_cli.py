@@ -246,7 +246,8 @@ def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
     cfg = tmp_path / "k.json"
     dump_config({"kernels": {"family": "additive-noise", "level": 1.0, "rate": -60.0}}, cfg)
     argv = ["diff-sim", "--kernels", str(cfg), "--m", "4", "--T", "400", "--dt", "0.5"]
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning would preempt the diagnosis
         rc = main(argv + ["--x0", "1", "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "left the finite range" in capsys.readouterr().err

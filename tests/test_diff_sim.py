@@ -475,6 +475,15 @@ def test_nonfinite_positions_abort():
         assert threading.active_count() == threads, caught.value
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sim", [simulate_interacting, limit_path])
+def test_a_diverging_run_is_diagnosed_without_warnings(sim):
+    # a strongly repulsive linear drift overflows within a few hundred steps
+    kp = kernels_from_config({"family": "additive-noise", "level": 1.0, "rate": -60.0})
+    with pytest.raises(FloatingPointError, match="particle 0 left the finite range"):
+        sim(kp, 4, 1.0, 400.0, 0.5, 1)
+
+
 @pytest.mark.parametrize("width, n_steps", [
     (NOISE_FLOATS + 3, 3),  # one step per block
     (1000, 300),  # 131 steps per block, the last block short

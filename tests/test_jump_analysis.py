@@ -340,6 +340,13 @@ class TestRateFunctions:
         assert math.isinf(res.value)
         assert "refinement" in res.message
 
+    @pytest.mark.parametrize("rate", [rate_I, rate_Ibar])
+    def test_limit_path_must_cover_the_horizon(self, flip_model, rate):
+        p = solve_p(flip_model, np.array([0.5, 0.5]), 0.5, 64)
+        eta = PathVec(np.linspace(0.0, 1.0, 65), np.zeros((65, 2)))
+        with pytest.raises(ValueError, match=r"p_path ends at t=0\.5, before the horizon T=1$"):
+            rate(flip_model, p, eta)
+
     def test_mass_violation_infeasible(self, flip_model):
         p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 256)
         ts = p.grid

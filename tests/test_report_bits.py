@@ -63,7 +63,7 @@ PINNED = {
     "initial-moments": "14b9663c791c71c2",
     "rate-roundtrip-jump": "e3845da926364eb2",
     "rate-roundtrip-diffusion": "08063cc03629723e",
-    "lemma-suite": "3d5de16fbe84640d",
+    "lemma-suite": "dca7e9e429d34c1f",
 }
 
 

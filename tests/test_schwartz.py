@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from devia.kernels import KernelPair, MeasureHook, linear_reversion_beta, zero_kernel
+from devia.rng import stream
 from devia.schwartz import (
     HermiteFunction,
     apply_L,
@@ -40,7 +42,7 @@ class TestFamily:
     def test_hermite_basis_orthonormal(self):
         # the n-th basis function has unit plain L2 norm (order-0 seminorm)
         for n in range(5):
-            assert seminorm_hilbert(hermite_basis_function(n), 0) == pytest.approx(1.0, abs=1e-10)
+            assert seminorm_hilbert(hermite_basis_function(n), 0) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestHilbertSeminorm:
@@ -50,7 +52,7 @@ class TestHilbertSeminorm:
     def test_gaussian_closed_form(self):
         # ||e^{-x^2/2}||_0^2 = integral e^{-x^2} = sqrt(pi)
         val = seminorm_hilbert(HermiteFunction.gaussian(), 0)
-        assert val == pytest.approx(math.pi**0.25, abs=1e-10)
+        assert val == pytest.approx(math.pi**0.25, abs=1e-15)
 
     def test_homogeneity(self, rng):
         phi = random_hermite_function(rng, max_degree=5)
@@ -65,9 +67,59 @@ class TestHilbertSeminorm:
             norms = [seminorm_hilbert(phi, n) for n in range(4)]
             assert all(a <= b * (1 + 1e-12) for a, b in zip(norms[:-1], norms[1:]))
 
+    def test_gaussian_order_one_closed_form(self):
+        # (1+x^2)^2 (1 + x^2) e^{-x^2} has moments sqrt(pi) (1 + 3/2 + 9/4 + 15/8)
+        val = seminorm_hilbert(HermiteFunction.gaussian(), 1)
+        assert val**2 == pytest.approx(53 * math.sqrt(math.pi) / 8, rel=1e-14)
+
+    def test_matches_rational_reference(self):
+        # the exact integral over the float coefficients, with the derivatives
+        # and products in rationals: integral x^(2k) e^{-x^2} = sqrt(pi) (2k-1)!!/2^k
+        rng = stream(20, 25)
+        worst = 0.0
+        for _ in range(100):
+            phi = random_hermite_function(rng, max_degree=8)
+            for n in range(4):
+                want = math.sqrt(math.sqrt(math.pi) * float(_rational_square_norm(phi, n)))
+                worst = max(worst, abs(seminorm_hilbert(phi, n) / want - 1.0))
+        assert worst <= 1e-11
+
+    def test_rounding_bound_refuses_high_degree(self):
+        # h_24's float coefficients cancel in the sum far beyond 1e-8
+        with pytest.raises(ValueError, match="rounding bound of .* above ROUNDING_RTOL"):
+            seminorm_hilbert(hermite_basis_function(24), 0)
+
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             seminorm_hilbert(HermiteFunction.gaussian(), -1)
+
+
+def _rational_square_norm(phi: HermiteFunction, n: int) -> Fraction:
+    """||phi||_n^2 / sqrt(pi), exact for phi's float coefficients."""
+
+    def mul(a, b):
+        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def add(a, b):
+        a, b = a + [Fraction(0)] * (len(b) - len(a)), b + [Fraction(0)] * (len(a) - len(b))
+        return [x + y for x, y in zip(a, b)]
+
+    p = [Fraction(float(c)) for c in phi.poly.coef]
+    total = [Fraction(0)]
+    for _ in range(n + 1):
+        total = add(total, mul(p, p))
+        p = add([Fraction(j) * c for j, c in enumerate(p)][1:], [Fraction(0)] + [-c for c in p])
+    for _ in range(2 * n):
+        total = mul(total, [Fraction(1), Fraction(0), Fraction(1)])
+    value, moment = Fraction(0), Fraction(1)
+    for d in range(0, len(total), 2):
+        value += total[d] * moment
+        moment *= Fraction(d + 1, 2)
+    return value
 
 
 class TestSupSeminorm:
@@ -80,7 +132,19 @@ class TestSupSeminorm:
     def test_x_gaussian_peak(self):
         # max of |x e^{-x^2/2}| at x = 1: value e^{-1/2}
         phi = HermiteFunction.from_poly_coeffs([0.0, 1.0])
-        assert seminorm_sup(phi, 0) == pytest.approx(math.exp(-0.5), abs=1e-7)
+        assert seminorm_sup(phi, 0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+
+    def test_dense_grid_brackets_the_sup(self, rng):
+        # a grid of spacing h misses the peak by at most h^2/8 sup|phi''|
+        xs = np.linspace(-12.0, 12.0, 24001)
+        h = xs[1] - xs[0]
+        for _ in range(50):
+            phi = random_hermite_function(rng, max_degree=8)
+            sup = seminorm_sup(phi, 0)
+            grid = np.abs(phi(xs)).max()
+            curv = np.abs(phi.derivative(2)(xs)).max()
+            assert grid <= sup * (1 + 1e-14)
+            assert sup - grid <= 1.01 * h**2 / 8 * curv + 1e-14 * sup
 
     def test_order_sums_derivative_sups(self):
         phi = HermiteFunction.gaussian()
@@ -152,27 +216,3 @@ class TestApplyL:
         kp = KernelPair(alpha=zero_kernel(), beta=zero_kernel())
         with pytest.raises(ValueError):
             apply_L(kp, None, HermiteFunction.gaussian())
-
-
-def test_quadrature_nonconvergence_raises(monkeypatch):
-    # with the node budget capped below what a high-degree integrand needs,
-    # node doubling cannot stabilize and must raise rather than return junk
-    import devia.schwartz as sz
-
-    monkeypatch.setattr(sz, "MAX_QUAD_NODES", 128)
-    coeffs = np.zeros(101)
-    coeffs[-1] = 1.0  # degree-100 polynomial: the squared integrand needs more nodes
-    phi = HermiteFunction.from_poly_coeffs(coeffs)
-    with pytest.raises(sz.QuadratureError):
-        seminorm_hilbert(phi, 0)
-
-
-@pytest.mark.parametrize("R", [0.0, 1.0, 4.0, 8.0])
-def test_gaussian_moment_tail_matches_quadrature(R):
-    from scipy.integrate import quad
-
-    from devia.schwartz import _gaussian_moment_tail
-
-    for d in range(21):
-        want, _ = quad(lambda x: x**d * math.exp(-x * x), R, math.inf, epsabs=0.0, epsrel=1e-13)
-        assert _gaussian_moment_tail(d, R) == pytest.approx(want, rel=1e-11)
