@@ -25,15 +25,18 @@ segment.  A step is one fused update per segment,
 
 with env the envelope that both kernels' separable factors share (1 when
 they share none), s_alpha and s_beta the factors' scales and S_alpha,
-S_beta the segment's pairings <mu, g>; every per-segment constant is folded
-into one scalar.  The envelope is evaluated once per particle per step into
-a buffer, factors over blocks of at most BLOCK particles (a larger segment
-spans several), and every other pass writes into work buffers allocated
-once per run, so the step allocates no array larger than a block.  Each
-segment's floating-point operations are those of stepping it alone, so the
-layout changes no output bit; the fused form rounds differently from the
-unfused b dt + sigma sqrt(dt) z + sigma u dt / a, by about one unit in the
-last place.
+S_beta the segment's pairings <mu, g>.  It runs in two passes over work
+buffers allocated once per run.  First each segment fills its slices with
+its constants: S_alpha sqrt(dt) z plus the control term in one buffer,
+S_beta dt in the other, with a factor that is a scalar folded in.  Then
+the factors that are arrays, evaluated over blocks of at most BLOCK
+consecutive particles of the flat array whatever its segments, multiply
+into those buffers, and the sum times env (evaluated once per particle per
+step) updates x.  So the step allocates no array larger than a block.
+Every particle sees the operations of stepping its segment alone, in the
+same order, so the layout changes no output bit; the fused form rounds
+differently from the unfused b dt + sigma sqrt(dt) z + sigma u dt / a, by
+about one unit in the last place.
 
 Noise is drawn from the replica's own counter-based stream, one standard
 normal per particle per step, so a controlled system of size m and reference
@@ -61,6 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import Enveloped, KernelPair, MeasureHook
+from .paths import blocks
 from .rng import stream
 
 __all__ = ["DiffusionPath", "LimitPath", "simulate_interacting", "limit_path", "run_coupled"]
@@ -129,7 +133,7 @@ def _normal_rows(rng: np.random.Generator, n_steps: int, width: int):
     rows = max(1, NOISE_FLOATS // width)
     bufs = [np.empty((min(rows, n_steps), width)) for _ in range(0, n_steps, rows)[:2]]
     # block i fills buffer i % 2; the last block may be short
-    blocks = [bufs[i % 2][: n_steps - lo] for i, lo in enumerate(range(0, n_steps, rows))]
+    parts = [bufs[i % 2][: n_steps - lo] for i, lo in enumerate(range(0, n_steps, rows))]
     todo, done = queue.SimpleQueue(), queue.SimpleQueue()
 
     def fill():
@@ -143,10 +147,10 @@ def _normal_rows(rng: np.random.Generator, n_steps: int, width: int):
     helper = threading.Thread(target=fill, name="normal-rows", daemon=True)
     helper.start()
     try:
-        todo.put(blocks[0])
-        for i in range(len(blocks)):
-            if i + 1 < len(blocks):
-                todo.put(blocks[i + 1])  # the buffer of block i - 1, all read
+        todo.put(parts[0])
+        for i in range(len(parts)):
+            if i + 1 < len(parts):
+                todo.put(parts[i + 1])  # the buffer of block i - 1, all read
             block = done.get()
             if isinstance(block, Exception):
                 raise block
@@ -167,15 +171,17 @@ class _FlatEM:
         x += env * (s_beta * S_beta,j dt + s_alpha * S_alpha,j (sqrt(dt) z + dt/a u))
 
     on segments with a control (u, a), without the u term on the others.
-    Every per-segment constant, and s_alpha or s_beta when the factor
-    returns a scalar, is folded into one Python scalar.  When both kernels'
-    factors are :class:`Enveloped` with one envelope, env is evaluated once
-    per particle per step into a buffer and s_. are their scales; otherwise
-    env is 1 and s_. are the factors.  Factors are evaluated over blocks of
-    at most BLOCK consecutive particles (a larger segment spans several
-    blocks), and every pass of the update writes into work buffers
-    allocated here once.  ``used[j]`` holds the pairings the last step used
-    on segment j.
+    When both kernels' factors are :class:`Enveloped` with one envelope,
+    env is evaluated once per particle per step into a buffer and s_. are
+    their scales; otherwise env is 1 and s_. are the factors.  A factor
+    that returns a scalar on ``x[:1]`` here is a constant and is folded into
+    the per-segment constants; the others are evaluated every step.  A step
+    makes two passes over work buffers allocated here once.  Each segment
+    writes its constants into its slices of them: S_alpha,j (sqrt(dt) z +
+    dt/a u) into one, S_beta,j dt into the other.  Then blocks of at most
+    BLOCK consecutive particles of the flat array, cut whatever its
+    segments, multiply in the factors that are arrays.  ``used[j]`` holds
+    the pairings the last step used on segment j.
     """
 
     def __init__(self, kernels: KernelPair, sizes, x0: float, dt: float, names=None):
@@ -192,29 +198,14 @@ class _FlatEM:
         shared = isinstance(fa, Enveloped) and isinstance(fb, Enveloped) and fa.env is fb.env
         self.env = fa.env if shared else None
         self._factors = (fa.scale, fb.scale) if shared else (fa, fb)
+        # a scalar factor's value, None for a factor that returns an array
+        probes = (f(self.x[:1]) for f in self._factors)
+        self._consts = [None if np.ndim(v) else float(v) for v in probes]
         self._env = np.empty_like(self.x) if shared else None
         self._step, self._tmp = np.empty_like(self.x), np.empty_like(self.x)
         self._finite = np.empty(len(self.x), dtype=bool)
         self.xs = [self.x[seg] for seg in self.segs]
-        # blocks of at most BLOCK particles: whole consecutive segments, or
-        # BLOCK-sized pieces of a larger one
-        groups, start = [[]], 0
-        for j, seg in enumerate(self.segs):
-            for lo in range(seg.start, seg.stop, BLOCK):
-                hi = min(lo + BLOCK, seg.stop)
-                if groups[-1] and hi - start > BLOCK:
-                    groups.append([])
-                    start = lo
-                groups[-1].append((j, slice(lo, hi)))
-        self._blocks = []
-        for members in groups:
-            blk = slice(members[0][1].start, members[-1][1].stop)
-            self._blocks.append((blk, [
-                (j, slice(fl.start - blk.start, fl.stop - blk.start),
-                 slice(fl.start - self.edges[j], fl.stop - self.edges[j]),
-                 self._tmp[fl], self._step[fl])
-                for j, fl in members
-            ]))
+        self._blocks = list(blocks(len(self.x), BLOCK))
 
     def _pairings(self, pairings) -> list:
         """The envelope into its buffer, and each segment's pairings, given
@@ -222,14 +213,14 @@ class _FlatEM:
         Returns used as lists."""
         x = self.x
         if self.env is not None:
-            for blk, _ in self._blocks:
+            for blk in self._blocks:
                 self.env(x[blk], out=self._env[blk])
         if any(p is None for p in pairings):
             means = {}  # kernels sharing g share the pairing
             for k, (g, buf) in enumerate(zip(self._gs, (self._tmp, self._step))):
                 if id(g) not in means:
                     if g is not self.env:
-                        for blk, _ in self._blocks:
+                        for blk in self._blocks:
                             buf[blk] = g(x[blk])
                     vals = self._env if g is self.env else buf
                     means[id(g)] = np.add.reduceat(vals, self.edges[:-1]) / self._counts
@@ -238,33 +229,6 @@ class _FlatEM:
             if p is not None:
                 self.used[j] = p
         return self.used.tolist()
-
-    def _advance(self, blk: slice, members, zs, controls, used) -> None:
-        """The block's increments into _step, under the pairings ``used``
-        that :meth:`_pairings` returned."""
-        dt = self.dt
-        fa, fb = (f(self.x[blk]) for f in self._factors)
-        a_arr, b_arr = getattr(fa, "ndim", 0) > 0, getattr(fb, "ndim", 0) > 0
-        for j, bl, sl, tmp, step in members:
-            S_a, S_b = used[j]
-            c_a = S_a if a_arr else S_a * fa
-            np.multiply(zs[j][sl], c_a * math.sqrt(dt), out=tmp)
-            if controls[j] is not None:
-                u, a_scale = controls[j]
-                if u.ndim:
-                    u = np.broadcast_to(u, (self.sizes[j],))[sl]
-                    np.add(tmp, np.multiply(u, c_a * dt / a_scale), out=tmp)
-                else:
-                    np.add(tmp, c_a * dt / a_scale * float(u), out=tmp)
-            if a_arr:
-                np.multiply(tmp, fa[bl], out=tmp)
-            if b_arr:
-                np.multiply(fb[bl], S_b * dt, out=step)
-            else:
-                step.fill(S_b * fb * dt)
-            np.add(step, tmp, out=step)
-        if self.env is not None:
-            np.multiply(self._step[blk], self._env[blk], out=self._step[blk])
 
     def step(self, zs, pairings=None, controls=None) -> None:
         """One fused update of every segment j, driven by the normals zs[j]
@@ -276,8 +240,27 @@ class _FlatEM:
         n_seg = len(self.segs)
         used = self._pairings(pairings or [None] * n_seg)
         controls = controls or [None] * n_seg
-        for blk, members in self._blocks:
-            self._advance(blk, members, zs, controls, used)
+        dt, (k_a, k_b), (f_a, f_b) = self.dt, self._consts, self._factors
+        for j, seg in enumerate(self.segs):
+            S_a, S_b = used[j]
+            c_a = S_a if k_a is None else S_a * k_a
+            tmp, step = self._tmp[seg], self._step[seg]
+            np.multiply(zs[j], c_a * math.sqrt(dt), out=tmp)
+            if controls[j] is not None:
+                u, a_scale = controls[j]
+                if u.ndim:  # u c_a dt / a formed in step, which is filled next
+                    np.add(tmp, np.multiply(u, c_a * dt / a_scale, out=step), out=tmp)
+                else:
+                    np.add(tmp, c_a * dt / a_scale * float(u), out=tmp)
+            step.fill(S_b * dt if k_b is None else S_b * k_b * dt)
+        for blk in self._blocks:
+            if k_a is None:
+                np.multiply(self._tmp[blk], f_a(self.x[blk]), out=self._tmp[blk])
+            if k_b is None:
+                np.multiply(f_b(self.x[blk]), self._step[blk], out=self._step[blk])
+        np.add(self._step, self._tmp, out=self._step)
+        if self.env is not None:
+            np.multiply(self._step, self._env, out=self._step)
         np.add(self.x, self._step, out=self.x)
         if not np.isfinite(self.x, out=self._finite).all():
             bad = int(np.argmin(self._finite))

@@ -17,7 +17,6 @@ for identical (config, seed) regardless of the worker count.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -41,7 +40,7 @@ from .config import (
 )
 from .experiments import run_experiment
 from .io import read_grid_field, read_path_vec, write_jump_path
-from .report import config_hash
+from .report import _strict_json, config_hash
 
 __all__ = ["main"]
 
@@ -59,8 +58,7 @@ def _finish(report, out) -> int:
 def _write_json(out, doc: dict) -> None:
     """Write a report as strict JSON: a nan or inf in it is a ValueError,
     raised before the file is opened."""
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
-    Path(out).write_text(text + "\n")
+    Path(out).write_text(_strict_json(doc))
 
 
 def _block(cfg: dict, key: str, *own: str) -> dict:

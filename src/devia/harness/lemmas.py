@@ -136,22 +136,21 @@ def check_drift_norm(n: int = 100) -> CriterionResult:
 # thinning-cost function bounds
 
 
-def _ell_ratio_sup(beta: float) -> float:
-    """sup over x >= 0, |x-1| >= beta of |x-1| / ell(x), scanned on a
-    log-spaced grid including the endpoints 1 +/- beta where it peaks."""
-    xs = np.concatenate(
-        [np.geomspace(1e-8, 1.0 - beta, 2000), np.geomspace(1.0 + beta, 1e4, 2000), [0.0]]
-    )
-    with np.errstate(divide="ignore"):
-        ratios = np.abs(xs - 1.0) / ell_cost(xs)
-    return float(np.nanmax(ratios[np.isfinite(ratios)]))
-
-
 def check_ell_linear_bound(betas=(0.05, 0.1, 0.25, 0.45)) -> CriterionResult:
+    """gamma1(beta) = sup over x >= 0, |x-1| >= beta of |x-1| / ell(x),
+    checked against 4/beta for each beta > 0.  The sup is taken at
+    x = 1 + beta.  ell(x)/(x-1) has derivative (x-1-log x)/(x-1)^2 > 0, so
+    the ratio falls in x on x > 1 and rises on x < 1: the sup is at 1 + beta
+    or, when beta <= 1, at 1 - beta.  ell(1-beta) - ell(1+beta) vanishes at
+    beta = 0 and has derivative -log(1-beta^2) > 0 for beta < 1, so
+    ell(1-beta) > ell(1+beta) (at beta = 1 too, by continuity) and 1 + beta
+    has the larger ratio."""
+    if not all(b > 0.0 for b in betas):
+        raise ValueError(f"need every beta > 0; got {list(betas)}")
     worst = -np.inf
     vals = {}
     for b in betas:
-        sup = _ell_ratio_sup(b)
+        sup = ((1.0 + b) - 1.0) / ell_cost(1.0 + b)
         vals[b] = sup
         worst = max(worst, sup - 4.0 / b)
     return CriterionResult(

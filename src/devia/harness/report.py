@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..paths import blocks
 from ..rng import stream
 
 __all__ = [
@@ -41,6 +42,12 @@ class CriterionResult:
     tolerance: str
     passed: bool
     detail: dict = field(default_factory=dict)
+
+
+def _strict_json(doc) -> str:
+    """``doc`` as the text of a report file: sorted keys, two-space indent,
+    a final newline; a nan or inf in it is a ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _jsonable(obj):
@@ -97,7 +104,7 @@ class ExperimentReport:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _strict_json(self.to_dict())
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -170,12 +177,11 @@ def fit_loglog_slope(
     n_m, n = values.shape
     boot_means = np.empty((BOOTSTRAP_RESAMPLES, n_m))
     per = max(1, _BOOTSTRAP_BLOCK // values.size)
-    for lo in range(0, BOOTSTRAP_RESAMPLES, per):
-        hi = min(lo + per, BOOTSTRAP_RESAMPLES)
+    for blk in blocks(BOOTSTRAP_RESAMPLES, per):
         # the same draws as one integers(0, n, n) call per resample and m, in order
-        idx = rng.integers(0, n, (hi - lo, n_m, n))
+        idx = rng.integers(0, n, (blk.stop - blk.start, n_m, n))
         for i in range(n_m):
-            boot_means[lo:hi, i] = values[i][idx[:, i]].mean(axis=1)
+            boot_means[blk, i] = values[i][idx[:, i]].mean(axis=1)
         del idx  # else the next block is drawn while this one is still held
     defined = np.all((boot_means > 0.0) & (boot_means < np.inf), axis=1)
     boot = np.full(BOOTSTRAP_RESAMPLES, np.nan)

@@ -115,7 +115,8 @@ def seminorm_hilbert(phi: HermiteFunction, n: int) -> float:
     for even d and 0 for odd d.  The same sum over the integrand built
     from the |coefficients| of each p_k, times the machine epsilon, is the
     scale of its rounding error: a ValueError refuses a sum whose rounding
-    bound exceeds ROUNDING_RTOL relative to its value.
+    bound exceeds ROUNDING_RTOL relative to its value, and one whose moments
+    overflow the float range, before any product with them.
     """
     if n < 0:
         raise ValueError("seminorm order must be nonnegative")
@@ -126,11 +127,14 @@ def seminorm_hilbert(phi: HermiteFunction, n: int) -> float:
     mu, m = np.zeros(len(bound.coef)), math.sqrt(math.pi)
     for d in range(0, len(mu), 2):  # Gamma(d/2 + 1/2) = Gamma(d/2 - 1/2) (d - 1)/2
         mu[d], m = m, m * (d + 1) / 2
-    value = float(np.dot(total.coef, mu[: len(total.coef)]))
-    scale = float(np.dot(bound.coef, mu))
-    if scale == 0.0:
-        return 0.0
-    rel = np.finfo(float).eps * scale / value if value > 0.0 else math.inf
+    rel = math.inf  # past degree ~170 the moments overflow: no bound holds
+    if np.isfinite(mu).all():
+        value = float(np.dot(total.coef, mu[: len(total.coef)]))
+        scale = float(np.dot(bound.coef, mu))
+        if scale == 0.0:
+            return 0.0
+        if value > 0.0:
+            rel = np.finfo(float).eps * scale / value
     if not rel <= ROUNDING_RTOL:
         raise ValueError(
             f"the order-{n} seminorm of a degree-{phi.degree} function has a relative "

@@ -340,7 +340,8 @@ class TestLimitPath:
 
 def test_fused_coefficients_match_the_kernel_means():
     # the flat stepper evaluates the shared envelope once per particle per
-    # step, one call per block of at most BLOCK particles, and its update
+    # step, one call per block of BLOCK consecutive particles whatever the
+    # segments (the last block may be short), and its update
     # is b dt + sigma sqrt(dt) z with the separate mean-field sums as b and
     # sigma (given pairings on the second segment), to rounding
     calls = []
@@ -356,8 +357,8 @@ def test_fused_coefficients_match_the_kernel_means():
             fn=ref.beta.fn, sep=(Enveloped(lambda x: -0.7 * np.asarray(x, dtype=float), env), env)
         ),
     )
-    # the first two segments share a block, the third is a block of its own
-    # and the fourth spans two
+    # the blocks cut the flat array of 2 BLOCK + 265 particles: the third
+    # segment straddles the first block edge, the fourth the second
     sim = _FlatEM(counted, [257, 5, BLOCK, BLOCK + 3], 0.0, 1 / 64)
     rng = np.random.default_rng(3)
     x0 = rng.normal(size=len(sim.x))
@@ -366,7 +367,7 @@ def test_fused_coefficients_match_the_kernel_means():
     for _ in range(3):
         sim.x[:] = x0
         sim.step(zs, pairings)
-    assert calls == [262, BLOCK, BLOCK, 3] * 3
+    assert calls == [BLOCK, BLOCK, 265] * 3
     for j, seg in enumerate(sim.segs):
         x = x0[seg]
         mu = MeasureHook(points=x, weights=np.full(len(x), 1.0 / len(x)))
@@ -393,6 +394,31 @@ def test_a_limit_path_step_allocates_at_most_one_block():
     try:
         before = tracemalloc.get_traced_memory()[0]
         sim.step([rng.standard_normal(out=z)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak - before <= BLOCK * 8 + 4096
+
+
+def test_a_coupling_step_allocates_at_most_one_block():
+    # the run_coupled layout: controlled systems with array controls and a
+    # reference segment under given pairings, segments straddling the block
+    # edges; the control term is formed in the stepper's buffers, so again
+    # only the kernel factors allocate, one block at a time
+    kp = default_kernels()
+    ms = [5000, 12000]
+    sim = _FlatEM(kp, [*ms, max(ms)], 0.0, 1 / 512)
+    assert [s.start // BLOCK != (s.stop - 1) // BLOCK for s in sim.segs] == [False, True, True]
+    rng = stream(1, 0)
+    z = rng.standard_normal(max(ms))
+    zs = [z[:m] for m in ms] + [z]
+    controls = [(1.0 + 0.1 * x, m ** -0.25) for x, m in zip(sim.xs, ms)] + [None]
+    pairings = [None, None, (0.9, 0.8)]
+    sim.step(zs, pairings, controls)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sim.step(zs, pairings, controls)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

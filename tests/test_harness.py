@@ -6,9 +6,10 @@ import pytest
 
 from devia.harness import exactness_tv, run_experiment, run_initial_moments, run_lln
 from devia.harness.config import dump_config, load_config
-from devia.harness.lemmas import run_lemma_suite
+from devia.harness.lemmas import check_ell_linear_bound, run_lemma_suite
 from devia.harness import report
 from devia.harness.report import config_hash, fit_loglog_slope, sample_stats
+from devia.mf_model import ell_cost
 from devia.rng import stream
 
 MINI_LLN = {
@@ -324,3 +325,20 @@ def test_report_json_excludes_wall_time():
 def test_every_criterion_cites_its_tolerance():
     rep = run_lemma_suite()
     assert all(c.tolerance for c in rep.criteria)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.25, 0.45, 0.9, 1.0, 3.0])
+def test_ell_linear_sup_is_at_one_plus_beta(beta):
+    # dense-scan oracle for the closed form: no point of either branch of
+    # |x-1| >= beta beats x = 1 + beta, which the scan includes exactly
+    left = np.linspace(0.0, 1.0 - beta, 20001) if beta <= 1.0 else np.empty(0)
+    xs = np.concatenate([left, np.geomspace(1.0 + beta, 1e6, 20001)])
+    ratios = np.abs(xs - 1.0) / ell_cost(xs)
+    item = check_ell_linear_bound(betas=(beta,))
+    assert ratios.max() == item.detail[str(beta)]
+
+
+@pytest.mark.parametrize("beta", [0.0, -0.1, float("nan")])
+def test_ell_linear_bound_needs_positive_beta(beta):
+    with pytest.raises(ValueError, match="need every beta > 0"):
+        check_ell_linear_bound(betas=(0.1, beta))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -88,6 +89,15 @@ class TestHilbertSeminorm:
         # h_24's float coefficients cancel in the sum far beyond 1e-8
         with pytest.raises(ValueError, match="rounding bound of .* above ROUNDING_RTOL"):
             seminorm_hilbert(hermite_basis_function(24), 0)
+
+    def test_overflowing_moments_are_refused_without_warnings(self):
+        # the moments of a degree-400 integrand pass the float range; the
+        # refusal must come before 0 * inf turns the sums into nan
+        phi = HermiteFunction.from_poly_coeffs([0.0] * 200 + [1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounding bound of inf, above ROUNDING_RTOL"):
+                seminorm_hilbert(phi, 0)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
