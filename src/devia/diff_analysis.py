@@ -42,7 +42,7 @@ import numpy as np
 
 from .jump_analysis import RateResult
 from .kernels import KernelPair, MeasureHook
-from .paths import blocks, time_derivative
+from .paths import blocks, grid_index, time_derivative
 
 __all__ = [
     "GridField",
@@ -68,6 +68,14 @@ BOUNDARY_TOL = 1e-10
 BLOCK_CELLS = 1 << 12
 
 
+def _check_axis(grid: np.ndarray, name: str) -> None:
+    """Raise unless ``grid`` is a strictly increasing axis of at least 2 points."""
+    if np.ndim(grid) != 1 or len(grid) < 2:
+        raise ValueError(f"grid field needs at least 2 {name}; got {np.size(grid)}")
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError(f"grid field {name} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class GridField:
     """Field values on a uniform space-time grid; values[k, i] at (ts[k], xs[i])."""
@@ -77,11 +85,8 @@ class GridField:
     values: np.ndarray  # (Nt+1, Nx)
 
     def __post_init__(self):
-        for grid, name in ((self.xs, "spatial nodes"), (self.ts, "times")):
-            if np.ndim(grid) != 1 or len(grid) < 2:
-                raise ValueError(f"grid field needs at least 2 {name}; got {np.size(grid)}")
-            if np.any(np.diff(grid) <= 0):
-                raise ValueError(f"grid field {name} must be strictly increasing")
+        _check_axis(self.xs, "spatial nodes")
+        _check_axis(self.ts, "times")
         shape = (len(self.ts), len(self.xs))
         if np.shape(self.values) != shape:
             raise ValueError(
@@ -102,10 +107,7 @@ class GridField:
         return self.values.sum(axis=1) * self.dx
 
     def index_of(self, t: float) -> int:
-        k = int(round((t - self.ts[0]) / self.dt))
-        if not (0 <= k < len(self.ts)) or abs(self.ts[k] - t) > 1e-9 * max(1.0, self.ts[-1]):
-            raise ValueError(f"time {t} is not on the grid")
-        return k
+        return grid_index(self.ts, t)
 
     def pair(self, t: float, f: Callable[[np.ndarray], np.ndarray]) -> float:
         """<rho(t), f> for a grid time t."""
@@ -188,11 +190,13 @@ def solve_fokker_planck(
     """Self-consistent density of the limit law, from a mollified point mass.
 
     The initial condition is a Gaussian bump of width ``w0`` (default 4 dx)
-    at x0, discretely normalized.  Raises if the density in an end cell
-    exceeds BOUNDARY_TOL (the grid must cover the dynamic range) or the CFL
-    condition fails.
+    at x0, discretely normalized.  Raises before any step if the grid has
+    fewer than 2 nodes or the bump no positive finite mass on it, and while
+    marching if the density in an end cell exceeds BOUNDARY_TOL (the grid
+    must cover the dynamic range) or the CFL condition fails.
     """
     xs = np.linspace(x_lo, x_hi, nx)
+    _check_axis(xs, "spatial nodes")
     dx = float(xs[1] - xs[0])
     if w0 is None:
         w0 = 4.0 * dx
@@ -201,7 +205,13 @@ def solve_fokker_planck(
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     dt = T / n_steps
     rho = np.exp(-((xs - x0) ** 2) / (2.0 * w0 * w0))
-    rho /= rho.sum() * dx
+    mass = rho.sum() * dx
+    if not 0.0 < mass < math.inf:
+        raise ValueError(
+            f"the start bump at x0={x0:.6g} (width {w0:.6g}) has mass {mass:.6g} "
+            f"on [{x_lo:.6g}, {x_hi:.6g}]; move x0 into the domain"
+        )
+    rho /= mass
     out = np.empty((n_steps + 1, nx))
     out[0] = rho
     for k in range(n_steps):

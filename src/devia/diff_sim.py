@@ -64,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import Enveloped, KernelPair, MeasureHook
-from .paths import blocks
+from .paths import blocks, grid_index
 from .rng import stream
 
 __all__ = ["DiffusionPath", "LimitPath", "simulate_interacting", "limit_path", "run_coupled"]
@@ -97,10 +97,7 @@ class DiffusionPath:
         return self.positions.shape[1]
 
     def index_of(self, t: float) -> int:
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, self.times[-1]):
-            raise ValueError(f"time {t} is not on the recorded grid")
-        return k
+        return grid_index(self.times, t)
 
     def hook(self, t: float) -> MeasureHook:
         """Empirical measure at a recorded time."""

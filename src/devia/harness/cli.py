@@ -27,7 +27,7 @@ from ..diff_analysis import rate_diffusion, solve_fokker_planck
 from ..diff_sim import simulate_interacting
 from ..jump_analysis import rate_I, rate_Ibar, solve_p
 from ..jump_sim import simulate_jump, simulate_tilted
-from ..paths import PathVec
+from ..paths import PathVec, is_uniform
 from ..schwartz import HermiteFunction
 from .config import (
     config_numbers,
@@ -110,8 +110,7 @@ def _cmd_jump_sim(args) -> int:
 
 
 def _uniform_resample(path: PathVec) -> PathVec:
-    diffs = np.diff(path.grid)
-    if np.allclose(diffs, diffs[0], rtol=1e-8, atol=1e-14):
+    if is_uniform(path.grid):
         return path
     grid = np.linspace(path.grid[0], path.grid[-1], len(path.grid))
     return PathVec(grid, path(grid))
@@ -247,6 +246,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, RuntimeError, FileNotFoundError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy names the allocation it refused
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

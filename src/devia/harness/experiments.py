@@ -295,6 +295,8 @@ def run_clt_scaling(spec: dict, seed: int):
     dt = config_scalar(spec, "dt", T / 256)
     M_ref = config_scalar(spec, "M_ref", 8192, integer=True)
     phi_coeffs = config_numbers(spec, "phi", [0.0, 1.0])
+    if not phi_coeffs:
+        raise ValueError("'phi' must hold at least one Hermite coefficient; got []")
     tol = config_scalar(config_section(spec, "criteria"), "slope_tol", 0.3)
 
     kernels = kernels_from_config(kernel_cfg)

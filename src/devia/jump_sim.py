@@ -22,14 +22,15 @@ Waiting times are summed in draw order, so each position's time has the
 bits of the one-event loop.  The iteration commits the longest prefix whose
 guessed states equal the states implied by the jumps before them, through
 the first position that stops at a bin edge or T; committing only verified
-positions makes every output the same for any E and any guesses.  A row
-carries only its true state from one window to the next, and each window
-predicts its guesses from it: with the rates frozen at the true state,
-each draw picks its cell from the frozen bound (and in tilted runs takes
-the thinning test at those rates and p at the window start), and the guess
-is the true state plus the predicted jumps.  A jump moves the rates by
-O(1/m), so at large m nearly every guess holds and a window commits nearly
-all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
+positions makes every output the same for any E and any guesses.  One
+evaluator serves the guesses and the checked window: at given states it
+computes the rates, the bound, each draw's cell and the thinning test.  A
+row carries only its true state from one window to the next, and each
+window guesses from it by calling the evaluator at that one state, so at
+rates frozen there (and, in tilted runs, at p at the window start): each
+guess is the true state plus the jumps accepted before it.  A jump moves
+the rates by O(1/m), so at large m nearly every guess holds and a window
+commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
 [1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
 for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
 Each iteration generates its window's draws for every row in one call (see
@@ -457,22 +458,30 @@ def batch_paths(
             np.cumsum(states[:, 1:], axis=1, out=states[:, 1:])
         return states
 
-    def predict(u, s, factor, psi_a, p_now):
-        """Guessed states of the window: the true state ``s``, then the states
-        reached by the jumps that the draws ``u`` give at the rates of ``s``,
-        the bound factor and p at the window start ``p_now``."""
-        n = len(s)
-        rates = (s[:, :, None] * model.rates_batch(s / m)).reshape(n, KK)
-        bound = rates * factor if tilted else rates
-        cell = _pick_cells(bound[:, None], u[:, :-1, 1] * _sum_last(bound)[:, None])
-        lin = np.arange(n)[:, None] * KK + cell
+    def candidates(g, u, factor):
+        """Candidate events at the states ``g`` (n, L, K) from the draws ``u``
+        (n, L', width), L = 1 for one state per row: each state's total
+        bound (n, L), and each candidate's cell, its flat index into
+        (n, L, K^2), its rate and its bound (n, L')."""
+        n, L = g.shape[:2]
+        rates = (g[..., None] * model.rates_batch(g / m)).reshape(n, L, KK)
+        bound = rates * factor[:, None] if tilted else rates
+        total = _sum_last(bound)
+        cell = _pick_cells(bound, u[..., 1] * total)
+        lin = np.arange(n * L).reshape(n, L) * KK + cell
         b_cell = bound.take(lin)
-        accept = b_cell > 0.0
+        return total, cell, lin, rates.take(lin) if tilted else b_cell, b_cell
+
+    def accepted(u, cell, lin, r_cell, b_cell, psi_a, p):
+        """Whether each candidate passes the thinning test: a positive bound
+        and, in tilted runs, u_2 b <= r + psi min(r, m p_i Gamma_ij(p)), the
+        tilted rate at p (n, L, K) over a(m) sqrt(m)."""
+        ok = b_cell > 0.0
         if tilted:
-            w_p = (m * p_now[:, :, None] * model.rates_batch(p_now)).reshape(n, KK)
-            actual = rates + psi_a * np.minimum(rates, w_p)
-            accept &= u[:, :-1, 2] * b_cell <= actual.take(lin)
-        return walk(s, cell * accept)
+            w_p = (m * p.take(lin // K)) * model.rates_batch(p).take(lin)
+            psi_cell = psi_a.take(np.arange(len(cell))[:, None] * KK + cell)
+            ok &= u[..., 2] * b_cell <= r_cell + psi_cell * np.minimum(r_cell, w_p)
+        return ok
 
     def window(u, s, t, cap, factor, psi_a, p_now):
         """Evaluate one window of every live row, at guesses predicted from
@@ -483,13 +492,11 @@ def batch_paths(
         deviation observed at the committed positions and, in tilted runs, p
         at the time after it.  Accepted committed events go to _events."""
         n, E = u.shape[:2]
-        g = predict(u, s, factor, psi_a, p_now) if E > 1 else s[:, None]
-        pos = np.arange(n * E).reshape(n, E)  # flat index of each position
-        rates = g[..., None] * model.rates_batch(g / m)  # (n, E, K, K)
-        bound = rates.reshape(n, E, KK)
-        if tilted:
-            bound = bound * factor[:, None, :]
-        total = _sum_last(bound)
+        g = s[:, None]
+        if E > 1:  # guesses: the jumps the draws give at rates frozen at s
+            _, cell, *cand = candidates(g, u[:, :-1], factor)
+            g = walk(s, cell * accepted(u[:, :-1], cell, *cand, psi_a, p_now))
+        total, cell, *cand = candidates(g, u, factor)
         # event times in draw order, t_{e+1} = t_e - log1p(-u)/total, with
         # the additions of the one-event loop; a zero total gives inf (nan
         # for a zero draw), which never fires
@@ -501,20 +508,8 @@ def batch_paths(
         # a position beyond its bin boundary (or the horizon) stops there
         fired = t_prop <= cap
         times = np.fmin(t_prop, cap)
-
-        cell = _pick_cells(bound, u[..., 1] * total)
-        lin = pos * KK + cell
-        b_cell = bound.take(lin)
-        accept = fired & (b_cell > 0.0)
-        if tilted:
-            r_cell = rates.take(lin)
-        del rates, bound, total  # room for the path lookups
         ref_t, p_t = at(times)
-        if tilted:
-            w_p = (m * p_t.take(pos * K + cell // K)) * model.rates_batch(p_t).take(lin)
-            psi_cell = psi_a.take(np.arange(n)[:, None] * KK + cell)
-            actual = r_cell + psi_cell * np.minimum(r_cell, w_p)
-            accept &= u[..., 2] * b_cell <= actual
+        accept = fired & accepted(u, cell, *cand, psi_a, p_t)
 
         # implied[:, e]: the true state plus the accepted jumps before position e
         implied = walk(s, cell * accept)
@@ -525,18 +520,18 @@ def batch_paths(
         for j in range(K - 1):
             more &= g[:, 1:, j] == implied[:, 1:E, j]
         c = 1 + np.logical_and.accumulate(more, axis=1).sum(axis=1)
-        last = pos[:, 0] + c - 1
+        last = np.arange(n) * E + c - 1
         dev = None
         if ref is not None:
             # each committed position's state before and after its jump
             dev = _sum_last(np.square(g / m - ref_t))
             np.maximum(dev, _sum_last(np.square(implied[:, 1:] / m - ref_t)), out=dev)
-            dev *= pos[:1] < c[:, None]
+            dev *= np.arange(E) < c[:, None]
             dev = dev.max(axis=1)
         if _events is not None:
             for e in np.flatnonzero(accept[0, : c[0]]):
                 _events.append((float(t_prop[0, e]), implied[0, e + 1].copy()))
-        p_last = None if p_t is None else p_t[np.arange(n), c - 1]
+        p_last = None if p_t is None else p_t[np.arange(n), c - 1, None]
         return c, implied, ~fired.take(last), times.take(last), dev, p_last
 
     def advance(ids, sup_out, finals_out):
@@ -551,8 +546,9 @@ def batch_paths(
         k = np.zeros(n, dtype=np.intp)  # control bin of each row
         # the rows' entries of the bin tables; regathered when a row moves bin
         factor = psi_a = None
-        ref_t, p_now = at(t)  # p at each row's time, for the predictions
+        ref_t, p_now = at(t)
         if tilted:
+            p_now = p_now[:, None]  # p at each row's time, (n, 1, K), for the guesses
             factor, psi_a, cap, next_edge = (a[k] for a in tables)
         else:
             cap = T

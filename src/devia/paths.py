@@ -4,7 +4,9 @@ PathVec holds one truncated-l2 vector per grid time and interpolates
 linearly in between.  It is the common carrier for the deterministic limit
 path p, fluctuation paths and skeleton solutions eta.  time_derivative is
 the finite-difference d/dt, and blocks the split of a time grid into
-batched passes, that the jump and diffusion analysis layers share.
+batched passes, that the jump and diffusion analysis layers share;
+is_uniform and grid_index are the two time-grid rules that every layer
+applies: when a grid counts as uniform, and which grid time a time names.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["PathVec", "blocks", "time_derivative"]
+__all__ = ["PathVec", "blocks", "grid_index", "is_uniform", "time_derivative"]
 
 
 @dataclass(frozen=True)
@@ -84,14 +86,30 @@ class PathVec:
         return PathVec(self.grid[idx], self.values[idx])
 
 
+def is_uniform(ts: np.ndarray) -> bool:
+    """Whether every step of the time grid ``ts`` (at least 2 times) is its
+    first, to a relative 1e-8 and an absolute 1e-14 max(1, T)."""
+    steps = np.diff(ts)
+    return bool(np.allclose(steps, steps[0], rtol=1e-8, atol=1e-14 * max(1.0, ts[-1])))
+
+
+def grid_index(ts: np.ndarray, t: float) -> int:
+    """Index of the time in the grid ``ts`` nearest t; raises unless it lies
+    within 1e-9 max(1, T) of t."""
+    k = int(np.argmin(np.abs(ts - t)))
+    if not abs(ts[k] - t) <= 1e-9 * max(1.0, ts[-1]):
+        raise ValueError(f"time {t} is not on the grid")
+    return k
+
+
 def time_derivative(ts: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """d/dt of vals[k, ...] sampled at ts[k]: second-order central differences
     on a uniform grid, one-sided at the ends."""
     if len(ts) < 3:
         raise ValueError(f"the time derivative needs at least 3 grid times, got {len(ts)}")
-    h = ts[1] - ts[0]
-    if not np.allclose(np.diff(ts), h, rtol=1e-8, atol=1e-14 * max(1.0, ts[-1])):
+    if not is_uniform(ts):
         raise ValueError("rate evaluation expects a uniform time grid")
+    h = ts[1] - ts[0]
     d = np.empty_like(vals)
     d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * h)
     d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * h)

@@ -357,12 +357,22 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
     ({"kind": "lemma-suite", "seed": 5, "sead": 1, "criteria": {"bogus": 1}},
      "the lemma-suite spec has an unknown key 'criteria'; expected one of ['kind']"),
     ({"kind": "lemma-suite", "seed": 5}, "the lemma-suite spec has an unknown key 'seed'"),
+    # these five used to end in a traceback, a nan value or numpy's own words
+    (dict(MINI_DIFFUSION, nx=1), "grid field needs at least 2 spatial nodes; got 1"),
+    (dict(MINI_DIFFUSION, nx=0), "grid field needs at least 2 spatial nodes; got 0"),
+    (dict(MINI_DIFFUSION, x0=100.0), "the start bump at x0=100 (width 0.25) has mass 0"),
+    # 2e13 steps: a density array larger than any address space, so it is
+    # refused whatever the machine's memory and overcommit policy
+    (dict(MINI_DIFFUSION, domain=[-1e-5, 1e-5]), "out of memory: Unable to allocate"),
+    ({"kind": "clt-scaling", "kernels": {"family": "default"}, "m_grid": [8, 16],
+      "replicas": 30, "phi": []}, "'phi' must hold at least one Hermite coefficient; got []"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
         "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
         "misspelled-criteria", "misspelled-criterion", "misspelled-T_diff", "misspelled-n_bins",
         "three-entry-domain", "negative-n_bins", "zero-m", "negative-m", "lemma-suite-keys",
-        "lemma-suite-seed"])
+        "lemma-suite-seed", "one-node-nx", "zero-nx", "bump-off-the-domain",
+        "tiny-domain", "empty-phi"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"
@@ -649,6 +659,19 @@ def test_rate_roundtrip_diagnoses_a_step_count_of_zero(tmp_path, capsys):
     dump_config(spec, path)
     assert main(["run", str(path)]) == 2
     assert "at least 1 step; got n_steps=0" in capsys.readouterr().err
+
+
+def test_jump_rate_keeps_every_grid_the_time_derivative_accepts():
+    # at T = 2 and h = 1e-6 one step 2.5e-14 too long is inside the shared
+    # tolerance 1e-8 h + 1e-14 max(1, T); an absolute 1e-14 resampled it
+    from devia.harness.cli import _uniform_resample
+    from devia.paths import PathVec, time_derivative
+
+    grid = np.linspace(0.0, 2.0, 2_000_001)
+    grid[1000:] += 2.5e-14
+    path = PathVec(grid, np.sin(grid)[:, None])
+    time_derivative(path.grid, path.values)
+    assert _uniform_resample(path) is path
 
 
 def test_jump_rate_resamples_a_non_uniform_grid(tmp_path, model_cfg):

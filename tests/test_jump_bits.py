@@ -224,29 +224,35 @@ def test_poorly_predicted_windows_are_pinned(monkeypatch, E):
 
 
 def test_windows_commit_nearly_all_they_evaluate(monkeypatch):
-    # m = 2000, 100 tilted replicas: the one-event loop's 205 346 candidate
-    # events, with windows of E = 81 guesses predicted from the true state
-    # in 34 lockstep iterations that evaluated 239 760 row-positions
+    # the kernel's work, pinned exactly: (lockstep iterations, evaluated
+    # row-positions, candidate events) at (m, replicas, control bins); the
+    # events are the one-event loop's, and at m >= 2000 nearly every guess
+    # predicted at frozen rates holds, so a window commits nearly all of it
+    work = {
+        (2000, 100, 4): ("tilted/m=2000/100", (34, 239_760, 205_346)),
+        (20, 100, 64): ("many-bins/m=20/100", (67, 519_939, 2_189)),
+        (10_000, 20, 4): ("tilted/m=10000/20", (88, 215_552, 204_236)),
+    }
     cls = jump_sim._ReplicaRandoms
     fetch, advance = cls.fetch, cls.advance
-    count = {"iterations": 0, "positions": 0, "events": 0}
+    count = [0, 0, 0]
 
     def counted_fetch(self):
         u = fetch(self)
-        count["iterations"] += 1
-        count["positions"] += u.size // self.width
+        count[0] += 1
+        count[1] += u.size // self.width
         return u
 
     def counted_advance(self, used):
-        count["events"] += int((used // self.width).sum())  # a stop uses 1 draw
+        count[2] += int((used // self.width).sum())  # a stop uses 1 draw
         return advance(self, used)
 
     monkeypatch.setattr(cls, "fetch", counted_fetch)
     monkeypatch.setattr(cls, "advance", counted_advance)
-    assert _tilted_digest(2000, 100, 4) == PINNED["tilted/m=2000/100"]
-    assert count["events"] == 205_346
-    assert count["iterations"] <= 44
-    assert count["positions"] <= 1.25 * count["events"]
+    for shape, (pin, expected) in work.items():
+        count[:] = 0, 0, 0
+        assert _tilted_digest(*shape) == PINNED[pin], shape
+        assert tuple(count) == expected, shape
 
 
 @pytest.mark.parametrize("E", [None, 1, 7])
