@@ -42,7 +42,7 @@ import numpy as np
 
 from .jump_analysis import RateResult
 from .kernels import KernelPair, MeasureHook
-from .paths import blocks, grid_index, time_derivative
+from .paths import blocks, check_axis, grid_index, time_derivative
 
 __all__ = [
     "GridField",
@@ -68,14 +68,6 @@ BOUNDARY_TOL = 1e-10
 BLOCK_CELLS = 1 << 12
 
 
-def _check_axis(grid: np.ndarray, name: str) -> None:
-    """Raise unless ``grid`` is a strictly increasing axis of at least 2 points."""
-    if np.ndim(grid) != 1 or len(grid) < 2:
-        raise ValueError(f"grid field needs at least 2 {name}; got {np.size(grid)}")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError(f"grid field {name} must be strictly increasing")
-
-
 @dataclass(frozen=True)
 class GridField:
     """Field values on a uniform space-time grid; values[k, i] at (ts[k], xs[i])."""
@@ -85,8 +77,8 @@ class GridField:
     values: np.ndarray  # (Nt+1, Nx)
 
     def __post_init__(self):
-        _check_axis(self.xs, "spatial nodes")
-        _check_axis(self.ts, "times")
+        check_axis(self.xs, "grid field", "spatial nodes")
+        check_axis(self.ts, "grid field", "times")
         shape = (len(self.ts), len(self.xs))
         if np.shape(self.values) != shape:
             raise ValueError(
@@ -196,7 +188,7 @@ def solve_fokker_planck(
     must cover the dynamic range) or the CFL condition fails.
     """
     xs = np.linspace(x_lo, x_hi, nx)
-    _check_axis(xs, "spatial nodes")
+    check_axis(xs, "grid field", "spatial nodes")
     dx = float(xs[1] - xs[0])
     if w0 is None:
         w0 = 4.0 * dx

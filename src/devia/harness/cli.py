@@ -39,7 +39,7 @@ from .config import (
     model_from_config,
 )
 from .experiments import run_experiment
-from .io import read_grid_field, read_path_vec, write_jump_path
+from .io import _write_table, read_grid_field, read_path_vec, write_jump_path
 from .report import _strict_json, config_hash
 
 __all__ = ["main"]
@@ -144,22 +144,21 @@ def _cmd_jump_rate(args) -> int:
 def _cmd_diff_sim(args) -> int:
     cfg = load_config(args.kernels)
     kernels = kernels_from_config(_block(cfg, "kernels", "x0", "test_functions"))
+    coeffs = config_numbers(cfg, "test_functions", [[1.0]], depth=2)
+    for k, c in enumerate(coeffs):
+        if not c:
+            raise ValueError(
+                f"'test_functions' entry {k} must hold at least one Hermite coefficient; got []"
+            )
+    phis = [HermiteFunction.from_hermite_coeffs(c) for c in coeffs]
     dt = args.T / 2048 if args.dt is None else args.dt
     path = simulate_interacting(
         kernels, args.m, args.x0, args.T, dt, args.seed, record_stride=args.stride
     )
-    coeffs = config_numbers(cfg, "test_functions", [[1.0]], depth=2)
-    phis = [HermiteFunction.from_hermite_coeffs(c) for c in coeffs]
-    lines = [
-        "time,mean,var," + ",".join(f"pairing_{k}" for k in range(len(phis)))
-    ]
-    for k, t in enumerate(path.times):
-        x = path.positions[k]
-        row = [repr(float(t)), repr(float(x.mean())), repr(float(x.var()))]
-        row += [repr(float(np.mean(phi(x)))) for phi in phis]
-        lines.append(",".join(row))
+    header = ",".join(["time", "mean", "var", *(f"pairing_{k}" for k in range(len(phis)))])
+    rest = [[x.mean(), x.var(), *(np.mean(phi(x)) for phi in phis)] for x in path.positions]
     out = Path(f"{args.out}_summary.csv")
-    out.write_text("\n".join(lines) + "\n")
+    _write_table(out, header, path.times, rest)
     print(f"wrote {out}")
     return 0
 

@@ -423,19 +423,36 @@ def _potential_control(model, T: float, n_bins: int, scale: float, seed: int) ->
     return JumpControl(np.linspace(0.0, T, n_bins + 1), psi)
 
 
+# the spec keys and the criteria each half of a rate round trip reads
+_ROUNDTRIP_KEYS = {
+    "jump": (("model", "q0", "T", "p_steps"), ("jump_tol", "equality_tol")),
+    "diffusion": (("kernels", "x0", "T_diff", "nx", "domain"), ("diff_rel_tol",)),
+}
+
+
 @_runner("rate-roundtrip",
-         optional=("target", "model", "q0", "T", "p_steps", "kernels", "x0", "T_diff", "nx",
-                   "domain"),
-         criteria=("jump_tol", "equality_tol", "diff_rel_tol"))
+         optional=("target", *_ROUNDTRIP_KEYS["jump"][0], *_ROUNDTRIP_KEYS["diffusion"][0]),
+         criteria=(*_ROUNDTRIP_KEYS["jump"][1], *_ROUNDTRIP_KEYS["diffusion"][1]))
 def run_rate_roundtrip(spec: dict, seed: int):
     """Forward-solve a control into a path, invert the path back to a
-    least-norm control, compare costs; jump and diffusion sides."""
+    least-norm control, compare costs; jump and diffusion sides.  A key of
+    the half the target skips is refused, since no reader reads it."""
     tols = config_section(spec, "criteria")
     target = spec.get("target", "both")
     if target not in ("jump", "diffusion", "both"):
         raise ValueError(
             f"rate-roundtrip target must be 'jump', 'diffusion' or 'both'; got {target!r}"
         )
+    for half, (keys, tol_keys) in _ROUNDTRIP_KEYS.items():
+        if target in (half, "both"):
+            continue
+        for what, block, names in (("spec", spec, keys), ("criteria", tols, tol_keys)):
+            skipped = [key for key in names if key in block]
+            if skipped:
+                raise ValueError(
+                    f"the rate-roundtrip {what} has the {half} key {skipped[0]!r}, "
+                    f"which target {target!r} does not read"
+                )
     criteria: list[CriterionResult] = []
     stats: dict = {}
 

@@ -34,9 +34,11 @@ commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
 [1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
 for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
 Each iteration generates its window's draws for every row in one call (see
-:class:`_ReplicaRandoms`); the per-bin control tables and the bin caps are
-built once per call, and the limit and reference paths are stacked into one
-path when they share a grid.
+:class:`_ReplicaRandoms`).  The per-bin control tables (bound factor,
+control and bin cap) are built once per call, and each window reads them at
+its rows' bins, so a row carries only its bin index from one window to the
+next.  The limit and reference paths are stacked into one path when they
+share a grid.
 
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mf_model import RateModel, _check_pair, cell_weights, check_states, ell_cost
-from .paths import PathVec, blocks
+from .paths import PathVec, blocks, check_axis
 from .rng import counter_uniforms
 # not used here, but perfbench/layers.py wraps jump_sim.stream by name
 from .rng import stream  # noqa: F401
@@ -115,10 +117,8 @@ class JumpControl:
     psi: np.ndarray  # (B, K, K), zero diagonal
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
+        edges = check_axis(self.edges, "control", "bin edges")
         psi = np.asarray(self.psi, dtype=float)
-        if len(edges) < 2 or np.any(np.diff(edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
         if psi.ndim != 3 or psi.shape[0] != len(edges) - 1 or psi.shape[1] != psi.shape[2]:
             raise ValueError("psi must have shape (n_bins, K, K)")
         psi = psi.copy()
@@ -424,10 +424,10 @@ def batch_paths(
         _check_phi_nonnegative(control, a_scale)
         _check_horizon("p_path", p_path.T, T)
         _check_horizon("control", control.T, T)
-        # per-bin tables: the bound factor on every cell, the control over
-        # a(m) sqrt(m), the time a row in the bin stops at (a column, to
-        # broadcast over window positions), and the edge that moves it to
-        # the next bin
+        # per-bin tables, read at each row's bin k by every window: the
+        # bound factor on every cell, the control over a(m) sqrt(m) and the
+        # time a row in the bin stops at (a column, to broadcast over window
+        # positions); a row whose time reaches edge[k] moves to the next bin
         stop = np.minimum(control.edges[1:], T)
         stop[-1] = T  # the last bin runs to T
         edge = control.edges[1:].copy()
@@ -436,7 +436,6 @@ def batch_paths(
             (1.0 + np.maximum(control.psi, 0.0) / a_scale).reshape(-1, KK),
             (control.psi / a_scale).reshape(-1, KK),
             stop[:, None],
-            edge,
         )
     else:
         p_path = None
@@ -483,15 +482,18 @@ def batch_paths(
             ok &= u[..., 2] * b_cell <= r_cell + psi_cell * np.minimum(r_cell, w_p)
         return ok
 
-    def window(u, s, t, cap, factor, psi_a, p_now):
+    def window(u, s, t, k, p_now):
         """Evaluate one window of every live row, at guesses predicted from
-        its true state ``s`` (n, K) and draws ``u`` (n, E, width).  Returns
+        its true state ``s`` (n, K) and draws ``u`` (n, E, width); in tilted
+        runs the bound factor, the control and the cap are the bin tables'
+        entries at the rows' bins ``k``, and the cap is T otherwise.  Returns
         the positions committed, the states implied before every position
         and after the last (n, E + 1, K), whether the last committed position
         stopped at the cap, the time after it, with a ref the largest squared
         deviation observed at the committed positions and, in tilted runs, p
         at the time after it.  Accepted committed events go to _events."""
         n, E = u.shape[:2]
+        factor, psi_a, cap = (a[k] for a in tables) if tilted else (None, None, T)
         g = s[:, None]
         if E > 1:  # guesses: the jumps the draws give at rates frozen at s
             _, cell, *cand = candidates(g, u[:, :-1], factor)
@@ -544,19 +546,14 @@ def batch_paths(
         s = np.tile(counts0, (n, 1))  # each row's true state
         sup = np.zeros(n)
         k = np.zeros(n, dtype=np.intp)  # control bin of each row
-        # the rows' entries of the bin tables; regathered when a row moves bin
-        factor = psi_a = None
         ref_t, p_now = at(t)
         if tilted:
             p_now = p_now[:, None]  # p at each row's time, (n, 1, K), for the guesses
-            factor, psi_a, cap, next_edge = (a[k] for a in tables)
-        else:
-            cap = T
         if ref is not None:
             np.sqrt(_sum_last(np.square(s / m - ref_t)), out=sup)
         while len(rows):
             u = rnd.fetch().reshape(len(rows), E, width)  # waiting time, cell, thinning test
-            c, implied, stopped, t, dev, p_now = window(u, s, t, cap, factor, psi_a, p_now)
+            c, implied, stopped, t, dev, p_now = window(u, s, t, k, p_now)
             # the true state after the commit (c = 1 in a window of one);
             # implied stays referenced until the next window returns, which
             # keeps glibc malloc from trimming the heap every iteration
@@ -566,10 +563,7 @@ def batch_paths(
                 np.maximum(sup, np.sqrt(dev), out=sup)
 
             if tilted:
-                moved = t >= next_edge
-                if moved.any():
-                    k += moved
-                    factor, psi_a, cap, next_edge = (a[k] for a in tables)
+                k += t >= edge[k]
             done = t >= T
             if done.any():
                 sup_out[rows[done]] = sup[done]
@@ -579,7 +573,6 @@ def batch_paths(
                 rnd.keep(live)
                 if tilted:
                     p_now = p_now[live]
-                    factor, psi_a, cap, next_edge = (a[k] for a in tables)
 
     sup_dev = np.zeros(R)
     final_counts = np.empty((R, K), dtype=np.int64)

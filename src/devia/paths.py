@@ -5,8 +5,9 @@ linearly in between.  It is the common carrier for the deterministic limit
 path p, fluctuation paths and skeleton solutions eta.  time_derivative is
 the finite-difference d/dt, and blocks the split of a time grid into
 batched passes, that the jump and diffusion analysis layers share;
-is_uniform and grid_index are the two time-grid rules that every layer
-applies: when a grid counts as uniform, and which grid time a time names.
+check_axis, is_uniform and grid_index are the grid rules that every layer
+applies: what makes an axis, when a grid counts as uniform, and which grid
+time a time names.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["PathVec", "blocks", "grid_index", "is_uniform", "time_derivative"]
+__all__ = ["PathVec", "blocks", "check_axis", "grid_index", "is_uniform", "time_derivative"]
 
 
 @dataclass(frozen=True)
@@ -27,12 +28,10 @@ class PathVec:
     values: np.ndarray  # (N, K)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = check_axis(self.grid, "path", "grid times")
         values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or values.ndim != 2 or len(grid) != len(values):
+        if values.ndim != 2 or len(grid) != len(values):
             raise ValueError("grid (N,) and values (N, K) must align")
-        if len(grid) < 2 or np.any(np.diff(grid) <= 0):
-            raise ValueError("grid must be strictly increasing with >= 2 points")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
 
@@ -84,6 +83,23 @@ class PathVec:
         if idx[-1] != len(self.grid) - 1:
             idx.append(len(self.grid) - 1)
         return PathVec(self.grid[idx], self.values[idx])
+
+
+def check_axis(axis, owner: str, name: str) -> np.ndarray:
+    """``axis`` as a float array; raises unless it is 1-D, of at least 2
+    points, finite and strictly increasing, naming the ``owner`` and the
+    points' ``name``."""
+    axis = np.asarray(axis, dtype=float)
+    if axis.ndim != 1:
+        raise ValueError(f"{owner} {name} must be a 1-D list; got shape {axis.shape}")
+    if len(axis) < 2:
+        raise ValueError(f"{owner} needs at least 2 {name}; got {len(axis)}")
+    bad = ~np.isfinite(axis)
+    if bad.any():
+        raise ValueError(f"{owner} {name} must be finite; got {axis[bad][0]}")
+    if np.any(np.diff(axis) <= 0):
+        raise ValueError(f"{owner} {name} must be strictly increasing")
+    return axis
 
 
 def is_uniform(ts: np.ndarray) -> bool:

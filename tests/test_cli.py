@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -176,9 +177,12 @@ def test_diff_sim_summary(tmp_path, kernel_cfg):
          "--seed", "4", "--stride", "4", "--out", str(tmp_path / "run")]
     )
     assert rc == 0
-    lines = (tmp_path / "run_summary.csv").read_text().splitlines()
+    text = (tmp_path / "run_summary.csv").read_text()
+    lines = text.splitlines()
     assert lines[0] == "time,mean,var,pairing_0,pairing_1"
     assert len(lines) == 2 + 16 // 4  # header + initial + recorded steps
+    # the bytes the summary had when it was built row by row in the command
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f04860a2fe76661f"
 
 
 def test_diff_rate_cli(tmp_path, kernel_cfg):
@@ -292,6 +296,11 @@ BAD_GRID_CSVS = {
                            "times must be strictly increasing"),
     "short-rows": ("t,-1.0,0.0,1.0\n0.0,0,0\n0.1,0,0\n0.2,0,0\n",
                    "values must have shape (times, nodes) = (3, 3); got (3, 2)"),
+    # these two used to reach the Fokker-Planck start and blame its bump
+    "nan-node": ("t,nan,0.0,1.0\n0.0,0,0,0\n0.1,0,0,0\n0.2,0,0,0\n",
+                 "grid field spatial nodes must be finite; got nan"),
+    "inf-node": ("t,-1.0,0.0,inf\n0.0,0,0,0\n0.1,0,0,0\n0.2,0,0,0\n",
+                 "grid field spatial nodes must be finite; got inf"),
 }
 
 
@@ -309,6 +318,8 @@ def test_diff_rate_malformed_grid_is_diagnosed(tmp_path, kernel_cfg, capsys, nam
 
 MINI_MOMENTS = {"kind": "initial-moments", "p0": [0.5, 0.5], "m_grid": [50, 100], "replicas": 100}
 MINI_DIFFUSION = {"kind": "rate-roundtrip", "target": "diffusion", "kernels": {"family": "default"}}
+MINI_JUMP_RT = {"kind": "rate-roundtrip", "target": "jump", "model": {"family": "two-state"},
+                "p_steps": 64}
 MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5, 0.5],
              "m_grid": [50, 100], "replicas": 30}
 
@@ -366,13 +377,23 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
     (dict(MINI_DIFFUSION, domain=[-1e-5, 1e-5]), "out of memory: Unable to allocate"),
     ({"kind": "clt-scaling", "kernels": {"family": "default"}, "m_grid": [8, 16],
       "replicas": 30, "phi": []}, "'phi' must hold at least one Hermite coefficient; got []"),
+    # keys of the half a target skips used to pass unread
+    (dict(MINI_DIFFUSION, model={"family": "two-state", "rat": 2.0}, p_steps=7),
+     "the rate-roundtrip spec has the jump key 'model', which target 'diffusion' does not read"),
+    (dict(MINI_DIFFUSION, criteria={"jump_tol": -1.0}),
+     "the rate-roundtrip criteria has the jump key 'jump_tol', which target 'diffusion'"),
+    (dict(MINI_JUMP_RT, nx=81),
+     "the rate-roundtrip spec has the diffusion key 'nx', which target 'jump' does not read"),
+    (dict(MINI_JUMP_RT, criteria={"diff_rel_tol": 0.1}),
+     "the rate-roundtrip criteria has the diffusion key 'diff_rel_tol', which target 'jump'"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
         "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
         "misspelled-criteria", "misspelled-criterion", "misspelled-T_diff", "misspelled-n_bins",
         "three-entry-domain", "negative-n_bins", "zero-m", "negative-m", "lemma-suite-keys",
         "lemma-suite-seed", "one-node-nx", "zero-nx", "bump-off-the-domain",
-        "tiny-domain", "empty-phi"])
+        "tiny-domain", "empty-phi", "jump-key-for-diffusion", "jump-criterion-for-diffusion",
+        "diffusion-key-for-jump", "diffusion-criterion-for-jump"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"
@@ -496,10 +517,13 @@ NAN = float("nan")
      "'test_functions' must be a list of numbers; got 1.0"),
     ("diff-sim", {"family": "default", "test_functions": 1.0},
      "'test_functions' must be a list of lists of numbers; got 1.0"),
+    # numpy's "Coefficient array is empty" named no key
+    ("diff-sim", {"family": "default", "test_functions": [[]]},
+     "'test_functions' entry 0 must hold at least one Hermite coefficient; got []"),
 ], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "list-a", "nan-a",
         "fractional-K", "string-K", "inf-rate", "string-gamma_norm", "list-control-entry",
         "list-theta", "fractional-n_bins", "zero-n_bins", "control-key", "number-q0", "flat-test_functions",
-        "number-test_functions"])
+        "number-test_functions", "empty-test_function"])
 def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):
     # each used to end in a TypeError traceback, a wrong diagnosis (a CFL
     # violation, an off-lattice initial state) or a silently truncated K

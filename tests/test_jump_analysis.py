@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from devia import jump_analysis
+from devia.diff_analysis import GridField
 from devia.jump_analysis import (
     _laplacian_density,
     _svd_density,
@@ -23,6 +24,27 @@ from devia.jump_sim import JumpControl
 from devia.mf_model import birth_death_model, cell_weights, constant_rate_model, two_state_model
 from devia.paths import PathVec
 from devia.rng import stream
+
+
+AXIS_OWNERS = {
+    "path": lambda axis: PathVec(axis, np.zeros((len(axis), 2))),
+    "control": lambda axis: JumpControl(axis, np.zeros((len(axis) - 1, 2, 2))),
+    "grid field": lambda axis: GridField(axis, np.array([0.0, 0.5]), np.zeros((2, len(axis)))),
+}
+
+
+@pytest.mark.parametrize("owner", list(AXIS_OWNERS))
+@pytest.mark.parametrize("axis, message", [
+    ([0.0, math.nan, 1.0], "must be finite; got nan"),
+    ([0.0, 0.5, math.inf], "must be finite; got inf"),
+    ([-math.inf, 0.0, 1.0], "must be finite; got -inf"),
+    ([0.0, 0.5, 0.5], "must be strictly increasing"),
+    ([0.0], "needs at least 2"),
+])
+def test_every_axis_is_finite_and_increasing(owner, axis, message):
+    # the three constructors share one rule; each accepted [0, nan, 1] once
+    with pytest.raises(ValueError, match=f"^{re.escape(owner)}.*{re.escape(message)}"):
+        AXIS_OWNERS[owner](np.array(axis))
 
 
 class TestSolveP:
