@@ -182,6 +182,8 @@ class _FlatEM:
     """
 
     def __init__(self, kernels: KernelPair, sizes, x0: float, dt: float, names=None):
+        if not math.isfinite(x0):
+            raise ValueError(f"need a finite start x0; got x0={x0}")
         self.sizes = [int(n) for n in sizes]
         self._counts = np.array(self.sizes, dtype=float)
         self.edges = np.cumsum([0, *self.sizes])

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jump_sim import JumpControl, _bin_integral, _check_horizon
+from .jump_sim import JumpControl, _bin_integral, _check_horizon, _check_path
 from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
@@ -394,7 +394,8 @@ def _rate_common(model: RateModel, p_path: PathVec, eta: PathVec, density) -> Ra
     ``density(model, p_path, eta, halve)`` (per forcing of
     :func:`_slice_blocks`: cost density, residual ratios) over its grid, and
     check refinement against the half-grid forcing of the same pass."""
-    _check_horizon("p_path", p_path.T, eta.grid[-1])
+    _check_path("eta", eta, eta.T, model.K)
+    _check_path("p_path", p_path, eta.T, model.K)
     n = len(eta.grid)
     if n < 9:
         refine = f"skipped: {n} grid points, fewer than 9"

@@ -33,12 +33,13 @@ the rates by O(1/m), so at large m nearly every guess holds and a window
 commits nearly all it evaluates.  E = CELL_BUDGET // (rows K^2), clamped to
 [1, MAX_WINDOW], is fixed per chunk of at most CHUNK_REPLICAS replicas: 81
 for 100 replicas of a two-state chain, 128 for a single path, 1 above 4096.
-Each iteration generates its window's draws for every row in one call (see
-:class:`_ReplicaRandoms`).  The per-bin control tables (bound factor,
-control and bin cap) are built once per call, and each window reads them at
-its rows' bins, so a row carries only its bin index from one window to the
-next.  The limit and reference paths are stacked into one path when they
-share a grid.
+Each iteration reads its window's draws for every row in one
+:func:`~devia.rng.counter_uniforms` call, at each row's next draw index,
+the only generator state a row keeps.  The per-bin control tables (bound
+factor, control and bin cap) are built once per call, and each window reads
+them at its rows' bins, so a row carries only its bin index from one window
+to the next.  The limit and reference paths are stacked into one path when
+they share a grid.
 
 Tilted (thinned) runs multiply the intensity on the control's support cells,
 which are the cells of the deterministic limit path p.  Since the current
@@ -164,7 +165,8 @@ def _counts_from_q0(q0: np.ndarray, m: int) -> np.ndarray:
     q0 = np.asarray(q0, dtype=float)
     counts = np.rint(q0 * m)
     if np.any(np.abs(counts - q0 * m) > 1e-9) or int(counts.sum()) != m or np.any(counts < 0):
-        raise ValueError("initial state entries must be nonnegative multiples of 1/m")
+        raise ValueError("initial state entries must be nonnegative multiples of 1/m; "
+                         f"got q0={q0.tolist()} at m={m}")
     return counts.astype(np.int64)
 
 
@@ -221,6 +223,13 @@ def _check_horizon(name: str, end: float, T: float) -> None:
         raise ValueError(f"{name} ends at t={end:.6g}, before the horizon T={T:.6g}")
 
 
+def _check_path(name: str, path: PathVec, T: float, K: int) -> None:
+    """Raise unless the path ``name`` has K coordinates and covers the horizon T."""
+    if path.dim != K:
+        raise ValueError(f"{name} has {path.dim} coordinates, but the model has K={K} states")
+    _check_horizon(name, path.T, T)
+
+
 def _recorded_path(model, m, q0, T, seed, replica, **tilt) -> JumpPath:
     """Replica ``replica`` of :func:`batch_paths`, every accepted event kept."""
     events = [(0.0, _counts_from_q0(q0, m))]
@@ -259,7 +268,7 @@ def tilt_cost(
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
-    _check_horizon("p_path", p_path.T, control.T)
+    _check_path("p_path", p_path, control.T, model.K)
     phi = 1.0 + control.psi / a_scale  # (B, K, K)
     ell = ell_cost(phi.ravel()).reshape(phi.shape)
     return _bin_integral(model, p_path, control.edges, ell)
@@ -318,49 +327,6 @@ def _window_length(rows: int, K: int) -> int:
     return min(MAX_WINDOW, max(1, CELL_BUDGET // (rows * K * K)))
 
 
-class _ReplicaRandoms:
-    """Uniform draws of the live replicas, consumed in lockstep.
-
-    Draw k of replica r is a pure function of (seed, r, k) (see
-    :func:`devia.rng.counter_uniforms`), so a row holds only its replica and
-    the index of its next draw.  Results are therefore identical no matter
-    how replicas are grouped, and rows can be dropped without touching the
-    draws of the others.
-
-    An iteration of the kernel reads the next ``span`` draws of every row
-    (:meth:`fetch`) and then moves each row's pointer beyond the draws it used
-    (:meth:`advance`), at most ``span``.  A fetch is one ``counter_uniforms``
-    call from the even draw at or below each pointer (a stop uses 1 draw,
-    so a pointer can be odd): ``span`` draws, one more if any pointer is
-    odd, rounded up to even.
-    """
-
-    def __init__(self, seed: int, replica_ids: np.ndarray, width: int, window: int):
-        self.width = width  # draws of one candidate event
-        self.span = width * window
-        self.seed = seed
-        self.ids = replica_ids
-        self.pos = np.zeros(len(replica_ids), dtype=np.int64)  # each row's next draw
-
-    def fetch(self) -> np.ndarray:
-        """The next ``span`` draws of every row, shape (rows, span)."""
-        odd = self.pos & 1
-        n = (self.span + int(odd.max()) + 1) & -2
-        u = counter_uniforms(self.seed, self.ids, self.pos - odd, n)
-        if n == self.span:  # every pointer is even
-            return u
-        runs = np.lib.stride_tricks.sliding_window_view(u.reshape(-1), self.span)
-        return runs[np.arange(0, u.size, n) + odd]
-
-    def advance(self, used: np.ndarray) -> None:
-        """Move each row beyond the ``used`` draws of its last fetch."""
-        self.pos += used
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop every row not selected by ``rows``."""
-        self.ids, self.pos = self.ids[rows], self.pos[rows]
-
-
 def _path_lookup(ref: PathVec | None, p_path: PathVec | None):
     """t -> (ref(t), p_path(t)), None for a missing path; one interpolation
     when the two paths share a grid."""
@@ -415,23 +381,21 @@ def batch_paths(
     if _events is not None and R != 1:
         raise ValueError(f"event recording needs exactly one replica; got {R}")
     if ref is not None:
-        _check_horizon("ref", ref.T, T)
+        _check_path("ref", ref, T, K)
     tilted = control is not None
     if tilted:
         if a_m is None or p_path is None:
             raise ValueError("tilted runs need a_m and p_path")
         a_scale = a_m * np.sqrt(m)
         _check_phi_nonnegative(control, a_scale)
-        _check_horizon("p_path", p_path.T, T)
+        _check_path("p_path", p_path, T, K)
         _check_horizon("control", control.T, T)
         # per-bin tables, read at each row's bin k by every window: the
         # bound factor on every cell, the control over a(m) sqrt(m) and the
         # time a row in the bin stops at (a column, to broadcast over window
-        # positions); a row whose time reaches edge[k] moves to the next bin
+        # positions); a row whose time reaches stop[k] moves to the next bin
         stop = np.minimum(control.edges[1:], T)
         stop[-1] = T  # the last bin runs to T
-        edge = control.edges[1:].copy()
-        edge[-1] = np.inf
         tables = (
             (1.0 + np.maximum(control.psi, 0.0) / a_scale).reshape(-1, KK),
             (control.psi / a_scale).reshape(-1, KK),
@@ -540,8 +504,8 @@ def batch_paths(
         """Run the replicas ``ids`` to T; write their results to the outputs."""
         n = len(ids)
         E = _window_length(n, K)
-        rnd = _ReplicaRandoms(seed, ids, width, E)
         rows = np.arange(n)
+        pos = np.zeros(n, dtype=np.int64)  # each row's next draw
         t = np.zeros(n)
         s = np.tile(counts0, (n, 1))  # each row's true state
         sup = np.zeros(n)
@@ -552,25 +516,25 @@ def batch_paths(
         if ref is not None:
             np.sqrt(_sum_last(np.square(s / m - ref_t)), out=sup)
         while len(rows):
-            u = rnd.fetch().reshape(len(rows), E, width)  # waiting time, cell, thinning test
+            # waiting time, cell and thinning test of each window position
+            u = counter_uniforms(seed, ids, pos, width * E).reshape(len(rows), E, width)
             c, implied, stopped, t, dev, p_now = window(u, s, t, k, p_now)
             # the true state after the commit (c = 1 in a window of one);
             # implied stays referenced until the next window returns, which
             # keeps glibc malloc from trimming the heap every iteration
             s = implied[:, 1] if E == 1 else implied[np.arange(len(c)), c]
-            rnd.advance(width * c - (width - 1) * stopped)
+            pos += width * c - (width - 1) * stopped  # a stop uses 1 draw
             if dev is not None:
                 np.maximum(sup, np.sqrt(dev), out=sup)
 
             if tilted:
-                k += t >= edge[k]
+                k += t >= stop[k]
             done = t >= T
             if done.any():
                 sup_out[rows[done]] = sup[done]
                 finals_out[rows[done]] = s[done]
                 live = ~done
-                rows, t, s, sup, k = (a[live] for a in (rows, t, s, sup, k))
-                rnd.keep(live)
+                rows, ids, pos, t, s, sup, k = (a[live] for a in (rows, ids, pos, t, s, sup, k))
                 if tilted:
                     p_now = p_now[live]
 

@@ -11,9 +11,11 @@ diffusion ensembles and the harness draw from these.
 replica r is a pure function of (seed, r, k), computed by a vectorized
 Philox4x32-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11) with key = seed and counter = (k // 2, r).  Each 4-word output block
-gives two uniforms, draws 2j and 2j + 1.  The batched jump kernel draws from
-these, so a replica's randomness does not depend on which replicas share its
-batch, and no per-replica generator state is kept.
+gives two uniforms, draws 2j and 2j + 1; that layout is known only here, and
+a caller reads any range of draws of each row.  The batched jump kernel
+draws from these, so a replica's randomness does not depend on which
+replicas share its batch, and it keeps no generator state but each row's
+next draw index.
 """
 
 from __future__ import annotations
@@ -71,18 +73,23 @@ def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int)
     """Draws start[i] .. start[i] + n - 1 of replica ``replicas[i]``, as an
     array of shape (len(replicas), n) of doubles in [0, 1).
 
-    ``start`` and ``n`` must be even, so every call reads whole output blocks.
-    A draw is the top 53 bits of the 64-bit word pair (hi, lo) it reads.
+    Any nonnegative starts and any n >= 0 may be read.  The call generates
+    the whole output blocks that cover every row's range, from the even draw
+    at or below its start, and drops the leading draw of rows whose start is
+    odd.  A draw is the top 53 bits of the 64-bit word pair (hi, lo) it reads.
     """
     seed = int(seed)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2**64); got {seed}")
     replicas = np.asarray(replicas, dtype=np.int64)
     start = np.broadcast_to(np.asarray(start, dtype=np.int64), replicas.shape)
-    if n % 2 or np.any(start % 2) or np.any(start < 0) or np.any(replicas < 0):
-        raise ValueError("draw ranges must start at a nonnegative even index and have even length")
+    if n < 0 or np.any(start < 0) or np.any(replicas < 0):
+        raise ValueError("draw ranges need nonnegative replicas, starts and lengths")
+    if not len(replicas):
+        return np.empty((0, n))
     key = (seed & 0xFFFFFFFF, seed >> 32)
-    half = n // 2
+    odd = start & 1
+    half = (n + int(odd.max()) + 1) // 2  # blocks generated per row
     # counter (c0, c1, c2, c3) = (block lo, block hi, replica lo, replica hi)
     x = np.empty((2, len(replicas) * half), dtype=np.uint64)
     x[0] = (start[:, None] // 2 + np.arange(half)).ravel()
@@ -95,6 +102,10 @@ def counter_uniforms(seed: int, replicas: np.ndarray, start: np.ndarray, n: int)
     x <<= _SHIFT32
     x |= y
     x >>= np.uint64(11)
-    out = np.empty((len(replicas), n))
+    out = np.empty((len(replicas), 2 * half))
     np.multiply(x.T, 2.0**-53, out=out.reshape(-1, 2))
-    return out
+    if 2 * half == n:  # every start is even and n is even
+        return out
+    # each row's n draws from its first (even start) or second (odd start)
+    runs = np.lib.stride_tricks.sliding_window_view(out.reshape(-1), n)
+    return runs[np.arange(0, out.size, 2 * half) + odd]

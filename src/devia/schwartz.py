@@ -45,8 +45,11 @@ class HermiteFunction:
     poly: Polynomial
 
     def __call__(self, x):
+        """phi(x); 0 wherever exp(-x^2/2) underflows, where p(x) may overflow."""
         x = np.asarray(x, dtype=float)
-        return self.poly(x) * np.exp(-(x**2) / 2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            env = np.exp(-(x**2) / 2.0)
+            return np.where(env > 0.0, self.poly(x) * env, 0.0)[()]
 
     def derivative(self, k: int = 1) -> "HermiteFunction":
         """Exact k-th derivative, same family."""

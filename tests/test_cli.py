@@ -257,6 +257,34 @@ def test_diverging_simulation_is_a_diagnosed_exit(tmp_path, capsys):
     assert "left the finite range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("x0", ["nan", "inf", "-inf"])
+def test_non_finite_diffusion_start_is_a_diagnosed_exit(tmp_path, kernel_cfg, capsys, x0):
+    # nan used to be blamed on the first step's size, and inf also printed
+    # numpy's invalid-value warning first
+    argv = ["diff-sim", "--kernels", kernel_cfg, "--m", "4", "--T", "0.25", f"--x0={x0}",
+            "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert f"need a finite start x0; got x0={float(x0)}" in capsys.readouterr().err
+    assert not (tmp_path / "run_summary.csv").exists()
+
+
+def test_far_diffusion_start_pairs_to_zero(tmp_path, capsys):
+    # at x0 = 1e200 both kernels' Gaussian envelope vanishes, so the
+    # particles stay put; h_2 there used to pair to nan, with warnings
+    cfg = tmp_path / "k.json"
+    dump_config({"family": "default", "test_functions": [[0, 0, 1]]}, cfg)
+    argv = ["diff-sim", "--kernels", str(cfg), "--m", "4", "--T", "0.25", "--dt", "0.0625",
+            "--x0", "1e200", "--out", str(tmp_path / "run")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    rows = (tmp_path / "run_summary.csv").read_text().splitlines()
+    assert rows[0] == "time,mean,var,pairing_0" and len(rows) == 6
+    assert all(row.split(",")[1:] == ["1e+200", "0.0", "0.0"] for row in rows[1:])
+
+
 @pytest.mark.parametrize("out", [False, True], ids=["summary", "out"])
 def test_overflowing_coupling_gap_is_a_diagnosed_exit(tmp_path, capsys, out):
     # under a 1e300 control the positions stay finite, but their squared gap
@@ -363,6 +391,11 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
     # m = 0 gave nan statistics, and m < 0 numpy's "n < 0"
     (dict(MINI_MOMENTS, m_grid=[0, 10]), "every m_grid size must be at least 1; got [0, 10]"),
     (dict(MINI_MOMENTS, m_grid=[-5, 10]), "every m_grid size must be at least 1; got [-5, 10]"),
+    # used to name neither the initial law nor the m it missed
+    ({"kind": "lln", "model": {"family": "two-state"}, "q0": [0.3333, 0.6667],
+      "m_grid": [100, 1000], "replicas": 40},
+     "initial state entries must be nonnegative multiples of 1/m; got q0=[0.3333, 0.6667] "
+     "at m=100"),
     # the suite reads no key but kind (its seeds are fixed); these used to be
     # silently dropped
     ({"kind": "lemma-suite", "seed": 5, "sead": 1, "criteria": {"bogus": 1}},
@@ -390,7 +423,8 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
         "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
         "misspelled-criteria", "misspelled-criterion", "misspelled-T_diff", "misspelled-n_bins",
-        "three-entry-domain", "negative-n_bins", "zero-m", "negative-m", "lemma-suite-keys",
+        "three-entry-domain", "negative-n_bins", "zero-m", "negative-m", "off-lattice-q0",
+        "lemma-suite-keys",
         "lemma-suite-seed", "one-node-nx", "zero-nx", "bump-off-the-domain",
         "tiny-domain", "empty-phi", "jump-key-for-diffusion", "jump-criterion-for-diffusion",
         "diffusion-key-for-jump", "diffusion-criterion-for-jump"])
@@ -577,6 +611,20 @@ def test_diff_sim_zero_stride_is_a_diagnosed_exit(tmp_path, kernel_cfg, capsys):
     assert main(argv) == 2
     assert "need a record stride >= 1; got 0" in capsys.readouterr().err
     assert not (tmp_path / "run_summary.csv").exists()
+
+
+def test_jump_rate_diagnoses_a_path_of_the_wrong_dimension(tmp_path, model_cfg, capsys):
+    # a 3-state path for a two-state model used to end in "direction must
+    # match state dimension", which named neither number
+    from devia.harness.io import write_path_vec
+    from devia.paths import PathVec
+
+    eta_csv = tmp_path / "eta.csv"
+    write_path_vec(PathVec(np.linspace(0.0, 1.0, 65), np.zeros((65, 3))), eta_csv)
+    out = tmp_path / "report.json"
+    assert main(["jump-rate", "--model", model_cfg, "--eta", str(eta_csv), "--out", str(out)]) == 2
+    assert "eta has 3 coordinates, but the model has K=2 states" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_jump_rate_rejects_an_off_simplex_p0(tmp_path, capsys):

@@ -233,26 +233,27 @@ def test_windows_commit_nearly_all_they_evaluate(monkeypatch):
         (20, 100, 64): ("many-bins/m=20/100", (67, 519_939, 2_189)),
         (10_000, 20, 4): ("tilted/m=10000/20", (88, 215_552, 204_236)),
     }
-    cls = jump_sim._ReplicaRandoms
-    fetch, advance = cls.fetch, cls.advance
-    count = [0, 0, 0]
+    # an iteration is one counter_uniforms call, which reads 3 draws (a
+    # tilted candidate event's) per row-position
+    positions = []
+    uniforms = jump_sim.counter_uniforms
 
-    def counted_fetch(self):
-        u = fetch(self)
-        count[0] += 1
-        count[1] += u.size // self.width
-        return u
+    def counted(seed, replicas, start, n):
+        positions.append(len(replicas) * n // 3)
+        return uniforms(seed, replicas, start, n)
 
-    def counted_advance(self, used):
-        count[2] += int((used // self.width).sum())  # a stop uses 1 draw
-        return advance(self, used)
-
-    monkeypatch.setattr(cls, "fetch", counted_fetch)
-    monkeypatch.setattr(cls, "advance", counted_advance)
-    for shape, (pin, expected) in work.items():
-        count[:] = 0, 0, 0
+    monkeypatch.setattr(jump_sim, "counter_uniforms", counted)
+    for shape, (pin, (iterations, evaluated, _)) in work.items():
+        positions.clear()
         assert _tilted_digest(*shape) == PINNED[pin], shape
-        assert tuple(count) == expected, shape
+        assert (len(positions), sum(positions)) == (iterations, evaluated), shape
+    # windows of one position evaluate every candidate event and, per row,
+    # one stop at the end of each control bin
+    for (m, R, bins), (pin, (*_, events)) in work.items():
+        _window(monkeypatch, 1, R, 2)
+        positions.clear()
+        assert _tilted_digest(m, R, bins) == PINNED[pin], (m, R, bins)
+        assert sum(positions) - R * bins == events, (m, R, bins)
 
 
 @pytest.mark.parametrize("E", [None, 1, 7])

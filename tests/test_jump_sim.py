@@ -23,6 +23,7 @@ from devia.mf_model import (
     ell_cost,
     two_state_model,
 )
+from devia.paths import PathVec
 
 
 def test_zero_rates_freeze_the_path():
@@ -198,6 +199,22 @@ class TestTilted:
         with pytest.raises(ValueError, match=rf"{short} ends at t=0\.5, before the horizon T=1"):
             batch_paths(self.model, 100, self.q0, 1.0, 3, np.arange(4), **kw)
 
+    @pytest.mark.parametrize("wrong", ["p_path", "ref"])
+    def test_path_of_the_wrong_dimension_rejected(self, wrong):
+        # a 3-state path used to end in numpy's broadcast error
+        three = PathVec(self.p.grid, np.hstack([self.p.values, np.zeros((len(self.p.grid), 1))]))
+        kw = {
+            "control": JumpControl.constant(2, 1.0, {(1, 2): 0.5}),
+            "a_m": 100 ** (-0.25),
+            "p_path": three if wrong == "p_path" else self.p,
+            "ref": three if wrong == "ref" else self.p,
+        }
+        with pytest.raises(ValueError, match=f"{wrong} has 3 coordinates, but the model has K=2"):
+            batch_paths(self.model, 100, self.q0, 1.0, 3, np.arange(4), **kw)
+        if wrong == "p_path":
+            with pytest.raises(ValueError, match="p_path has 3 coordinates"):
+                tilt_cost(self.model, kw["control"], kw["a_m"], 100, three)
+
     def test_tilt_cost_rejects_short_limit_path(self):
         control = JumpControl.constant(2, 1.0, {(1, 2): 0.5})
         half = solve_p(self.model, self.q0, 0.5, 256)
@@ -316,15 +333,17 @@ class TestBatchKernel:
             "p_path": p,
             "ref": p,
         }
-        drops = []
-        keep = jump_sim._ReplicaRandoms.keep
+        rows = []  # the rows of each iteration's draw call
+        uniforms = jump_sim.counter_uniforms
         monkeypatch.setattr(
-            jump_sim._ReplicaRandoms, "keep",
-            lambda self, rows: (drops.append(int((~rows).sum())), keep(self, rows))[1],
+            jump_sim, "counter_uniforms",
+            lambda seed, ids, *rest: (rows.append(len(ids)), uniforms(seed, ids, *rest))[1],
         )
         R = 1000
         sup, finals = batch_paths(flip_model, 12, q0, 1.0, 5, np.arange(R), **kw)
-        assert len(drops) > 3 and sum(drops) == R  # replicas left the batch at many steps
+        drops = -np.diff([*rows, 0])  # the last call's rows all finish
+        assert rows[0] == R and drops.min() >= 0
+        assert np.count_nonzero(drops) > 3  # replicas left the batch at many steps
         for r in (0, 1, 499, 998, 999):
             s1, f1 = batch_paths(flip_model, 12, q0, 1.0, 5, np.array([r]), **kw)
             assert s1.tobytes() == sup[r:r + 1].tobytes()
@@ -336,35 +355,6 @@ class TestBatchKernel:
         ]
         assert np.concatenate([s for s, _ in parts]).tobytes() == sup.tobytes()
         assert np.concatenate([f for _, f in parts]).tobytes() == finals.tobytes()
-
-    @pytest.mark.parametrize("width", [2, 3])
-    def test_fetch_reads_the_next_draws_of_every_row(self, width):
-        # rows advanced by mixed odd and even amounts, 1-draw stops among
-        # them, must read the slices of one wide call at their pointers, and
-        # dropping rows must leave the kept rows' draws as they were
-        from devia import jump_sim
-        from devia.rng import counter_uniforms
-
-        ids = np.array([3, 17, 0, 99, 5, 42])
-        rnd = jump_sim._ReplicaRandoms(7, ids, width, 5)
-        wide = counter_uniforms(7, ids, 0, 400)
-        pos = np.zeros(len(ids), dtype=np.int64)
-        rng = np.random.default_rng(width)
-        for it in range(10):
-            u = rnd.fetch()
-            want = np.take_along_axis(wide, pos[:, None] + np.arange(rnd.span), axis=1)
-            assert u.tobytes() == want.tobytes(), it
-            used = rng.integers(1, rnd.span + 1, len(ids))
-            used[it % len(ids)], used[(it + 1) % len(ids)] = 1, 2
-            rnd.advance(used)
-            pos += used
-            if it in (3, 6):
-                kept = np.arange(len(ids)) != it % len(ids)
-                before = rnd.fetch()
-                rnd.keep(kept)
-                assert rnd.fetch().tobytes() == before[kept].tobytes()
-                ids, wide, pos = ids[kept], wide[kept], pos[kept]
-        assert np.array_equal(rnd.ids, ids)
 
     @pytest.mark.parametrize("T", [math.nan, -1.0, math.inf])
     def test_horizon_must_be_finite_and_nonnegative(self, flip_model, T):

@@ -54,10 +54,44 @@ def test_uniforms_are_in_unit_interval_and_keyed():
     assert len(np.unique(u)) == u.size
 
 
-@pytest.mark.parametrize("start, n", [(1, 4), (0, 3), (-2, 4)])
+@pytest.mark.parametrize("width", [2, 3])
+def test_reads_at_any_starts_are_slices_of_one_wide_call(width):
+    # rows moved by mixed odd and even amounts, as the jump kernel moves them
+    # (width draws per candidate event, 1 for a stop), must read the slices
+    # of one wide call at their starts, at any length, and so must the rows
+    # left after some are dropped
+    ids = np.array([3, 17, 0, 99, 5, 42])
+    wide = counter_uniforms(7, ids, 0, 400)
+    pos = np.zeros(len(ids), dtype=np.int64)
+    span = 5 * width
+    rng = np.random.default_rng(width)
+    for it in range(10):
+        for n in (span, span - 1, 1, 0):
+            u = counter_uniforms(7, ids, pos, n)
+            want = np.take_along_axis(wide, pos[:, None] + np.arange(n), axis=1)
+            assert u.shape == want.shape and u.tobytes() == want.tobytes(), (it, n)
+        used = rng.integers(1, span + 1, len(ids))
+        used[it % len(ids)], used[(it + 1) % len(ids)] = 1, 2
+        pos += used
+        if it in (3, 6):
+            kept = np.arange(len(ids)) != it % len(ids)
+            ids, wide, pos = ids[kept], wide[kept], pos[kept]
+    # a single row, at an odd and an even start
+    for start in (5, 6):
+        for n in (0, 1, 2, 3):
+            assert counter_uniforms(7, ids[1:2], start, n).tobytes() == (
+                wide[1:2, start:start + n].tobytes())
+    assert counter_uniforms(7, ids[:0], 3, 5).shape == (0, 5)
+
+
+@pytest.mark.parametrize("start, n", [(-2, 4), (-1, 3), (0, -2)])
 def test_draw_ranges_must_be_whole_blocks(start, n):
-    with pytest.raises(ValueError, match="even"):
+    # any nonnegative range reads the whole blocks that cover it; a negative
+    # start or length names no draw
+    with pytest.raises(ValueError, match="nonnegative replicas, starts and lengths"):
         counter_uniforms(0, np.arange(2), start, n)
+    with pytest.raises(ValueError, match="nonnegative replicas, starts and lengths"):
+        counter_uniforms(0, np.array([1, -1]), 0, 2)
 
 
 def test_seed_must_fit_the_key():

@@ -40,6 +40,21 @@ class TestFamily:
             big = np.array([15.0, 20.0])
             assert np.all(np.abs(big**a * phi(big)) < 1e-12)
 
+    def test_zero_where_the_envelope_underflows(self):
+        # p(x) overflows at 1e200 while e^{-x^2/2} underflows; the product
+        # used to be nan with overflow warnings, and is 0 like its limit
+        h2 = hermite_basis_function(2)
+        far = np.array([1e200, -1e200, np.inf, -np.inf, 40.0, -39.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(h2(far), np.zeros(len(far)))
+            assert h2(1e200) == 0.0
+        # where the envelope does not underflow the value keeps its bits
+        near = np.array([0.0, 0.5, -3.0, 20.0, -38.0])
+        want = h2.poly(near) * np.exp(-(near**2) / 2.0)
+        assert h2(near).tobytes() == want.tobytes() and np.all(want != 0.0)
+        assert h2(0.5) == want[1]
+
     def test_hermite_basis_orthonormal(self):
         # the n-th basis function has unit plain L2 norm (order-0 seminorm)
         for n in range(5):

@@ -17,8 +17,8 @@ that alternate the trees: the candidate events per second of
 ``batch_paths`` at the jump-long shape (m = 10^4, 100 tilted replicas; the
 median of KERNEL_CALLS calls per process, with each tree's count of
 lockstep iterations, its row-positions evaluated per candidate event and
-its ``counter_uniforms`` calls and draws generated beside it), the seconds
-of ``solve_p``, ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the
+its ``counter_uniforms`` calls and the draws they asked for beside it), the
+seconds of ``solve_p``, ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the
 rate-roundtrip shape (birth-death K = 5, 4096 steps, a 4-bin potential
 control; the median of 5 calls per process, with the trees' largest output
 differences), the wall time of CLI
@@ -57,12 +57,13 @@ SIDES = ("parent", "change")
 
 KERNEL_CALLS = 15  # timed kernel calls per process
 
-# the kernel at the jump-long shape, timed over KERNEL_CALLS calls after a
-# counting call; prints the candidate events (the work both trees share), the
-# lockstep iterations (which differ by design between a one-event kernel and
-# a windowed one), the row-positions those iterations evaluated, the Philox
-# work (counter_uniforms calls and the draws they generated), the median
-# seconds and a hash of the outputs (which the two trees must share)
+# the kernel at the jump-long shape, timed over KERNEL_CALLS calls after two
+# counting calls (its own windows, then windows of one position); prints the
+# candidate events (the work both trees share), the lockstep iterations
+# (which differ by design between a one-event kernel and a windowed one), the
+# row-positions those iterations evaluated, the Philox work (counter_uniforms
+# calls and the draws they asked for), the median seconds and a hash of the
+# outputs (which the two trees must share)
 KERNEL_PROBE = r"""
 import hashlib, json, statistics, sys, time
 import numpy as np
@@ -88,42 +89,38 @@ def run():
         model, m, q0, 1.0, 3, np.arange(100), control=control, a_m=a, p_path=p, ref=ref
     )
 
-# an iteration is one fetch of draws; a one-event kernel advances each row
-# by whether its candidate event fired, a windowed one by the draws each row
-# used: width per candidate event, and 1 for a stop at a bin edge or T
-cls = jump_sim._ReplicaRandoms
-fetch, advance = cls.fetch, cls.advance
-count = {"iterations": 0, "events": 0, "positions": 0, "philox_calls": 0, "draws": 0}
-
-def counted_fetch(self):
-    u = fetch(self)
-    count["iterations"] += 1
-    count["positions"] += u.size // self.width
-    return u
-
-def counted_advance(self, moved):
-    fired = moved if moved.dtype == bool else moved // self.width
-    count["events"] += int(fired.sum())
-    return advance(self, moved)
+# the kernel's draws are counted at its one seam, jump_sim.counter_uniforms:
+# an iteration is one call, which asks for WIDTH draws (a tilted candidate
+# event's) per row-position; a kernel that rounds its calls up to whole
+# Philox blocks asks for fewer than WIDTH extra draws per row, so n // WIDTH
+# still counts its positions.  Windows of one position evaluate every
+# candidate event and one stop per row per control bin, so a run at
+# MAX_WINDOW = 1 gives the candidate events exactly.
+WIDTH, STOPS = 3, 100 * 4
+count = {"iterations": 0, "positions": 0, "draws": 0}
 
 def counted_uniforms(seed, replicas, start, n):
-    count["philox_calls"] += 1
+    count["iterations"] += 1
+    count["positions"] += len(replicas) * (n // WIDTH)
     count["draws"] += len(replicas) * n
     return uniforms(seed, replicas, start, n)
 
-uniforms = jump_sim.counter_uniforms
-cls.fetch, cls.advance = counted_fetch, counted_advance
+uniforms, window = jump_sim.counter_uniforms, jump_sim.MAX_WINDOW
 jump_sim.counter_uniforms = counted_uniforms
 sup, finals = run()
-cls.fetch, cls.advance = fetch, advance
-jump_sim.counter_uniforms = uniforms
+work = dict(count, philox_calls=count["iterations"])
+count["positions"] = 0
+jump_sim.MAX_WINDOW = 1
+run()
+work["events"] = count["positions"] - STOPS
+jump_sim.counter_uniforms, jump_sim.MAX_WINDOW = uniforms, window
 seconds = []
 for _ in range(int(sys.argv[2])):
     t0 = time.perf_counter()
     run()
     seconds.append(time.perf_counter() - t0)
 digest = hashlib.sha256(sup.tobytes() + finals.tobytes()).hexdigest()[:16]
-print(json.dumps({**count, "seconds": statistics.median(seconds), "hash": digest}))
+print(json.dumps({**work, "seconds": statistics.median(seconds), "hash": digest}))
 """
 
 # the jump analysis at the rate-roundtrip shape: solve_p, skeleton_G0, rate_I
@@ -319,7 +316,7 @@ def layers(trees: dict, scratch: Path) -> dict:
         "batch_paths_events_per_s": {
             "shape": "jump-long at m = 10^4: two-state, 4-bin control, skeleton ref, "
                      f"100 replicas, seed 3; median of {KERNEL_CALLS} calls per process "
-                     "after a counting call",
+                     "after two counting calls",
             "candidate_events": n,
             "iterations": {s: kernel[s][0]["iterations"] for s in SIDES},
             # useful work over attempted: a window wastes the positions past
