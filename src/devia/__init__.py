@@ -4,8 +4,8 @@ Subpackages and modules:
 
 - ``mf_model``: jump-model definitions (simplex states, rate matrices, cell
   geometry, drift and its derivative, thinning cost function).
-- ``jump_sim``: exact event-driven simulation, tilted simulation, scaled
-  fluctuation paths.
+- ``jump_sim``: exact event-driven simulation, tilted simulation and its
+  thinning cost.
 - ``jump_analysis``: limit ODE, skeleton map, jump rate functions, the exact
   time-T law of a birth-death count chain.
 - ``diff_sim``: interacting diffusion ensembles (a reference ensemble is an

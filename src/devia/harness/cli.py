@@ -152,8 +152,10 @@ def _cmd_diff_sim(args) -> int:
             )
     phis = [HermiteFunction.from_hermite_coeffs(c) for c in coeffs]
     dt = args.T / 2048 if args.dt is None else args.dt
+    # a non-finite --x0 is left to the simulator, which names it
+    x0 = config_scalar(cfg, "x0") if "x0" in cfg else args.x0
     path = simulate_interacting(
-        kernels, args.m, args.x0, args.T, dt, args.seed, record_stride=args.stride
+        kernels, args.m, x0, args.T, dt, args.seed, record_stride=args.stride
     )
     header = ",".join(["time", "mean", "var", *(f"pairing_{k}" for k in range(len(phis)))])
     rest = [[x.mean(), x.var(), *(np.mean(phi(x)) for phi in phis)] for x in path.positions]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jump_sim import JumpControl, _bin_integral, _check_horizon, _check_path
+from .jump_sim import JumpControl, _bin_integral, _check_control, _check_path
 from .mf_model import RateModel, _drift, cell_weights, check_simplex, check_states, db_apply
 from .paths import PathVec, blocks, time_derivative
 
@@ -211,6 +211,13 @@ def _prefix_products(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _check_skeleton_inputs(model: RateModel, p_path: PathVec, psi: JumpControl) -> None:
+    """Raise unless p and the control both have the model's K states and
+    the control covers the horizon of p."""
+    _check_path("p_path", p_path, p_path.T, model.K)
+    _check_control(psi, p_path.T, model.K)
+
+
 def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     """Fluctuation limit eta = G0(psi): the unique solution of the linear
     equation eta' = Db(p(t)) eta + f(t), eta(0) = 0, with per-cell forcing
@@ -220,9 +227,10 @@ def skeleton_G0(model: RateModel, p_path: PathVec, psi: JumpControl) -> PathVec:
     at the stage times of a block of steps come from one batched call.  With
     p interpolated linearly each step is an affine map of eta, so a block's
     steps compose by a prefix scan (:func:`_prefix_products`) and no Python
-    loop runs over steps.  The control must cover the horizon of p.
+    loop runs over steps.  p and the control must have the model's K states,
+    and the control must cover the horizon of p.
     """
-    _check_horizon("control", psi.T, p_path.T)
+    _check_skeleton_inputs(model, p_path, psi)
     ts = p_path.grid
     K = model.K
     eta = np.zeros((len(ts), K))
@@ -257,7 +265,7 @@ def skeleton_picard(
     path.  Exists to demonstrate uniqueness numerically: any starting guess
     contracts to the same solution.  Stops after PICARD_MAX_ITER sweeps or
     once a sweep moves the path by at most PICARD_TOL."""
-    _check_horizon("control", psi.T, p_path.T)
+    _check_skeleton_inputs(model, p_path, psi)
     ts = p_path.grid
     P = p_path.values
     A = model.db(P)
@@ -283,6 +291,7 @@ def psi_l2sq(model: RateModel, p_path: PathVec, psi: JumpControl) -> float:
     """Squared L2(lambda) norm of the control field: integral over time of
     sum_ij psi_ij(t)^2 p_i(t) Gamma_ij(p(t)), each bin on its own side of
     its edges (see :func:`_bin_integral`)."""
+    _check_skeleton_inputs(model, p_path, psi)
     return _bin_integral(model, p_path, psi.edges, psi.psi**2)
 
 
@@ -451,8 +460,9 @@ def rate_I(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
 def rate_Ibar(model: RateModel, p_path: PathVec, eta: PathVec) -> RateResult:
     """Rate of a fluctuation path through the dual problem: 1/2 * integral
     of r^T L_w^+ r dt, r = eta' - Db(p) eta, with L_w = B B^T the weighted
-    graph Laplacian of the cells.  It never forms the least-norm u, so it
-    checks :func:`rate_I` independently."""
+    graph Laplacian of the cells.  It never forms the least-norm u, but it
+    shares the slices and the forcing r of :func:`_slice_blocks` with
+    :func:`rate_I`, so it checks only the solve, not what the two share."""
     return _rate_common(model, p_path, eta, _laplacian_density)
 
 

@@ -73,7 +73,6 @@ __all__ = [
     "simulate_jump",
     "simulate_tilted",
     "tilt_cost",
-    "fluctuation_Z",
 ]
 
 
@@ -89,7 +88,6 @@ class JumpPath:
     times: np.ndarray  # (n+1,) event times, times[0] = 0
     counts: np.ndarray  # (n+1, K) integer counts
     m: int
-    T: float
 
     @property
     def states(self) -> np.ndarray:
@@ -98,11 +96,6 @@ class JumpPath:
     @property
     def n_events(self) -> int:
         return len(self.times) - 1
-
-    def sample(self, grid: np.ndarray) -> np.ndarray:
-        """States on an arbitrary time grid (piecewise-constant, cadlag)."""
-        idx = np.clip(np.searchsorted(self.times, grid, side="right") - 1, 0, None)
-        return self.counts[idx] / self.m
 
 
 @dataclass(frozen=True)
@@ -230,12 +223,19 @@ def _check_path(name: str, path: PathVec, T: float, K: int) -> None:
     _check_horizon(name, path.T, T)
 
 
+def _check_control(control: JumpControl, T: float, K: int) -> None:
+    """Raise unless the control acts on K states and covers the horizon T."""
+    if control.K != K:
+        raise ValueError(f"control has {control.K} states, but the model has K={K} states")
+    _check_horizon("control", control.T, T)
+
+
 def _recorded_path(model, m, q0, T, seed, replica, **tilt) -> JumpPath:
     """Replica ``replica`` of :func:`batch_paths`, every accepted event kept."""
     events = [(0.0, _counts_from_q0(q0, m))]
     batch_paths(model, m, q0, T, seed, np.array([replica]), _events=events, **tilt)
     times, counts = zip(*events)
-    return JumpPath(np.array(times), np.array(counts), m=m, T=float(T))
+    return JumpPath(np.array(times), np.array(counts), m=m)
 
 
 def _bin_integral(model: RateModel, p_path: PathVec, edges: np.ndarray, table) -> float:
@@ -268,22 +268,11 @@ def tilt_cost(
     """
     a_scale = a_m * np.sqrt(m)
     _check_phi_nonnegative(control, a_scale)
+    _check_control(control, control.T, model.K)
     _check_path("p_path", p_path, control.T, model.K)
     phi = 1.0 + control.psi / a_scale  # (B, K, K)
     ell = ell_cost(phi.ravel()).reshape(phi.shape)
     return _bin_integral(model, p_path, control.edges, ell)
-
-
-def fluctuation_Z(path: JumpPath, p_path: PathVec, a_m: float) -> PathVec:
-    """Scaled deviation a(m) sqrt(m) (mu^m(t) - p(t)) on the merged grid."""
-    if path.counts.shape[1] != p_path.dim:
-        raise ValueError("path and limit path have different state dimensions")
-    if abs(path.T - p_path.T) > 1e-12:
-        raise ValueError("path and limit path have different horizons")
-    grid = np.unique(np.concatenate([path.times, p_path.grid]))
-    grid = grid[(grid >= 0) & (grid <= path.T)]
-    vals = a_m * np.sqrt(path.m) * (path.sample(grid) - p_path(grid))
-    return PathVec(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +378,7 @@ def batch_paths(
         a_scale = a_m * np.sqrt(m)
         _check_phi_nonnegative(control, a_scale)
         _check_path("p_path", p_path, T, K)
-        _check_horizon("control", control.T, T)
+        _check_control(control, T, K)
         # per-bin tables, read at each row's bin k by every window: the
         # bound factor on every cell, the control over a(m) sqrt(m) and the
         # time a row in the bin stops at (a column, to broadcast over window

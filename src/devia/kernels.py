@@ -76,18 +76,10 @@ class MeasureHook:
 @dataclass(frozen=True)
 class Kernel:
     """Interaction kernel k(x, y) = f(x) g(y) with ``sep = (f, g)``; ``fn``
-    evaluates k(x, y) directly, for the grid scans (such as the CFL bound).
-
-    ``sup`` and ``lip`` record certified bounds on |k| and on both partial
-    derivatives; they are diagnostics (reports, bound checks), not inputs to
-    the numerics.  Unbounded test kernels record ``inf``.
-    """
+    evaluates k(x, y) directly, for the grid scans (such as the CFL bound)."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     sep: tuple[Callable, Callable]
-    sup: float = float("inf")
-    lip: float = float("inf")
-    name: str = ""
 
     def __call__(self, x, y):
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
@@ -123,9 +115,6 @@ def zero_kernel() -> Kernel:
     return Kernel(
         fn=lambda x, y: np.zeros(np.broadcast(x, y).shape),
         sep=(np.zeros_like, np.zeros_like),
-        sup=0.0,
-        lip=0.0,
-        name="zero",
     )
 
 
@@ -133,9 +122,6 @@ def constant_alpha(level: float = 1.0) -> Kernel:
     return Kernel(
         fn=lambda x, y: np.full(np.broadcast(x, y).shape, level),
         sep=(lambda x: np.full(np.shape(x), level), np.ones_like),
-        sup=abs(level),
-        lip=0.0,
-        name=f"const({level})",
     )
 
 
@@ -145,9 +131,6 @@ def linear_reversion_beta(rate: float = 1.0) -> Kernel:
     return Kernel(
         fn=lambda x, y: -rate * x * np.ones(np.broadcast(x, y).shape),
         sep=(lambda x: -rate * np.asarray(x, dtype=float), np.ones_like),
-        sup=float("inf"),
-        lip=rate,
-        name=f"linear({rate})",
     )
 
 
@@ -166,15 +149,9 @@ def default_kernels(c_alpha: float = 0.5, c_beta: float = 0.5) -> KernelPair:
     alpha = Kernel(
         fn=lambda x, y: c_alpha * np.exp(-(x**2 + y**2) / 2.0),
         sep=(Enveloped(lambda x: c_alpha, g), g),
-        sup=c_alpha,
-        lip=c_alpha * np.exp(-0.5),  # max of |u| e^{-u^2/2} is e^{-1/2}
-        name="gaussian",
     )
     beta = Kernel(
         fn=lambda x, y: -c_beta * x * np.exp(-(x**2 + y**2) / 2.0),
         sep=(Enveloped(lambda x: -c_beta * np.asarray(x, dtype=float), g), g),
-        sup=c_beta * np.exp(-0.5),
-        lip=c_beta,  # sup |1 - x^2| e^{-x^2/2} = 1 at the origin
-        name="gaussian-reversion",
     )
     return KernelPair(alpha=alpha, beta=beta)

@@ -17,7 +17,7 @@ jump directions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -92,10 +92,7 @@ class RateModel:
     gamma_norm: float
     c_gamma: float
     l_gamma: float
-    band: int
     db: Callable[[np.ndarray], np.ndarray]
-    name: str = ""
-    params: dict = field(default_factory=dict)
 
     def rates_batch(self, Q: np.ndarray) -> np.ndarray:
         """Rate matrices for a batch of states, shape (..., K) -> (..., K, K)."""
@@ -279,10 +276,7 @@ def birth_death_model(K: int, a: float, b: float, c: float) -> RateModel:
         gamma_norm=gamma_norm,
         c_gamma=c_gamma,
         l_gamma=b,
-        band=1,
         db=db,
-        name="birth-death",
-        params={"a": a, "b": b, "c": c},
     )
 
 
@@ -324,8 +318,6 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
     row = R0.sum(axis=1)
     gamma_norm = float(row.max())
     c_gamma = float((R0.sum(axis=0) + row).max())
-    nz = np.argwhere(R0 > 0)
-    band = int(np.abs(nz[:, 0] - nz[:, 1]).max()) if len(nz) else 0
     J = R0.T - np.diag(row)  # drift is linear, Jacobian constant
 
     return RateModel(
@@ -334,10 +326,7 @@ def constant_rate_model(matrix: np.ndarray) -> RateModel:
         gamma_norm=gamma_norm,
         c_gamma=c_gamma,
         l_gamma=0.0,
-        band=band,
         db=_broadcaster(J),
-        name="constant",
-        params={"matrix": R0.tolist()},
     )
 
 

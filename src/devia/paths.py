@@ -2,7 +2,8 @@
 
 PathVec holds one truncated-l2 vector per grid time and interpolates
 linearly in between.  It is the common carrier for the deterministic limit
-path p, fluctuation paths and skeleton solutions eta.  time_derivative is
+path p and the fluctuation paths eta that the skeleton map produces and the
+rate functions invert.  time_derivative is
 the finite-difference d/dt, and blocks the split of a time grid into
 batched passes, that the jump and diffusion analysis layers share;
 check_axis, is_uniform and grid_index are the grid rules that every layer
@@ -67,15 +68,6 @@ class PathVec:
         right *= w
         v += right
         return np.ascontiguousarray(v.T).reshape(t.shape + (K,))
-
-    def sup_norm(self) -> float:
-        """Max over grid times of the euclidean norm."""
-        return float(np.linalg.norm(self.values, axis=1).max())
-
-    def mass_defect(self) -> float:
-        """Max deviation of the coordinate sum from its initial value."""
-        sums = self.values.sum(axis=1)
-        return float(np.abs(sums - sums[0]).max())
 
     def restrict_every(self, k: int) -> "PathVec":
         """Subsample every k-th grid point, keeping the final time."""

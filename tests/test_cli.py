@@ -285,6 +285,18 @@ def test_far_diffusion_start_pairs_to_zero(tmp_path, capsys):
     assert all(row.split(",")[1:] == ["1e+200", "0.0", "0.0"] for row in rows[1:])
 
 
+def test_diffusion_start_from_the_kernels_file(tmp_path):
+    # diff-sim used to read only --x0 and silently start from 0; like
+    # diff-rate, it now takes the file's x0 over the option's
+    cfg = tmp_path / "k.json"
+    dump_config({"kernels": {"family": "default"}, "x0": 5.0, "test_functions": [[1]]}, cfg)
+    argv = ["diff-sim", "--kernels", str(cfg), "--m", "4", "--T", "0.25", "--dt", "0.0625",
+            "--x0", "1", "--out", str(tmp_path / "run")]
+    assert main(argv) == 0
+    rows = (tmp_path / "run_summary.csv").read_text().splitlines()
+    assert rows[1].split(",")[:3] == ["0.0", "5.0", "0.0"]
+
+
 @pytest.mark.parametrize("out", [False, True], ids=["summary", "out"])
 def test_overflowing_coupling_gap_is_a_diagnosed_exit(tmp_path, capsys, out):
     # under a 1e300 control the positions stay finite, but their squared gap
@@ -530,6 +542,7 @@ NAN = float("nan")
     ("diff-sim", {"family": "additive-noise", "rate": True}, "'rate' must be a finite number"),
     ("diff-rate", {"family": "default", "c_alpha": NAN}, "'c_alpha' must be a finite number; got nan"),
     ("diff-rate", {"family": "default", "x0": "left"}, "'x0' must be a finite number; got 'left'"),
+    ("diff-sim", {"family": "default", "x0": "left"}, "'x0' must be a finite number; got 'left'"),
     ("jump-sim", {"family": "birth-death", "K": 3, "a": [1], "b": 0.5, "c": 0.5},
      "'a' must be a finite number; got [1]"),
     ("jump-sim", {"family": "birth-death", "K": 3, "a": NAN, "b": 0.5, "c": 0.5},
@@ -554,8 +567,8 @@ NAN = float("nan")
     # numpy's "Coefficient array is empty" named no key
     ("diff-sim", {"family": "default", "test_functions": [[]]},
      "'test_functions' entry 0 must hold at least one Hermite coefficient; got []"),
-], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "list-a", "nan-a",
-        "fractional-K", "string-K", "inf-rate", "string-gamma_norm", "list-control-entry",
+], ids=["list-c_beta", "string-level", "bool-rate", "nan-c_alpha", "string-x0", "string-x0-diff-sim",
+        "list-a", "nan-a", "fractional-K", "string-K", "inf-rate", "string-gamma_norm", "list-control-entry",
         "list-theta", "fractional-n_bins", "zero-n_bins", "control-key", "number-q0", "flat-test_functions",
         "number-test_functions", "empty-test_function"])
 def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, message):

@@ -109,21 +109,6 @@ def test_richardson_gap_shrinks_with_dt():
     assert coarse < 1e-3
 
 
-def test_default_kernel_bounds_certified():
-    # recorded sup/Lipschitz bounds hold on a dense scan
-    kp = default_kernels(0.5, 0.5)
-    xs = np.linspace(-4, 4, 201)
-    A = kp.alpha(xs[:, None], xs[None, :])
-    B = kp.beta(xs[:, None], xs[None, :])
-    assert np.abs(A).max() <= kp.alpha.sup + 1e-12
-    assert np.abs(B).max() <= kp.beta.sup + 1e-12
-    h = 1e-5
-    dA = np.abs(kp.alpha(xs[:, None] + h, xs[None, :]) - A) / h
-    dB = np.abs(kp.beta(xs[:, None] + h, xs[None, :]) - B) / h
-    assert dA.max() <= kp.alpha.lip + 1e-6
-    assert dB.max() <= kp.beta.lip + 1e-6
-
-
 class TestMcKean:
     # a reference ensemble is an interacting system at a large particle count
     def test_unit_pairing(self):
@@ -464,7 +449,6 @@ def test_nonfinite_positions_abort():
     cubic = Kernel(
         fn=lambda x, y: x**3 * np.ones(np.broadcast(x, y).shape),
         sep=(lambda x: np.asarray(x, dtype=float) ** 3, np.ones_like),
-        name="cubic",
     )
     blowup = KernelPair(alpha=zero_kernel(), beta=cubic)
     still = lambda s, x: 0.0

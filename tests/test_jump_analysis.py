@@ -211,8 +211,7 @@ class TestSkeleton:
 
         T = 1.0
         p = solve_p(default_model, np.full(5, 0.2), T, 512)
-        pr = default_model.params
-        c_b = 2.0 * (pr["a"] + 2.0 * pr["b"] + pr["c"])
+        c_b = 2.0 * (0.5 + 2.0 * 0.5 + 0.5)  # the fixture's a = b = c = 1/2
         amp = math.sqrt(2.0 * default_model.gamma_norm * T) * math.exp(c_b * T)
         rng = stream(33, 0)
         for _ in range(50):
@@ -222,7 +221,7 @@ class TestSkeleton:
             )
             eta = skeleton_G0(default_model, p, psi)
             norm_psi = math.sqrt(psi_l2sq(default_model, p, psi))
-            assert eta.sup_norm() <= amp * norm_psi + 1e-12
+            assert np.linalg.norm(eta.values, axis=1).max() <= amp * norm_psi + 1e-12
 
     def test_picard_agrees_with_rk4(self, flip_model):
         p = solve_p(flip_model, np.array([0.7, 0.3]), 1.0, 512)
@@ -237,6 +236,22 @@ class TestSkeleton:
         p = solve_p(flip_model, np.array([0.5, 0.5]), 2.0, 64)
         control = JumpControl.constant(2, 1.0, {(1, 2): 0.4})
         with pytest.raises(ValueError, match="control ends at t=1, before the horizon T=2"):
+            solve(flip_model, p, control)
+
+    @pytest.mark.parametrize("solve", [skeleton_G0, skeleton_picard, psi_l2sq])
+    @pytest.mark.parametrize("wrong, message", [
+        ("p_path", "p_path has 3 coordinates, but the model has K=2 states"),
+        ("control", "control has 4 states, but the model has K=2 states"),
+    ], ids=["p_path", "control"])
+    def test_inputs_of_the_wrong_dimension_rejected(self, flip_model, solve, wrong, message):
+        # each used to end in numpy's broadcast error, which named neither
+        p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 64)
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.4})
+        if wrong == "p_path":
+            p = PathVec(p.grid, np.hstack([p.values, np.zeros((len(p.grid), 1))]))
+        else:
+            control = JumpControl.constant(4, 1.0, {(1, 2): 0.4})
+        with pytest.raises(ValueError, match=message):
             solve(flip_model, p, control)
 
 

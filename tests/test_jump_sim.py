@@ -11,7 +11,6 @@ from devia.jump_analysis import solve_p
 from devia.jump_sim import (
     JumpControl,
     batch_paths,
-    fluctuation_Z,
     simulate_jump,
     simulate_tilted,
     tilt_cost,
@@ -215,6 +214,20 @@ class TestTilted:
             with pytest.raises(ValueError, match="p_path has 3 coordinates"):
                 tilt_cost(self.model, kw["control"], kw["a_m"], 100, three)
 
+    @pytest.mark.parametrize("entry", ["batch_paths", "tilt_cost"])
+    def test_control_of_the_wrong_dimension_rejected(self, entry):
+        # batch_paths used to run a 4-state control on a two-state model,
+        # reading the wrong rows of its tables, and tilt_cost ended in
+        # numpy's broadcast error
+        control = JumpControl.constant(4, 1.0, {(1, 2): 0.5})
+        a_m = 100 ** (-0.25)
+        with pytest.raises(ValueError, match="control has 4 states, but the model has K=2 states"):
+            if entry == "batch_paths":
+                batch_paths(self.model, 100, self.q0, 1.0, 3, np.arange(4),
+                            control=control, a_m=a_m, p_path=self.p)
+            else:
+                tilt_cost(self.model, control, a_m, 100, self.p)
+
     def test_tilt_cost_rejects_short_limit_path(self):
         control = JumpControl.constant(2, 1.0, {(1, 2): 0.5})
         half = solve_p(self.model, self.q0, 0.5, 256)
@@ -222,37 +235,6 @@ class TestTilted:
             tilt_cost(self.model, control, 100 ** (-0.25), 100, half)
         with pytest.raises(ValueError, match=r"p_path ends at t=0\.5"):
             simulate_tilted(self.model, 100, self.q0, 1.0, control, 100 ** (-0.25), half, seed=1)
-
-
-class TestFluctuation:
-    def test_zero_when_matching_limit(self):
-        model = constant_rate_model(np.zeros((2, 2)))
-        q0 = np.array([0.5, 0.5])
-        path = simulate_jump(model, 10, q0, 1.0, seed=1)
-        p = solve_p(model, q0, 1.0, 64)
-        z = fluctuation_Z(path, p, a_m=0.3)
-        assert np.abs(z.values).max() == 0.0
-
-    def test_scaling_linearity(self, flip_model):
-        path = simulate_jump(flip_model, 50, np.array([0.5, 0.5]), 1.0, seed=9)
-        p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 128)
-        z1 = fluctuation_Z(path, p, a_m=0.2)
-        z2 = fluctuation_Z(path, p, a_m=0.4)
-        assert np.allclose(z2.values, 2.0 * z1.values)
-
-    def test_mass_zero(self, flip_model):
-        m = 400
-        path = simulate_jump(flip_model, m, np.array([0.5, 0.5]), 1.0, seed=13)
-        p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 256)
-        z = fluctuation_Z(path, p, a_m=m ** (-0.25))
-        assert np.abs(z.values.sum(axis=1)).max() < 1e-10
-        assert z.mass_defect() < 1e-10
-
-    def test_dimension_mismatch(self, flip_model, default_model):
-        path = simulate_jump(flip_model, 10, np.array([0.5, 0.5]), 1.0, seed=2)
-        p5 = solve_p(default_model, np.full(5, 0.2), 1.0, 64)
-        with pytest.raises(ValueError):
-            fluctuation_Z(path, p5, a_m=0.3)
 
 
 class TestBatchKernel:

@@ -211,12 +211,6 @@ class TestBirthDeathConstants:
         assert col_worst <= default_model.c_gamma + 1e-12
         assert lip_worst <= default_model.l_gamma + 1e-12
 
-    def test_band_structure(self, default_model, rng):
-        q = random_simplex(5, rng)
-        R = default_model.rate_matrix(q)
-        i, j = np.nonzero(R)
-        assert np.abs(i - j).max() <= default_model.band
-
 
 class TestConfig:
     def test_birth_death_roundtrip(self):
