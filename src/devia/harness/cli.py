@@ -28,7 +28,6 @@ from ..diff_sim import simulate_interacting
 from ..jump_analysis import rate_I, rate_Ibar, solve_p
 from ..jump_sim import simulate_jump, simulate_tilted
 from ..paths import PathVec, is_uniform
-from ..schwartz import HermiteFunction
 from .config import (
     config_numbers,
     config_scalar,
@@ -62,10 +61,11 @@ def _write_json(out, doc: dict) -> None:
 
 
 def _block(cfg: dict, key: str, *own: str) -> dict:
-    """The ``key`` block of a CLI config file, or the file itself when it is
-    flat; a nested file holds no key but ``key`` and the CLI's ``own`` keys."""
+    """The ``key`` block of a CLI config file, or the file itself less the
+    CLI's ``own`` keys when it is flat; a nested file holds no key but ``key``
+    and ``own``."""
     if key not in cfg:
-        return cfg
+        return {k: v for k, v in cfg.items() if k not in own}
     known_keys(cfg, f"{key} file", (key, *own))
     return cfg[key]
 
@@ -142,6 +142,8 @@ def _cmd_jump_rate(args) -> int:
 
 
 def _cmd_diff_sim(args) -> int:
+    from ..schwartz import HermiteFunction
+
     cfg = load_config(args.kernels)
     kernels = kernels_from_config(_block(cfg, "kernels", "x0", "test_functions"))
     coeffs = config_numbers(cfg, "test_functions", [[1.0]], depth=2)

@@ -15,7 +15,6 @@ import numbers
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 # mf_model's factories are called through the module: perfbench/layers.py rebinds them
 from .. import kernels, mf_model
@@ -32,16 +31,16 @@ MODEL_KEYS = {
     "two-state": ((), ("rate",)),
 }
 MODEL_COMMON = ("family", "gamma_norm", "c_gamma", "l_gamma", "q0", "p0")
-# each family's keys; a CLI kernels file carries x0 and test_functions beside them
+# each family's keys beside "family"
 KERNEL_KEYS = {"default": ("c_alpha", "c_beta"), "additive-noise": ("level", "rate"), "zero": ()}
-KERNEL_COMMON = ("family", "x0", "test_functions")
 # a CLI control file carries theta beside them
 CONTROL_KEYS = ("n_bins", "entries", "theta")
 
 
 def load_config(source, what: str = "") -> dict:
     """The mapping held by the config file at path ``source``, or ``source``
-    itself when it is a mapping; anything else is a ValueError."""
+    itself when it is a mapping; anything else is a ValueError.  pyyaml is
+    imported only to read a ``.yaml``/``.yml`` file."""
     if not isinstance(source, (str, Path)):
         if not isinstance(source, dict):
             raise ValueError(f"a {what} config must be a mapping; got {type(source).__name__}")
@@ -49,6 +48,8 @@ def load_config(source, what: str = "") -> dict:
     path = Path(source)
     text = path.read_text()
     if path.suffix in (".yaml", ".yml"):
+        import yaml
+
         try:
             cfg = yaml.safe_load(text)
         except yaml.YAMLError as exc:
@@ -61,8 +62,12 @@ def load_config(source, what: str = "") -> dict:
 
 
 def dump_config(cfg: dict, path) -> None:
+    """Write ``cfg`` to ``path`` as YAML (``.yaml``/``.yml``, pyyaml
+    imported only then) or as sorted, indented JSON."""
     path = Path(path)
     if path.suffix in (".yaml", ".yml"):
+        import yaml
+
         path.write_text(yaml.safe_dump(cfg, sort_keys=True))
     else:
         path.write_text(json.dumps(cfg, sort_keys=True, indent=2) + "\n")
@@ -157,13 +162,13 @@ def kernels_from_config(cfg) -> kernels.KernelPair:
 
     ``family`` selects the pair: "default" (keys c_alpha, c_beta),
     "additive-noise" (constant alpha ``level``, reversion beta ``rate``)
-    or "zero".  Any other key but ``x0``/``test_functions`` is a ValueError.
+    or "zero".  Any other key is a ValueError.
     """
     cfg = load_config(cfg, "kernels")
     family = cfg.get("family", "default")
     if not isinstance(family, str) or family not in KERNEL_KEYS:
         raise ValueError(f"unknown kernel family {family!r}")
-    known_keys(cfg, f"{family} kernels", (*KERNEL_COMMON, *KERNEL_KEYS[family]))
+    known_keys(cfg, f"{family} kernels", ("family", *KERNEL_KEYS[family]))
     if family == "default":
         return kernels.default_kernels(*(config_scalar(cfg, k, 0.5) for k in ("c_alpha", "c_beta")))
     if family == "additive-noise":

@@ -13,7 +13,6 @@ import functools
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from ..jump_sim import JumpControl, batch_paths
 from ..mf_model import check_simplex
 from ..paths import PathVec
 from ..rng import stream
-from ..schwartz import HermiteFunction
 from .config import (
     config_numbers,
     config_scalar,
@@ -86,12 +84,15 @@ def _chunks(n: int, pieces: int) -> list[tuple[int, int]]:
 
 def _fan_out(worker, arg_sets: list[tuple], n_replicas: int) -> list[np.ndarray]:
     """Run worker(*args, lo, hi) over replica ranges for every args tuple;
-    one result per tuple, in order.  All chunks share one process pool, and
-    each args tuple is cut into one chunk per worker, since every worker
-    call pays the kernels' fixed per-call cost."""
+    one result per tuple, in order.  A serial run calls the worker in this
+    process.  With more than one worker all chunks share one process pool,
+    imported only then, and each args tuple is cut into one chunk per
+    worker, since every worker call pays the kernels' fixed per-call cost."""
     w = n_workers()
     if w <= 1:
         return [np.asarray(worker(*args, 0, n_replicas)) for args in arg_sets]
+    from concurrent.futures import ProcessPoolExecutor
+
     parts = _chunks(n_replicas, w)
     with ProcessPoolExecutor(max_workers=w) as ex:
         futs = [[ex.submit(worker, *args, lo, hi) for lo, hi in parts] for args in arg_sets]
@@ -272,6 +273,8 @@ def _final_stride(T: float, dt: float) -> int:
 
 
 def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
+    from ..schwartz import HermiteFunction
+
     kernels = kernels_from_config(kernel_cfg)
     phi = HermiteFunction.from_hermite_coeffs(phi_coeffs)
     out = np.empty(hi - lo)
@@ -288,6 +291,8 @@ def _clt_chunk(kernel_cfg, m, ref_pair, x0, T, dt, phi_coeffs, seed, lo, hi):
 def run_clt_scaling(spec: dict, seed: int):
     """At the central-limit scale a(m) = m^(-1/2) the pairing fluctuations
     have m-independent variance; the fitted log-log slope must be flat."""
+    from ..schwartz import HermiteFunction
+
     replicas, m_grid = _replicas_and_grid(spec, "clt-scaling")
     kernel_cfg = load_config(spec["kernels"], "kernels")
     x0 = config_scalar(spec, "x0", 0.0)

@@ -32,7 +32,6 @@ from ..mf_model import (
 )
 from ..paths import PathVec
 from ..rng import stream
-from ..schwartz import random_hermite_function, seminorm_hilbert, seminorm_sup
 from .report import CriterionResult, ExperimentReport
 
 __all__ = ["run_lemma_suite", "default_model"]
@@ -223,6 +222,8 @@ def check_lipschitz_cellsum(n: int = 500) -> CriterionResult:
 
 
 def check_seminorm_monotone(n_funcs: int = 20, n_max: int = 3) -> CriterionResult:
+    from ..schwartz import random_hermite_function, seminorm_hilbert
+
     rng = stream(SEED, 7)
     worst = -np.inf
     for _ in range(n_funcs):
@@ -239,6 +240,8 @@ def check_seminorm_monotone(n_funcs: int = 20, n_max: int = 3) -> CriterionResul
 
 def _worst_sobolev_ratio(n: int, samples: int, seed_id: int) -> float:
     """Largest |phi|_n / ||phi||_(n+1) over random working-family functions."""
+    from ..schwartz import random_hermite_function, seminorm_hilbert, seminorm_sup
+
     rng = stream(SEED, seed_id)
     worst = 0.0
     for _ in range(samples):
@@ -268,7 +271,7 @@ def check_sobolev_embedding(n: int = 1, n_funcs: int = 100) -> CriterionResult:
 
 
 def check_gaussian_norm() -> CriterionResult:
-    from ..schwartz import HermiteFunction
+    from ..schwartz import HermiteFunction, seminorm_hilbert
 
     val = seminorm_hilbert(HermiteFunction.gaussian(), 0)
     err = abs(val - np.pi**0.25)
@@ -417,7 +420,7 @@ def check_coupling_mini() -> CriterionResult:
 def check_generator_bound_ratio() -> CriterionResult:
     """||L phi||_0 / ||phi||_2 stays bounded over sample test functions."""
     from ..kernels import MeasureHook, default_kernels
-    from ..schwartz import apply_L_seminorm_ratio
+    from ..schwartz import apply_L_seminorm_ratio, random_hermite_function
 
     kp = default_kernels()
     rng = stream(SEED, 16)

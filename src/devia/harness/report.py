@@ -8,7 +8,6 @@ streams derived from the experiment seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -120,6 +119,8 @@ class ExperimentReport:
 
 
 def config_hash(cfg: dict) -> str:
+    import hashlib  # loads OpenSSL's libcrypto, which a run without a digest never needs
+
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

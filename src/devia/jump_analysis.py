@@ -264,8 +264,11 @@ def skeleton_picard(
     """Fixed-point solve of the skeleton equation from an arbitrary starting
     path.  Exists to demonstrate uniqueness numerically: any starting guess
     contracts to the same solution.  Stops after PICARD_MAX_ITER sweeps or
-    once a sweep moves the path by at most PICARD_TOL."""
+    once a sweep moves the path by at most PICARD_TOL.  ``eta_init``, when
+    given, must have the model's K coordinates and cover the horizon of p."""
     _check_skeleton_inputs(model, p_path, psi)
+    if eta_init is not None:
+        _check_path("eta_init", eta_init, p_path.T, model.K)
     ts = p_path.grid
     P = p_path.values
     A = model.db(P)

@@ -132,3 +132,22 @@ def test_schema_check_reads_the_best_of_timings(key):
                for p in _bench_pairs().problems(doc))
     doc["layers"][key]["parent"]["runs"] = []
     assert any(f"layers.{key}.parent: needs its runs" in p for p in _bench_pairs().problems(doc))
+
+
+@pytest.mark.parametrize("key", ["peak_rss_mb", "modules"])
+def test_schema_check_reads_the_import_memory(key):
+    # the import probe records its process's peak RSS and module count
+    # beside its seconds; older files lack both and still pass
+    doc = _with_layers()
+    imports = doc["layers"]["cli_import_s"]
+    imports.pop("peak_rss_mb", None)
+    imports.pop("modules", None)
+    assert _bench_pairs().problems(doc) == []
+    imports[key] = _medians()
+    assert _bench_pairs().problems(doc) == []
+    imports[key]["change"]["median"] += 1.0
+    assert any(f"layers.cli_import_s.{key}.change: median is not the runs' median" in p
+               for p in _bench_pairs().problems(doc))
+    imports[key]["parent"]["runs"] = []
+    assert any(f"layers.cli_import_s.{key}.parent: needs its runs" in p
+               for p in _bench_pairs().problems(doc))

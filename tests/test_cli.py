@@ -94,6 +94,27 @@ def test_library_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_library_import_is_lean():
+    # none of these serves a run that reads no YAML file, starts no pool,
+    # digests no report and builds no Hermite function; each loads on use
+    heavy = ["concurrent.futures", "hashlib", "multiprocessing", "numpy.polynomial", "scipy",
+             "yaml"]
+    code = ("import sys\n"
+            f"heavy = {heavy!r}\n"
+            "def loaded():\n"
+            "    return [h for h in heavy if any(m == h or m.startswith(h + '.') "
+            "for m in sys.modules)]\n"
+            "import devia.harness\n"
+            "print(loaded())\n"
+            "import devia.harness.cli\n"
+            "print(loaded())\n")
+    src = str(Path(devia.__file__).resolve().parents[1])
+    env = {"PATH": "", "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.split("\n") == ["[]", "[]", ""]
+
+
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.walk_packages(devia.__path__, "devia.")])
 def test_exports_exist(name):
     # every module declares its exports, and each one is defined
@@ -431,6 +452,9 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
      "the rate-roundtrip spec has the diffusion key 'nx', which target 'jump' does not read"),
     (dict(MINI_JUMP_RT, criteria={"diff_rel_tol": 0.1}),
      "the rate-roundtrip criteria has the diffusion key 'diff_rel_tol', which target 'jump'"),
+    # no reader reads x0 inside a kernels block; it used to pass unread
+    (dict(MINI_DIFFUSION, kernels={"family": "default", "x0": 3.0}),
+     "the default kernels has an unknown key 'x0'"),
 ], ids=["no-m_grid", "no-model", "empty-m_grid", "one-size-m_grid", "unknown-target",
         "p0-off-the-simplex", "list-T_diff", "list-criteria", "number-domain", "list-control-entry",
         "control-entry-off-the-states", "fractional-m_grid", "string-replicas", "misspelled-seed",
@@ -439,7 +463,7 @@ MINI_TILT = {"kind": "tilt-limit", "model": {"family": "two-state"}, "q0": [0.5,
         "lemma-suite-keys",
         "lemma-suite-seed", "one-node-nx", "zero-nx", "bump-off-the-domain",
         "tiny-domain", "empty-phi", "jump-key-for-diffusion", "jump-criterion-for-diffusion",
-        "diffusion-key-for-jump", "diffusion-criterion-for-jump"])
+        "diffusion-key-for-jump", "diffusion-criterion-for-jump", "x0-in-kernels"])
 def test_malformed_spec_is_a_diagnosed_exit(tmp_path, capsys, spec, message):
     # exit 1 means a failed criterion, so an invalid spec must not reach a fit
     path = tmp_path / "spec.json"
@@ -584,7 +608,11 @@ def test_malformed_scalar_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, me
     ("diff-sim", {"kernels": {"family": "default", "c_alpa": 0.9}, "test_functions": [[1.0]]},
      "c_alpa"),
     ("control", {"n_bin": 4, "entries": {"1,2": 0.4}, "theta": 0.25}, "n_bin"),
-], ids=["model", "model-file", "kernels", "control"])
+    # the CLI reads these two beside the kernels block only; the file is
+    # written with sorted keys, so test_functions is named first
+    ("diff-sim", {"kernels": {"family": "default", "x0": 5.0, "test_functions": [[0, 1]]}},
+     "test_functions"),
+], ids=["model", "model-file", "kernels", "control", "cli-keys-in-kernels-block"])
 def test_unknown_config_key_is_a_diagnosed_exit(tmp_path, capsys, command, cfg, key):
     # each used to be ignored, its default taking its place
     assert main(_config_argv(tmp_path, command, cfg)) == 2

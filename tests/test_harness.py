@@ -69,7 +69,7 @@ def test_one_process_pool_per_run(monkeypatch):
         return batch_paths(model, m, *args, **kwargs)
 
     base = run_lln(MINI_LLN).to_json()
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(experiments, "batch_paths", counted)
     monkeypatch.setenv("DEVIA_WORKERS", "2")
     assert run_lln(MINI_LLN).to_json() == base
@@ -113,7 +113,7 @@ def test_tilt_limit_set_up_runs_once_per_run(monkeypatch):
     base = run_experiment(MINI_TILT).to_json()
     for name in calls:
         monkeypatch.setattr(experiments, name, counted(name))
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", ThreadPoolExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ThreadPoolExecutor)
     monkeypatch.setenv("DEVIA_WORKERS", "2")
     assert run_experiment(MINI_TILT).to_json() == base
     assert calls == {"solve_p": 1, "skeleton_G0": 1}

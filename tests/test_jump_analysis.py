@@ -254,6 +254,19 @@ class TestSkeleton:
         with pytest.raises(ValueError, match=message):
             solve(flip_model, p, control)
 
+    @pytest.mark.parametrize("dim, T, message", [
+        (3, 1.0, "eta_init has 3 coordinates, but the model has K=2 states"),
+        (2, 0.14, "eta_init ends at t=0.14, before the horizon T=1"),
+    ], ids=["dimension", "horizon"])
+    def test_picard_start_is_checked(self, flip_model, dim, T, message):
+        # a 3-column start used to end in numpy's matmul error, and a start
+        # that ends early was held flat past its end
+        p = solve_p(flip_model, np.array([0.5, 0.5]), 1.0, 64)
+        control = JumpControl.constant(2, 1.0, {(1, 2): 0.4})
+        grid = np.linspace(0.0, T, 8)
+        with pytest.raises(ValueError, match=message):
+            skeleton_picard(flip_model, p, control, eta_init=PathVec(grid, np.zeros((8, dim))))
+
 
 def _skeleton_by_steps(model, p_path: PathVec, psi: JumpControl) -> np.ndarray:
     """Reference for the scanned skeleton: RK4 one step at a time, with p

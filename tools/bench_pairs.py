@@ -22,9 +22,10 @@ seconds of ``solve_p``, ``skeleton_G0``, ``rate_I`` and ``rate_Ibar`` at the
 rate-roundtrip shape (birth-death K = 5, 4096 steps, a 4-bin potential
 control; the median of 5 calls per process, with the trees' largest output
 differences), the wall time of CLI
-``jump-sim`` (birth-death K = 5, m = 10^4), the wall time of
-``python -c "import devia.harness.cli"``, the import that every CLI command
-pays, and at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
+``jump-sim`` (birth-death K = 5, m = 10^4), the wall time of a process that
+runs ``import devia.harness.cli``, the import that every CLI command pays,
+with that process's peak RSS and its count of loaded modules beside it, and
+at the diffusion shape (m = 128 .. 8192, M_ref = 32768, 256 steps)
 the Euler-Maruyama particle-steps per second of one ``run_coupled`` replica
 under a shared limit path and the wall time of ``limit_path``, each with its
 process CPU seconds (every thread) beside it.  The result
@@ -189,6 +190,18 @@ print(json.dumps({"particle_steps": round(T / dt) * (sum(ms) + max(ms)),
 BIRTH_DEATH_K5 = {"family": "birth-death", "K": 5, "a": 0.5, "b": 0.5, "c": 0.5}
 CLI_ARGS = ["jump-sim", "--m", "10000", "--T", "1.0", "--seed", "3"]
 CLI_IMPORT = "import devia.harness.cli"
+# the import, then what it left loaded and the process's peak RSS; json and
+# resource are imported after the count
+IMPORT_PROBE = f"""
+import sys
+{CLI_IMPORT}
+modules = len(sys.modules)
+import json, resource
+print(json.dumps({{"modules": modules,
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}}))
+"""
+# what the import probe records beside its seconds (older BENCH files lack them)
+IMPORT_MEMORY = ("peak_rss_mb", "modules")
 ROUNDS = 5  # alternating rounds of the layer probes, one run of each timing per side
 # the analysis timings and the trees' largest output difference each records
 DIFFERENCES = {"solve_p_s": "p_max_abs_diff", "skeleton_G0_s": "eta_max_abs_diff",
@@ -251,10 +264,11 @@ def compare(seeds: list[int], results: dict) -> dict:
     return block
 
 
-def timed(cmd: list[str], env: dict, cwd: Path) -> float:
+def timed(cmd: list[str], env: dict, cwd: Path) -> tuple[float, str]:
+    """The seconds ``cmd`` took and its standard output."""
     t0 = time.perf_counter()
-    subprocess.run(cmd, env=env, cwd=cwd, check=True, capture_output=True)
-    return time.perf_counter() - t0
+    out = subprocess.run(cmd, env=env, cwd=cwd, check=True, capture_output=True, text=True)
+    return time.perf_counter() - t0, out.stdout
 
 
 def layers(trees: dict, scratch: Path) -> dict:
@@ -279,8 +293,9 @@ def layers(trees: dict, scratch: Path) -> dict:
                 runs[side].append(json.loads(out.strip().splitlines()[-1]))
             cmd = [sys.executable, "-m", "devia.harness.cli", *CLI_ARGS,
                    "--model", str(model), "--out", str(scratch / f"jump-sim-{side}.csv")]
-            cli[side].append(timed(cmd, env, tree))
-            imports[side].append(timed([sys.executable, "-c", CLI_IMPORT], env, tree))
+            cli[side].append(timed(cmd, env, tree)[0])
+            seconds, out = timed([sys.executable, "-c", IMPORT_PROBE], env, tree)
+            imports[side].append({"seconds": seconds, **json.loads(out)})
     hashes = {r["hash"] for s in SIDES for r in kernel[s]}
     events = {r["events"] for s in SIDES for r in kernel[s]}
     if len(hashes) != 1 or len(events) != 1:
@@ -335,7 +350,9 @@ def layers(trees: dict, scratch: Path) -> dict:
         },
         "cli_import_s": {
             "command": f'python -c "{CLI_IMPORT}"',
-            **{s: summary(imports[s]) for s in SIDES},
+            **{s: summary([r["seconds"] for r in imports[s]]) for s in SIDES},
+            **{key: {s: summary([r[key] for r in imports[s]]) for s in SIDES}
+               for key in IMPORT_MEMORY},
         },
         "em_particle_steps_per_s": {
             "shape": "diffusion workload: default kernels, m = 128 .. 8192 and 8192 reference "
@@ -361,6 +378,19 @@ def layers(trees: dict, scratch: Path) -> dict:
             **{s: summary([r["limit_cpu_s"] for r in em[s]]) for s in SIDES},
         },
     }
+
+
+def _median_problems(where: str, s) -> list[str]:
+    """What is wrong with the summary ``s`` of a layer timing's runs."""
+    if not isinstance(s, dict) or not s.get("runs"):
+        return [f"{where}: needs its runs"]
+    if "best" in s:
+        # older files kept the CLI and limit_path timings as the best of 3
+        if abs(s["best"] - min(s["runs"])) > 1e-3:
+            return [f"{where}: best is not the runs' minimum"]
+    elif abs(s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3:
+        return [f"{where}: median is not the runs' median"]
+    return []
 
 
 def problems(doc: dict) -> list[str]:
@@ -405,15 +435,13 @@ def problems(doc: dict) -> list[str]:
         if key not in timings:
             continue  # written before this timing existed
         for side in SIDES:
-            s = timings[key].get(side)
-            if not isinstance(s, dict) or not s.get("runs"):
-                bad.append(f"layers.{key}.{side}: needs its runs")
-            elif "best" in s:
-                # older files kept the CLI and limit_path timings as the best of 3
-                if abs(s["best"] - min(s["runs"])) > 1e-3:
-                    bad.append(f"layers.{key}.{side}: best is not the runs' minimum")
-            elif abs(s.get("median", math.inf) - statistics.median(s["runs"])) > 1e-3:
-                bad.append(f"layers.{key}.{side}: median is not the runs' median")
+            bad += _median_problems(f"layers.{key}.{side}", timings[key].get(side))
+    imports = timings.get("cli_import_s", {})
+    for key in IMPORT_MEMORY:
+        if key in imports:  # else written before the import probe recorded it
+            for side in SIDES:
+                bad += _median_problems(f"layers.cli_import_s.{key}.{side}",
+                                        imports[key].get(side))
     for key, diff in DIFFERENCES.items():
         if key in timings and not (
             isinstance(timings[key].get(diff), float) and 0.0 <= timings[key][diff] < math.inf
